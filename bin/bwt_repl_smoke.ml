@@ -152,7 +152,7 @@ let () =
   (* still following: writes must be refused, reads served *)
   (match Bw_client.Int_key.put sc key_base 0 with
   | _ -> die "standby accepted a write before promotion"
-  | exception Bw_client.Protocol_error _ -> ());
+  | exception (Bw_client.Read_only | Bw_client.Protocol_error _) -> ());
   let t0 = Unix.gettimeofday () in
   let replayed = Bw_client.promote ~data_dir sc in
   Printf.printf

@@ -79,6 +79,7 @@ let () =
       "batch_redescents"; "leaf_pack_builds"; "leaf_gap_reuses";
       "leaf_probe_cmps"; "leaf_cache_hits"; "leaf_cache_misses";
       "leaf_cache_invalidations"; "leaf_cache_stale_verifies";
+      "read_consolidations";
     ];
   let gauges = as_obj "gauges" (get "gauges" v) in
   List.iter

@@ -28,6 +28,7 @@ let crash = ref false
 let crash_rounds = ref 3
 let crash_dir = ref ""
 let fsync = ref false
+let read_heavy = ref false
 
 let speclist =
   [
@@ -76,6 +77,10 @@ let speclist =
       Arg.Set fsync,
       " in --crash mode, fsync every group commit (slower, exercises the \
        durable ack path)" );
+    ( "--read-heavy",
+      Arg.Set read_heavy,
+      " one writer, every other worker a reader (point lookups of the \
+       writer's keys) instead of all workers mixed" );
     ("--quiet", Arg.Set quiet, " suppress per-phase progress lines");
     ( "--metrics",
       Arg.Set metrics,
@@ -130,13 +135,16 @@ let () =
     Format.printf "%a@." Bw_stress.pp_crash_report r;
     exit (if r.Bw_stress.cr_violations <> [] then 1 else 0)
   end;
+  let base =
+    if !read_heavy then Bw_stress.read_heavy_config else Bw_stress.short_config
+  in
   let cfg =
-    if !short then
-      { Bw_stress.short_config with batch = !batch; verbose = not !quiet }
+    if !short then { base with batch = !batch; verbose = not !quiet }
     else
       {
-        Bw_stress.short_config with
+        base with
         domains = !domains;
+        readers = (if !read_heavy then max 0 (!domains - 1) else 0);
         churn_domains = !churn;
         keys_per_domain = !keys;
         ops_per_phase = !ops;

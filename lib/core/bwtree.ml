@@ -104,7 +104,9 @@ module Make (K : KEY) (V : VALUE) :
     | L_ins of key * value
     | L_del of key * value
     | L_upd of key * value * value  (* key, old value, new value *)
-    | L_split of key * int  (* split key, new right sibling id *)
+    | L_split of key * int * bool Atomic.t
+        (* split key, new right sibling id, Stage III done (set once, by
+           whoever posts or confirms the parent's separator) *)
     | L_merge of key * elem * int  (* merge key, right branch, removed id *)
     | L_remove  (* this node is being merged into its left sibling *)
 
@@ -115,7 +117,7 @@ module Make (K : KEY) (V : VALUE) :
     | I_del of key * bound * int * bound
         (* deleted separator K1; preceding separator K0 with child N0; the
            following separator K2 — the Appendix A.2 Stage III record *)
-    | I_split of key * int
+    | I_split of key * int * bool Atomic.t
     | I_merge of key * elem * int
     | I_remove
     | I_abort  (* write-locks this node against appends (Appendix B) *)
@@ -160,8 +162,22 @@ module Make (K : KEY) (V : VALUE) :
   and f_lc_win = 16 (* probes seen in the current observation window *)
   and f_lc_winh = 17 (* hits seen in the current observation window *)
   and f_lc_bypass = 18 (* ops left in the current probe-bypass stretch *)
+  and f_read_consolidations = 19
+  and f_read_walk = 20 (* delta records walked by point reads since the
+                          last read-side consolidation, not reported *)
 
-  let n_stat_fields = 19
+  let n_stat_fields = 21
+
+  (* Per-thread side results of the descent and the leaf walk, so neither
+     has to return a tuple: the point-read path allocates nothing here. *)
+  type cursor = {
+    mutable c_id : int;  (* leaf the last descent or cache hit found *)
+    mutable c_path : (int * elem) list;
+        (* its ancestors, nearest first; written only by tracking
+           (write-path) descents *)
+    mutable c_offset : int;  (* §4.3 base position for an appended delta *)
+    mutable c_walked : int;  (* delta records the last leaf walk crossed *)
+  }
 
   (* The leaf cache (ROADMAP item 3) is a flat int array of
      [fingerprint; pid; stamp] triples, one per direct-mapped slot:
@@ -190,6 +206,7 @@ module Make (K : KEY) (V : VALUE) :
     epoch : Epoch.t;
     o : Bw_obs.sink;
     st : int array array;  (* [tid].[field], owner-written *)
+    cur : cursor array;  (* [tid], owner-written *)
     bperm : int array array;
         (* per-tid batch-permutation scratch, owner-written; each row is
            grown to the batch size once and then reused, so steady-state
@@ -216,6 +233,11 @@ module Make (K : KEY) (V : VALUE) :
   let cnt tid ev =
     if !Counters.enabled then Counters.incr Counters.global ~tid ev
 
+  let count_restart t ~tid =
+    sbump t tid f_restarts;
+    cnt tid Counters.Restart;
+    Domain.cpu_relax ()
+
   let new_prealloc cfg ~leaf =
     if not cfg.preallocate then None
     else
@@ -239,6 +261,10 @@ module Make (K : KEY) (V : VALUE) :
           };
         lb_pre = new_prealloc cfg ~leaf:true;
       }
+
+  (* Sentinel element: a cache probe's miss, and the absent parent of a
+     root-level node. Only ever compared physically. *)
+  let no_leaf = empty_leaf { default_config with preallocate = false }
 
   let create ?(config = default_config) ?(obs = Bw_obs.Null) () =
     Config.validate config;
@@ -275,6 +301,9 @@ module Make (K : KEY) (V : VALUE) :
             ~gc_threshold:config.gc_threshold ~obs ();
         o = obs;
         st = Array.init config.max_threads (fun _ -> Array.make n_stat_fields 0);
+        cur =
+          Array.init config.max_threads (fun _ ->
+              { c_id = nil_id; c_path = []; c_offset = -1; c_walked = 0 });
         bperm = Array.make config.max_threads [||];
         smo_epoch = Atomic.make 0;
         lcache = Array.make (3 * lc_slots) (-1);
@@ -378,7 +407,7 @@ module Make (K : KEY) (V : VALUE) :
             do_delete k vold;
             do_insert k vnew;
             items
-        | L_split (ks, _) ->
+        | L_split (ks, _, _) ->
             let cut = lower_bound_g ~tid items ks in
             Growable.truncate items cut;
             items
@@ -446,7 +475,7 @@ module Make (K : KEY) (V : VALUE) :
               && cmp_bound (fst (Growable.get items pos)) (B k1) = 0
             then Growable.remove_at items pos;
             items
-        | I_split (ks, _) ->
+        | I_split (ks, _, _) ->
             let cut = pos_of_sep (B ks) in
             Growable.truncate items cut;
             items
@@ -536,29 +565,36 @@ module Make (K : KEY) (V : VALUE) :
     in
     go head
 
-  (* A split delta at the head is the only evidence that the new right
-     sibling's separator may still be unposted (Stage III pending) —
-     help-along in [locate_from] triggers off it. Ordinary appends only
-     land on top of one after a traversal has help-completed the split,
-     so a BURIED split delta is always a completed split. Paths that
-     cannot complete Stage III themselves must therefore leave such
-     heads alone: the leaf cache refuses to serve them, consolidation
-     skips them and merges give up on such victims. Absorbing the
-     evidence early would orphan the right sibling — the parent never
-     learns its separator, and the sibling's own split later restarts
-     forever against routing that cannot recognize it. *)
+  (* A split delta at the head whose done flag is still clear is the only
+     evidence that the new right sibling's separator may be unposted
+     (Stage III pending) — help-along in [descend] triggers off it.
+     Ordinary appends only land on top of a split delta once the split
+     is complete, so a BURIED split delta is always a completed split.
+     Paths that cannot complete Stage III themselves must therefore
+     leave pending heads alone: the leaf cache refuses to serve them,
+     consolidation completes the split first and merges give up on such
+     victims. Absorbing the evidence early would orphan the right
+     sibling — the parent never learns its separator, and the sibling's
+     own split later restarts forever against routing that cannot
+     recognize it. A set flag means the separator is in the parent and
+     stays there while the split delta heads its node (see DESIGN.md
+     "Read path"), so such heads are treated like any other. *)
   let head_is_split_topped = function
-    | LD { l_op = L_split _; _ } | ID { i_op = I_split _; _ } -> true
+    | LD { l_op = L_split (_, _, fin); _ } | ID { i_op = I_split (_, _, fin); _ }
+      ->
+        not (Atomic.get fin)
     | _ -> false
 
+  let mark_done fin = if not (Atomic.get fin) then Atomic.set fin true
+
   (* Forward reference, tied to [locate] once the descent exists: run
-     clean from-root descents for a key until one completes without a
-     [Restart]. Routing for the key then either went through the posted
-     separator or help-completed the pending Stage III on the way — so
-     afterwards the split delta at that node's head is guaranteed
-     absorbed-safe. *)
-  let complete_split_for : (t -> tid:int -> key -> unit) ref =
-    ref (fun _ ~tid:_ _ -> ())
+     clean from-root descents for a split key until one completes without
+     a [Restart], then mark the split done. Routing for the key then
+     either went through the posted separator or help-completed the
+     pending Stage III on the way — so afterwards the split delta at that
+     node's head is guaranteed absorbed-safe. *)
+  let complete_split_for : (t -> tid:int -> key -> bool Atomic.t -> unit) ref =
+    ref (fun _ ~tid:_ _ _ -> ())
 
   (* The baseline consolidation of §2.3 as the paper describes it: replay
      the chain to collect the logical node's items, then sort. Applies to
@@ -617,13 +653,15 @@ module Make (K : KEY) (V : VALUE) :
      deltas are absorbed: the head meta already carries the post-SMO
      lo/hi/right (Table 1), and the replay truncates/concatenates items
      accordingly. Nodes with a remove delta at the head are skipped — they
-     are about to disappear. *)
-  let consolidate t ~tid id (head : elem) =
+     are about to disappear. [true] when this call's CaS installed the new
+     base. *)
+  let try_consolidate t ~tid id (head : elem) =
     let m = meta_of head in
-    if m.depth = 0 then ()
+    if m.depth = 0 then false
     else
       match head with
-      | LD { l_op = L_remove; _ } | ID { i_op = I_remove | I_abort; _ } -> ()
+      | LD { l_op = L_remove; _ } | ID { i_op = I_remove | I_abort; _ } ->
+          false
       | _ ->
           (* A split delta at the head may carry a still-unposted
              separator (Stage III pending — possible when the split was
@@ -632,9 +670,10 @@ module Make (K : KEY) (V : VALUE) :
              first; the CaS below then only absorbs what the descent
              just proved complete (see [head_is_split_topped]). *)
           (match head with
-          | LD { l_op = L_split (ks, _); _ } | ID { i_op = I_split (ks, _); _ }
-            ->
-              !complete_split_for t ~tid ks
+          | LD { l_op = L_split (ks, _, fin); _ }
+          | ID { i_op = I_split (ks, _, fin); _ }
+            when not (Atomic.get fin) ->
+              !complete_split_for t ~tid ks fin
           | _ -> ());
           let t0 = if Bw_obs.enabled t.o then Bw_obs.now_ns () else 0 in
           let repl =
@@ -677,8 +716,12 @@ module Make (K : KEY) (V : VALUE) :
               Bw_obs.incr t.o ~tid Bw_obs.C_consolidations;
               Bw_obs.event t.o ~tid Bw_obs.Ev_consolidate ~a:id ~b:m.depth
             end;
-            Epoch.retire t.epoch ~tid (Obj.repr head)
+            Epoch.retire t.epoch ~tid (Obj.repr head);
+            true
           end
+          else false
+
+  let consolidate t ~tid id head = ignore (try_consolidate t ~tid id head)
 
   let rec consolidate_subtree t ~tid id =
     let head = mt_get t ~tid id in
@@ -734,39 +777,41 @@ module Make (K : KEY) (V : VALUE) :
   (* Inner-node navigation                                             *)
   (* ---------------------------------------------------------------- *)
 
-  type nav = Child of int | Go_right of int
+  (* A routing decision packed into one int, so navigation allocates
+     nothing: a child id (>= 0), or a right move to sibling [rid] encoded
+     as [go_right rid] (< -1; ids are never negative). *)
+  let go_right rid = -rid - 2
+  let right_of nav = -nav - 2
 
   (* Route [k] within one inner logical node. The caller has already
      verified k < hi of the chain head. *)
-  let inner_nav ~tid (head : elem) k : nav =
-    let rec go e =
-      match e with
-      | ID d -> (
-          cnt tid Counters.Pointer_deref;
-          match d.i_op with
-          | I_ins (ks, cid, nsep) ->
-              cnt tid Counters.Key_compare;
-              if K.compare k ks >= 0 && kb k nsep < 0 then Child cid
-              else go d.i_next
-          | I_del (_, k0, n0, k2) ->
-              if kb k k0 >= 0 && kb k k2 < 0 then Child n0 else go d.i_next
-          | I_split (ks, rid) ->
-              cnt tid Counters.Key_compare;
-              if K.compare k ks >= 0 then Go_right rid else go d.i_next
-          | I_merge (km, right, _) ->
-              cnt tid Counters.Key_compare;
-              if K.compare k km >= 0 then go right else go d.i_next
-          | I_remove | I_abort -> go d.i_next)
-      | Inner b ->
-          let m = b.ib_meta in
-          if kb k m.hi >= 0 && m.right <> nil_id then Go_right m.right
-          else
-            let n = Array.length b.ib_seps in
-            let i = sep_index ~tid b.ib_seps n k in
-            Child b.ib_ids.(i)
-      | Leaf _ | LD _ -> assert false
-    in
-    go head
+  let rec inner_nav ~tid (e : elem) k =
+    match e with
+    | ID d -> (
+        cnt tid Counters.Pointer_deref;
+        match d.i_op with
+        | I_ins (ks, cid, nsep) ->
+            cnt tid Counters.Key_compare;
+            if K.compare k ks >= 0 && kb k nsep < 0 then cid
+            else inner_nav ~tid d.i_next k
+        | I_del (_, k0, n0, k2) ->
+            if kb k k0 >= 0 && kb k k2 < 0 then n0
+            else inner_nav ~tid d.i_next k
+        | I_split (ks, rid, _) ->
+            cnt tid Counters.Key_compare;
+            if K.compare k ks >= 0 then go_right rid
+            else inner_nav ~tid d.i_next k
+        | I_merge (km, right, _) ->
+            cnt tid Counters.Key_compare;
+            inner_nav ~tid (if K.compare k km >= 0 then right else d.i_next) k
+        | I_remove | I_abort -> inner_nav ~tid d.i_next k)
+    | Inner b ->
+        let m = b.ib_meta in
+        if kb k m.hi >= 0 && m.right <> nil_id then go_right m.right
+        else
+          let n = Array.length b.ib_seps in
+          b.ib_ids.(sep_index ~tid b.ib_seps n k)
+    | Leaf _ | LD _ -> assert false
 
   (* Exact routing context from the consolidated view: the separator
      governing [k], its child, and the tight next bound. Used when posting
@@ -795,8 +840,10 @@ module Make (K : KEY) (V : VALUE) :
   (* ---------------------------------------------------------------- *)
 
   (* Posting the separator for a completed half-split into the parent
-     (Stage III), or growing a new root when the root itself split. *)
-  let rec post_split_separator t ~tid ~parent_path ~left_id ~ks ~rid =
+     (Stage III), or growing a new root when the root itself split. On
+     return (no [Restart]) the separator is in the tree, and the split
+     delta's done flag [fin] is set. *)
+  let rec post_split_separator t ~tid ~parent_path ~left_id ~ks ~rid ~fin =
     match parent_path with
     | [] ->
         (* root split: grow the tree by one level *)
@@ -825,7 +872,8 @@ module Make (K : KEY) (V : VALUE) :
         if not (Atomic.compare_and_set t.root old_root root_id) then begin
           Mapping_table.free_id t.table root_id;
           raise Restart
-        end
+        end;
+        mark_done fin
     | (pid, _) :: rest ->
         let rec attempt pid =
           let phead = mt_get t ~tid pid in
@@ -836,8 +884,9 @@ module Make (K : KEY) (V : VALUE) :
             attempt pm.right
           else begin
             let sep, cid, nsep = inner_locate_exact ~tid phead ks in
-            if cmp_bound sep (B ks) = 0 then ()
+            if cmp_bound sep (B ks) = 0 then
               (* separator already posted: split complete *)
+              mark_done fin
             else if cid <> left_id then
               (* the parent no longer routes [ks] to the split node —
                  interference; retry the whole operation *)
@@ -865,6 +914,7 @@ module Make (K : KEY) (V : VALUE) :
                 slot_wasted phead;
                 raise Restart
               end;
+              mark_done fin;
               post_append_inner t ~tid pid d rest
             end
           end
@@ -906,10 +956,11 @@ module Make (K : KEY) (V : VALUE) :
           in
           let rid = Mapping_table.allocate t.table right in
           cnt tid Counters.Allocation;
+          let fin = Atomic.make false in
           let d =
             LD
               {
-                l_op = L_split (ks, rid);
+                l_op = L_split (ks, rid, fin);
                 l_next = head;
                 l_meta =
                   {
@@ -933,16 +984,7 @@ module Make (K : KEY) (V : VALUE) :
               Bw_obs.incr t.o ~tid Bw_obs.C_splits;
               Bw_obs.event t.o ~tid Bw_obs.Ev_split ~a:id ~b:rid
             end;
-            (* Stage III. A cache-hit append carries no ancestor path; an
-               empty path on a non-root node would otherwise fall into
-               [post_split_separator]'s root-grow branch, raise, and leave
-               the right sibling orphaned (the caller swallows Restarts —
-               the append itself already linearized). Complete through
-               clean from-root descents instead. *)
-            (match parent_path with
-            | [] when Atomic.get t.root <> id ->
-                !complete_split_for t ~tid ks
-            | _ -> post_split_separator t ~tid ~parent_path ~left_id:id ~ks ~rid)
+            finish_split t ~tid ~parent_path ~id ~ks ~rid ~fin
           end
         end
       end
@@ -963,10 +1005,11 @@ module Make (K : KEY) (V : VALUE) :
             in
             let rid = Mapping_table.allocate t.table right in
             cnt tid Counters.Allocation;
+            let fin = Atomic.make false in
             let d =
               ID
                 {
-                  i_op = I_split (ks, rid);
+                  i_op = I_split (ks, rid, fin);
                   i_next = head;
                   i_meta =
                     {
@@ -990,15 +1033,26 @@ module Make (K : KEY) (V : VALUE) :
                 Bw_obs.incr t.o ~tid Bw_obs.C_splits;
                 Bw_obs.event t.o ~tid Bw_obs.Ev_split ~a:id ~b:rid
               end;
-              (match parent_path with
-              | [] when Atomic.get t.root <> id ->
-                  !complete_split_for t ~tid ks
-              | _ ->
-                  post_split_separator t ~tid ~parent_path ~left_id:id ~ks
-                    ~rid)
+              finish_split t ~tid ~parent_path ~id ~ks ~rid ~fin
             end
       end
     end
+
+  (* Stage III for a split this thread just posted. A cache-hit append
+     carries no ancestor path; an empty path on a non-root node would
+     otherwise fall into [post_split_separator]'s root-grow branch,
+     raise, and leave the right sibling orphaned (the caller swallows
+     Restarts — the append itself already linearized). A posting that
+     loses a race raises too, and would leave the split pending until a
+     later traversal happens to help it — never, if no one visits the
+     leaf again, so a quiesced tree could keep an unposted separator.
+     Both complete through clean from-root descents instead. *)
+  and finish_split t ~tid ~parent_path ~id ~ks ~rid ~fin =
+    match parent_path with
+    | [] when Atomic.get t.root <> id -> !complete_split_for t ~tid ks fin
+    | _ -> (
+        try post_split_separator t ~tid ~parent_path ~left_id:id ~ks ~rid ~fin
+        with Restart -> !complete_split_for t ~tid ks fin)
 
   (* ---------------------------------------------------------------- *)
   (* Structure modification: merge (Appendix A.2 + B)                  *)
@@ -1223,40 +1277,77 @@ module Make (K : KEY) (V : VALUE) :
   (* Descent                                                           *)
   (* ---------------------------------------------------------------- *)
 
-  (* Walk from [start] down to the leaf logical node owning [k], helping
-     unfinished SMOs along the way (the help-along protocol, §2.4).
-     [parent_path] must hold [start]'s ancestors, nearest first (empty
-     when starting at the root). Returns the ancestor path and the
-     leaf's (id, head) snapshot. The batch path re-enters here from a
-     cached ancestor; if that ancestor has since been merged away its
-     head carries a remove delta and the walk restarts from the root. *)
+  (* The one descent, for reads and writes: walk from node [id] down to
+     the leaf logical node owning [k], helping unfinished SMOs along the
+     way (the help-along protocol, §2.4). Returns the leaf's head; its id
+     goes to the thread's cursor.
+
+     [path] holds [id]'s ancestors, nearest first (empty at the root).
+     A tracking descent ([track], the write path) extends it at every
+     level and leaves it in the cursor for SMO housekeeping. A read does
+     not build it: it carries only the current parent ([pid], [phead];
+     [nil_id] at the root level), which is all help-along needs to post
+     a separator — a cascading parent split then completes through
+     [complete_split_for], as after a cache hit. So a read descent
+     allocates nothing unless it helps.
+
+     The batch path re-enters here from a cached ancestor; if that
+     ancestor has since been merged away its head carries a remove delta
+     and the walk restarts from the root. *)
+  let rec descend t ~tid ~track k id path pid phead =
+    cnt tid Counters.Node_visit;
+    let head = mt_get t ~tid id in
+    (match head with
+    | LD { l_op = L_split (ks, rid, fin); _ }
+    | ID { i_op = I_split (ks, rid, fin); _ }
+      when not (Atomic.get fin) ->
+        (* unfinished half-split at the head: help post the separator
+           before traversing (best effort; Restart on interference) *)
+        sbump t tid f_smo_helps;
+        let parent_path =
+          if track || pid = nil_id then path else [ (pid, phead) ]
+        in
+        post_split_separator t ~tid ~parent_path ~left_id:id ~ks ~rid ~fin
+    | LD { l_op = L_remove; _ } | ID { i_op = I_remove; _ } ->
+        (* node being merged away: its merging thread is mid-protocol;
+           back off and retry from the root *)
+        raise Restart
+    | _ -> ());
+    let m = meta_of head in
+    if kb k m.hi >= 0 && m.right <> nil_id then
+      (* B-link right move: the split separator may not be posted yet *)
+      descend t ~tid ~track k m.right path pid phead
+    else if is_leaf_elem head then begin
+      let c = t.cur.(tid) in
+      c.c_id <- id;
+      if track then c.c_path <- path;
+      head
+    end
+    else
+      let nav = inner_nav ~tid head k in
+      if nav >= 0 then
+        descend t ~tid ~track k nav
+          (if track then (id, head) :: path else path)
+          id head
+      else descend t ~tid ~track k (right_of nav) path pid phead
+
+  (* From-root read descent: the leaf head, its id in the cursor. *)
+  let descend_root t ~tid ~track k =
+    descend t ~tid ~track k (Atomic.get t.root) [] nil_id no_leaf
+
+  (* The cursor's ancestor path, handed over to the caller: the cursor
+     drops it so it does not keep superseded heads reachable. *)
+  let take_path t ~tid =
+    let c = t.cur.(tid) in
+    let p = c.c_path in
+    c.c_path <- [];
+    p
+
+  (* Tracking descent as a tuple, for the write and SMO paths. *)
   let locate_from t ~tid k ~start ~parent_path =
-    let rec down id parent_path =
-      cnt tid Counters.Node_visit;
-      let head = mt_get t ~tid id in
-      (match head with
-      | LD { l_op = L_split (ks, rid); _ } | ID { i_op = I_split (ks, rid); _ }
-        ->
-          (* unfinished half-split at the head: help post the separator
-             before traversing (best effort; Restart on interference) *)
-          sbump t tid f_smo_helps;
-          post_split_separator t ~tid ~parent_path ~left_id:id ~ks ~rid
-      | LD { l_op = L_remove; _ } | ID { i_op = I_remove; _ } ->
-          (* node being merged away: its merging thread is mid-protocol;
-             back off and retry from the root *)
-          raise Restart
-      | _ -> ());
-      let m = meta_of head in
-      if kb k m.hi >= 0 && m.right <> nil_id then
-        (* B-link right move: the split separator may not be posted yet *)
-        down m.right parent_path
-      else if is_leaf_elem head then (parent_path, id, head)
-      else
-        match inner_nav ~tid head k with
-        | Child cid -> down cid ((id, head) :: parent_path)
-        | Go_right rid -> down rid parent_path
-    in
-    down start parent_path
+    let head = descend t ~tid ~track:true k start parent_path nil_id no_leaf in
+    let id = t.cur.(tid).c_id in
+    (take_path t ~tid, id, head)
 
   let locate t ~tid k =
     locate_from t ~tid k ~start:(Atomic.get t.root) ~parent_path:[]
@@ -1268,14 +1359,14 @@ module Make (K : KEY) (V : VALUE) :
      ancestors, whose pending splits sit one level up. *)
   let () =
     complete_split_for :=
-      fun t ~tid k ->
+      fun t ~tid k fin ->
         let rec go () =
-          match locate t ~tid k with
-          | _ -> ()
+          match descend_root t ~tid ~track:true k with
+          | _ ->
+              ignore (take_path t ~tid);
+              mark_done fin
           | exception Restart ->
-              sbump t tid f_restarts;
-              cnt tid Counters.Restart;
-              Domain.cpu_relax ();
+              count_restart t ~tid;
               go ()
         in
         go ()
@@ -1290,8 +1381,9 @@ module Make (K : KEY) (V : VALUE) :
      re-read the head through the mapping table (leaf PIDs are never
      recycled once published, so the cell always names the same logical
      node), require a leaf that is neither remove-blocked nor topped by
-     a split delta (whose Stage III only a real descent can complete —
-     see [head_is_split_topped]), and re-check [lo <= k < hi] on its
+     a split delta with Stage III pending (which only a real descent can
+     complete — see [head_is_split_topped]; a finished split's leaf is
+     served), and re-check [lo <= k < hi] on its
      current meta. That is exactly the invariant
      [locate] establishes, so a validated hit is interchangeable with a
      descent — except the ancestor path is unknown ([]), which only
@@ -1353,19 +1445,19 @@ module Make (K : KEY) (V : VALUE) :
       end
     end
 
-  (* Validated probe: [Some (id, head)] only when the slot's
-     fingerprint matches [k] and the current head still proves
-     ownership (leaf, not append-blocked, no unfinished split on top,
-     and [k] inside its *current* separator range). A failed
-     validation drops the entry (stale verify + invalidation); a slot
-     fingerprinted by a different key is a plain miss and is left
-     alone — it may still serve its own key. *)
+  (* Validated probe: the leaf's head, its id in the cursor, only when
+     the slot's fingerprint matches [k] and the current head still
+     proves ownership (leaf, not append-blocked, no unfinished split on
+     top, and [k] inside its *current* separator range); [no_leaf]
+     otherwise. A failed validation drops the entry (stale verify +
+     invalidation); a slot fingerprinted by a different key is a plain
+     miss and is left alone — it may still serve its own key. *)
   let lc_probe t ~tid k =
-    if not (lc_enabled t) then None
+    if not (lc_enabled t) then no_leaf
     else
       let h = Hashtbl.hash k in
       let b = lc_base t h in
-      if Array.unsafe_get t.lcache b <> h then None
+      if Array.unsafe_get t.lcache b <> h then no_leaf
       else begin
         (* read pid once: a racing fill could swap it between the
            mapping-table read and the return *)
@@ -1383,7 +1475,8 @@ module Make (K : KEY) (V : VALUE) :
           (* survived validation across an SMO: re-stamp so the next
              fill for this key stays write-free *)
           if t.lcache.(b + 2) <> stamp then t.lcache.(b + 2) <- stamp;
-          Some (pid, head)
+          t.cur.(tid).c_id <- pid;
+          head
         end
         else begin
           sbump t tid f_lc_stale;
@@ -1393,13 +1486,10 @@ module Make (K : KEY) (V : VALUE) :
             Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_stale_verifies;
             Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_invalidations
           end;
-          None
+          no_leaf
         end
       end
 
-  (* The point-op descent: try the cache, fall back to [locate] and fill
-     from what it found. Shape-compatible with [locate]; a hit's empty
-     ancestor path is safe for every caller (see above). *)
   let lc_count_hit t ~tid =
     sbump t tid f_lc_hits;
     if Bw_obs.enabled t.o then Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_hits
@@ -1411,10 +1501,10 @@ module Make (K : KEY) (V : VALUE) :
         Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_misses
     end
 
-  let locate_refill t ~tid k =
-    let (_, id, _) as loc = locate t ~tid k in
-    lc_fill t ~tid k ~id;
-    loc
+  let descend_refill t ~tid ~track k =
+    let head = descend_root t ~tid ~track k in
+    lc_fill t ~tid k ~id:t.cur.(tid).c_id;
+    head
 
   (* Adaptive bypass: the acceptance bar says a workload the cache
      cannot help (near-zero hit rate — uniform keys over a deliberately
@@ -1442,24 +1532,13 @@ module Make (K : KEY) (V : VALUE) :
       row.(f_lc_winh) <- 0
     end
 
-  let locate_cached t ~tid k =
-    if not (lc_enabled t) then locate t ~tid k
-    else if t.st.(tid).(f_lc_bypass) > 0 then begin
-      t.st.(tid).(f_lc_bypass) <- t.st.(tid).(f_lc_bypass) - 1;
-      locate t ~tid k
-    end
-    else
-      match lc_probe t ~tid k with
-      | Some (id, head) ->
-          lc_count_hit t ~tid;
-          lc_window_step t ~tid ~hit:true;
-          ([], id, head)
-      | None ->
-          lc_count_miss t ~tid;
-          lc_window_step t ~tid ~hit:false;
-          locate_refill t ~tid k
+  (* The point-op descent: try the cache, fall back to a from-root
+     descent and fill from what it found. Returns the leaf head with its
+     id in the cursor (and, when [track], its ancestor path — empty on a
+     hit, which is safe for every caller, see above).
 
-  (* The retry path after a [Restart] must NOT re-probe the cache: a hit
+     The retry path after a [Restart] ([first] false) must NOT re-probe
+     the cache: a hit
      can keep serving the exact leaf whose unfinished SMO the restart is
      waiting on. Concretely: a split posted under a hit's empty ancestor
      path leaves Stage III to help-along, and once the left node's
@@ -1470,12 +1549,34 @@ module Make (K : KEY) (V : VALUE) :
      a live, in-range leaf) and livelock. So each op consults the cache
      on its first attempt only; retries descend for real, which both
      guarantees progress and repairs the cache via the refill. *)
-  let locate_attempt t ~tid first k =
-    if !first then begin
-      first := false;
-      locate_cached t ~tid k
+  let point_leaf t ~tid ~track ~first k =
+    if not (lc_enabled t) then descend_root t ~tid ~track k
+    else if not first then descend_refill t ~tid ~track k
+    else if t.st.(tid).(f_lc_bypass) > 0 then begin
+      t.st.(tid).(f_lc_bypass) <- t.st.(tid).(f_lc_bypass) - 1;
+      descend_root t ~tid ~track k
     end
-    else locate_refill t ~tid k
+    else
+      let head = lc_probe t ~tid k in
+      if head != no_leaf then begin
+        lc_count_hit t ~tid;
+        lc_window_step t ~tid ~hit:true;
+        if track then t.cur.(tid).c_path <- [];
+        head
+      end
+      else begin
+        lc_count_miss t ~tid;
+        lc_window_step t ~tid ~hit:false;
+        descend_refill t ~tid ~track k
+      end
+
+  (* [point_leaf] for the write paths, as a (path, id, head) tuple. *)
+  let locate_attempt t ~tid first k =
+    let f = !first in
+    first := false;
+    let head = point_leaf t ~tid ~track:true ~first:f k in
+    let id = t.cur.(tid).c_id in
+    (take_path t ~tid, id, head)
 
   (* ---------------------------------------------------------------- *)
   (* Leaf probing (existence / visibility, §3.1 + §4.4)                *)
@@ -1492,94 +1593,86 @@ module Make (K : KEY) (V : VALUE) :
      the search's deterministic comparison bound. *)
   let base_search t ~tid pg k ~smin ~smax =
     let n = P.length pg in
-    let lo0 = if t.cfg.search_shortcuts then min smin n else 0 in
-    let hi0 = if t.cfg.search_shortcuts then min smax n else n in
-    let lo0, hi0 = if lo0 > hi0 then (0, n) else (lo0, hi0) in
+    let ss = t.cfg.search_shortcuts in
+    let lo0 = if not ss then 0 else if smin < n then smin else n in
+    let hi0 = if (not ss) || smax > n then n else smax in
+    (* an inverted range means stale offsets: search the whole page *)
+    let inverted = lo0 > hi0 in
+    let lo0 = if inverted then 0 else lo0 in
+    let hi0 = if inverted then n else hi0 in
     if Bw_obs.enabled t.o then
       Bw_obs.add t.o ~tid Bw_obs.C_leaf_probe_cmps
         (P.search_cost_n (hi0 - lo0));
-    P.lower_bound_in ~tid pg k ~lo:lo0 ~hi:hi0
+    P.lower_bound_range ~tid pg k ~lo:lo0 ~hi:hi0
 
-  (* Unique-key probe (§3.1: short-circuits at the first delta carrying
-     the key). The hot read path: no scratch buffers, at most one result
-     value, base search through the packed page. Tracks the §4.4
-     shortcut range and the §4.3 offset like the non-unique walker. *)
-  let probe_leaf_unique t ~tid (head : elem) k : probe =
-    (* §4.4 search shortcut range over the base node *)
+  (* Unique-key leaf walk (§3.1: stops at the first delta carrying the
+     key) — the one probe behind point reads, batch reads and the write
+     cores. Returns the visible value; a loop over local mutable state,
+     so it allocates nothing but the [Some]. Side results go to the
+     thread's cursor: the §4.3 base offset for a delta the caller may
+     append, and how many delta records the walk crossed (the read-side
+     consolidation budget). The comparison that tests each delta's key
+     also narrows the §4.4 shortcut range over the base. *)
+  let leaf_find_unique t ~tid (head : elem) k : value option =
+    let e = ref head in
+    let res = ref None in
     let smin = ref 0 and smax = ref max_int in
-    let narrow d k' =
-      if t.cfg.search_shortcuts && d.l_meta.offset >= 0 then begin
-        let c = K.compare k k' in
-        if c = 0 then begin
-          smin := d.l_meta.offset;
-          smax := d.l_meta.offset
-        end
-        else if c > 0 then begin
-          if d.l_meta.offset > !smin then smin := d.l_meta.offset
-        end
-        else if d.l_meta.offset < !smax then smax := d.l_meta.offset
-      end
-    in
-    (* -1 = not yet known; -2 = poisoned: the walk crossed a merge delta,
-       so recorded offsets no longer describe the base we will search *)
-    let delta_offset = ref (-1) in
-    (* offset to report when short-circuiting at delta [d]: its recorded
-       offset, unless the walk already crossed a merge (poisoned) *)
-    let eff_offset d = if !delta_offset = -2 then -1 else d.l_meta.offset in
-    let rec walk e =
-      match e with
+    (* the walk crossed a merge delta: recorded offsets no longer describe
+       the base it will search *)
+    let poisoned = ref false in
+    let off = ref (-1) in
+    let walked = ref 0 in
+    let fin = ref false in
+    while not !fin do
+      match !e with
       | LD d -> (
+          incr walked;
           cnt tid Counters.Pointer_deref;
           match d.l_op with
-          | L_ins (k', v) ->
-              let c = K.compare k k' in
+          | L_ins (k', v) | L_upd (k', _, v) | L_del (k', v) ->
               cnt tid Counters.Key_compare;
-              narrow d k';
-              if c = 0 then
-                { p_found = true; p_values = [ v ]; p_offset = eff_offset d }
-              else walk d.l_next
-          | L_del (k', v) ->
-              ignore v;
               let c = K.compare k k' in
-              cnt tid Counters.Key_compare;
-              narrow d k';
-              if c = 0 then
-                { p_found = false; p_values = []; p_offset = eff_offset d }
-              else walk d.l_next
-          | L_upd (k', _, vnew) ->
-              let c = K.compare k k' in
-              cnt tid Counters.Key_compare;
-              narrow d k';
-              if c = 0 then
-                { p_found = true; p_values = [ vnew ]; p_offset = eff_offset d }
-              else walk d.l_next
-          | L_split (ks, _) ->
-              (* keys >= ks moved right; the caller's entry check already
-                 ensured k < ks, so just continue *)
-              ignore ks;
-              walk d.l_next
+              if c = 0 then begin
+                (match d.l_op with L_del _ -> () | _ -> res := Some v);
+                off := if !poisoned then -1 else d.l_meta.offset;
+                fin := true
+              end
+              else begin
+                (if t.cfg.search_shortcuts then
+                   let o = d.l_meta.offset in
+                   if o >= 0 then
+                     if c > 0 then (if o > !smin then smin := o)
+                     else if o < !smax then smax := o);
+                e := d.l_next
+              end
+          | L_split _ | L_remove ->
+              (* keys >= a split key moved right; the descent already
+                 ensured k < it *)
+              e := d.l_next
           | L_merge (km, right, _) ->
               cnt tid Counters.Key_compare;
-              (* offsets into the left base are meaningless from here on *)
-              delta_offset := -2;
-              if K.compare k km >= 0 then walk right else walk d.l_next
-          | L_remove -> walk d.l_next)
+              poisoned := true;
+              e := if K.compare k km >= 0 then right else d.l_next)
       | Leaf b ->
           let pg = b.lb_page in
           let pos = base_search t ~tid pg k ~smin:!smin ~smax:!smax in
-          let offset = if !delta_offset = -2 then -1 else pos in
+          off := if !poisoned then -1 else pos;
           let kc = P.keys pg in
           if pos < Array.length kc && K.compare (Array.unsafe_get kc pos) k = 0
-          then
-            {
-              p_found = true;
-              p_values = [ Array.unsafe_get (P.values pg) pos ];
-              p_offset = offset;
-            }
-          else { p_found = false; p_values = []; p_offset = offset }
+          then res := Some (Array.unsafe_get (P.values pg) pos);
+          fin := true
       | Inner _ | ID _ -> assert false
-    in
-    walk head
+    done;
+    let c = t.cur.(tid) in
+    c.c_offset <- !off;
+    c.c_walked <- !walked;
+    !res
+
+  let probe_leaf_unique t ~tid (head : elem) k : probe =
+    match leaf_find_unique t ~tid head k with
+    | Some v ->
+        { p_found = true; p_values = [ v ]; p_offset = t.cur.(tid).c_offset }
+    | None -> { p_found = false; p_values = []; p_offset = t.cur.(tid).c_offset }
 
   (* Non-unique probe: gather the S_present/S_deleted multisets walking
      new-to-old (the §3.1 visibility rule; multiset variant, see
@@ -1651,9 +1744,7 @@ module Make (K : KEY) (V : VALUE) :
                 Growable.push dels vold
               end;
               walk d.l_next
-          | L_split (ks, _) ->
-              ignore ks;
-              walk d.l_next
+          | L_split _ -> walk d.l_next
           | L_merge (km, right, _) ->
               cnt tid Counters.Key_compare;
               delta_offset := -2;
@@ -1701,9 +1792,7 @@ module Make (K : KEY) (V : VALUE) :
   let rec retry_loop t ~tid f =
     try f () with
     | Restart ->
-        sbump t tid f_restarts;
-        cnt tid Counters.Restart;
-        Domain.cpu_relax ();
+        count_restart t ~tid;
         retry_loop t ~tid f
 
   (* Record one public operation's wall time and how many root restarts it
@@ -1912,14 +2001,70 @@ module Make (K : KEY) (V : VALUE) :
   (* Reads                                                             *)
   (* ---------------------------------------------------------------- *)
 
-  let lookup_body t ~tid k =
-    with_epoch t ~tid @@ fun () ->
-    let first = ref true in
-    retry_loop t ~tid @@ fun () ->
-    let _, _, head = locate_attempt t ~tid first k in
-    if Bw_obs.enabled t.o then
-      Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (meta_of head).depth;
-    (probe_leaf t ~tid head k).p_values
+  (* Read-side consolidation budget: charge the delta records this read
+     walked to the thread's running count; once it reaches [leaf_max],
+     rebuild the leaf the read is on and start over. A rebuild costs
+     O(leaf_max) item moves, so rebuild work stays proportional to the
+     chain walking it saves. A lost race (stale head, concurrent SMO)
+     simply spends the budget. *)
+  let read_budget t ~tid head =
+    let row = t.st.(tid) in
+    let c = t.cur.(tid) in
+    let n = row.(f_read_walk) + c.c_walked in
+    if n < t.cfg.leaf_max then row.(f_read_walk) <- n
+    else begin
+      row.(f_read_walk) <- 0;
+      match try_consolidate t ~tid c.c_id head with
+      | true ->
+          sbump t tid f_read_consolidations;
+          if Bw_obs.enabled t.o then
+            Bw_obs.incr t.o ~tid Bw_obs.C_read_consolidations
+      | false -> ()
+      | exception Restart -> ()
+    end
+
+  (* The leaf probes a point read can run besides [leaf_find_unique]:
+     [t -> tid -> head -> key -> result], all top-level functions so
+     passing one allocates nothing. The non-unique ones charge the chain
+     depth to the budget (their multiset walk crosses the whole chain). *)
+  let lookup_unique t ~tid head k =
+    match leaf_find_unique t ~tid head k with Some v -> [ v ] | None -> []
+
+  let lookup_sets t ~tid head k =
+    t.cur.(tid).c_walked <- (meta_of head).depth;
+    (probe_leaf_sets t ~tid head k).p_values
+
+  let find_sets t ~tid head k =
+    match lookup_sets t ~tid head k with v :: _ -> Some v | [] -> None
+
+  (* One point read: the same descent as the writes, untracked, then
+     [probe] on the leaf. Written without closures — the retry loop is a
+     recursive function and the epoch bracket an exception match — so a
+     unique-key read allocates only what [probe] returns. *)
+  let rec read_retry t ~tid ~first k probe =
+    match
+      let head = point_leaf t ~tid ~track:false ~first k in
+      if Bw_obs.enabled t.o then
+        Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (meta_of head).depth;
+      let r = probe t ~tid head k in
+      if t.cfg.read_consolidation then read_budget t ~tid head;
+      r
+    with
+    | r -> r
+    | exception Restart ->
+        count_restart t ~tid;
+        read_retry t ~tid ~first:false k probe
+
+  let read_body t ~tid k probe =
+    cnt tid Counters.Epoch_enter;
+    Epoch.op_begin t.epoch ~tid;
+    match read_retry t ~tid ~first:true k probe with
+    | r ->
+        Epoch.op_end t.epoch ~tid;
+        r
+    | exception e ->
+        Epoch.op_end t.epoch ~tid;
+        raise e
 
   (* Public write/read entry points: the null-sink path must not even
      allocate the thunk [timed] would take, so the branch happens here
@@ -1946,12 +2091,18 @@ module Make (K : KEY) (V : VALUE) :
     | Bw_obs.To _ ->
         timed t ~tid Bw_obs.Lat_update (fun () -> update_body t ~tid k v)
 
-  let lookup t ?(tid = 0) k =
+  let read t ~tid k probe =
     sbump t tid f_lookups;
     match t.o with
-    | Bw_obs.Null -> lookup_body t ~tid k
+    | Bw_obs.Null -> read_body t ~tid k probe
     | Bw_obs.To _ ->
-        timed t ~tid Bw_obs.Lat_lookup (fun () -> lookup_body t ~tid k)
+        timed t ~tid Bw_obs.Lat_lookup (fun () -> read_body t ~tid k probe)
+
+  let lookup t ?(tid = 0) k =
+    read t ~tid k (if t.cfg.unique_keys then lookup_unique else lookup_sets)
+
+  let find t ?(tid = 0) k =
+    read t ~tid k (if t.cfg.unique_keys then leaf_find_unique else find_sets)
 
   let upsert t ?(tid = 0) k v =
     if not (update t ~tid k v) then ignore (insert t ~tid k v)
@@ -1991,14 +2142,15 @@ module Make (K : KEY) (V : VALUE) :
        without a descent (the empty ancestor path falls back to the
        root on range exit) *)
     let ctx =
-      ref
-        (match lc_probe t ~tid (fst ops.(perm.(0))) with
-        | Some (id, head) ->
-            lc_count_hit t ~tid;
-            Some ([], id, head)
-        | None ->
-            lc_count_miss t ~tid;
-            None)
+      let head = lc_probe t ~tid (fst ops.(perm.(0))) in
+      if head != no_leaf then begin
+        lc_count_hit t ~tid;
+        ref (Some ([], t.cur.(tid).c_id, head))
+      end
+      else begin
+        lc_count_miss t ~tid;
+        ref None
+      end
     in
     (* skewed batches repeat hot keys; sorted order makes the repeats
        adjacent, so one probe serves the whole run of duplicates as long
@@ -2465,6 +2617,7 @@ module Make (K : KEY) (V : VALUE) :
       restarts = ssum t f_restarts;
       smo_helps = ssum t f_smo_helps;
       prealloc_overflows = ssum t f_prealloc_overflows;
+      read_consolidations = ssum t f_read_consolidations;
     }
 
   let prealloc_util = function
@@ -2587,11 +2740,11 @@ module Make (K : KEY) (V : VALUE) :
       let agree =
         with_epoch t ~tid @@ fun () ->
         retry_loop t ~tid @@ fun () ->
-        match lc_probe t ~tid k with
-        | None -> true
-        | Some (id, _) ->
-            let _, oid, _ = locate t ~tid k in
-            id = oid
+        if lc_probe t ~tid k == no_leaf then true
+        else
+          let id = t.cur.(tid).c_id in
+          let _, oid, _ = locate t ~tid k in
+          id = oid
       in
       agree || (attempts > 1 && go (attempts - 1))
     in
@@ -2680,7 +2833,9 @@ module Make (K : KEY) (V : VALUE) :
       | L_ins (k, _) -> Format.fprintf ppf "ins(%a)" K.pp k
       | L_del (k, _) -> Format.fprintf ppf "del(%a)" K.pp k
       | L_upd (k, _, _) -> Format.fprintf ppf "upd(%a)" K.pp k
-      | L_split (k, rid) -> Format.fprintf ppf "SPLIT(%a,->%d)" K.pp k rid
+      | L_split (k, rid, fin) ->
+          Format.fprintf ppf "SPLIT(%a,->%d%s)" K.pp k rid
+            (if Atomic.get fin then "" else ",pending")
       | L_merge (k, _, rid) -> Format.fprintf ppf "MERGE(%a,absorbed %d)" K.pp k rid
       | L_remove -> Format.fprintf ppf "REMOVE"
     in
@@ -2690,7 +2845,9 @@ module Make (K : KEY) (V : VALUE) :
       | I_del (k, k0, n0, k2) ->
           Format.fprintf ppf "del(%a; [%a,%a)->%d)" K.pp k pp_bound k0
             pp_bound k2 n0
-      | I_split (k, rid) -> Format.fprintf ppf "SPLIT(%a,->%d)" K.pp k rid
+      | I_split (k, rid, fin) ->
+          Format.fprintf ppf "SPLIT(%a,->%d%s)" K.pp k rid
+            (if Atomic.get fin then "" else ",pending")
       | I_merge (k, _, rid) -> Format.fprintf ppf "MERGE(%a,absorbed %d)" K.pp k rid
       | I_remove -> Format.fprintf ppf "REMOVE"
       | I_abort -> Format.fprintf ppf "ABORT"

@@ -67,6 +67,13 @@ type config = {
           hit, so a stale entry costs a retry, never a wrong result. *)
   leaf_cache_bits : int;
       (** log2 of the leaf-cache slot count (13 = 8192 slots) *)
+  read_consolidation : bool;
+      (** point reads consolidate the leaves whose chains they walk: each
+          thread counts the delta records its reads traverse, and once the
+          count reaches [leaf_max] the read rebuilds the leaf it is on, so
+          rebuild work stays bounded by the chain walking it replaces.
+          [false] leaves consolidation to writers (the paper's design, and
+          the Fig. 18 row that measures chain cost) *)
 }
 
 let default_config =
@@ -89,6 +96,7 @@ let default_config =
     max_threads = 64;
     leaf_cache = true;
     leaf_cache_bits = 13;
+    read_consolidation = true;
   }
 
 (** A good-faith reading of Microsoft's original design [29]: heap-allocated
@@ -105,6 +113,7 @@ let microsoft_config =
     packed_leaves = false;
     gc_scheme = Epoch.Centralized;
     leaf_cache = false;
+    read_consolidation = false;
   }
 
 (** Validating configuration builder. [S.create] re-validates whatever it
@@ -138,7 +147,7 @@ module Config = struct
       ?inner_chain_max ?leaf_min ?inner_min ?unique_keys ?preallocate
       ?fast_consolidation ?search_shortcuts ?use_atomic_cas
       ?inplace_leaf_update ?packed_leaves ?gc_scheme ?gc_threshold
-      ?max_threads ?leaf_cache ?leaf_cache_bits () =
+      ?max_threads ?leaf_cache ?leaf_cache_bits ?read_consolidation () =
     let field v = function Some x -> x | None -> v in
     let c =
       {
@@ -160,6 +169,7 @@ module Config = struct
         max_threads = field base.max_threads max_threads;
         leaf_cache = field base.leaf_cache leaf_cache;
         leaf_cache_bits = field base.leaf_cache_bits leaf_cache_bits;
+        read_consolidation = field base.read_consolidation read_consolidation;
       }
     in
     validate c;
@@ -179,6 +189,9 @@ type op_stats = {
   restarts : int;  (** operation attempts aborted and retried from the root *)
   smo_helps : int;  (** help-along completions attempted *)
   prealloc_overflows : int;  (** consolidations forced by slot exhaustion *)
+  read_consolidations : int;
+      (** consolidations performed by point reads (a subset of
+          [consolidations]; see [config.read_consolidation]) *)
 }
 
 (** Mapping-table occupancy snapshot. *)
@@ -288,6 +301,13 @@ module type S = sig
   (** All visible values of the key — a singleton or empty list in unique
       mode, computed with the S{_present}/S{_deleted} walk (§3.1)
       otherwise. *)
+
+  val find : t -> ?tid:int -> key -> value option
+  (** A visible value of the key — its only one in unique mode, the
+      head of {!lookup}'s list otherwise. The point read the harness
+      drivers use: on a unique-key tree it allocates only its [Some] (no
+      closures, no result list, no ancestor path). Counts as a lookup in
+      {!op_stats} and the [lookup] latency series. *)
 
   val mem : t -> ?tid:int -> key -> bool
 

@@ -117,6 +117,10 @@ module type FULL = sig
     ?tid:int -> ?arena:bool -> t -> key -> lo:int -> hi:int -> int
   (** {!lower_bound} restricted to [\[lo, hi)] — the §4.4 shortcut range. *)
 
+  val lower_bound_range : tid:int -> t -> key -> lo:int -> hi:int -> int
+  (** {!lower_bound_in} over the decoded cache with no optional
+      arguments, so the point-read hot path passes no boxed [Some]. *)
+
   val with_inserted : t -> int -> key -> value -> t
   (** Copy-on-write single insert at a given position (the §6.3
       in-place-update ablation). *)
@@ -307,7 +311,7 @@ module Make (K : KEY) (V : VALUE) :
      Either way an n-slot search does at most [search_cost_n n]
      comparisons, which is what [search_cost] reports and the
      [leaf_probe_cmps] counter charges. *)
-  let lower_bound_in ?(tid = 0) ?(arena = false) t k ~lo ~hi =
+  let search ~tid ~arena t k ~lo ~hi =
     if hi <= lo then lo
     else begin
       if !Counters.enabled then
@@ -316,6 +320,11 @@ module Make (K : KEY) (V : VALUE) :
         lower_bound_packed t (K.to_binary k) ~lo ~hi
       else lower_bound_boxed t k ~lo ~hi
     end
+
+  let lower_bound_in ?(tid = 0) ?(arena = false) t k ~lo ~hi =
+    search ~tid ~arena t k ~lo ~hi
+
+  let lower_bound_range ~tid t k ~lo ~hi = search ~tid ~arena:false t k ~lo ~hi
 
   let lower_bound ?(tid = 0) ?arena t k =
     lower_bound_in ~tid ?arena t k ~lo:0 ~hi:t.n

@@ -39,7 +39,10 @@ let idle = max_int
 
 type decentralized = {
   global : int Atomic.t;
-  local : int Atomic.t array;  (* published epochs, one padded cell per tid *)
+  local : int Atomic.t array;
+      (* published epochs, one cell per tid: each an unpadded 2-word
+         block (header + value), so neighbouring tids' cells can share a
+         cache line; padding them measured no gain here *)
   bags : (int * Obj.t) Bw_util.Growable.t array;  (* owner-only garbage *)
   gc_threshold : int;
   (* bag length at which thread tid next attempts collection; raised after

@@ -14,7 +14,7 @@
 
     - {b Decentralized} (OpenBw-Tree / Fig. 5b, after Silo and
       Deuteronomy): a global epoch counter that threads only read, a
-      per-thread local epoch they publish to a private padded slot, and
+      per-thread local epoch they publish to a private (unpadded) slot, and
       per-thread garbage lists tagged with the global epoch at retirement.
       A thread reclaims its own garbage older than the minimum of all
       published local epochs.

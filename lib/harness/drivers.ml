@@ -63,7 +63,7 @@ let bw_int_driver_of_tree ?(name = "OpenBw-Tree") tree : int Runner.driver =
   {
     Runner.name;
     insert = (fun ~tid k v -> Bw_int.insert tree ~tid k v);
-    read = (fun ~tid k -> hd_opt (Bw_int.lookup tree ~tid k));
+    read = (fun ~tid k -> Bw_int.find tree ~tid k);
     update = (fun ~tid k v -> Bw_int.update tree ~tid k v);
     remove = (fun ~tid k -> Bw_int.delete tree ~tid k 0);
     scan = (fun ~tid k ~n visit -> Bw_int.scan_iter tree ~tid ~n k visit);
@@ -78,7 +78,7 @@ let bw_str_driver_of_tree ?(name = "OpenBw-Tree") tree : string Runner.driver =
   {
     Runner.name;
     insert = (fun ~tid k v -> Bw_str.insert tree ~tid k v);
-    read = (fun ~tid k -> hd_opt (Bw_str.lookup tree ~tid k));
+    read = (fun ~tid k -> Bw_str.find tree ~tid k);
     update = (fun ~tid k v -> Bw_str.update tree ~tid k v);
     remove = (fun ~tid k -> Bw_str.delete tree ~tid k 0);
     scan = (fun ~tid k ~n visit -> Bw_str.scan_iter tree ~tid ~n k visit);

@@ -146,6 +146,7 @@ type counter =
   | C_leaf_cache_misses
   | C_leaf_cache_invalidations
   | C_leaf_cache_stale_verifies
+  | C_read_consolidations
 
 let counter_index = function
   | C_splits -> 0
@@ -185,6 +186,7 @@ let counter_index = function
   | C_leaf_cache_misses -> 34
   | C_leaf_cache_invalidations -> 35
   | C_leaf_cache_stale_verifies -> 36
+  | C_read_consolidations -> 37
 
 let all_counters =
   [
@@ -225,6 +227,7 @@ let all_counters =
     C_leaf_cache_misses;
     C_leaf_cache_invalidations;
     C_leaf_cache_stale_verifies;
+    C_read_consolidations;
   ]
 
 let n_counters = List.length all_counters
@@ -267,6 +270,7 @@ let counter_name = function
   | C_leaf_cache_misses -> "leaf_cache_misses"
   | C_leaf_cache_invalidations -> "leaf_cache_invalidations"
   | C_leaf_cache_stale_verifies -> "leaf_cache_stale_verifies"
+  | C_read_consolidations -> "read_consolidations"
 
 type gauge =
   | G_epoch_pending
@@ -493,7 +497,10 @@ type t = {
 
 type sink = Null | To of t
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* CLOCK_MONOTONIC: nanosecond resolution, never steps backwards, and
+   allocation-free (an unboxed noalloc stub). Spans and event stamps are
+   differences, so no consumer needs wall-clock time. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let dummy_event =
   { ev_ns = 0; ev_tid = 0; ev_kind = Ev_split; ev_a = 0; ev_b = 0 }

@@ -79,6 +79,9 @@ type counter =
   | C_leaf_cache_misses  (** point ops that fell back to the full descent *)
   | C_leaf_cache_invalidations  (** cache entries dropped (stale or evicted) *)
   | C_leaf_cache_stale_verifies  (** cached entries that failed re-validation *)
+  | C_read_consolidations
+      (** leaf consolidations performed by point reads (also counted in
+          [C_consolidations]) *)
 
 val counter_name : counter -> string
 
@@ -141,7 +144,8 @@ val sink : t -> sink
 
 val enabled : sink -> bool
 val now_ns : unit -> int
-(** Current process clock in nanoseconds. Probe sites measure spans as
+(** CLOCK_MONOTONIC in nanoseconds: an arbitrary origin, so only
+    differences mean anything. Probe sites measure spans as
     [now_ns () - t0]; call it only after checking {!enabled}. *)
 
 (** {1 Probes (hot path)} *)

@@ -39,6 +39,7 @@ type config = {
   churn_ops_per_phase : int;
   drive_advance : bool;
   batch : int;
+  readers : int;
   verbose : bool;
 }
 
@@ -56,8 +57,12 @@ let short_config =
     churn_ops_per_phase = 3_000;
     drive_advance = true;
     batch = 1;
+    readers = 0;
     verbose = false;
   }
+
+let read_heavy_config =
+  { short_config with readers = 3; keys_per_domain = 1024; ops_per_phase = 5_000 }
 
 (* Point operations as data, so workers can either execute them directly
    or buffer [config.batch] of them and hand the run to the subject's
@@ -257,6 +262,8 @@ let rec remove_one v = function
 let run cfg s =
   if cfg.domains < 1 then invalid_arg "Bw_stress.run: domains < 1";
   if cfg.batch < 1 then invalid_arg "Bw_stress.run: batch < 1";
+  if cfg.readers < 0 || cfg.readers >= cfg.domains then
+    invalid_arg "Bw_stress.run: readers outside [0, domains)";
   let mix =
     (* non-unique update semantics (replace the first visible duplicate)
        have no clean sequential model; fold that weight into inserts *)
@@ -431,10 +438,17 @@ let run cfg s =
       Growable.push st.journal
         (E_scan (k, cfg.scan_len, s.s_scan ~tid k cfg.scan_len))
     in
+    let writers = cfg.domains - cfg.readers in
+    let read_writers_key () =
+      submit
+        (Sb_lookup
+           ((Rng.next_int st.rng writers * cfg.keys_per_domain)
+           + Rng.next_int st.rng cfg.keys_per_domain))
+    in
     let continue = ref true in
     while !continue do
       for _ = 1 to cfg.ops_per_phase do
-        exec_one st ~submit ~scan
+        if wid >= writers then read_writers_key () else exec_one st ~submit ~scan
       done;
       if use_batch then flush ();
       s.s_quiesce ~tid:wid;

@@ -58,12 +58,21 @@ type config = {
       (** > 1: workers buffer point ops and submit them through the
           subject's [s_batch] path in groups of this size (scans flush
           the pending group and run per-op) *)
+  readers : int;
+      (** the last [readers] workers only read — point lookups of keys in
+          the writers' stripes, racing their inserts, removes and the
+          splits and consolidations those trigger; must be < [domains] *)
   verbose : bool;  (** print a progress line per phase *)
 }
 
 val short_config : config
 (** The [dune runtest] / [--short] shape: 4 workers, 2 churn domains, 3
     phases, a few hundred ops per worker per phase. *)
+
+val read_heavy_config : config
+(** [short_config] with one writer and three reader workers: the point
+    read path (leaf cache, read-side consolidation) under a concurrent
+    writer. *)
 
 (** Point operations in batch-submission form; results mirror the point
     entry points ([Sb_values] for lookups, [Sb_applied] otherwise). *)

@@ -577,6 +577,157 @@ let test_upsert () =
   T.upsert t 1 20;
   Alcotest.(check (list int)) "upsert replaces" [ 20 ] (T.lookup t 1)
 
+(* --- read path --- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let dump_string t =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  T.dump t ppf;
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+(* A split whose separator is posted must not be re-helped by every read
+   that lands on its left leaf, and the leaf cache must serve that leaf:
+   before the split delta recorded Stage III as done, each such read
+   re-ran help-along (copying the parent) and bypassed the cache. *)
+let test_finished_split_reads () =
+  let config =
+    Bwtree.Config.make ~leaf_max:8 ~leaf_min:2 ~read_consolidation:false ()
+  in
+  let t = T.create ~config () in
+  (* ascending inserts: the 9th overflows the only leaf, which splits at
+     key 4 with its separator posted by the inserting descent *)
+  for k = 0 to 8 do
+    assert (T.insert t k k)
+  done;
+  let d = dump_string t in
+  Alcotest.(check bool) "left leaf topped by a split" true (contains d "SPLIT(");
+  Alcotest.(check bool) "split marked done" false (contains d "pending");
+  let helps0 = (T.op_stats t).smo_helps in
+  let hits0 = (T.leaf_cache_stats t).lc_hits in
+  for _ = 1 to 20 do
+    Alcotest.(check (option int)) "left-leaf key" (Some 1) (T.find t 1)
+  done;
+  Alcotest.(check int) "no help-along on a finished split" helps0
+    (T.op_stats t).smo_helps;
+  Alcotest.(check bool) "leaf cache serves the left leaf" true
+    ((T.leaf_cache_stats t).lc_hits - hits0 >= 19);
+  T.verify_invariants t
+
+(* A unique-key read on a consolidated tree allocates only its [Some]
+   (plus the caller's boxed optional [~tid]). *)
+let test_find_allocation () =
+  let t = T.create () in
+  let n = 20_000 in
+  for i = 0 to n - 1 do
+    assert (T.insert t ((i * 7919) mod n) i)
+  done;
+  T.consolidate_all t;
+  for k = 0 to n - 1 do
+    assert (T.find t ~tid:0 k <> None)
+  done;
+  let reps = 5 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    for k = 0 to n - 1 do
+      ignore (Sys.opaque_identity (T.find t ~tid:0 k))
+    done
+  done;
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int (reps * n) in
+  if per_op > 8.0 then
+    Alcotest.failf "find allocates %.2f minor words per call (limit 8)" per_op
+
+(* One leaf with a long chain: ascending inserts below [leaf_max] and a
+   chain threshold that never fires. Reads walk the chain until their
+   budget reaches [leaf_max], then rebuild the leaf — only when the
+   policy is on. *)
+let chained_leaf ~read_consolidation =
+  let obs = Bw_obs.create () in
+  let config =
+    Bwtree.Config.make ~leaf_chain_max:1_000 ~read_consolidation ()
+  in
+  let t = T.create ~config ~obs:(Bw_obs.sink obs) () in
+  for k = 0 to 99 do
+    assert (T.insert t k (k * 3))
+  done;
+  Alcotest.(check (pair int int)) "loaded chain" (100, 0) (T.max_chains t);
+  for _ = 1 to 10 do
+    Alcotest.(check (option int)) "read" (Some 0) (T.find t 0)
+  done;
+  (t, obs)
+
+let test_read_consolidation_on () =
+  let t, obs = chained_leaf ~read_consolidation:true in
+  Alcotest.(check (pair int int)) "reads flattened the leaf" (0, 0)
+    (T.max_chains t);
+  Alcotest.(check int) "one read consolidation" 1
+    (T.op_stats t).read_consolidations;
+  let sn = Bw_obs.snapshot obs in
+  Alcotest.(check int) "obs counter" 1
+    (List.assoc Bw_obs.C_read_consolidations sn.Bw_obs.sn_counters);
+  for k = 0 to 99 do
+    Alcotest.(check (list int)) "contents kept" [ k * 3 ] (T.lookup t k)
+  done;
+  T.verify_invariants t
+
+let test_read_consolidation_off () =
+  let t, _ = chained_leaf ~read_consolidation:false in
+  Alcotest.(check (pair int int)) "chain left alone" (100, 0) (T.max_chains t);
+  Alcotest.(check int) "no read consolidation" 0
+    (T.op_stats t).read_consolidations
+
+(* Read-side consolidation is invisible to readers: the same op trace
+   against the policy on and off answers every read identically. Tiny
+   nodes keep budgets crossing often, so reads rebuild leaves between
+   (and across) splits and merges. *)
+let prop_read_consolidation_equivalence ~unique =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "read consolidation on == off (%s keys)"
+         (if unique then "unique" else "non-unique"))
+    ~count:60
+    QCheck.(list_of_size (Gen.int_range 1 600) (pair (int_bound 3) (int_bound 80)))
+    (fun ops ->
+      let mk read_consolidation =
+        T.create
+          ~config:
+            (Bwtree.Config.make ~base:tiny ~unique_keys:unique
+               ~leaf_chain_max:12 ~read_consolidation ())
+          ()
+      in
+      let on = mk true and off = mk false in
+      (* duplicates come back in physical order, which consolidation
+         changes: compare them as multisets, and [find] by membership *)
+      let read t k =
+        let vs = List.sort compare (T.lookup t k) in
+        match T.find t k with
+        | None -> vs = []
+        | Some v -> List.mem v vs
+      in
+      let apply t (o, k) =
+        match o with
+        | 0 -> `B (T.insert t k (k + 1))
+        | 1 -> `B (T.delete t k (k + 1))
+        | 2 when unique -> `B (T.update t k (k + 2))
+        (* a non-unique update replaces the first duplicate in physical
+           order, which consolidation changes: no sequential model *)
+        | 2 -> `B (T.insert t k (k + 2))
+        | _ -> `L (List.sort compare (T.lookup t k), read t k)
+      in
+      List.for_all (fun op -> apply on op = apply off op) ops
+      && List.for_all
+           (fun k -> apply on (3, k) = apply off (3, k))
+           (List.init 81 Fun.id)
+      && (T.verify_invariants on;
+          true))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "bwtree"
@@ -640,6 +791,19 @@ let () =
             test_scan_zero_and_negative_bounds;
           Alcotest.test_case "update size accounting" `Quick
             test_update_preserves_size_accounting;
+        ] );
+      ( "read path",
+        [
+          Alcotest.test_case "finished split: no help, cache serves" `Quick
+            test_finished_split_reads;
+          Alcotest.test_case "find allocates only its Some" `Quick
+            test_find_allocation;
+          Alcotest.test_case "reads consolidate a chained leaf" `Quick
+            test_read_consolidation_on;
+          Alcotest.test_case "policy off leaves chains" `Quick
+            test_read_consolidation_off;
+          q (prop_read_consolidation_equivalence ~unique:true);
+          q (prop_read_consolidation_equivalence ~unique:false);
         ] );
       ( "debugging",
         [

@@ -86,6 +86,18 @@ let batch_forest_case () =
   in
   check_clean (Bw_stress.run cfg (Bw_stress.of_driver d))
 
+(* Point readers racing a writer: three workers only read the writer's
+   stripe (leaf-cache hits, read-side consolidation rebuilding leaves
+   the writer is appending to and splitting) under tiny nodes. *)
+let read_heavy_case () =
+  let cfg = { Bw_stress.read_heavy_config with seed = 37 } in
+  let subject =
+    Bw_stress.bwtree_subject
+      ~config:(tree_config ~scheme:Epoch.Decentralized ~unique:true)
+      ~domains:cfg.Bw_stress.domains ()
+  in
+  check_clean (Bw_stress.run cfg subject)
+
 (* Crash-recovery sweep: durable pagestore subjects killed mid-load with
    a corrupted WAL tail; the harness checks per-(worker, shard) prefix
    consistency of the replayed WAL against the journals, a full keyspace
@@ -131,6 +143,8 @@ let () =
   Alcotest.run "stress"
     [
       ("bwtree sweep", bwtree_cases);
+      ( "read-heavy",
+        [ Alcotest.test_case "3 readers vs 1 writer" `Quick read_heavy_case ] );
       ( "batch submission",
         [
           Alcotest.test_case "unique keys, batch 8" `Quick
