@@ -299,6 +299,12 @@ let main host port workers shards index key_type leaf_cache data_dir no_fsync
       migrate_handler;
     }
   in
+  (* before the banner: a supervisor may send SIGTERM as soon as it
+     reads it, and that must drain, not kill *)
+  let stop_requested = ref false in
+  let on_signal _ = stop_requested := true in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   let server = Server.start ~config backend in
   Printf.printf "bwt_server: serving %s (%s keys) on %s:%d with %d workers\n%!"
     backend.Index_iface.name key_type host (Server.port server) workers;
@@ -325,10 +331,6 @@ let main host port workers shards index key_type leaf_cache data_dir no_fsync
         Printf.printf "bwt_server: replicating to %s:%d\n%!" rhost rport;
         Some sh
   in
-  let stop_requested = ref false in
-  let on_signal _ = stop_requested := true in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   while not !stop_requested do
     (try Unix.sleepf 0.1 with Unix.Unix_error (EINTR, _, _) -> ())
   done;

@@ -74,31 +74,28 @@ module Make (K : KEY) (V : VALUE) :
     lo : bound;  (* low key *)
     hi : bound;  (* high key = low key of right sibling *)
     right : int;  (* right sibling id, [nil_id] if none *)
-    offset : int;  (* §4.3 base-node position; -1 when invalid *)
   }
 
+  (* Every element is one block: the constructor carries its fields
+     inline, so following [l_next] lands directly on the next record and
+     a chain step costs one dependent load, not two. *)
   type elem =
-    | Leaf of leaf_base
-    | Inner of inner_base
-    | LD of leaf_delta
-    | ID of inner_delta
-
-  and leaf_base = {
-    lb_page : P.t;
-    lb_meta : meta;
-    lb_pre : prealloc option;
-  }
-
-  and inner_base = {
-    (* ib_seps.(0) is the node's low bound; ib_ids.(i) owns keys in
-       [ib_seps.(i), ib_seps.(i+1)) with the last range closed by hi *)
-    ib_seps : bound array;
-    ib_ids : int array;
-    ib_meta : meta;
-    ib_pre : prealloc option;
-  }
-
-  and leaf_delta = { l_op : l_op; l_next : elem; l_meta : meta }
+    | Leaf of { lb_page : P.t; lb_meta : meta; lb_pre : prealloc option }
+    | Inner of {
+        ib_seps : key array;
+            (* separators 1..n-1, strictly ascending inside (lo, hi);
+               separator 0 is [ib_meta.lo]. ib_ids.(i) owns keys from
+               separator i up to separator i+1, the last range closed by
+               hi. Unboxed: routing compares keys, never bounds. *)
+        ib_ids : int array;
+        ib_meta : meta;
+        ib_pre : prealloc option;
+      }
+    | LD of { l_op : l_op; l_next : elem; l_meta : meta; l_offset : int }
+        (* [l_offset]: the §4.3 base-node position of a data delta's key,
+           -1 when unknown; only data deltas read it, so it lives here
+           rather than in every meta *)
+    | ID of { i_op : i_op; i_next : elem; i_meta : meta }
 
   and l_op =
     | L_ins of key * value
@@ -109,8 +106,6 @@ module Make (K : KEY) (V : VALUE) :
            whoever posts or confirms the parent's separator) *)
     | L_merge of key * elem * int  (* merge key, right branch, removed id *)
     | L_remove  (* this node is being merged into its left sibling *)
-
-  and inner_delta = { i_op : i_op; i_next : elem; i_meta : meta }
 
   and i_op =
     | I_ins of key * int * bound  (* new separator, child id, next separator *)
@@ -131,10 +126,11 @@ module Make (K : KEY) (V : VALUE) :
   and prealloc = { cap : int; used : int Atomic.t; wasted : int Atomic.t }
 
   let meta_of = function
-    | Leaf b -> b.lb_meta
-    | Inner b -> b.ib_meta
-    | LD d -> d.l_meta
-    | ID d -> d.i_meta
+    | Leaf { lb_meta = m; _ }
+    | Inner { ib_meta = m; _ }
+    | LD { l_meta = m; _ }
+    | ID { i_meta = m; _ } ->
+        m
 
   let is_leaf_elem = function Leaf _ | LD _ -> true | Inner _ | ID _ -> false
 
@@ -168,15 +164,17 @@ module Make (K : KEY) (V : VALUE) :
 
   let n_stat_fields = 21
 
-  (* Per-thread side results of the descent and the leaf walk, so neither
-     has to return a tuple: the point-read path allocates nothing here. *)
+  (* Per-thread side results of the descent, the leaf walk and the write
+     cores, so none of them has to return a tuple or a record: the point
+     paths allocate nothing here. *)
   type cursor = {
     mutable c_id : int;  (* leaf the last descent or cache hit found *)
-    mutable c_path : (int * elem) list;
-        (* its ancestors, nearest first; written only by tracking
+    mutable c_path : int list;
+        (* its ancestors' ids, nearest first; written only by tracking
            (write-path) descents *)
     mutable c_offset : int;  (* §4.3 base position for an appended delta *)
     mutable c_walked : int;  (* delta records the last leaf walk crossed *)
+    mutable c_ok : bool;  (* the last write core's point-op outcome *)
   }
 
   (* The leaf cache (ROADMAP item 3) is a flat int array of
@@ -250,15 +248,7 @@ module Make (K : KEY) (V : VALUE) :
     Leaf
       {
         lb_page = P.empty;
-        lb_meta =
-          {
-            size = 0;
-            depth = 0;
-            lo = Neg_inf;
-            hi = Pos_inf;
-            right = nil_id;
-            offset = -1;
-          };
+        lb_meta = { size = 0; depth = 0; lo = Neg_inf; hi = Pos_inf; right = nil_id };
         lb_pre = new_prealloc cfg ~leaf:true;
       }
 
@@ -275,17 +265,10 @@ module Make (K : KEY) (V : VALUE) :
     let root =
       Inner
         {
-          ib_seps = [| Neg_inf |];
+          ib_seps = [||];
           ib_ids = [| leaf_id |];
           ib_meta =
-            {
-              size = 1;
-              depth = 0;
-              lo = Neg_inf;
-              hi = Pos_inf;
-              right = nil_id;
-              offset = -1;
-            };
+            { size = 1; depth = 0; lo = Neg_inf; hi = Pos_inf; right = nil_id };
           ib_pre = new_prealloc config ~leaf:false;
         }
     in
@@ -303,7 +286,13 @@ module Make (K : KEY) (V : VALUE) :
         st = Array.init config.max_threads (fun _ -> Array.make n_stat_fields 0);
         cur =
           Array.init config.max_threads (fun _ ->
-              { c_id = nil_id; c_path = []; c_offset = -1; c_walked = 0 });
+              {
+                c_id = nil_id;
+                c_path = [];
+                c_offset = -1;
+                c_walked = 0;
+                c_ok = false;
+              });
         bperm = Array.make config.max_threads [||];
         smo_epoch = Atomic.make 0;
         lcache = Array.make (3 * lc_slots) (-1);
@@ -343,17 +332,19 @@ module Make (K : KEY) (V : VALUE) :
 
   (* In-leaf key search lives in {!Leaf_page} ([P.lower_bound] and
      friends) — one implementation for descent, batch probes, iterators
-     and the frozen tree. Only the separator search below stays here:
-     it is bound-typed, not key-typed. *)
+     and the frozen tree. Only the separator search below stays here. *)
 
-  (* largest index i with seps.(i) <= k; seps.(0) <= k always holds for a
-     correctly-routed traversal *)
-  let sep_index ~tid seps n k =
-    let lo = ref 0 and hi = ref (n - 1) in
+  (* The child slot routing [k] in an inner base: how many of the
+     separators 1..n-1 ([seps], unboxed) are <= k. Separator 0, the
+     node's low bound, is <= k for any correctly-routed traversal, so it
+     is never compared. *)
+  let sep_index ~tid (seps : key array) k =
+    let lo = ref 0 and hi = ref (Array.length seps) in
     while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
+      let mid = (!lo + !hi) / 2 in
       cnt tid Counters.Key_compare;
-      if kb k seps.(mid) >= 0 then lo := mid else hi := mid - 1
+      if K.compare (Array.unsafe_get seps mid) k <= 0 then lo := mid + 1
+      else hi := mid
     done;
     !lo
 
@@ -442,8 +433,10 @@ module Make (K : KEY) (V : VALUE) :
   let rec gather_inner ~tid (e : elem) : (bound * int) Growable.t =
     match e with
     | Inner b ->
-        let g = Growable.create ~capacity:(Array.length b.ib_seps + 4) () in
-        Array.iteri (fun i s -> Growable.push g (s, b.ib_ids.(i))) b.ib_seps;
+        let ids = b.ib_ids in
+        let g = Growable.create ~capacity:(Array.length ids + 4) () in
+        if Array.length ids > 0 then Growable.push g (b.ib_meta.lo, ids.(0));
+        Array.iteri (fun i s -> Growable.push g (B s, ids.(i + 1))) b.ib_seps;
         g
     | ID d -> (
         cnt tid Counters.Pointer_deref;
@@ -502,7 +495,7 @@ module Make (K : KEY) (V : VALUE) :
     try
       let rec walk e =
         match e with
-        | Leaf b -> (b, [])
+        | Leaf b -> (b.lb_page, [])
         | LD d ->
             cnt tid Counters.Pointer_deref;
             let dd =
@@ -516,8 +509,8 @@ module Make (K : KEY) (V : VALUE) :
             (b, dd :: ds)
         | Inner _ | ID _ -> raise Fallback
       in
-      let b, deltas = walk head in
-      Some (P.merge_with_deltas ~tid ?packed ?reuse b.lb_page deltas)
+      let page, deltas = walk head in
+      Some (P.merge_with_deltas ~tid ?packed ?reuse page deltas)
     with Fallback -> None
 
   (* ---------------------------------------------------------------- *)
@@ -530,20 +523,24 @@ module Make (K : KEY) (V : VALUE) :
     Leaf
       {
         lb_page = page;
-        lb_meta = { size = P.length page; depth = 0; lo; hi; right; offset = -1 };
+        lb_meta = { size = P.length page; depth = 0; lo; hi; right };
         lb_pre = new_prealloc t.cfg ~leaf:true;
       }
 
   let inner_base_of_items t items ~lo ~hi ~right =
     let n = Array.length items in
-    (* the first separator of an inner node is its own low bound *)
-    let seps = Array.map fst items in
-    if n > 0 then seps.(0) <- lo;
+    (* the first separator of an inner node is its own low bound, so only
+       the rest are stored; those are always finite keys *)
+    let seps =
+      Array.init
+        (max 0 (n - 1))
+        (fun i -> match fst items.(i + 1) with B k -> k | _ -> assert false)
+    in
     Inner
       {
         ib_seps = seps;
         ib_ids = Array.map snd items;
-        ib_meta = { size = n; depth = 0; lo; hi; right; offset = -1 };
+        ib_meta = { size = n; depth = 0; lo; hi; right };
         ib_pre = new_prealloc t.cfg ~leaf:false;
       }
 
@@ -587,7 +584,7 @@ module Make (K : KEY) (V : VALUE) :
 
   let mark_done fin = if not (Atomic.get fin) then Atomic.set fin true
 
-  (* Forward reference, tied to [locate] once the descent exists: run
+  (* Forward reference, tied to [descend] once it exists: run
      clean from-root descents for a split key until one completes without
      a [Restart], then mark the split done. Routing for the key then
      either went through the posted separator or help-completed the
@@ -621,7 +618,7 @@ module Make (K : KEY) (V : VALUE) :
       in
       let rec walk e =
         match e with
-        | Leaf b -> b
+        | Leaf b -> b.lb_page
         | LD d -> (
             cnt tid Counters.Pointer_deref;
             match d.l_op with
@@ -639,8 +636,8 @@ module Make (K : KEY) (V : VALUE) :
         | Inner _ | ID _ -> raise Fallback
       in
       let base = walk head in
-      let out = Growable.create ~capacity:(P.length base.lb_page + 8) () in
-      P.iter_from base.lb_page 0 (fun k v ->
+      let out = Growable.create ~capacity:(P.length base + 8) () in
+      P.iter_from base 0 (fun k v ->
           if not (take_pending k v) then Growable.push out (k, v));
       Growable.iter (fun kv -> Growable.push out kv) pres;
       let items = Growable.to_array out in
@@ -653,15 +650,15 @@ module Make (K : KEY) (V : VALUE) :
      deltas are absorbed: the head meta already carries the post-SMO
      lo/hi/right (Table 1), and the replay truncates/concatenates items
      accordingly. Nodes with a remove delta at the head are skipped — they
-     are about to disappear. [true] when this call's CaS installed the new
-     base. *)
+     are about to disappear. Returns the new base when this call's CaS
+     installed it, [head] otherwise. *)
   let try_consolidate t ~tid id (head : elem) =
     let m = meta_of head in
-    if m.depth = 0 then false
+    if m.depth = 0 then head
     else
       match head with
       | LD { l_op = L_remove; _ } | ID { i_op = I_remove | I_abort; _ } ->
-          false
+          head
       | _ ->
           (* A split delta at the head may carry a still-unposted
              separator (Stage III pending — possible when the split was
@@ -717,9 +714,9 @@ module Make (K : KEY) (V : VALUE) :
               Bw_obs.event t.o ~tid Bw_obs.Ev_consolidate ~a:id ~b:m.depth
             end;
             Epoch.retire t.epoch ~tid (Obj.repr head);
-            true
+            repl
           end
-          else false
+          else head
 
   let consolidate t ~tid id head = ignore (try_consolidate t ~tid id head)
 
@@ -808,9 +805,7 @@ module Make (K : KEY) (V : VALUE) :
     | Inner b ->
         let m = b.ib_meta in
         if kb k m.hi >= 0 && m.right <> nil_id then go_right m.right
-        else
-          let n = Array.length b.ib_seps in
-          b.ib_ids.(sep_index ~tid b.ib_seps n k)
+        else Array.unsafe_get b.ib_ids (sep_index ~tid b.ib_seps k)
     | Leaf _ | LD _ -> assert false
 
   (* Exact routing context from the consolidated view: the separator
@@ -849,22 +844,13 @@ module Make (K : KEY) (V : VALUE) :
         (* root split: grow the tree by one level *)
         let old_root = Atomic.get t.root in
         if old_root <> left_id then raise Restart;
-        let left_head = mt_get t ~tid left_id in
-        let lm = meta_of left_head in
         let root =
           Inner
             {
-              ib_seps = [| lm.lo; B ks |];
+              ib_seps = [| ks |];
               ib_ids = [| left_id; rid |];
               ib_meta =
-                {
-                  size = 2;
-                  depth = 0;
-                  lo = Neg_inf;
-                  hi = Pos_inf;
-                  right = nil_id;
-                  offset = -1;
-                };
+                { size = 2; depth = 0; lo = Neg_inf; hi = Pos_inf; right = nil_id };
               ib_pre = new_prealloc t.cfg ~leaf:false;
             }
         in
@@ -874,7 +860,7 @@ module Make (K : KEY) (V : VALUE) :
           raise Restart
         end;
         mark_done fin
-    | (pid, _) :: rest ->
+    | pid :: rest ->
         let rec attempt pid =
           let phead = mt_get t ~tid pid in
           if head_is_append_blocked phead then raise Restart;
@@ -905,7 +891,6 @@ module Make (K : KEY) (V : VALUE) :
                         lo = pm.lo;
                         hi = pm.hi;
                         right = pm.right;
-                        offset = -1;
                       };
                   }
               in
@@ -924,58 +909,86 @@ module Make (K : KEY) (V : VALUE) :
   (* Post-append housekeeping shared by all inner-delta writers. *)
   and post_append_inner t ~tid id (head : elem) parent_path =
     let m = meta_of head in
-    if m.size > t.cfg.inner_max then split_node t ~tid id head parent_path
+    if m.size > t.cfg.inner_max then ignore (split_node t ~tid id head parent_path)
     else if m.depth >= t.cfg.inner_chain_max then consolidate t ~tid id head
 
   (* Split one logical node (leaf or inner). Stage I builds the new right
      sibling and publishes it in the mapping table; Stage II posts the
-     split delta; Stage III posts the separator to the parent. *)
+     split delta; Stage III posts the separator to the parent. Returns
+     the split delta when this call installed it (its Stage III then
+     complete), [head] otherwise. *)
   and split_node t ~tid id (head : elem) parent_path =
     let m = meta_of head in
-    if head_is_append_blocked head then ()
-    else if is_leaf_elem head then begin
-      let items = Growable.to_array (gather_leaf ~tid head) in
-      let n = Array.length items in
-      if n <= t.cfg.leaf_max then ()
-      else begin
-        (* choose a split point that does not separate equal keys *)
-        let pos = ref (n / 2) in
-        while
-          !pos < n && K.compare (fst items.(!pos - 1)) (fst items.(!pos)) = 0
-        do
-          incr pos
-        done;
-        if !pos >= n then ()
+    if head_is_append_blocked head then head
+    else
+      let leaf = is_leaf_elem head in
+      (* the split key and the new right sibling's base, or no split *)
+      let cut =
+        if leaf then begin
+          let items = Growable.to_array (gather_leaf ~tid head) in
+          let n = Array.length items in
+          if n <= t.cfg.leaf_max then None
+          else begin
+            (* choose a split point that does not separate equal keys *)
+            let pos = ref (n / 2) in
+            while
+              !pos < n && K.compare (fst items.(!pos - 1)) (fst items.(!pos)) = 0
+            do
+              incr pos
+            done;
+            if !pos >= n then None
+            else
+              let ks = fst items.(!pos) in
+              Some
+                ( ks,
+                  !pos,
+                  leaf_base_of_page t ~tid
+                    (P.build_sub ~packed:t.cfg.packed_leaves items ~pos:!pos
+                       ~len:(n - !pos))
+                    ~lo:(B ks) ~hi:m.hi ~right:m.right )
+          end
+        end
         else begin
-          let ks = fst items.(!pos) in
-          let right =
-            leaf_base_of_page t ~tid
-              (P.build_sub ~packed:t.cfg.packed_leaves items ~pos:!pos
-                 ~len:(n - !pos))
-              ~lo:(B ks) ~hi:m.hi ~right:m.right
-          in
+          let items = Growable.to_array (gather_inner ~tid head) in
+          let n = Array.length items in
+          if n <= t.cfg.inner_max then None
+          else
+            let pos = n / 2 in
+            match fst items.(pos) with
+            | Neg_inf | Pos_inf -> None
+            | B ks ->
+                Some
+                  ( ks,
+                    pos,
+                    inner_base_of_items t
+                      (Array.sub items pos (n - pos))
+                      ~lo:(B ks) ~hi:m.hi ~right:m.right )
+        end
+      in
+      match cut with
+      | None -> head
+      | Some (ks, size, right) ->
           let rid = Mapping_table.allocate t.table right in
           cnt tid Counters.Allocation;
           let fin = Atomic.make false in
+          let meta =
+            { size; depth = m.depth + 1; lo = m.lo; hi = B ks; right = rid }
+          in
           let d =
-            LD
-              {
-                l_op = L_split (ks, rid, fin);
-                l_next = head;
-                l_meta =
-                  {
-                    size = !pos;
-                    depth = m.depth + 1;
-                    lo = m.lo;
-                    hi = B ks;
-                    right = rid;
-                    offset = -1;
-                  };
-              }
+            if leaf then
+              LD
+                {
+                  l_op = L_split (ks, rid, fin);
+                  l_next = head;
+                  l_meta = meta;
+                  l_offset = -1;
+                }
+            else ID { i_op = I_split (ks, rid, fin); i_next = head; i_meta = meta }
           in
           if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
             sbump t tid f_failed_cas;
-            Mapping_table.free_id t.table rid
+            Mapping_table.free_id t.table rid;
+            head
           end
           else begin
             sbump t tid f_splits;
@@ -984,59 +997,9 @@ module Make (K : KEY) (V : VALUE) :
               Bw_obs.incr t.o ~tid Bw_obs.C_splits;
               Bw_obs.event t.o ~tid Bw_obs.Ev_split ~a:id ~b:rid
             end;
-            finish_split t ~tid ~parent_path ~id ~ks ~rid ~fin
+            finish_split t ~tid ~parent_path ~id ~ks ~rid ~fin;
+            d
           end
-        end
-      end
-    end
-    else begin
-      let items = Growable.to_array (gather_inner ~tid head) in
-      let n = Array.length items in
-      if n <= t.cfg.inner_max then ()
-      else begin
-        let pos = n / 2 in
-        match fst items.(pos) with
-        | Neg_inf | Pos_inf -> ()
-        | B ks ->
-            let right_items = Array.sub items pos (n - pos) in
-            let right =
-              inner_base_of_items t right_items ~lo:(B ks) ~hi:m.hi
-                ~right:m.right
-            in
-            let rid = Mapping_table.allocate t.table right in
-            cnt tid Counters.Allocation;
-            let fin = Atomic.make false in
-            let d =
-              ID
-                {
-                  i_op = I_split (ks, rid, fin);
-                  i_next = head;
-                  i_meta =
-                    {
-                      size = pos;
-                      depth = m.depth + 1;
-                      lo = m.lo;
-                      hi = B ks;
-                      right = rid;
-                      offset = -1;
-                    };
-                }
-            in
-            if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
-              sbump t tid f_failed_cas;
-              Mapping_table.free_id t.table rid
-            end
-            else begin
-              sbump t tid f_splits;
-              smo_bump t;
-              if Bw_obs.enabled t.o then begin
-                Bw_obs.incr t.o ~tid Bw_obs.C_splits;
-                Bw_obs.event t.o ~tid Bw_obs.Ev_split ~a:id ~b:rid
-              end;
-              finish_split t ~tid ~parent_path ~id ~ks ~rid ~fin
-            end
-      end
-    end
 
   (* Stage III for a split this thread just posted. A cache-hit append
      carries no ancestor path; an empty path on a non-root node would
@@ -1092,7 +1055,7 @@ module Make (K : KEY) (V : VALUE) :
   and merge_node t ~tid id (_head : elem) parent_path =
     match parent_path with
     | [] -> () (* the root does not merge *)
-    | (pid, _) :: _rest ->
+    | pid :: _ ->
         let phead = mt_get t ~tid pid in
         if head_is_append_blocked phead then ()
         else begin
@@ -1154,6 +1117,7 @@ module Make (K : KEY) (V : VALUE) :
                               l_op = L_remove;
                               l_next = nhead;
                               l_meta = { nm with depth = nm.depth + 1 };
+                              l_offset = -1;
                             }
                         else
                           ID
@@ -1192,7 +1156,6 @@ module Make (K : KEY) (V : VALUE) :
                               lo = lm.lo;
                               hi = nm.hi;
                               right = nm.right;
-                              offset = -1;
                             }
                           in
                           let merge_d =
@@ -1202,6 +1165,7 @@ module Make (K : KEY) (V : VALUE) :
                                   l_op = L_merge (merge_key, nhead, id);
                                   l_next = lhead;
                                   l_meta = merged_meta;
+                                  l_offset = -1;
                                 }
                             else
                               ID
@@ -1232,7 +1196,6 @@ module Make (K : KEY) (V : VALUE) :
                                       lo = pm.lo;
                                       hi = pm.hi;
                                       right = pm.right;
-                                      offset = -1;
                                     };
                                 }
                             in
@@ -1282,10 +1245,10 @@ module Make (K : KEY) (V : VALUE) :
      way (the help-along protocol, §2.4). Returns the leaf's head; its id
      goes to the thread's cursor.
 
-     [path] holds [id]'s ancestors, nearest first (empty at the root).
-     A tracking descent ([track], the write path) extends it at every
-     level and leaves it in the cursor for SMO housekeeping. A read does
-     not build it: it carries only the current parent ([pid], [phead];
+     [path] holds [id]'s ancestors' ids, nearest first (empty at the
+     root). A tracking descent ([track], the write path) extends it at
+     every level and leaves it in the cursor for SMO housekeeping. A read
+     does not build it: it carries only the current parent's id ([pid];
      [nil_id] at the root level), which is all help-along needs to post
      a separator — a cascading parent split then completes through
      [complete_split_for], as after a cache hit. So a read descent
@@ -1294,7 +1257,7 @@ module Make (K : KEY) (V : VALUE) :
      The batch path re-enters here from a cached ancestor; if that
      ancestor has since been merged away its head carries a remove delta
      and the walk restarts from the root. *)
-  let rec descend t ~tid ~track k id path pid phead =
+  let rec descend t ~tid ~track k id path pid =
     cnt tid Counters.Node_visit;
     let head = mt_get t ~tid id in
     (match head with
@@ -1304,9 +1267,7 @@ module Make (K : KEY) (V : VALUE) :
         (* unfinished half-split at the head: help post the separator
            before traversing (best effort; Restart on interference) *)
         sbump t tid f_smo_helps;
-        let parent_path =
-          if track || pid = nil_id then path else [ (pid, phead) ]
-        in
+        let parent_path = if track || pid = nil_id then path else [ pid ] in
         post_split_separator t ~tid ~parent_path ~left_id:id ~ks ~rid ~fin
     | LD { l_op = L_remove; _ } | ID { i_op = I_remove; _ } ->
         (* node being merged away: its merging thread is mid-protocol;
@@ -1316,7 +1277,7 @@ module Make (K : KEY) (V : VALUE) :
     let m = meta_of head in
     if kb k m.hi >= 0 && m.right <> nil_id then
       (* B-link right move: the split separator may not be posted yet *)
-      descend t ~tid ~track k m.right path pid phead
+      descend t ~tid ~track k m.right path pid
     else if is_leaf_elem head then begin
       let c = t.cur.(tid) in
       c.c_id <- id;
@@ -1326,31 +1287,12 @@ module Make (K : KEY) (V : VALUE) :
     else
       let nav = inner_nav ~tid head k in
       if nav >= 0 then
-        descend t ~tid ~track k nav
-          (if track then (id, head) :: path else path)
-          id head
-      else descend t ~tid ~track k (right_of nav) path pid phead
+        descend t ~tid ~track k nav (if track then id :: path else path) id
+      else descend t ~tid ~track k (right_of nav) path pid
 
-  (* From-root read descent: the leaf head, its id in the cursor. *)
+  (* From-root descent: the leaf head, its id (and path) in the cursor. *)
   let descend_root t ~tid ~track k =
-    descend t ~tid ~track k (Atomic.get t.root) [] nil_id no_leaf
-
-  (* The cursor's ancestor path, handed over to the caller: the cursor
-     drops it so it does not keep superseded heads reachable. *)
-  let take_path t ~tid =
-    let c = t.cur.(tid) in
-    let p = c.c_path in
-    c.c_path <- [];
-    p
-
-  (* Tracking descent as a tuple, for the write and SMO paths. *)
-  let locate_from t ~tid k ~start ~parent_path =
-    let head = descend t ~tid ~track:true k start parent_path nil_id no_leaf in
-    let id = t.cur.(tid).c_id in
-    (take_path t ~tid, id, head)
-
-  let locate t ~tid k =
-    locate_from t ~tid k ~start:(Atomic.get t.root) ~parent_path:[]
+    descend t ~tid ~track k (Atomic.get t.root) [] nil_id
 
   (* Tie the forward knot: consolidation (defined before the descent)
      completes a head split's Stage III by descending for the split key
@@ -1362,9 +1304,7 @@ module Make (K : KEY) (V : VALUE) :
       fun t ~tid k fin ->
         let rec go () =
           match descend_root t ~tid ~track:true k with
-          | _ ->
-              ignore (take_path t ~tid);
-              mark_done fin
+          | _ -> mark_done fin
           | exception Restart ->
               count_restart t ~tid;
               go ()
@@ -1385,7 +1325,7 @@ module Make (K : KEY) (V : VALUE) :
      complete — see [head_is_split_topped]; a finished split's leaf is
      served), and re-check [lo <= k < hi] on its
      current meta. That is exactly the invariant
-     [locate] establishes, so a validated hit is interchangeable with a
+     [descend] establishes, so a validated hit is interchangeable with a
      descent — except the ancestor path is unknown ([]), which only
      degrades SMO housekeeping: a split posted under an empty path
      leaves Stage III to the next descent's help-along.
@@ -1495,11 +1435,8 @@ module Make (K : KEY) (V : VALUE) :
     if Bw_obs.enabled t.o then Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_hits
 
   let lc_count_miss t ~tid =
-    if lc_enabled t then begin
-      sbump t tid f_lc_misses;
-      if Bw_obs.enabled t.o then
-        Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_misses
-    end
+    sbump t tid f_lc_misses;
+    if Bw_obs.enabled t.o then Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_misses
 
   let descend_refill t ~tid ~track k =
     let head = descend_root t ~tid ~track k in
@@ -1570,23 +1507,9 @@ module Make (K : KEY) (V : VALUE) :
         descend_refill t ~tid ~track k
       end
 
-  (* [point_leaf] for the write paths, as a (path, id, head) tuple. *)
-  let locate_attempt t ~tid first k =
-    let f = !first in
-    first := false;
-    let head = point_leaf t ~tid ~track:true ~first:f k in
-    let id = t.cur.(tid).c_id in
-    (take_path t ~tid, id, head)
-
   (* ---------------------------------------------------------------- *)
   (* Leaf probing (existence / visibility, §3.1 + §4.4)                *)
   (* ---------------------------------------------------------------- *)
-
-  type probe = {
-    p_found : bool;
-    p_values : value list;  (* visible values of the key, newest first *)
-    p_offset : int;  (* base position for the new delta, -1 if unknown *)
-  }
 
   (* Shared base-node search: clamp the §4.4 shortcut range to the page
      and run the one {!Leaf_page} lower bound. [leaf_probe_cmps] charges
@@ -1634,12 +1557,12 @@ module Make (K : KEY) (V : VALUE) :
               let c = K.compare k k' in
               if c = 0 then begin
                 (match d.l_op with L_del _ -> () | _ -> res := Some v);
-                off := if !poisoned then -1 else d.l_meta.offset;
+                off := if !poisoned then -1 else d.l_offset;
                 fin := true
               end
               else begin
                 (if t.cfg.search_shortcuts then
-                   let o = d.l_meta.offset in
+                   let o = d.l_offset in
                    if o >= 0 then
                      if c > 0 then (if o > !smin then smin := o)
                      else if o < !smax then smax := o);
@@ -1668,16 +1591,11 @@ module Make (K : KEY) (V : VALUE) :
     c.c_walked <- !walked;
     !res
 
-  let probe_leaf_unique t ~tid (head : elem) k : probe =
-    match leaf_find_unique t ~tid head k with
-    | Some v ->
-        { p_found = true; p_values = [ v ]; p_offset = t.cur.(tid).c_offset }
-    | None -> { p_found = false; p_values = []; p_offset = t.cur.(tid).c_offset }
-
-  (* Non-unique probe: gather the S_present/S_deleted multisets walking
-     new-to-old (the §3.1 visibility rule; multiset variant, see
-     consolidate_leaf_chain). *)
-  let probe_leaf_sets t ~tid (head : elem) k : probe =
+  (* Non-unique probe: the visible values of [k], newest first, from the
+     S_present/S_deleted multisets gathered walking new-to-old (the §3.1
+     visibility rule; multiset variant, see consolidate_leaf_chain). The
+     §4.3 offset for a delta the caller may append goes to the cursor. *)
+  let probe_leaf_sets t ~tid (head : elem) k : value list =
     let pres : value Growable.t = Growable.create () in
     let dels : value Growable.t = Growable.create () in
     (* consume one pending delete of [v]; false if none *)
@@ -1694,23 +1612,19 @@ module Make (K : KEY) (V : VALUE) :
       go 0
     in
     let smin = ref 0 and smax = ref max_int in
-    let narrow d k' =
-      if t.cfg.search_shortcuts && d.l_meta.offset >= 0 then begin
-        let c = K.compare k k' in
+    (* narrow the shortcut range by a delta at base offset [o] whose key
+       compares [c] against [k] *)
+    let narrow o c =
+      if t.cfg.search_shortcuts && o >= 0 then
         if c = 0 then begin
-          smin := d.l_meta.offset;
-          smax := d.l_meta.offset
+          smin := o;
+          smax := o
         end
-        else if c > 0 then begin
-          if d.l_meta.offset > !smin then smin := d.l_meta.offset
-        end
-        else if d.l_meta.offset < !smax then smax := d.l_meta.offset
-      end
+        else if c > 0 then (if o > !smin then smin := o)
+        else if o < !smax then smax := o
     in
     let delta_offset = ref (-1) in
-    let note_offset d =
-      if !delta_offset = -1 then delta_offset := d.l_meta.offset
-    in
+    let note_offset o = if !delta_offset = -1 then delta_offset := o in
     let rec walk e =
       match e with
       | LD d -> (
@@ -1719,27 +1633,27 @@ module Make (K : KEY) (V : VALUE) :
           | L_ins (k', v) ->
               let c = K.compare k k' in
               cnt tid Counters.Key_compare;
-              narrow d k';
+              narrow d.l_offset c;
               if c = 0 then begin
-                note_offset d;
+                note_offset d.l_offset;
                 if not (take_pending v) then Growable.push pres v
               end;
               walk d.l_next
           | L_del (k', v) ->
               let c = K.compare k k' in
               cnt tid Counters.Key_compare;
-              narrow d k';
+              narrow d.l_offset c;
               if c = 0 then begin
-                note_offset d;
+                note_offset d.l_offset;
                 Growable.push dels v
               end;
               walk d.l_next
           | L_upd (k', vold, vnew) ->
               let c = K.compare k k' in
               cnt tid Counters.Key_compare;
-              narrow d k';
+              narrow d.l_offset c;
               if c = 0 then begin
-                note_offset d;
+                note_offset d.l_offset;
                 if not (take_pending vnew) then Growable.push pres vnew;
                 Growable.push dels vold
               end;
@@ -1760,38 +1674,39 @@ module Make (K : KEY) (V : VALUE) :
             base_vals := P.value pg !i :: !base_vals;
             incr i
           done;
-          let offset =
-            if !delta_offset = -2 then -1
-            else if !delta_offset >= 0 then !delta_offset
-            else pos
-          in
+          t.cur.(tid).c_offset <-
+            (if !delta_offset = -2 then -1
+             else if !delta_offset >= 0 then !delta_offset
+             else pos);
           let surviving_base =
             List.filter (fun v -> not (take_pending v)) !base_vals
           in
-          let visible =
-            (Growable.to_array pres |> Array.to_list) @ surviving_base
-          in
-          { p_found = visible <> []; p_values = visible; p_offset = offset }
+          (Growable.to_array pres |> Array.to_list) @ surviving_base
       | Inner _ | ID _ -> assert false
     in
     walk head
 
-  let probe_leaf t ~tid (head : elem) k : probe =
-    if t.cfg.unique_keys then probe_leaf_unique t ~tid head k
-    else probe_leaf_sets t ~tid head k
-
   (* ---------------------------------------------------------------- *)
-  (* Epoch wrapper and retry loop                                      *)
+  (* Epoch bracket and retry loop                                      *)
   (* ---------------------------------------------------------------- *)
 
+  (* For the iterators and maintenance walks; the point ops and the
+     batch path bracket inline, without the closure. *)
   let with_epoch t ~tid f =
     cnt tid Counters.Epoch_enter;
     Epoch.op_begin t.epoch ~tid;
-    Fun.protect ~finally:(fun () -> Epoch.op_end t.epoch ~tid) f
+    match f () with
+    | x ->
+        Epoch.op_end t.epoch ~tid;
+        x
+    | exception e ->
+        Epoch.op_end t.epoch ~tid;
+        raise e
 
   let rec retry_loop t ~tid f =
-    try f () with
-    | Restart ->
+    match f () with
+    | x -> x
+    | exception Restart ->
         count_restart t ~tid;
         retry_loop t ~tid f
 
@@ -1818,19 +1733,31 @@ module Make (K : KEY) (V : VALUE) :
   (* Housekeeping after a successful delta append. The operation is
      already linearized, so interference here (failed CaS inside a split's
      Stage III, a blocked parent) must NOT replay it: unfinished SMOs are
-     completed by help-along on later traversals (§2.4). *)
+     completed by help-along on later traversals (§2.4). Returns the head
+     this thread last installed at [id] — the split delta or new base
+     when housekeeping posted one, else [head] — so a batch carries on
+     from it rather than CaS-ing against a head it superseded itself. *)
   let post_append_leaf t ~tid id (head : elem) parent_path ~check_underflow =
-    try
-      let m = meta_of head in
+    let m = meta_of head in
+    match
       if m.size > t.cfg.leaf_max then split_node t ~tid id head parent_path
-      else if m.depth >= t.cfg.leaf_chain_max then consolidate t ~tid id head
-      else if check_underflow && m.size < t.cfg.leaf_min then
-        merge_node t ~tid id head parent_path
-    with Restart -> cnt tid Counters.Restart
+      else if m.depth >= t.cfg.leaf_chain_max then
+        try_consolidate t ~tid id head
+      else begin
+        if check_underflow && m.size < t.cfg.leaf_min then
+          merge_node t ~tid id head parent_path;
+        head
+      end
+    with
+    | h -> h
+    | exception Restart ->
+        cnt tid Counters.Restart;
+        head
 
   (* §6.3 "disable delta updates": rewrite the leaf base copy-on-write
      instead of appending a delta. Only valid when the chain is a bare
-     base (single-threaded experiments consolidate eagerly). *)
+     base (single-threaded experiments consolidate eagerly); [no_leaf]
+     when it is not. *)
   let try_inplace_insert t ~tid id (head : elem) parent_path k v =
     match head with
     | Leaf b ->
@@ -1848,158 +1775,137 @@ module Make (K : KEY) (V : VALUE) :
           sbump t tid f_failed_cas;
           raise Restart
         end;
-        post_append_leaf t ~tid id repl parent_path ~check_underflow:false;
-        Some repl
-    | _ -> None
+        post_append_leaf t ~tid id repl parent_path ~check_underflow:false
+    | _ -> no_leaf
 
-  (* The write cores take an already-located leaf, so the point ops
-     (locate-then-core) and the batch path (which reuses the previous
-     traversal) share one copy of the delta-append protocol. Each
-     returns the point-op boolean plus the head under which the outcome
-     is current — the appended delta on success — so the batch path can
-     keep probing without re-reading the mapping-table cell. *)
-  let insert_core t ~tid parent_path id head k v =
-    let p = probe_leaf t ~tid head k in
+  (* Append one data delta on [head] (leaf [id]) at base offset [offset],
+     changing the node's size by [dsize]. *)
+  let append_data t ~tid id head parent_path op ~dsize ~offset
+      ~check_underflow =
+    if head_is_append_blocked head then raise Restart;
+    claim_slot t ~tid id head;
+    let m = meta_of head in
+    let d =
+      LD
+        {
+          l_op = op;
+          l_next = head;
+          l_meta =
+            {
+              size = m.size + dsize;
+              depth = m.depth + 1;
+              lo = m.lo;
+              hi = m.hi;
+              right = m.right;
+            };
+          l_offset = offset;
+        }
+    in
+    cnt tid Counters.Allocation;
+    if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
+      sbump t tid f_failed_cas;
+      slot_wasted head;
+      raise Restart
+    end;
+    let h = post_append_leaf t ~tid id d parent_path ~check_underflow in
+    t.cur.(tid).c_ok <- true;
+    h
+
+  (* The write cores work on the leaf a descent or cache hit just left in
+     the cursor (its id, and its ancestor path — possibly empty), so the
+     point ops and the batch path (which loads its cached traversal into
+     the cursor) share one copy of the delta-append protocol. Each
+     returns the head under which its outcome is current — what
+     [post_append_leaf] reports after an append, the probed head on a
+     no-op — so the batch path keeps probing without re-reading the
+     mapping-table cell; the point-op boolean goes to [c_ok]. *)
+  let no_op c head =
+    c.c_ok <- false;
+    head
+
+  let insert_core t ~tid head k v =
+    let c = t.cur.(tid) in
+    let id = c.c_id and path = c.c_path in
     let duplicate =
-      if t.cfg.unique_keys then p.p_found
-      else List.exists (V.equal v) p.p_values
+      if t.cfg.unique_keys then
+        match leaf_find_unique t ~tid head k with Some _ -> true | None -> false
+      else List.exists (V.equal v) (probe_leaf_sets t ~tid head k)
     in
-    if duplicate then (false, head)
+    if duplicate then no_op c head
     else
-      match
+      let offset = c.c_offset in
+      let repl =
         if t.cfg.inplace_leaf_update then
-          try_inplace_insert t ~tid id head parent_path k v
-        else None
-      with
-      | Some repl -> (true, repl)
-      | None ->
-          if head_is_append_blocked head then raise Restart;
-          claim_slot t ~tid id head;
-          let m = meta_of head in
-          let d =
-            LD
-              {
-                l_op = L_ins (k, v);
-                l_next = head;
-                l_meta =
-                  {
-                    size = m.size + 1;
-                    depth = m.depth + 1;
-                    lo = m.lo;
-                    hi = m.hi;
-                    right = m.right;
-                    offset = p.p_offset;
-                  };
-              }
-          in
-          cnt tid Counters.Allocation;
-          if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
-            sbump t tid f_failed_cas;
-            slot_wasted head;
-            raise Restart
-          end;
-          post_append_leaf t ~tid id d parent_path ~check_underflow:false;
-          (true, d)
+          try_inplace_insert t ~tid id head path k v
+        else no_leaf
+      in
+      if repl != no_leaf then begin
+        c.c_ok <- true;
+        repl
+      end
+      else
+        append_data t ~tid id head path (L_ins (k, v)) ~dsize:1 ~offset
+          ~check_underflow:false
 
-  let insert_body t ~tid k v =
-    with_epoch t ~tid @@ fun () ->
-    let first = ref true in
-    retry_loop t ~tid @@ fun () ->
-    let parent_path, id, head = locate_attempt t ~tid first k in
-    fst (insert_core t ~tid parent_path id head k v)
-
-  let delete_core t ~tid parent_path id head k v =
-    let p = probe_leaf t ~tid head k in
-    let present =
-      if t.cfg.unique_keys then p.p_found
-      else List.exists (V.equal v) p.p_values
+  let delete_core t ~tid head k v =
+    let c = t.cur.(tid) in
+    let id = c.c_id and path = c.c_path in
+    let victim =
+      if t.cfg.unique_keys then leaf_find_unique t ~tid head k
+      else if List.exists (V.equal v) (probe_leaf_sets t ~tid head k) then
+        Some v
+      else None
     in
-    if not present then (false, head)
-    else begin
-      if head_is_append_blocked head then raise Restart;
-      claim_slot t ~tid id head;
-      let m = meta_of head in
-      (* in unique mode, delete whichever value is current *)
-      let victim =
-        if t.cfg.unique_keys then List.hd p.p_values else v
-      in
-      let d =
-        LD
-          {
-            l_op = L_del (k, victim);
-            l_next = head;
-            l_meta =
-              {
-                size = m.size - 1;
-                depth = m.depth + 1;
-                lo = m.lo;
-                hi = m.hi;
-                right = m.right;
-                offset = p.p_offset;
-              };
-          }
-      in
-      cnt tid Counters.Allocation;
-      if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
-        sbump t tid f_failed_cas;
-        slot_wasted head;
-        raise Restart
-      end;
-      post_append_leaf t ~tid id d parent_path ~check_underflow:true;
-      (true, d)
-    end
+    match victim with
+    | None -> no_op c head
+    | Some victim ->
+        append_data t ~tid id head path (L_del (k, victim)) ~dsize:(-1)
+          ~offset:c.c_offset ~check_underflow:true
 
-  let delete_body t ~tid k v =
-    with_epoch t ~tid @@ fun () ->
-    let first = ref true in
-    retry_loop t ~tid @@ fun () ->
-    let parent_path, id, head = locate_attempt t ~tid first k in
-    fst (delete_core t ~tid parent_path id head k v)
-
-  let update_core t ~tid parent_path id head k v =
-    let p = probe_leaf t ~tid head k in
-    if not p.p_found then (false, head)
-    else begin
-      if head_is_append_blocked head then raise Restart;
-      claim_slot t ~tid id head;
-      let m = meta_of head in
-      let vold = List.hd p.p_values in
-      let d =
-        LD
-          {
-            l_op = L_upd (k, vold, v);
-            l_next = head;
-            l_meta =
-              {
-                size = m.size;
-                depth = m.depth + 1;
-                lo = m.lo;
-                hi = m.hi;
-                right = m.right;
-                offset = p.p_offset;
-              };
-          }
-      in
-      cnt tid Counters.Allocation;
-      if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
-        sbump t tid f_failed_cas;
-        slot_wasted head;
-        raise Restart
-      end;
-      post_append_leaf t ~tid id d parent_path ~check_underflow:false;
-      (true, d)
-    end
-
-  let update_body t ~tid k v =
-    with_epoch t ~tid @@ fun () ->
-    let first = ref true in
-    retry_loop t ~tid @@ fun () ->
-    let parent_path, id, head = locate_attempt t ~tid first k in
-    fst (update_core t ~tid parent_path id head k v)
+  let update_core t ~tid head k v =
+    let c = t.cur.(tid) in
+    let id = c.c_id and path = c.c_path in
+    (* the value replaced: the newest visible one *)
+    let current =
+      if t.cfg.unique_keys then leaf_find_unique t ~tid head k
+      else match probe_leaf_sets t ~tid head k with v :: _ -> Some v | [] -> None
+    in
+    match current with
+    | None -> no_op c head
+    | Some vold ->
+        append_data t ~tid id head path (L_upd (k, vold, v)) ~dsize:0
+          ~offset:c.c_offset ~check_underflow:false
 
   (* ---------------------------------------------------------------- *)
-  (* Reads                                                             *)
+  (* Point operations                                                  *)
   (* ---------------------------------------------------------------- *)
+
+  (* One point op, read or write: [step t ~tid head k x] on the leaf
+     owning [k], whose id (and, when [track], ancestor path) is in the
+     cursor. Written without closures — the retry loop is a recursive
+     function, the epoch bracket an exception match and [step] a
+     top-level function — so the bracket allocates nothing. *)
+  let rec op_retry t ~tid ~track ~first k x step =
+    match step t ~tid (point_leaf t ~tid ~track ~first k) k x with
+    | r -> r
+    | exception Restart ->
+        count_restart t ~tid;
+        op_retry t ~tid ~track ~first:false k x step
+
+  let op_body t ~tid ~track k x step =
+    cnt tid Counters.Epoch_enter;
+    Epoch.op_begin t.epoch ~tid;
+    match op_retry t ~tid ~track ~first:true k x step with
+    | r ->
+        Epoch.op_end t.epoch ~tid;
+        r
+    | exception e ->
+        Epoch.op_end t.epoch ~tid;
+        raise e
+
+  let write_body t ~tid k v core =
+    ignore (op_body t ~tid ~track:true k v core);
+    t.cur.(tid).c_ok
 
   (* Read-side consolidation budget: charge the delta records this read
      walked to the thread's running count; once it reaches [leaf_max],
@@ -2015,11 +1921,11 @@ module Make (K : KEY) (V : VALUE) :
     else begin
       row.(f_read_walk) <- 0;
       match try_consolidate t ~tid c.c_id head with
-      | true ->
+      | h when h != head ->
           sbump t tid f_read_consolidations;
           if Bw_obs.enabled t.o then
             Bw_obs.incr t.o ~tid Bw_obs.C_read_consolidations
-      | false -> ()
+      | _ -> ()
       | exception Restart -> ()
     end
 
@@ -2032,39 +1938,20 @@ module Make (K : KEY) (V : VALUE) :
 
   let lookup_sets t ~tid head k =
     t.cur.(tid).c_walked <- (meta_of head).depth;
-    (probe_leaf_sets t ~tid head k).p_values
+    probe_leaf_sets t ~tid head k
 
   let find_sets t ~tid head k =
     match lookup_sets t ~tid head k with v :: _ -> Some v | [] -> None
 
-  (* One point read: the same descent as the writes, untracked, then
-     [probe] on the leaf. Written without closures — the retry loop is a
-     recursive function and the epoch bracket an exception match — so a
-     unique-key read allocates only what [probe] returns. *)
-  let rec read_retry t ~tid ~first k probe =
-    match
-      let head = point_leaf t ~tid ~track:false ~first k in
-      if Bw_obs.enabled t.o then
-        Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (meta_of head).depth;
-      let r = probe t ~tid head k in
-      if t.cfg.read_consolidation then read_budget t ~tid head;
-      r
-    with
-    | r -> r
-    | exception Restart ->
-        count_restart t ~tid;
-        read_retry t ~tid ~first:false k probe
+  (* A point read's step: [probe] on the leaf, then the budget. *)
+  let read_step t ~tid head k probe =
+    if Bw_obs.enabled t.o then
+      Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (meta_of head).depth;
+    let r = probe t ~tid head k in
+    if t.cfg.read_consolidation then read_budget t ~tid head;
+    r
 
-  let read_body t ~tid k probe =
-    cnt tid Counters.Epoch_enter;
-    Epoch.op_begin t.epoch ~tid;
-    match read_retry t ~tid ~first:true k probe with
-    | r ->
-        Epoch.op_end t.epoch ~tid;
-        r
-    | exception e ->
-        Epoch.op_end t.epoch ~tid;
-        raise e
+  let read_body t ~tid k probe = op_body t ~tid ~track:false k probe read_step
 
   (* Public write/read entry points: the null-sink path must not even
      allocate the thunk [timed] would take, so the branch happens here
@@ -2073,23 +1960,26 @@ module Make (K : KEY) (V : VALUE) :
   let insert t ?(tid = 0) k v =
     sbump t tid f_inserts;
     match t.o with
-    | Bw_obs.Null -> insert_body t ~tid k v
+    | Bw_obs.Null -> write_body t ~tid k v insert_core
     | Bw_obs.To _ ->
-        timed t ~tid Bw_obs.Lat_insert (fun () -> insert_body t ~tid k v)
+        timed t ~tid Bw_obs.Lat_insert (fun () ->
+            write_body t ~tid k v insert_core)
 
   let delete t ?(tid = 0) k v =
     sbump t tid f_deletes;
     match t.o with
-    | Bw_obs.Null -> delete_body t ~tid k v
+    | Bw_obs.Null -> write_body t ~tid k v delete_core
     | Bw_obs.To _ ->
-        timed t ~tid Bw_obs.Lat_delete (fun () -> delete_body t ~tid k v)
+        timed t ~tid Bw_obs.Lat_delete (fun () ->
+            write_body t ~tid k v delete_core)
 
   let update t ?(tid = 0) k v =
     sbump t tid f_updates;
     match t.o with
-    | Bw_obs.Null -> update_body t ~tid k v
+    | Bw_obs.Null -> write_body t ~tid k v update_core
     | Bw_obs.To _ ->
-        timed t ~tid Bw_obs.Lat_update (fun () -> update_body t ~tid k v)
+        timed t ~tid Bw_obs.Lat_update (fun () ->
+            write_body t ~tid k v update_core)
 
   let read t ~tid k probe =
     sbump t tid f_lookups;
@@ -2122,126 +2012,166 @@ module Make (K : KEY) (V : VALUE) :
 
   type batch_result = R_applied of bool | R_values of value list
 
+  let r_true = R_applied true
+  let r_false = R_applied false
+  let r_absent = R_values []
+  let applied ok = if ok then r_true else r_false
+
+  (* A batched read's answer, straight off the unique walk when it can. *)
+  let batch_get t ~tid head k =
+    if Bw_obs.enabled t.o then
+      Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (meta_of head).depth;
+    if t.cfg.unique_keys then
+      match leaf_find_unique t ~tid head k with
+      | Some v -> R_values [ v ]
+      | None -> r_absent
+    else match probe_leaf_sets t ~tid head k with [] -> r_absent | vs -> R_values vs
+
+  (* Re-descend for [k] from the nearest ancestor in [path] whose current
+     range covers it (its own staleness is repaired by the B-link right
+     moves and the remove-delta Restart inside [descend]), or from the
+     root when none does. The leaf id and path go to the cursor. *)
+  let rec batch_descend t ~tid k = function
+    | [] -> descend_root t ~tid ~track:true k
+    | aid :: up ->
+        let m = meta_of (mt_get t ~tid aid) in
+        if kb k m.lo >= 0 && kb k m.hi < 0 then
+          descend t ~tid ~track:true k aid up nil_id
+        else batch_descend t ~tid k up
+
   (* Walk the key-sorted permutation left to right, reusing the previous
      traversal while keys stay inside the cached leaf's separator range.
-     Cached heads may be stale (our own appended delta, or a snapshot a
-     concurrent SMO has since replaced): reads then see a consistent
-     chain that existed within our epoch, and writes CaS against the
-     cached head, so interference surfaces as an ordinary failed CaS ->
-     Restart, which drops the cache and re-descends. Re-descent restarts
-     from the nearest cached ancestor whose range still covers the key
-     (its own staleness is repaired by the B-link right moves and the
-     remove-delta Restart inside [locate_from]), or the root when no
-     ancestor covers it. Returns how many descents beyond the first the
-     batch needed. *)
+     The cached head is the one this thread last saw or installed: its
+     own appended delta, the split delta or base its housekeeping posted,
+     or a snapshot a concurrent writer has since replaced. Reads then see
+     a consistent chain that existed within our epoch, and writes CaS
+     against the cached head, so only interference surfaces as a failed
+     CaS -> Restart, which drops the cached traversal and re-descends
+     from the root. The traversal lives in mutable locals and the op
+     dispatch is inline, so a batched op allocates only what it
+     publishes or returns. Returns how many descents beyond the first
+     the batch needed. *)
   let exec_batch_body t ~tid (ops : (key * batch_op) array) perm
       (results : batch_result array) =
-    let n = Array.length perm in
-    (* seed the cached ancestor from the leaf cache: when the first
-       sorted key's entry validates, the batch starts on that leaf
-       without a descent (the empty ancestor path falls back to the
-       root on range exit) *)
-    let ctx =
-      let head = lc_probe t ~tid (fst ops.(perm.(0))) in
-      if head != no_leaf then begin
-        lc_count_hit t ~tid;
-        ref (Some ([], t.cur.(tid).c_id, head))
-      end
-      else begin
-        lc_count_miss t ~tid;
-        ref None
-      end
-    in
+    let c = t.cur.(tid) in
+    (* the cached traversal: leaf [id] at [head] ([no_leaf]: none), its
+       ancestors [path] *)
+    let head = ref no_leaf and id = ref nil_id and path = ref [] in
     (* skewed batches repeat hot keys; sorted order makes the repeats
        adjacent, so one probe serves the whole run of duplicates as long
        as the chain head is physically unchanged (any interleaved write
        to the leaf swings the head and forces a fresh probe) *)
-    let last_get = ref None in
+    let get_head = ref no_leaf
+    and get_key = ref (fst ops.(perm.(0)))
+    and get_r = ref r_absent in
     let locates = ref 0 in
-    let locate_ctx k =
-      incr locates;
-      let loc =
-        match !ctx with
-        | Some (path, _, _) ->
-            let rec from_ancestor = function
-              | [] -> locate t ~tid k
-              | (aid, ahead) :: tl ->
-                  let m = meta_of ahead in
-                  if kb k m.lo >= 0 && kb k m.hi < 0 then
-                    locate_from t ~tid k ~start:aid ~parent_path:tl
-                  else from_ancestor tl
-            in
-            from_ancestor path
-        | None -> locate t ~tid k
-      in
-      ctx := Some loc;
-      (* refill the cache from every real descent, so the next batch
-         (or point op) seeds from where this one left off *)
-      let _, lid, _ = loc in
-      lc_fill t ~tid k ~id:lid;
-      loc
-    in
-    let leaf_for k =
-      match !ctx with
-      | Some ((_, _, head) as loc) ->
-          let m = meta_of head in
-          if kb k m.lo >= 0 && kb k m.hi < 0 then loc else locate_ctx k
-      | None -> locate_ctx k
-    in
-    for j = 0 to n - 1 do
+    for j = 0 to Array.length perm - 1 do
       let i = perm.(j) in
       let k, op = ops.(i) in
-      let result =
-        retry_loop t ~tid @@ fun () ->
-        try
+      let pending = ref true in
+      while !pending do
+        match
+          (let m = meta_of !head in
+           if !head == no_leaf || kb k m.lo < 0 || kb k m.hi >= 0 then begin
+             incr locates;
+             head := batch_descend t ~tid k !path;
+             id := c.c_id;
+             path := c.c_path
+           end);
+          (* the write cores take the leaf from the cursor; a no-op core
+             leaves it there, so an upsert's insert finds it too *)
+          c.c_id <- !id;
+          c.c_path <- !path;
           match op with
-          | B_get -> (
-              let _, _, head = leaf_for k in
-              match !last_get with
-              | Some (lk, lh, r) when lh == head && K.compare lk k = 0 -> r
-              | _ ->
-                  if Bw_obs.enabled t.o then
-                    Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth
-                      (meta_of head).depth;
-                  let r = R_values (probe_leaf t ~tid head k).p_values in
-                  last_get := Some (k, head, r);
-                  r)
-          | B_insert v ->
-              let path, id, head = leaf_for k in
-              let ok, nh = insert_core t ~tid path id head k v in
-              ctx := Some (path, id, nh);
-              R_applied ok
-          | B_update v ->
-              let path, id, head = leaf_for k in
-              let ok, nh = update_core t ~tid path id head k v in
-              ctx := Some (path, id, nh);
-              R_applied ok
-          | B_delete v ->
-              let path, id, head = leaf_for k in
-              let ok, nh = delete_core t ~tid path id head k v in
-              ctx := Some (path, id, nh);
-              R_applied ok
-          | B_upsert v ->
-              let path, id, head = leaf_for k in
-              let ok, nh = update_core t ~tid path id head k v in
-              if ok then begin
-                ctx := Some (path, id, nh);
-                R_applied true
-              end
+          | B_get ->
+              if !get_head == !head && K.compare !get_key k = 0 then !get_r
               else begin
-                let ok, nh = insert_core t ~tid path id head k v in
-                ctx := Some (path, id, nh);
-                R_applied ok
+                let r = batch_get t ~tid !head k in
+                get_head := !head;
+                get_key := k;
+                get_r := r;
+                r
               end
-        with Restart ->
-          (* the cached traversal is the suspect: drop it so the retry
-             re-descends instead of spinning on the same snapshot *)
-          ctx := None;
-          raise Restart
-      in
-      results.(i) <- result
+          | B_insert v ->
+              head := insert_core t ~tid !head k v;
+              applied c.c_ok
+          | B_update v ->
+              head := update_core t ~tid !head k v;
+              applied c.c_ok
+          | B_delete v ->
+              head := delete_core t ~tid !head k v;
+              applied c.c_ok
+          | B_upsert v ->
+              head := update_core t ~tid !head k v;
+              if c.c_ok then r_true
+              else begin
+                head := insert_core t ~tid !head k v;
+                applied c.c_ok
+              end
+        with
+        | r ->
+            results.(i) <- r;
+            pending := false
+        | exception Restart ->
+            (* the cached traversal is the suspect: drop it so the retry
+               re-descends from the root instead of spinning on the same
+               snapshot *)
+            count_restart t ~tid;
+            head := no_leaf;
+            path := []
+      done
     done;
     max 0 (!locates - 1)
+
+  (* Batch order: by key, submission index breaking ties — a total
+     order, so duplicate keys execute in submission order. *)
+  let perm_cmp (ops : (key * batch_op) array) i j =
+    let c = K.compare (fst (Array.unsafe_get ops i)) (fst (Array.unsafe_get ops j)) in
+    if c <> 0 then c else i - j
+
+  let swap (a : int array) i j =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+
+  (* Sort [perm.(lo) .. perm.(hi - 1)] in place without allocating (the
+     stdlib heap sort allocates an exception per sift): quicksort with a
+     median-of-three pivot, insertion sort on short ranges. *)
+  let rec sort_perm ops perm lo hi =
+    if hi - lo <= 16 then
+      for i = lo + 1 to hi - 1 do
+        let x = perm.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && perm_cmp ops perm.(!j) x > 0 do
+          perm.(!j + 1) <- perm.(!j);
+          decr j
+        done;
+        perm.(!j + 1) <- x
+      done
+    else begin
+      let mid = lo + ((hi - lo) / 2) in
+      if perm_cmp ops perm.(mid) perm.(lo) < 0 then swap perm mid lo;
+      if perm_cmp ops perm.(hi - 1) perm.(lo) < 0 then swap perm (hi - 1) lo;
+      if perm_cmp ops perm.(hi - 1) perm.(mid) < 0 then swap perm (hi - 1) mid;
+      (* the ends now bracket the pivot, so the scans stay in range *)
+      let pivot = perm.(mid) in
+      let i = ref lo and j = ref (hi - 1) in
+      while !i <= !j do
+        while perm_cmp ops perm.(!i) pivot < 0 do
+          incr i
+        done;
+        while perm_cmp ops perm.(!j) pivot > 0 do
+          decr j
+        done;
+        if !i <= !j then begin
+          swap perm !i !j;
+          incr i;
+          decr j
+        end
+      done;
+      sort_perm ops perm lo (!j + 1);
+      sort_perm ops perm !i hi
+    end
 
   let execute_batch t ?(tid = 0) (ops : (key * batch_op) array) =
     let n = Array.length ops in
@@ -2267,16 +2197,18 @@ module Make (K : KEY) (V : VALUE) :
       for i = 0 to n - 1 do
         perm.(i) <- i
       done;
-      (* key order with the submission index as tie-break: a stable sort
-         in effect, so duplicate keys execute in submission order *)
-      Array.sort
-        (fun i j ->
-          let c = K.compare (fst ops.(i)) (fst ops.(j)) in
-          if c <> 0 then c else i - j)
-        perm;
-      let results = Array.make n (R_applied false) in
+      sort_perm ops perm 0 n;
+      let results = Array.make n r_false in
+      cnt tid Counters.Epoch_enter;
+      Epoch.op_begin t.epoch ~tid;
       let redescents =
-        with_epoch t ~tid (fun () -> exec_batch_body t ~tid ops perm results)
+        match exec_batch_body t ~tid ops perm results with
+        | r ->
+            Epoch.op_end t.epoch ~tid;
+            r
+        | exception e ->
+            Epoch.op_end t.epoch ~tid;
+            raise e
       in
       if Bw_obs.enabled t.o then begin
         Bw_obs.observe t.o ~tid Bw_obs.Val_batch_size n;
@@ -2328,7 +2260,7 @@ module Make (K : KEY) (V : VALUE) :
 
     let snapshot_node t ~tid k =
       retry_loop t ~tid @@ fun () ->
-      let _, _, head = locate t ~tid k in
+      let head = descend_root t ~tid ~track:false k in
       let m = meta_of head in
       (snapshot_leaf_page t ~tid head, m.lo, m.hi)
 
@@ -2582,7 +2514,7 @@ module Make (K : KEY) (V : VALUE) :
           go
             (with_epoch t ~tid @@ fun () ->
              retry_loop t ~tid @@ fun () ->
-             let _, _, head = locate t ~tid k in
+             let head = descend_root t ~tid ~track:false k in
              (materialize head, (meta_of head).hi))
       | Neg_inf -> assert false
     in
@@ -2743,12 +2675,32 @@ module Make (K : KEY) (V : VALUE) :
         if lc_probe t ~tid k == no_leaf then true
         else
           let id = t.cur.(tid).c_id in
-          let _, oid, _ = locate t ~tid k in
-          id = oid
+          ignore (descend_root t ~tid ~track:false k);
+          id = t.cur.(tid).c_id
       in
       agree || (attempts > 1 && go (attempts - 1))
     in
     go 4
+
+  (* Test oracle for the unboxed separators: the leaf the descent
+     reaches for [k] must be the one found by routing every inner level
+     through its consolidated view instead — [gather_inner]'s (bound,
+     child) items searched with bound comparisons — with the same B-link
+     right moves. *)
+  let routing_check t ~tid k =
+    let rec via_gather id =
+      let head = mt_get t ~tid id in
+      let m = meta_of head in
+      if kb k m.hi >= 0 && m.right <> nil_id then via_gather m.right
+      else if is_leaf_elem head then id
+      else
+        let _, cid, _ = inner_locate_exact ~tid head k in
+        via_gather cid
+    in
+    with_epoch t ~tid @@ fun () ->
+    retry_loop t ~tid @@ fun () ->
+    ignore (descend_root t ~tid ~track:false k);
+    t.cur.(tid).c_id = via_gather (Atomic.get t.root)
 
   (* ---------------------------------------------------------------- *)
   (* Invariant checking (tests)                                        *)
@@ -2790,6 +2742,20 @@ module Make (K : KEY) (V : VALUE) :
         Growable.push leaves (m.lo, m.hi, m.right, id)
       end
       else begin
+        (match chain_base head with
+        | Inner b ->
+            let bm = b.ib_meta and seps = b.ib_seps in
+            if Array.length b.ib_ids <> Array.length seps + 1 then
+              fail_inv "inner %d: %d children for %d separators" id
+                (Array.length b.ib_ids) (Array.length seps);
+            Array.iteri
+              (fun i s ->
+                if kb s bm.lo <= 0 || kb s bm.hi >= 0 then
+                  fail_inv "inner %d: base separator outside (lo, hi)" id;
+                if i > 0 && K.compare seps.(i - 1) s >= 0 then
+                  fail_inv "inner %d: base separators not ascending" id)
+              seps
+        | _ -> fail_inv "inner %d: chain not based on an inner node" id);
         let items = Growable.to_array (gather_inner ~tid head) in
         if Array.length items <> m.size then
           fail_inv "inner %d: meta size %d but %d items" id m.size
@@ -2858,12 +2824,9 @@ module Make (K : KEY) (V : VALUE) :
           Format.fprintf ppf "base[%d items%s]" (P.length b.lb_page)
             (if P.is_packed b.lb_page then ", packed" else "")
       | Inner b ->
-          Format.fprintf ppf "base{";
+          Format.fprintf ppf "base{%a->%d" pp_bound b.ib_meta.lo b.ib_ids.(0);
           Array.iteri
-            (fun i s ->
-              Format.fprintf ppf "%s%a->%d"
-                (if i > 0 then " " else "")
-                pp_bound s b.ib_ids.(i))
+            (fun i s -> Format.fprintf ppf " %a->%d" K.pp s b.ib_ids.(i + 1))
             b.ib_seps;
           Format.fprintf ppf "}"
       | LD d ->
@@ -2889,7 +2852,7 @@ module Make (K : KEY) (V : VALUE) :
   (* §6.3: frozen direct-pointer tree (mapping table disabled)         *)
   (* ---------------------------------------------------------------- *)
 
-  type frozen = F_leaf of P.t | F_inner of bound array * frozen array
+  type frozen = F_leaf of P.t | F_inner of key array * frozen array
 
   let freeze t =
     consolidate_all t;
@@ -2910,8 +2873,7 @@ module Make (K : KEY) (V : VALUE) :
     let rec go = function
       | F_inner (seps, children) ->
           cnt tid Counters.Pointer_deref;
-          let i = sep_index ~tid seps (Array.length seps) k in
-          go children.(i)
+          go children.(sep_index ~tid seps k)
       | F_leaf pg ->
           let n = P.length pg in
           let pos = P.lower_bound ~tid pg k in

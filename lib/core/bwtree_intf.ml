@@ -338,8 +338,11 @@ module type S = sig
       return; [B_upsert] reports whether the update or the fallback
       insert took effect) and [R_values] for [B_get]. Equivalent to
       applying the ops sequentially in submission order. Per-[tid]
-      scratch buffers are reused, so steady-state fixed-size batches add
-      no allocation beyond the deltas and the result array. *)
+      scratch buffers are reused and the op loop builds no closures or
+      tuples, so a steady-state fixed-size batch allocates little beyond
+      the deltas it publishes, the result array and its results (plus
+      the ancestor path of each re-descent). The batch does not consult
+      the point-op leaf cache. *)
 
   (** {1 Range operations (§3.2, Appendix C)} *)
 
@@ -444,11 +447,18 @@ module type S = sig
       between the probe and the descent are tolerated (the check
       re-probes), so it is safe to sample under load. *)
 
+  val routing_check : t -> tid:int -> key -> bool
+  (** Test oracle: [true] when the leaf the descent reaches for the key
+      is the one found by routing each inner level through its
+      consolidated separator view instead of its delta chain and
+      separator array. Quiescent trees only. *)
+
   exception Invariant_violation of string
 
   val verify_invariants : t -> unit
-  (** Full structural check (ordering, bounds, metas, sibling links);
-      quiescent callers only. Raises {!Invariant_violation}. *)
+  (** Full structural check (ordering, bounds, metas, sibling links,
+      inner base separator arrays); quiescent callers only. Raises
+      {!Invariant_violation}. *)
 
   val dump : t -> Format.formatter -> unit
   (** Renders every logical node with its delta chain, for debugging. *)

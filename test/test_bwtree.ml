@@ -644,6 +644,96 @@ let test_find_allocation () =
   if per_op > 8.0 then
     Alcotest.failf "find allocates %.2f minor words per call (limit 8)" per_op
 
+(* A point update that appends without consolidating allocates its
+   delta (record, op, meta), the probe's [Some] and at most a short
+   ancestor path. A chain threshold that never fires keeps every update
+   an append; updates change no sizes, so nothing splits either. *)
+let test_update_allocation () =
+  let t = T.create ~config:(Bwtree.Config.make ~leaf_chain_max:1_000 ()) () in
+  let n = 20_000 in
+  for i = 0 to n - 1 do
+    assert (T.insert t ((i * 7919) mod n) i)
+  done;
+  T.consolidate_all t;
+  let cons0 = (T.op_stats t).consolidations in
+  let reps = 2 in
+  let w0 = Gc.minor_words () in
+  for r = 1 to reps do
+    for k = 0 to n - 1 do
+      ignore (Sys.opaque_identity (T.update t k (k + r)))
+    done
+  done;
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int (reps * n) in
+  Alcotest.(check int) "no consolidation" cons0 (T.op_stats t).consolidations;
+  Alcotest.(check (option int)) "updated" (Some (7 + reps)) (T.find t 7);
+  if per_op > 24.0 then
+    Alcotest.failf "update allocates %.2f minor words per call (limit 24)"
+      per_op
+
+(* A unique-key batch of reads allocates per op only its answer
+   ([R_values] of a one-element list, from the walk's [Some]); the op
+   loop itself builds no closures, tuples or cached-traversal options.
+   Each batch reads a shuffled run of 128 adjacent keys, so it spans a
+   few leaves and re-descends rarely. *)
+let test_batch_get_allocation () =
+  let t = T.create () in
+  let n = 20_000 and b = 128 in
+  for i = 0 to n - 1 do
+    assert (T.insert t ((i * 7919) mod n) i)
+  done;
+  T.consolidate_all t;
+  let batches =
+    Array.init (n / b) (fun j ->
+        Array.init b (fun i -> ((j * b) + ((i * 37) mod b), T.B_get)))
+  in
+  (* warm the per-tid permutation scratch *)
+  ignore (T.execute_batch t ~tid:0 batches.(0));
+  let w0 = Gc.minor_words () in
+  Array.iter
+    (fun ops ->
+      match (T.execute_batch t ~tid:0 ops).(b - 1) with
+      | T.R_values [ _ ] -> ()
+      | _ -> Alcotest.fail "batched read missed")
+    batches;
+  let words = Gc.minor_words () -. w0 in
+  (* the result array: b slots and a header *)
+  let beyond = words -. float_of_int (Array.length batches * (b + 1)) in
+  let per_op = beyond /. float_of_int (Array.length batches * b) in
+  if per_op > 8.0 then
+    Alcotest.failf
+      "batched get allocates %.2f minor words per op beyond its results \
+       array (limit 8)"
+      per_op
+
+(* A batch must carry on from the heads its own housekeeping installs:
+   a single thread updating one leaf 100 times consolidates it several
+   times inside the batch, and none of that may surface as a failed CaS
+   or a restart (which it did while the batch kept the superseded
+   head). *)
+let test_batch_own_consolidations () =
+  let t = T.create () in
+  for k = 0 to 49 do
+    assert (T.insert t k k)
+  done;
+  T.consolidate_all t;
+  Alcotest.(check int) "one leaf" 1 (T.structure_stats t).leaf_nodes;
+  let s0 = T.op_stats t in
+  let ops = Array.init 100 (fun i -> (i mod 50, T.B_update (1000 + i))) in
+  let res = T.execute_batch t ops in
+  Array.iter
+    (fun r -> Alcotest.(check bool) "applied" true (r = T.R_applied true))
+    res;
+  let s1 = T.op_stats t in
+  Alcotest.(check bool) "the batch consolidated its leaf" true
+    (s1.consolidations - s0.consolidations >= 3);
+  Alcotest.(check int) "no failed CaS" 0 (s1.failed_cas - s0.failed_cas);
+  Alcotest.(check int) "no restarts" 0 (s1.restarts - s0.restarts);
+  for k = 0 to 49 do
+    Alcotest.(check (option int)) "last update wins" (Some (1050 + k))
+      (T.find t k)
+  done;
+  T.verify_invariants t
+
 (* One leaf with a long chain: ascending inserts below [leaf_max] and a
    chain threshold that never fires. Reads walk the chain until their
    budget reaches [leaf_max], then rebuild the leaf — only when the
@@ -798,6 +888,12 @@ let () =
             test_finished_split_reads;
           Alcotest.test_case "find allocates only its Some" `Quick
             test_find_allocation;
+          Alcotest.test_case "appending update allocates <= 24 words" `Quick
+            test_update_allocation;
+          Alcotest.test_case "batched get allocates <= 8 words per op" `Quick
+            test_batch_get_allocation;
+          Alcotest.test_case "batch continues on its own consolidations"
+            `Quick test_batch_own_consolidations;
           Alcotest.test_case "reads consolidate a chained leaf" `Quick
             test_read_consolidation_on;
           Alcotest.test_case "policy off leaves chains" `Quick

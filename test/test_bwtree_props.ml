@@ -181,13 +181,13 @@ let rec chunks n = function
       let c, rest = take 0 [] l in
       c :: chunks n rest
 
-let prop_batch_equals_sequential =
-  QCheck.Test.make ~name:"execute_batch == sequential point ops" ~count:100
+let batch_vs_sequential ~name ~count ~len ~keys ~bsize =
+  QCheck.Test.make ~name ~count
     QCheck.(
       pair
-        (list_of_size (Gen.int_range 0 400)
-           (triple (int_bound 4) (int_bound 25) (int_bound 1000)))
-        (int_range 1 17))
+        (list_of_size len
+           (triple (int_bound 4) (int_bound keys) (int_bound 1000)))
+        bsize)
     (fun (ops, bsize) ->
       let ts = T.create ~config:tiny () in
       let tb = T.create ~config:tiny () in
@@ -207,6 +207,17 @@ let prop_batch_equals_sequential =
         (chunks bsize ops);
       T.verify_invariants tb;
       !ok && T.scan_all tb () = T.scan_all ts ())
+
+let prop_batch_equals_sequential =
+  batch_vs_sequential ~name:"execute_batch == sequential point ops" ~count:100
+    ~len:(QCheck.Gen.int_range 0 400) ~keys:25 ~bsize:(QCheck.int_range 1 17)
+
+(* batches long enough for the permutation sort's quicksort path, over a
+   key space that still repeats keys inside a batch *)
+let prop_large_batch_equals_sequential =
+  batch_vs_sequential ~name:"execute_batch == sequential (large batches)"
+    ~count:60 ~len:(QCheck.Gen.int_range 0 900) ~keys:150
+    ~bsize:(QCheck.int_range 17 300)
 
 (* Non-unique update/upsert replace "the first visible duplicate", which
    is physical chain order — not sequentially modelable (the stress
@@ -244,6 +255,52 @@ let prop_batch_equals_sequential_non_unique =
       !ok
       && List.sort compare (T.scan_all tb ())
          = List.sort compare (T.scan_all ts ()))
+
+(* Routing over the unboxed inner separators: grow a tree by random
+   inserts and deletes (so inner nodes split, merge and carry chains of
+   separator deltas), then for random probe keys the descent's leaf must
+   be the leaf routed through [gather_inner]'s consolidated view. The
+   invariant check also asserts every inner base's key array is strictly
+   ascending inside its (lo, hi). Int and string keys. *)
+module SK = Index_iface.String_key
+module ST = Bwtree.Make (SK) (IV)
+
+let routing_ops_gen =
+  QCheck.(
+    pair
+      (list_of_size (Gen.int_range 0 600) (pair bool (int_bound 400)))
+      (list_of_size (Gen.int_range 1 60) (int_range (-10) 410)))
+
+let prop_routing_int =
+  QCheck.Test.make ~name:"descent leaf == consolidated-view leaf (int keys)"
+    ~count:100 routing_ops_gen (fun (ops, probes) ->
+      let t = T.create ~config:tiny () in
+      List.iter
+        (fun (ins, k) ->
+          if ins then ignore (T.insert t k k) else ignore (T.delete t k k))
+        ops;
+      T.verify_invariants t;
+      List.for_all (fun k -> T.routing_check t ~tid:0 k) probes)
+
+let skey k = Printf.sprintf "user%05d@example.org" k
+
+let prop_routing_string =
+  QCheck.Test.make ~name:"descent leaf == consolidated-view leaf (string keys)"
+    ~count:100 routing_ops_gen (fun (ops, probes) ->
+      let t = ST.create ~config:tiny () in
+      List.iter
+        (fun (ins, k) ->
+          if ins then ignore (ST.insert t (skey k) k)
+          else ignore (ST.delete t (skey k) k))
+        ops;
+      ST.verify_invariants t;
+      (* probes between and around the stored keys too *)
+      List.for_all
+        (fun k ->
+          ST.routing_check t ~tid:0 (skey k)
+          && ST.routing_check t ~tid:0 (skey k ^ "~"))
+        probes
+      && ST.routing_check t ~tid:0 "")
 
 let prop_delete_is_inverse =
   QCheck.Test.make ~name:"insert then delete restores absence" ~count:150
@@ -302,6 +359,7 @@ let () =
       ( "batch",
         [
           q prop_batch_equals_sequential;
+          q prop_large_batch_equals_sequential;
           q prop_batch_equals_sequential_non_unique;
         ] );
       ( "iteration",
@@ -311,4 +369,5 @@ let () =
           q prop_scan_matches_model_window;
         ] );
       ("ablation", [ q prop_freeze_agrees; q prop_config_independence ]);
+      ("routing", [ q prop_routing_int; q prop_routing_string ]);
     ]
