@@ -645,11 +645,35 @@ let bech scale =
                  let i = Bw_util.Rng.next_int rng n in
                  ignore (d.Runner.update ~tid:0 (W.Keys.rand_int i) 42)))
         in
-        [ lookup; update ])
+        let visit _ _ = () in
+        let scan48 =
+          Test.make ~name:(name ^ "/scan48")
+            (Staged.stage (fun () ->
+                 let i = Bw_util.Rng.next_int rng n in
+                 ignore (d.Runner.scan ~tid:0 (W.Keys.rand_int i) ~n:48 visit)))
+        in
+        (* the scan-side consolidation worst case: a write lands on the
+           leaf before every scan of it, so a Bw-Tree scan's rebuild is
+           never reused *)
+        let write_scan48 =
+          Test.make ~name:(name ^ "/write+scan48")
+            (Staged.stage (fun () ->
+                 let k = W.Keys.rand_int (Bw_util.Rng.next_int rng n) in
+                 ignore (d.Runner.insert ~tid:0 (k + 1) 1);
+                 ignore (d.Runner.remove ~tid:0 (k + 1));
+                 ignore (d.Runner.scan ~tid:0 k ~n:48 visit)))
+        in
+        [ lookup; update; scan48; write_scan48 ])
       (Drivers.int_lineup ())
   in
   let grouped = Test.make_grouped ~name:"index" tests in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
+  (* No per-sample [Gc.compact] ([stabilize]): with six preloaded
+     indexes live, each compaction ate most of the quota, leaving a few
+     dozen cold calls per row; the rows report warm steady state. *)
+  let cfg =
+    Benchmark.cfg ~limit:500 ~stabilize:false ~quota:(Time.second 0.25)
+      ~kde:None ()
+  in
   let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]

@@ -36,6 +36,7 @@ type t = {
   dec : Wire.Decoder.t;
   inflight : Wire.req Queue.t;
   scratch : Bytes.t;
+  wbuf : Bytes.t;  (** socket-write scratch: [out] is blitted here *)
   mutable closed : bool;
 }
 
@@ -53,6 +54,7 @@ let connect ?(host = "127.0.0.1") ~port () =
     dec = Wire.Decoder.create ();
     inflight = Queue.create ();
     scratch = Bytes.create 65_536;
+    wbuf = Bytes.create 65_536;
     closed = false;
   }
 
@@ -64,12 +66,15 @@ let close t =
 
 let inflight t = Queue.length t.inflight
 
+(* Write out every queued byte, a [wbuf]-sized chunk at a time, without
+   copying [out] into a fresh string. *)
 let flush t =
-  let s = Buffer.contents t.out in
-  let n = String.length s in
+  let n = Buffer.length t.out in
   let off = ref 0 in
   while !off < n do
-    match Unix.write_substring t.fd s !off (n - !off) with
+    let chunk = min (n - !off) (Bytes.length t.wbuf) in
+    Buffer.blit t.out !off t.wbuf 0 chunk;
+    match Unix.write t.fd t.wbuf 0 chunk with
     | 0 -> raise Server_closed
     | w -> off := !off + w
     | exception Unix.Unix_error (EINTR, _, _) -> ()

@@ -2240,9 +2240,33 @@ module Make (K : KEY) (V : VALUE) :
         | Some merged -> merged.P.m_page
         | None -> P.build ~packed:false (Growable.to_array (gather_leaf ~tid head)))
 
+  (* A scan's page for the leaf [id] whose head it read. A chained leaf
+     costs a full merge either way; with [read_consolidation] on, the
+     scan publishes that merge through the writers' [try_consolidate]
+     (same CaS, same epoch retirement) and reads the installed base
+     zero-copy, so later scans of this leaf version get it free too. A
+     lost race, a head that cannot be consolidated, or a [Restart] from
+     completing a pending split falls back to the private boxed copy. *)
+  let scan_leaf_page t ~tid id (head : elem) =
+    match head with
+    | Leaf b -> b.lb_page
+    | _ -> (
+        match
+          if t.cfg.read_consolidation then try_consolidate t ~tid id head
+          else head
+        with
+        | Leaf b as h when h != head ->
+            sbump t tid f_read_consolidations;
+            if Bw_obs.enabled t.o then
+              Bw_obs.incr t.o ~tid Bw_obs.C_read_consolidations;
+            b.lb_page
+        | _ -> snapshot_leaf_page t ~tid head
+        | exception Restart -> snapshot_leaf_page t ~tid head)
+
   module Iterator = struct
-    (* An iterator owns a private consolidated copy of one logical leaf
-       node; no locks are held between moves. Exhausting the copy
+    (* An iterator holds a consolidated page of one logical leaf node
+       ([scan_leaf_page]: the installed base, or a private copy); no
+       locks are held between moves. Exhausting the copy
        re-traverses from the root using the node's high key (forward) or
        low key with the go-left rule (backward). *)
     type iter = {
@@ -2262,7 +2286,7 @@ module Make (K : KEY) (V : VALUE) :
       retry_loop t ~tid @@ fun () ->
       let head = descend_root t ~tid ~track:false k in
       let m = meta_of head in
-      (snapshot_leaf_page t ~tid head, m.lo, m.hi)
+      (scan_leaf_page t ~tid t.cur.(tid).c_id head, m.lo, m.hi)
 
     (* first item >= k, possibly skipping empty nodes to the right *)
     let rec position_forward it k =
@@ -2334,9 +2358,9 @@ module Make (K : KEY) (V : VALUE) :
             end
             else (id, head)
           in
-          let _, head = rightmost id head in
+          let id, head = rightmost id head in
           let m = meta_of head in
-          let items = snapshot_leaf_page t ~tid head in
+          let items = scan_leaf_page t ~tid id head in
           it.items <- items;
           it.lo <- m.lo;
           it.hi <- m.hi;
@@ -2393,14 +2417,14 @@ module Make (K : KEY) (V : VALUE) :
          | LD { l_op = L_remove; _ } | ID { i_op = I_remove; _ } ->
              raise Restart
          | _ -> ());
-         if is_leaf_elem head then head
+         if is_leaf_elem head then (id, head)
          else
            let items = gather_inner ~tid head in
            down (snd (Growable.get items 0))
        in
-       let head = down (Atomic.get t.root) in
+       let id, head = down (Atomic.get t.root) in
        let m = meta_of head in
-       it.items <- snapshot_leaf_page t ~tid head;
+       it.items <- scan_leaf_page t ~tid id head;
        it.lo <- m.lo;
        it.hi <- m.hi;
        it.pos <- 0);

@@ -71,9 +71,11 @@ type config = {
       (** point reads consolidate the leaves whose chains they walk: each
           thread counts the delta records its reads traverse, and once the
           count reaches [leaf_max] the read rebuilds the leaf it is on, so
-          rebuild work stays bounded by the chain walking it replaces.
-          [false] leaves consolidation to writers (the paper's design, and
-          the Fig. 18 row that measures chain cost) *)
+          rebuild work stays bounded by the chain walking it replaces;
+          scans publish the merge they already pay for each chained leaf
+          they visit. [false] leaves consolidation to writers (the
+          paper's design, with its private-copy iterator, and the
+          Fig. 18 row that measures chain cost) *)
 }
 
 let default_config =
@@ -348,8 +350,10 @@ module type S = sig
 
   module Iterator : sig
     type iter
-    (** A cursor over the index. Each iterator owns a private consolidated
-        copy of one logical leaf node; moving past its boundary
+    (** A cursor over the index. Each iterator holds a consolidated page
+        of one logical leaf node (with [read_consolidation], a chained
+        leaf's page is published as its new base; otherwise it is a
+        private copy); moving past its boundary
         re-traverses from the root with the node's high key (forward) or
         low key under the go-left rule (backward). Never blocks writers. *)
 

@@ -84,6 +84,8 @@ type worker = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   queued_bytes : int Atomic.t;  (** gauge input, updated once per loop *)
+  body : Buffer.t;  (** reply-body scratch, reused across requests *)
+  wbuf : Bytes.t;  (** socket-write scratch: output is blitted here *)
 }
 
 type t = {
@@ -328,8 +330,10 @@ and eval_batch t ~tid body (reqs : Wire.req list) : unit =
 
 (* Decode + evaluate one frame, appending the framed reply to [out];
    never raises. Returns whether the connection must be put into
-   drain-and-close. *)
-let handle_frame t ~tid out payload : bool =
+   drain-and-close. [body] is the worker's reply scratch: cleared here
+   before use, and shrunk back after a large reply
+   ({!Wire.release_scratch}). *)
+let handle_frame t ~tid ~body out payload : bool =
   let obs = t.cfg.obs in
   Bw_obs.incr obs ~tid Bw_obs.C_net_requests;
   let err m close =
@@ -342,13 +346,14 @@ let handle_frame t ~tid out payload : bool =
       err ("malformed request: " ^ m) t.cfg.close_on_malformed
   | req -> (
       let t0 = if Bw_obs.enabled obs then Bw_obs.now_ns () else 0 in
-      let body = Buffer.create 64 in
+      Buffer.clear body;
       match eval_into t ~tid body req with
       | () ->
           if Bw_obs.enabled obs then
             Bw_obs.observe obs ~tid (series_of_req req)
               (Bw_obs.now_ns () - t0);
           Wire.add_frame_buf out body;
+          Wire.release_scratch body;
           false
       | exception Wire.Malformed m -> err m t.cfg.close_on_malformed
       | exception Bad_key _ ->
@@ -376,15 +381,17 @@ let close_conn t (c : conn) =
 let conn_pending_out c = Buffer.length c.out - c.out_off
 
 (* Flush as much queued output as the socket accepts. Returns [false] if
-   the connection died mid-write. *)
-let flush_conn t ~tid (c : conn) =
+   the connection died mid-write. Each chunk is blitted into the
+   worker's write scratch rather than copied out into a fresh string. *)
+let flush_conn t (w : worker) (c : conn) =
+  let tid = w.w_index in
   let rec go () =
     let pending = conn_pending_out c in
     if pending = 0 then true
     else
-      let chunk = min pending 65_536 in
-      let s = Buffer.sub c.out c.out_off chunk in
-      match Unix.write_substring c.fd s 0 chunk with
+      let chunk = min pending (Bytes.length w.wbuf) in
+      Buffer.blit c.out c.out_off w.wbuf 0 chunk;
+      match Unix.write c.fd w.wbuf 0 chunk with
       | 0 -> true
       | n ->
           c.out_off <- c.out_off + n;
@@ -403,13 +410,15 @@ let flush_conn t ~tid (c : conn) =
   go ()
 
 (* Drain every complete frame currently buffered on [c]. *)
-let process_frames t ~tid (c : conn) =
+let process_frames t (w : worker) (c : conn) =
+  let tid = w.w_index in
   let continue = ref true in
   while !continue && not c.closing do
     match Wire.Decoder.next c.dec with
     | `Need_more -> continue := false
     | `Frame payload ->
-        if handle_frame t ~tid c.out payload then c.closing <- true
+        if handle_frame t ~tid ~body:w.body c.out payload then
+          c.closing <- true
     | `Framing m ->
         Bw_obs.incr t.cfg.obs ~tid Bw_obs.C_net_errors;
         Buffer.add_string c.out
@@ -417,17 +426,17 @@ let process_frames t ~tid (c : conn) =
         c.closing <- true
   done
 
-let read_conn t ~tid (c : conn) scratch =
+let read_conn t (w : worker) (c : conn) scratch =
   match Unix.read c.fd scratch 0 (Bytes.length scratch) with
   | 0 ->
       (* peer finished sending; answer what's buffered, then close *)
-      process_frames t ~tid c;
+      process_frames t w c;
       c.closing <- true;
       true
   | n ->
-      Bw_obs.add t.cfg.obs ~tid Bw_obs.C_net_bytes_in n;
+      Bw_obs.add t.cfg.obs ~tid:w.w_index Bw_obs.C_net_bytes_in n;
       Wire.Decoder.feed c.dec scratch n;
-      process_frames t ~tid c;
+      process_frames t w c;
       true
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
   | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) -> false
@@ -474,7 +483,7 @@ let worker_loop t (w : worker) =
     if stopping then
       List.iter
         (fun c ->
-          process_frames t ~tid c;
+          process_frames t w c;
           c.closing <- true)
         w.conns;
     let readable =
@@ -496,18 +505,18 @@ let worker_loop t (w : worker) =
     List.iter
       (fun c ->
         if List.mem c.fd ws then
-          if not (flush_conn t ~tid c) then dead := c :: !dead)
+          if not (flush_conn t w c) then dead := c :: !dead)
       writable;
     List.iter
       (fun c ->
         if List.mem c.fd rs && not (List.memq c !dead) then
-          if not (read_conn t ~tid c scratch) then dead := c :: !dead)
+          if not (read_conn t w c scratch) then dead := c :: !dead)
       readable;
     (* opportunistic flush of freshly produced output *)
     List.iter
       (fun c ->
         if (not (List.memq c !dead)) && conn_pending_out c > 0 then
-          if not (flush_conn t ~tid c) then dead := c :: !dead)
+          if not (flush_conn t w c) then dead := c :: !dead)
       w.conns;
     (* reap: dead connections, and closing ones that finished flushing *)
     let keep, drop =
@@ -594,6 +603,8 @@ let start ?(config = default_config) (backend : Backend.t) : t =
           wake_r;
           wake_w;
           queued_bytes = Atomic.make 0;
+          body = Buffer.create 64;
+          wbuf = Bytes.create 65_536;
         })
   in
   let t =

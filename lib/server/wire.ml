@@ -465,9 +465,25 @@ let encode_batched_header body n =
    into an encode buffer — no intermediate (key, value) list. The item
    count precedes the items on the wire, so the items land in a scratch
    buffer that is appended after the walk; the scratch holds encoded
-   bytes, never per-item heap cells. *)
+   bytes, never per-item heap cells. One scratch per domain, reused
+   across requests (a walk never starts another reply); cleared before
+   each use, and shrunk back after a reply larger than [scratch_keep] so
+   one [max_scan] reply does not pin its memory for the domain's
+   lifetime. *)
+let scratch_keep = 65_536
+
+let release_scratch b =
+  if Buffer.length b > scratch_keep then Buffer.reset b else Buffer.clear b
+
+let scan_items = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
+let take_scan_items () =
+  let items = Domain.DLS.get scan_items in
+  Buffer.clear items;
+  items
+
 let encode_scanned_into body (scan : (string -> int -> unit) -> int) =
-  let items = Buffer.create 256 in
+  let items = take_scan_items () in
   let count = ref 0 in
   ignore
     (scan (fun k v ->
@@ -478,14 +494,15 @@ let encode_scanned_into body (scan : (string -> int -> unit) -> int) =
   add_byte body st_ok;
   add_byte body tag_scanned;
   C.encode_int body !count;
-  Buffer.add_buffer body items
+  Buffer.add_buffer body items;
+  release_scratch items
 
 (* Streaming variant of the cluster scan reply: same scratch-buffer
    scheme, but the continuation key is decided after the walk, from the
    emitted count and the last key visited. *)
 let encode_scanned_to_into body (scan : (string -> int -> unit) -> int)
     (next_of : count:int -> last:string option -> string option) =
-  let items = Buffer.create 256 in
+  let items = take_scan_items () in
   let count = ref 0 in
   let last = ref None in
   ignore
@@ -499,6 +516,7 @@ let encode_scanned_to_into body (scan : (string -> int -> unit) -> int)
   add_byte body tag_scanned_to;
   C.encode_int body !count;
   Buffer.add_buffer body items;
+  release_scratch items;
   match next_of ~count:!count ~last:!last with
   | None -> add_byte body 0
   | Some k ->

@@ -735,10 +735,8 @@ let test_batch_own_consolidations () =
   T.verify_invariants t
 
 (* One leaf with a long chain: ascending inserts below [leaf_max] and a
-   chain threshold that never fires. Reads walk the chain until their
-   budget reaches [leaf_max], then rebuild the leaf — only when the
-   policy is on. *)
-let chained_leaf ~read_consolidation =
+   chain threshold that never fires. *)
+let load_chained_leaf ~read_consolidation =
   let obs = Bw_obs.create () in
   let config =
     Bwtree.Config.make ~leaf_chain_max:1_000 ~read_consolidation ()
@@ -748,6 +746,12 @@ let chained_leaf ~read_consolidation =
     assert (T.insert t k (k * 3))
   done;
   Alcotest.(check (pair int int)) "loaded chain" (100, 0) (T.max_chains t);
+  (t, obs)
+
+(* Reads walk the chain until their budget reaches [leaf_max], then
+   rebuild the leaf — only when the policy is on. *)
+let chained_leaf ~read_consolidation =
+  let t, obs = load_chained_leaf ~read_consolidation in
   for _ = 1 to 10 do
     Alcotest.(check (option int)) "read" (Some 0) (T.find t 0)
   done;
@@ -773,17 +777,63 @@ let test_read_consolidation_off () =
   Alcotest.(check int) "no read consolidation" 0
     (T.op_stats t).read_consolidations
 
+(* A scan that meets a chained leaf publishes the merge it pays for, and
+   later scans read the installed base zero-copy: a repeat 48-item scan
+   allocates only its boxed optionals, epoch closures and per-leaf
+   tuple. *)
+let test_scan_consolidation_on () =
+  let t, obs = load_chained_leaf ~read_consolidation:true in
+  let sum = ref 0 in
+  let visit _ v = sum := !sum + v in
+  Alcotest.(check int) "scan count" 100 (T.scan_iter t 0 visit);
+  Alcotest.(check int) "scan sum" (3 * 99 * 100 / 2) !sum;
+  Alcotest.(check (pair int int)) "the scan flattened the leaf" (0, 0)
+    (T.max_chains t);
+  Alcotest.(check int) "one read consolidation" 1
+    (T.op_stats t).read_consolidations;
+  let sn = Bw_obs.snapshot obs in
+  Alcotest.(check int) "obs counter" 1
+    (List.assoc Bw_obs.C_read_consolidations sn.Bw_obs.sn_counters);
+  ignore (T.scan_iter t ~tid:0 ~n:48 10 visit);
+  let w0 = Gc.minor_words () in
+  let n = T.scan_iter t ~tid:0 ~n:48 10 visit in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "repeat scan count" 48 n;
+  if words > 48.0 then
+    Alcotest.failf "repeat 48-item scan allocates %.0f minor words (limit 48)"
+      words;
+  Alcotest.(check int) "nothing left to rebuild" 1
+    (T.op_stats t).read_consolidations;
+  Alcotest.(check (list (pair int int))) "contents kept"
+    (List.init 100 (fun k -> (k, k * 3)))
+    (T.scan t 0);
+  T.verify_invariants t
+
+(* With the policy off, scans keep the paper's private copy. *)
+let test_scan_consolidation_off () =
+  let t, _ = load_chained_leaf ~read_consolidation:false in
+  Alcotest.(check (list (pair int int))) "scan"
+    (List.init 100 (fun k -> (k, k * 3)))
+    (T.scan t 0);
+  let it = T.Iterator.seek_first t () in
+  Alcotest.(check (option (pair int int))) "iterator" (Some (0, 0))
+    (T.Iterator.current it);
+  Alcotest.(check (pair int int)) "chain left alone" (100, 0) (T.max_chains t);
+  Alcotest.(check int) "no read consolidation" 0
+    (T.op_stats t).read_consolidations
+
 (* Read-side consolidation is invisible to readers: the same op trace
    against the policy on and off answers every read identically. Tiny
    nodes keep budgets crossing often, so reads rebuild leaves between
-   (and across) splits and merges. *)
+   (and across) splits and merges; bounded scans and iterator walks
+   rebuild every chained leaf they visit. *)
 let prop_read_consolidation_equivalence ~unique =
   QCheck.Test.make
     ~name:
       (Printf.sprintf "read consolidation on == off (%s keys)"
          (if unique then "unique" else "non-unique"))
     ~count:60
-    QCheck.(list_of_size (Gen.int_range 1 600) (pair (int_bound 3) (int_bound 80)))
+    QCheck.(list_of_size (Gen.int_range 1 600) (pair (int_bound 5) (int_bound 80)))
     (fun ops ->
       let mk read_consolidation =
         T.create
@@ -801,6 +851,31 @@ let prop_read_consolidation_equivalence ~unique =
         | None -> vs = []
         | Some v -> List.mem v vs
       in
+      (* a range answer: its keys in order, and its items as a multiset
+         — minus the last key's, whose duplicates a bound may cut at a
+         different physical position *)
+      let range items =
+        let keys = List.map fst items in
+        let last = List.fold_left (fun _ k -> Some k) None keys in
+        ( keys,
+          List.sort compare
+            (if unique then items
+             else List.filter (fun (k, _) -> Some k <> last) items) )
+      in
+      (* seek, then step both ways across leaf boundaries and the ends *)
+      let walk t k =
+        let it = T.Iterator.seek t k in
+        let seen = ref [ T.Iterator.current it ] in
+        List.iter
+          (fun fwd ->
+            if fwd then T.Iterator.next it else T.Iterator.prev it;
+            seen := T.Iterator.current it :: !seen)
+          [ true; true; true; false; false; false; false; false; true; true;
+            true; true; true; true; true; true; true; true; false ];
+        let items = List.rev !seen in
+        if unique then items
+        else List.map (Option.map (fun (k, _) -> (k, 0))) items
+      in
       let apply t (o, k) =
         match o with
         | 0 -> `B (T.insert t k (k + 1))
@@ -809,7 +884,9 @@ let prop_read_consolidation_equivalence ~unique =
         (* a non-unique update replaces the first duplicate in physical
            order, which consolidation changes: no sequential model *)
         | 2 -> `B (T.insert t k (k + 2))
-        | _ -> `L (List.sort compare (T.lookup t k), read t k)
+        | 3 -> `L (List.sort compare (T.lookup t k), read t k)
+        | 4 -> `S (range (T.scan t ~n:(1 + (k mod 17)) k))
+        | _ -> `I (walk t k)
       in
       List.for_all (fun op -> apply on op = apply off op) ops
       && List.for_all
@@ -900,6 +977,10 @@ let () =
             test_read_consolidation_off;
           q (prop_read_consolidation_equivalence ~unique:true);
           q (prop_read_consolidation_equivalence ~unique:false);
+          Alcotest.test_case "scans consolidate a chained leaf" `Quick
+            test_scan_consolidation_on;
+          Alcotest.test_case "policy off: scans leave chains" `Quick
+            test_scan_consolidation_off;
         ] );
       ( "debugging",
         [

@@ -143,36 +143,63 @@ let test_readers_never_block () =
   Alcotest.(check bool) "every read observed exactly one value" true !ok;
   T.verify_invariants t
 
+(* Scans run while a writer churns odd keys (tiny nodes: appends,
+   splits, merges and consolidations) over an even preload that never
+   changes. Every scan must return each preloaded key between its start
+   and its last returned key exactly once, in order, with its value —
+   and scans themselves install consolidations of the chained leaves
+   they visit, racing the writer's appends and splits. *)
 let test_concurrent_iteration () =
-  (* scans run while writers insert; scans must return ascending keys *)
   let t = T.create ~config:tiny () in
-  for k = 0 to 499 do
-    assert (T.insert t (k * 4) k)
-  done;
+  let preload = List.init 500 (fun k -> k * 4) in
+  List.iter (fun k -> assert (T.insert t k (k / 4))) preload;
   let stop = Atomic.make false in
   let writer =
     Domain.spawn (fun () ->
         let rng = Bw_util.Rng.create ~seed:321L in
         while not (Atomic.get stop) do
-          let k = Bw_util.Rng.next_int rng 2_000 in
+          let k = (2 * Bw_util.Rng.next_int rng 1_000) + 1 in
           ignore (T.insert t ~tid:0 k k);
           ignore (T.delete t ~tid:0 k k)
         done;
         T.quiesce t ~tid:0)
   in
-  let sorted_ok = ref true in
+  let failure = Atomic.make None in
+  let fail msg = ignore (Atomic.compare_and_set failure None (Some msg)) in
   spawn_workers 2 (fun w ->
       let tid = w + 1 in
-      for i = 0 to 300 do
-        let start = i * 4 mod 1_000 in
+      for i = 0 to 4_999 do
+        let start = i * 6 mod 1_000 in
         let items = T.scan t ~tid ~n:40 start in
         let keys = List.map fst items in
-        if List.sort compare keys <> keys then sorted_ok := false
+        let rec ascending = function
+          | a :: (b :: _ as rest) -> a < b && ascending rest
+          | _ -> true
+        in
+        if not (ascending keys) then fail (Printf.sprintf "scan %d unsorted" start);
+        List.iter
+          (fun (k, v) ->
+            if k < start then fail (Printf.sprintf "scan %d returned %d" start k)
+            else if k mod 2 = 1 then (
+              if v <> k then fail (Printf.sprintf "odd key %d = %d" k v))
+            else if k mod 4 <> 0 || v <> k / 4 then
+              fail (Printf.sprintf "even key %d = %d" k v))
+          items;
+        let last =
+          if List.length items < 40 then max_int
+          else List.fold_left (fun _ k -> k) start keys
+        in
+        let expect = List.filter (fun k -> k >= start && k <= last) preload in
+        if List.filter (fun k -> k mod 2 = 0) keys <> expect then
+          fail (Printf.sprintf "scan %d: preload not seen exactly once" start)
       done;
       T.quiesce t ~tid);
   Atomic.set stop true;
   Domain.join writer;
-  Alcotest.(check bool) "scans stayed sorted" true !sorted_ok;
+  Alcotest.(check (option string)) "scans exactly-once" None
+    (Atomic.get failure);
+  Alcotest.(check bool) "scans consolidated leaves" true
+    ((T.op_stats t).read_consolidations > 0);
   T.verify_invariants t
 
 let test_gc_schemes_under_concurrency () =

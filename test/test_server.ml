@@ -7,6 +7,7 @@ module Wire = Bw_server.Wire
 module Server = Bw_server.Server
 module Backend = Bw_server.Backend
 module Key = Bw_util.Key_codec
+module IntMap = Map.Make (Int)
 
 let start_server ?(workers = 2) ?(close_on_malformed = false)
     ?(obs = Bw_obs.Null) () =
@@ -453,6 +454,95 @@ let test_batch_over_wire () =
     "final contents agree" contents_seq contents_batch
 
 (* ------------------------------------------------------------------ *)
+(* Loopback: served scans vs an in-process oracle                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One pipelined connection interleaves inserts with SCANs of 1-95
+   items (each scan may rebuild the chained leaves it visits), then a
+   [max_scan] SCAN whose reply outgrows the server's reusable reply and
+   scan scratch buffers, small SCANs after it (the scratch must come
+   back cleared), and BATCH frames holding scans. Every reply must equal
+   the oracle's. A BATCH runs its point ops before its scans. *)
+let test_served_scans () =
+  with_server ~workers:1 (fun srv ->
+      let c = Bw_client.connect ~port:(Server.port srv) () in
+      Fun.protect
+        ~finally:(fun () -> Bw_client.close c)
+        (fun () ->
+          let oracle = ref IntMap.empty in
+          let expected = Queue.create () in
+          let check_replies () =
+            while Bw_client.inflight c > 0 do
+              let r = Bw_client.recv c in
+              let want = Queue.pop expected in
+              if r <> want then
+                Alcotest.failf "reply %d differs from the oracle"
+                  (Queue.length expected)
+            done
+          in
+          let scanned k n =
+            Wire.Scanned
+              (IntMap.to_seq_from k !oracle
+              |> Seq.take n
+              |> Seq.map (fun (k, v) -> (Key.of_int k, v))
+              |> List.of_seq)
+          in
+          let insert k v =
+            let fresh = not (IntMap.mem k !oracle) in
+            if fresh then oracle := IntMap.add k v !oracle;
+            Wire.Applied fresh
+          in
+          let send req want =
+            Bw_client.send c req;
+            Queue.add want expected;
+            if Bw_client.inflight c >= 16 then check_replies ()
+          in
+          let rng = Bw_util.Rng.create ~seed:4242L in
+          let key () = Bw_util.Rng.next_int rng 40_000 in
+          for i = 0 to 7_999 do
+            let k = i * 5 in
+            send (Wire.Put (Wire.Insert, Key.of_int k, i)) (insert k i)
+          done;
+          for _ = 1 to 3_000 do
+            let k = key () in
+            if Bw_util.Rng.next_int rng 20 = 0 then
+              send (Wire.Put (Wire.Insert, Key.of_int k, -k)) (insert k (-k))
+            else
+              let n = 1 + Bw_util.Rng.next_int rng 95 in
+              send (Wire.Scan (Key.of_int k, n)) (scanned k n)
+          done;
+          check_replies ();
+          let big = scanned min_int Wire.max_scan in
+          let reply = Buffer.create 65_536 in
+          Wire.encode_resp reply big;
+          Alcotest.(check bool) "max_scan reply outgrows the scratch" true
+            (Buffer.length reply > 65_536);
+          send (Wire.Scan (Key.of_int min_int, Wire.max_scan)) big;
+          for _ = 1 to 200 do
+            let k = key () and n = 1 + Bw_util.Rng.next_int rng 95 in
+            send (Wire.Scan (Key.of_int k, n)) (scanned k n)
+          done;
+          for _ = 1 to 100 do
+            let k1 = key () and k2 = key () and k3 = key () in
+            let n1 = 1 + Bw_util.Rng.next_int rng 95 in
+            let r_put = insert k2 k3 in
+            let r_get = Wire.Value (IntMap.find_opt k3 !oracle) in
+            send
+              (Wire.Batch
+                 [
+                   Wire.Scan (Key.of_int k1, n1);
+                   Wire.Put (Wire.Insert, Key.of_int k2, k3);
+                   Wire.Get (Key.of_int k3);
+                   Wire.Scan (Key.of_int k2, 3);
+                 ])
+              (Wire.Batched [ scanned k1 n1; r_put; r_get; scanned k2 3 ])
+          done;
+          check_replies ();
+          Alcotest.(check int) "final contents" (IntMap.cardinal !oracle)
+            (List.length
+               (Bw_client.Int_key.scan c min_int ~n:Wire.max_scan))))
+
+(* ------------------------------------------------------------------ *)
 (* Loopback: concurrent pipelined clients vs sequential oracle          *)
 (* ------------------------------------------------------------------ *)
 
@@ -729,6 +819,8 @@ let () =
             test_batch_over_wire;
           Alcotest.test_case "concurrent pipelined oracle" `Slow
             test_concurrent_oracle;
+          Alcotest.test_case "served scans == oracle" `Quick
+            test_served_scans;
         ] );
       ( "fuzz",
         [
