@@ -81,15 +81,13 @@ let mops_of ?batch ~mkdriver ~conv ~space ~mix ~nthreads scale =
 let all_mixes = [ W.Insert_only; W.Read_only; W.Read_update; W.Scan_insert ]
 let int_spaces = [ W.Mono_int; W.Rand_int ]
 
-(* run one (space, mix) cell for an int- or email-keyed driver factory *)
-let cell ~int_driver ~str_driver ~space ~mix ~nthreads scale =
-  match space with
-  | W.Email ->
-      mops_of ~mkdriver:str_driver ~conv:W.email_key_of ~space ~mix ~nthreads
-        scale
-  | _ ->
-      mops_of ~mkdriver:int_driver ~conv:(W.int_key_of space) ~space ~mix
-        ~nthreads scale
+(* run one (space, mix) cell for a Bw-Tree of the given config, keyed
+   by the space's key type *)
+let cell ~config ~space ~mix ~nthreads scale =
+  let module D = (val Drivers.of_key_space space) in
+  mops_of
+    ~mkdriver:(fun () -> D.bwtree ~config ())
+    ~conv:(D.K.of_workload space) ~space ~mix ~nthreads scale
 
 (* ------------------------------------------------------------------ *)
 (* §5.2 Figure 8: delta-record pre-allocation (single-threaded)        *)
@@ -108,10 +106,7 @@ let fig8 scale =
       List.iter
         (fun mix ->
           let run config =
-            cell
-              ~int_driver:(fun () -> Drivers.bwtree_driver_int ~config ())
-              ~str_driver:(fun () -> Drivers.bwtree_driver_str ~config ())
-              ~space ~mix ~nthreads:1 scale
+            cell ~config ~space ~mix ~nthreads:1 scale
           in
           let a = run base and b = run opt in
           print_row
@@ -139,10 +134,7 @@ let fig9 scale =
       List.iter
         (fun mix ->
           let run config =
-            cell
-              ~int_driver:(fun () -> Drivers.bwtree_driver_int ~config ())
-              ~str_driver:(fun () -> Drivers.bwtree_driver_str ~config ())
-              ~space ~mix ~nthreads:1 scale
+            cell ~config ~space ~mix ~nthreads:1 scale
           in
           let a = run base and b = run opt in
           print_row
@@ -202,10 +194,7 @@ let fig10 scale =
       List.iter
         (fun nthreads ->
           let run config =
-            cell
-              ~int_driver:(fun () -> Drivers.bwtree_driver_int ~config ())
-              ~str_driver:(fun () -> Drivers.bwtree_driver_str ~config ())
-              ~space ~mix:W.Read_update ~nthreads scale
+            cell ~config ~space ~mix:W.Read_update ~nthreads scale
           in
           let c = run centralized and d = run decentralized in
           print_row
@@ -240,7 +229,7 @@ let fig11 scale =
                 in
                 let v =
                   mops_of
-                    ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+                    ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
                     ~conv:(W.int_key_of W.Mono_int) ~space:W.Mono_int ~mix
                     ~nthreads:scale.threads scale
                 in
@@ -281,7 +270,7 @@ let fig12 scale =
           (fun (label, config) ->
             ( label,
               mops_of
-                ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+                ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
                 ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int
                 ~mix:W.Read_update ~nthreads scale ))
           steps
@@ -293,7 +282,7 @@ let fig12 scale =
     (fun mix ->
       let run config =
         mops_of
-          ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+          ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
           ~conv:(W.int_key_of W.Mono_int) ~space:W.Mono_int ~mix
           ~nthreads:scale.threads scale
       in
@@ -333,8 +322,8 @@ let hc_insert_run (d : int Runner.driver) ~nthreads ~ops =
 let tab2 scale =
   print_header "Table 2: OpenBw-Tree statistics (Insert-only, multi-threaded)";
   let run_one space =
-    let tree, mkdriver = Drivers.bwtree_instance_int () in
-    let driver = mkdriver "OpenBw-Tree" in
+    let tree = Drivers.Int.Bw.create () in
+    let driver = Drivers.Int.driver_of_tree tree in
     (match space with
     | W.Mono_hc ->
         ignore (hc_insert_run driver ~nthreads:scale.threads ~ops:scale.keys)
@@ -343,8 +332,8 @@ let tab2 scale =
         let trace = W.load_trace cfg space (W.int_key_of space) in
         ignore (Runner.load driver ~nthreads:scale.threads trace);
         driver.stop_aux ());
-    let ss = Drivers.Bw_int.structure_stats tree in
-    let os = Drivers.Bw_int.op_stats tree in
+    let ss = Drivers.Int.Bw.structure_stats tree in
+    let os = Drivers.Int.Bw.op_stats tree in
     let abort_rate =
       if os.inserts = 0 then 0.0
       else 100.0 *. float_of_int os.restarts /. float_of_int os.inserts
@@ -372,22 +361,14 @@ let index_comparison scale ~nthreads title =
         (Format.asprintf "%a" W.pp_key_space space);
       List.iter
         (fun mix ->
+          let module D = (val Drivers.of_key_space space) in
           let cells =
-            match space with
-            | W.Email ->
-                List.map
-                  (fun (name, mk) ->
-                    ( name,
-                      mops_of ~mkdriver:mk ~conv:W.email_key_of ~space ~mix
-                        ~nthreads scale ))
-                  (Drivers.str_lineup ())
-            | _ ->
-                List.map
-                  (fun (name, mk) ->
-                    ( name,
-                      mops_of ~mkdriver:mk ~conv:(W.int_key_of space) ~space
-                        ~mix ~nthreads scale ))
-                  (Drivers.int_lineup ())
+            List.map
+              (fun (name, mk) ->
+                ( name,
+                  mops_of ~mkdriver:mk ~conv:(D.K.of_workload space) ~space
+                    ~mix ~nthreads scale ))
+              (D.lineup ())
           in
           print_row (Format.asprintf "%a" W.pp_mix mix) cells)
         all_mixes)
@@ -415,28 +396,17 @@ let fig15 scale =
       Printf.printf "-- %d thread(s) --\n%!" nthreads;
       List.iter
         (fun space ->
+          let module D = (val Drivers.of_key_space space) in
           let cells =
-            match space with
-            | W.Email ->
-                List.map
-                  (fun (name, mk) ->
-                    let d = mk () in
-                    let _ =
-                      run_workload d ~conv:W.email_key_of ~space
-                        ~mix:W.Read_update ~nthreads scale
-                    in
-                    (name, mb (d.memory_words ())))
-                  (Drivers.str_lineup ())
-            | _ ->
-                List.map
-                  (fun (name, mk) ->
-                    let d = mk () in
-                    let _ =
-                      run_workload d ~conv:(W.int_key_of space) ~space
-                        ~mix:W.Read_update ~nthreads scale
-                    in
-                    (name, mb (d.memory_words ())))
-                  (Drivers.int_lineup ())
+            List.map
+              (fun (name, mk) ->
+                let d = mk () in
+                let _ =
+                  run_workload d ~conv:(D.K.of_workload space) ~space
+                    ~mix:W.Read_update ~nthreads scale
+                in
+                (name, mb (d.memory_words ())))
+              (D.lineup ())
           in
           print_row ~unit_:"MB"
             (Format.asprintf "%a" W.pp_key_space space)
@@ -472,7 +442,7 @@ let tab3 scale =
         (per Counters.Key_compare)
         (per Counters.Allocation) (per Counters.Cas_attempt)
         (per Counters.Cas_failure) (per Counters.Restart))
-    (Drivers.int_lineup ())
+    (Drivers.Int.lineup ())
 
 (* ------------------------------------------------------------------ *)
 (* §6.2 Figures 16/17: high contention                                 *)
@@ -504,7 +474,7 @@ let fig16 scale =
             name res.mops
             (rate Counters.Pointer_deref)
             (rate Counters.Cas_failure))
-        (Drivers.int_lineup ()))
+        (Drivers.Int.lineup ()))
     thread_configs
 
 let fig17 scale =
@@ -530,7 +500,7 @@ let fig17 scale =
           ("high-contention", hc);
           ("degradation x", normal /. hc);
         ])
-    (Drivers.int_lineup ())
+    (Drivers.Int.lineup ())
 
 (* ------------------------------------------------------------------ *)
 (* §6.3 Figure 18: performance decomposition                           *)
@@ -549,12 +519,12 @@ let fig18 scale =
   in
   let insert_mops config =
     mops_of
-      ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+      ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
       ~conv ~space:W.Rand_int ~mix:W.Insert_only ~nthreads:1 scale
   in
   let read_mops config ~prep =
-    let tree, mk = Drivers.bwtree_instance_int ~config () in
-    let d = mk "bw" in
+    let tree = Drivers.Int.Bw.create ~config () in
+    let d = Drivers.Int.driver_of_tree ~name:"bw" tree in
     let trace = W.load_trace cfg W.Rand_int conv in
     ignore (Runner.load d ~nthreads:1 trace);
     d.stop_aux ();
@@ -574,7 +544,7 @@ let fig18 scale =
   print_row "+read consolidation (default)"
     [ ("read", read_mops Bwtree.default_config ~prep:(fun _ -> ())) ];
   print_row "-DC (no delta chains)"
-    [ ("read", read_mops base ~prep:Drivers.Bw_int.consolidate_all) ];
+    [ ("read", read_mops base ~prep:Drivers.Int.Bw.consolidate_all) ];
   let nocas = { base with use_atomic_cas = false } in
   print_row "-CAS (plain compare+store)"
     [
@@ -583,18 +553,18 @@ let fig18 scale =
     ];
   (* -MT: frozen direct-pointer tree (no mapping table, no chains) *)
   let mt_read =
-    let tree, mk = Drivers.bwtree_instance_int () in
-    let d = mk "bw" in
+    let tree = Drivers.Int.Bw.create () in
+    let d = Drivers.Int.driver_of_tree ~name:"bw" tree in
     let trace = W.load_trace cfg W.Rand_int conv in
     ignore (Runner.load d ~nthreads:1 trace);
     d.stop_aux ();
-    let frozen = Drivers.Bw_int.freeze tree in
+    let frozen = Drivers.Int.Bw.freeze tree in
     let ops = W.ops_trace cfg W.Rand_int W.Read_only ~tid:0 ~nthreads:1 conv in
     time_run
       (fun () ->
         Array.iter
           (function
-            | W.Read k -> ignore (Drivers.Bw_int.frozen_lookup frozen k)
+            | W.Read k -> ignore (Drivers.Int.Bw.frozen_lookup frozen k)
             | _ -> ())
           ops)
       (Array.length ops)
@@ -606,11 +576,11 @@ let fig18 scale =
     [
       ( "insert",
         mops_of
-          ~mkdriver:(fun () -> Drivers.btree_driver_int ())
+          ~mkdriver:(fun () -> Drivers.Int.btree ())
           ~conv ~space:W.Rand_int ~mix:W.Insert_only ~nthreads:1 scale );
       ( "read",
         mops_of
-          ~mkdriver:(fun () -> Drivers.btree_driver_int ())
+          ~mkdriver:(fun () -> Drivers.Int.btree ())
           ~conv ~space:W.Rand_int ~mix:W.Read_only ~nthreads:1 scale );
     ]
 
@@ -664,7 +634,7 @@ let bech scale =
                  ignore (d.Runner.scan ~tid:0 k ~n:48 visit)))
         in
         [ lookup; update; scan48; write_scan48 ])
-      (Drivers.int_lineup ())
+      (Drivers.Int.lineup ())
   in
   let grouped = Test.make_grouped ~name:"index" tests in
   (* No per-sample [Gc.compact] ([stabilize]): with six preloaded
@@ -699,7 +669,7 @@ let abl scale =
     (fun mix ->
       let run policy =
         mops_of
-          ~mkdriver:(fun () -> Drivers.skiplist_driver_int ~policy ())
+          ~mkdriver:(fun () -> Drivers.Int.skiplist ~policy ())
           ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int ~mix
           ~nthreads:scale.threads scale
       in
@@ -747,7 +717,7 @@ let abl scale =
       let config = Bwtree.Config.make ~gc_threshold () in
       let v =
         mops_of
-          ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+          ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
           ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int
           ~mix:W.Read_update ~nthreads:scale.threads scale
       in
@@ -762,7 +732,7 @@ let abl scale =
       let run unique_keys =
         let config = Bwtree.Config.make ~unique_keys () in
         mops_of
-          ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+          ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
           ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int ~mix ~nthreads:1
           scale
       in
@@ -776,16 +746,16 @@ let abl scale =
 (* Page-store substrate: checkpoint / recovery / compaction rates      *)
 (* ------------------------------------------------------------------ *)
 
-module Cp = Pagestore.Checkpoint.Make (Pagestore.Codec.Int) (Drivers.Bw_int)
+module Cp = Drivers.Int.Durable.CP
 
 let store scale =
   print_header
     "Page store: checkpoint, recovery and segment-GC rates (LLAMA-style \
      substrate, DESIGN.md)";
-  let t = Drivers.Bw_int.create () in
+  let t = Drivers.Int.Bw.create () in
   let n = scale.keys in
   for i = 0 to n - 1 do
-    ignore (Drivers.Bw_int.insert t (W.Keys.rand_int i) i)
+    ignore (Drivers.Int.Bw.insert t (W.Keys.rand_int i) i)
   done;
   let log = Pagestore.Log.create () in
   let time f =
@@ -807,7 +777,7 @@ let store scale =
     (Bw_util.Stats.throughput_mops ~ops:n ~seconds:save2_s);
   Printf.printf "recovery   : %7.3f M items/s (%d keys rebuilt)\n"
     (Bw_util.Stats.throughput_mops ~ops:n ~seconds:load_s)
-    (Drivers.Bw_int.cardinal tree');
+    (Drivers.Int.Bw.cardinal tree');
   Printf.printf
     "segment GC : %7.2f MB reclaimed in %.3fs (%.1f MB/s); log now %.2f MB \
      in %d segments\n"
@@ -826,7 +796,8 @@ let store scale =
    range-partitioning the key space over N smaller trees divides that
    contention without changing the driver contract. This measures YCSB
    C/A/E over a forest of 1/2/4/8 OpenBw-Trees on uniform-random int
-   keys ([Part.make_int ~lo:0] spreads them evenly across shards). *)
+   keys (the int forest's default partition, over the non-negative ints,
+   spreads them evenly across shards). *)
 let shards_bench scale =
   print_header
     "Bw-forest: shard-count scaling (YCSB C/A/E, rand int keys, \
@@ -837,10 +808,7 @@ let shards_bench scale =
       let cells =
         List.map
           (fun n ->
-            let mk () =
-              if n = 1 then Drivers.bwtree_driver_int ()
-              else Drivers.bwtree_forest_int ~lo:0 ~shards:n ()
-            in
+            let mk () = Drivers.Int.forest ~shards:n () in
             ( Printf.sprintf "%dsh" n,
               mops_of ~mkdriver:mk ~conv:(W.int_key_of W.Rand_int)
                 ~space:W.Rand_int ~mix ~nthreads:scale.threads scale ))
@@ -870,59 +838,13 @@ let batch_bench scale =
           (fun b ->
             ( Printf.sprintf "b=%d" b,
               mops_of ~batch:b
-                ~mkdriver:(fun () -> Drivers.bwtree_driver_int ())
+                ~mkdriver:(fun () -> Drivers.Int.bwtree ())
                 ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int ~mix
                 ~nthreads:scale.threads scale ))
           batches
       in
       print_row (Format.asprintf "%a" W.pp_mix mix) cells)
     [ W.Read_only; W.Read_update ]
-
-(* ------------------------------------------------------------------ *)
-(* Packed leaf pages: boxed vs packed representation                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The packed-leaf representation (DESIGN.md "Packed leaf pages"):
-   contiguous binary-key arenas with a branchless lower bound and
-   gap-reusing consolidation, against the boxed (decoded-key-array)
-   baseline — the [packed_leaves] config bit is the only difference.
-   YCSB C is the point-read case the in-node search dominates; YCSB E
-   exercises the scan cursor and consolidation paths; batch 256 is the
-   epoch-amortized path where leaf probes are the remaining cost. *)
-let packed_bench scale =
-  print_header
-    "Packed leaf pages: boxed vs packed (YCSB C/E, rand int keys, \
-     OpenBw-Tree, multi-threaded)";
-  let configs =
-    [
-      ("boxed", Bwtree.Config.make ~packed_leaves:false ());
-      ("packed", Bwtree.Config.make ~packed_leaves:true ());
-    ]
-  in
-  List.iter
-    (fun mix ->
-      List.iter
-        (fun b ->
-          let cells =
-            List.map
-              (fun (name, config) ->
-                ( name,
-                  mops_of ~batch:b
-                    ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
-                    ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int ~mix
-                    ~nthreads:scale.threads scale ))
-              configs
-          in
-          let ratio =
-            match cells with
-            | [ (_, boxed); (_, packed) ] -> packed /. boxed
-            | _ -> nan
-          in
-          print_row
-            (Format.asprintf "%a b=%d" W.pp_mix mix b)
-            (cells @ [ ("ratio", ratio) ]))
-        [ 1; 256 ])
-    [ W.Read_only; W.Scan_insert ]
 
 (* ------------------------------------------------------------------ *)
 (* Durable WAL overhead: group commit vs the in-memory tree            *)
@@ -944,7 +866,7 @@ let wal_bench scale =
   let opened = ref [] in
   let durable ~fsync () =
     Pagestore.Store.rm_rf dir;
-    let dur = Drivers.durable_bwtree_int ~fsync ~dir () in
+    let dur = Drivers.Int.durable ~fsync ~shards:1 ~dir () in
     opened := dur :: !opened;
     dur.Drivers.dur_driver
   in
@@ -961,7 +883,7 @@ let wal_bench scale =
     in
     print_row name cells
   in
-  row "in-memory" (fun () -> Drivers.bwtree_driver_int ());
+  row "in-memory" (fun () -> Drivers.Int.bwtree ());
   row "wal (no fsync)" (durable ~fsync:false);
   row "wal (fsync)" (durable ~fsync:true);
   List.iter (fun d -> d.Drivers.dur_close ()) !opened;
@@ -988,7 +910,7 @@ let leafcache_bench scale =
     let cfg = { (wl_cfg scale) with W.theta } in
     let conv = W.int_key_of W.Rand_int in
     let d =
-      Runner.instrument !obs_sink (Drivers.bwtree_driver_int ~config ())
+      Runner.instrument !obs_sink (Drivers.Int.bwtree ~config ())
     in
     ignore
       (Runner.load d ~nthreads:scale.threads (W.load_trace cfg W.Rand_int conv));
@@ -1109,7 +1031,7 @@ let experiments =
     ("fig12", fig12); ("tab2", tab2); ("fig13", fig13); ("fig14", fig14);
     ("fig15", fig15); ("tab3", tab3); ("fig16", fig16); ("fig17", fig17);
     ("fig18", fig18); ("bech", bech); ("abl", abl); ("store", store);
-    ("shards", shards_bench); ("batch", batch_bench); ("packed", packed_bench);
+    ("shards", shards_bench); ("batch", batch_bench);
     ("wal", wal_bench); ("cluster", cluster_bench);
     ("leafcache", leafcache_bench);
   ]

@@ -21,10 +21,7 @@
      dune exec bin/bwt_inspect.exe -- --shards 4 --keyspace rand
      dune exec bin/bwt_inspect.exe -- --data-dir /var/tmp/bwt --shards 4 *)
 
-module Tree = Bwtree.Make (Index_iface.Int_key) (Index_iface.Int_value)
-module Tree_str = Bwtree.Make (Index_iface.String_key) (Index_iface.Int_value)
-module Store_int = Pagestore.Store.Make (Pagestore.Codec.Int) (Tree)
-module Store_str = Pagestore.Store.Make (Pagestore.Codec.String) (Tree_str)
+module Tree = Harness.Drivers.Int.Bw
 module W = Workload
 module H = Bw_util.Histogram
 
@@ -32,71 +29,45 @@ module H = Bw_util.Histogram
    report. Mirrors the server's layout: one store at the root for a
    single shard, [shard-<i>] subdirectories for a forest. *)
 let inspect_durable ~dir ~shards ~key_type ~config ~dump =
+  let module D =
+    (val try Harness.Drivers.of_key_type key_type
+         with Invalid_argument m ->
+           Printf.eprintf "bwt_inspect: %s\n" m;
+           exit 1)
+  in
   if not (Sys.file_exists dir) then begin
     Printf.eprintf "bwt_inspect: no such directory %s\n" dir;
     exit 1
   end;
-  if shards = 1 && Sys.file_exists (Filename.concat dir "shard-00") then
+  (* where a forest keeps shard 0 *)
+  if shards = 1 && Sys.file_exists (Pagestore.Store.shard_dir dir ~shards:2 0)
+  then
     Printf.printf
       "note: %s holds shard subdirectories; pass --shards N to read them\n\n"
       dir;
-  let sdirs =
-    if shards = 1 then [| dir |]
-    else
-      Array.init shards (fun i ->
-          Filename.concat dir (Printf.sprintf "shard-%02d" i))
-  in
   let label i = if shards = 1 then "store" else Printf.sprintf "shard %d" i in
-  let shape ~i ~keys ~depth ~inner ~leaves ~ldcl ~mem_words =
-    Printf.printf
-      "%s: %8d keys | height %d | %4d inner + %6d leaf | LDCL %.2f | %7.2f \
-       MB\n"
-      (label i) keys depth inner leaves ldcl
-      (float_of_int (mem_words * 8) /. 1024. /. 1024.)
-  in
   let total_keys = ref 0 and total_mem = ref 0 and missing = ref 0 in
-  (match key_type with
-  | "int" ->
-      Array.iteri
-        (fun i sdir ->
-          match Store_int.inspect_dir ~config ~dir:sdir () with
-          | None ->
-              incr missing;
-              Printf.printf "%s: nothing loadable in %s\n" (label i) sdir
-          | Some (tree, rs) ->
-              Format.printf "%s: recovered %a@." (label i)
-                Pagestore.Store.pp_stats rs;
-              let ss = Tree.structure_stats tree in
-              shape ~i ~keys:(Tree.cardinal tree) ~depth:ss.depth
-                ~inner:ss.inner_nodes ~leaves:ss.leaf_nodes
-                ~ldcl:ss.avg_leaf_chain ~mem_words:(Tree.memory_words tree);
-              total_keys := !total_keys + Tree.cardinal tree;
-              total_mem := !total_mem + Tree.memory_words tree;
-              if dump then Tree.dump tree Format.std_formatter)
-        sdirs
-  | "str" ->
-      Array.iteri
-        (fun i sdir ->
-          match Store_str.inspect_dir ~config ~dir:sdir () with
-          | None ->
-              incr missing;
-              Printf.printf "%s: nothing loadable in %s\n" (label i) sdir
-          | Some (tree, rs) ->
-              Format.printf "%s: recovered %a@." (label i)
-                Pagestore.Store.pp_stats rs;
-              let ss = Tree_str.structure_stats tree in
-              shape ~i
-                ~keys:(Tree_str.cardinal tree)
-                ~depth:ss.depth ~inner:ss.inner_nodes ~leaves:ss.leaf_nodes
-                ~ldcl:ss.avg_leaf_chain
-                ~mem_words:(Tree_str.memory_words tree);
-              total_keys := !total_keys + Tree_str.cardinal tree;
-              total_mem := !total_mem + Tree_str.memory_words tree;
-              if dump then Tree_str.dump tree Format.std_formatter)
-        sdirs
-  | s ->
-      Printf.eprintf "bwt_inspect: unknown key type %S (try: int, str)\n" s;
-      exit 1);
+  for i = 0 to shards - 1 do
+    let sdir = Pagestore.Store.shard_dir dir ~shards i in
+    match D.Durable.inspect_dir ~config ~dir:sdir () with
+    | None ->
+        incr missing;
+        Printf.printf "%s: nothing loadable in %s\n" (label i) sdir
+    | Some (tree, rs) ->
+        Format.printf "%s: recovered %a@." (label i) Pagestore.Store.pp_stats
+          rs;
+        let ss = D.Bw.structure_stats tree in
+        let keys = D.Bw.cardinal tree and mem_words = D.Bw.memory_words tree in
+        Printf.printf
+          "%s: %8d keys | height %d | %4d inner + %6d leaf | LDCL %.2f | \
+           %7.2f MB\n"
+          (label i) keys ss.depth ss.inner_nodes ss.leaf_nodes
+          ss.avg_leaf_chain
+          (float_of_int (mem_words * 8) /. 1024. /. 1024.);
+        total_keys := !total_keys + keys;
+        total_mem := !total_mem + mem_words;
+        if dump then D.Bw.dump tree Format.std_formatter
+  done;
   if shards > 1 then
     Printf.printf "forest totals: %d keys | %.2f MB live\n" !total_keys
       (float_of_int (!total_mem * 8) /. 1024. /. 1024.);
@@ -235,10 +206,10 @@ let () =
      so the shard summaries show the balance *)
   let part =
     match !keyspace with
-    | "mono" -> Bw_shard.Part.make_int ~lo:0 ~hi:(max 1 (!keys - 1)) n_shards
-    | _ -> Bw_shard.Part.make_int ~lo:0 n_shards
+    | "mono" -> Harness.Drivers.Int.K.part ~hi:(max 1 (!keys - 1)) n_shards
+    | _ -> Harness.Drivers.Int.K.part n_shards
   in
-  let tree_of k = trees.(Bw_shard.Part.shard_of_int part k) in
+  let tree_of k = trees.(Harness.Drivers.Int.K.shard_of part k) in
   Array.iter (fun t -> Tree.start_gc_thread t ()) trees;
   let nthreads = max 1 !threads in
   let spawn f =

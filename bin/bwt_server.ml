@@ -9,7 +9,6 @@
 
 open Cmdliner
 module Server = Bw_server.Server
-module Backend = Bw_server.Backend
 
 (* With --shards 1 this is exactly the pre-forest single-tree server: no
    router, one registry, the plain snapshot — a strict no-op. With N > 1
@@ -47,82 +46,38 @@ let config_of_index index =
       let b = Option.value base ~default:Bwtree.default_config in
       Some { b with Bwtree.leaf_cache = on }
 
-let backend_of ~index ~key_type ~shards ~obs ~obs_of ~data_dir ~fsync : built
-    =
+let backend_of (module D : Harness.Drivers.S) ~index ~shards ~obs_of
+    ~data_dir ~fsync : built =
   let config = config_of_index index in
-  let plain backend =
-    { b_backend = backend; b_shutdown = None; b_sources = None;
-      b_repl_handler = None }
-  in
-  let durable (dur : _ Harness.Drivers.durable) =
-    Format.printf "bwt_server: recovered %a@."
-      Pagestore.Store.pp_stats dur.Harness.Drivers.dur_stats;
-    let shutdown () =
-      dur.Harness.Drivers.dur_checkpoint ();
-      dur.Harness.Drivers.dur_close ()
-    in
-    (dur.Harness.Drivers.dur_driver, shutdown,
-     dur.Harness.Drivers.dur_sources)
-  in
-  match (key_type, data_dir) with
-  | "int", None ->
-      let d =
-        if shards = 1 then Harness.Drivers.bwtree_driver_int ?config ~obs ()
-        else
-          (* partition the non-negative ints: that is where realistic
-             client key sets live (negative keys still route, to shard 0) *)
-          Harness.Drivers.bwtree_forest_int ?config ~obs_of ~lo:0 ~shards ()
+  match data_dir with
+  | None ->
+      {
+        b_backend = D.K.backend (D.forest ?config ~obs_of ~shards ());
+        b_shutdown = None;
+        b_sources = None;
+        b_repl_handler = None;
+      }
+  | Some dir ->
+      let dur = D.durable ?config ~obs_of ~fsync ~shards ~dir () in
+      Format.printf "bwt_server: recovered %a@." Pagestore.Store.pp_stats
+        dur.dur_stats;
+      let shutdown () =
+        dur.dur_checkpoint ();
+        dur.dur_close ()
       in
-      plain (Backend.of_int_driver d)
-  | "int", Some dir ->
-      let dur =
-        if shards = 1 then
-          Harness.Drivers.durable_bwtree_int ?config ~obs ~fsync ~dir ()
-        else
-          Harness.Drivers.durable_bwtree_forest_int ?config ~obs_of ~lo:0
-            ~fsync ~shards ~dir ()
-      in
-      let d, shutdown, sources = durable dur in
-      { b_backend = Backend.of_int_driver d; b_shutdown = Some shutdown;
-        b_sources = Some sources; b_repl_handler = None }
-  | "str", None ->
-      let d =
-        if shards = 1 then Harness.Drivers.bwtree_driver_str ?config ~obs ()
-        else Harness.Drivers.bwtree_forest_str ?config ~obs_of ~shards ()
-      in
-      plain (Backend.of_str_driver d)
-  | "str", Some dir ->
-      let dur =
-        if shards = 1 then
-          Harness.Drivers.durable_bwtree_str ?config ~obs ~fsync ~dir ()
-        else
-          Harness.Drivers.durable_bwtree_forest_str ?config ~obs_of ~fsync
-            ~shards ~dir ()
-      in
-      let d, shutdown, sources = durable dur in
-      { b_backend = Backend.of_str_driver d; b_shutdown = Some shutdown;
-        b_sources = Some sources; b_repl_handler = None }
-  | s, _ ->
-      Printf.eprintf "bwt_server: unknown key type %S (try: int, str)\n" s;
-      exit 2
+      {
+        b_backend = D.K.backend dur.dur_driver;
+        b_shutdown = Some shutdown;
+        b_sources = Some dur.dur_sources;
+        b_repl_handler = None;
+      }
 
 (* Follow mode: a warm standby that bootstraps from the primary's
    SNAPSHOT frames, applies WALCHUNKs into live trees, and serves reads
    (writes answer ERR) until a PROMOTE frame flips it read-write. *)
-let follower_of ~index ~key_type ~shards ~obs ~obs_of : built =
+let follower_of keyed ~index ~shards ~obs ~obs_of : built =
   let config = config_of_index index in
-  (* mirror backend_of: a single tree feeds the main registry, a forest
-     feeds per-shard registries *)
-  let obs_of = if shards = 1 then fun _ -> obs else obs_of in
-  let fo =
-    match key_type with
-    | "int" ->
-        Bw_replica.follower_int ?config ~obs ~obs_of ~lo:0 ~shards ()
-    | "str" -> Bw_replica.follower_str ?config ~obs ~obs_of ~shards ()
-    | s ->
-        Printf.eprintf "bwt_server: unknown key type %S (try: int, str)\n" s;
-        exit 2
-  in
+  let fo = Bw_replica.follower keyed ?config ~obs ~obs_of ~shards () in
   {
     b_backend = fo.Bw_replica.fo_backend;
     b_shutdown = None;
@@ -163,24 +118,24 @@ let parse_peer s =
   }
 
 (* Every member computes the same epoch-1 table from the same
-   --cluster-peers flag: uniform ranges over the live key sub-space
-   (non-negative ints for int keys, mirroring the in-process forest
-   default; the whole slice space for str keys), assigned to the peers
-   in order. Later epochs only ever come from migrations. *)
-let bootstrap_table ~key_type peers =
+   --cluster-peers flag: uniform ranges over the live key sub-space (the
+   in-process forest's default partition for the key type), assigned to
+   the peers in order. Later epochs only ever come from migrations. *)
+let bootstrap_table (module D : Harness.Drivers.S) peers =
   let endpoints = Array.of_list (List.map parse_peer peers) in
-  let n = Array.length endpoints in
-  let u =
-    match key_type with
-    | "int" -> Bw_cluster.Uniform.make_int ~lo:0 n
-    | _ -> Bw_cluster.Uniform.make n
-  in
+  let u = Bw_shard.Part.uniform (D.K.part (Array.length endpoints)) in
   Bw_cluster.Table.of_uniform ~epoch:1L endpoints u
 
 let main host port workers shards index key_type leaf_cache data_dir no_fsync
     close_on_malformed metrics metrics_json replicate_to follow cluster_self
     cluster_peers =
   leaf_cache_override := leaf_cache;
+  let keyed =
+    try Harness.Drivers.of_key_type key_type
+    with Invalid_argument m ->
+      Printf.eprintf "bwt_server: %s\n" m;
+      exit 2
+  in
   if workers < 1 then begin
     Printf.eprintf "bwt_server: --workers must be >= 1\n";
     exit 2
@@ -224,12 +179,12 @@ let main host port workers shards index key_type leaf_cache data_dir no_fsync
     Array.init (if shards = 1 then 0 else shards) (fun _ ->
         Bw_obs.create ~stripes:(workers + 2) ())
   in
-  let obs_of i = Bw_obs.To shard_regs.(i) in
+  (* a single tree feeds the main registry, a forest per-shard ones *)
+  let obs_of i = if shards = 1 then obs else Bw_obs.To shard_regs.(i) in
   let built =
-    if follow then follower_of ~index ~key_type ~shards ~obs ~obs_of
+    if follow then follower_of keyed ~index ~shards ~obs ~obs_of
     else
-      backend_of ~index ~key_type ~shards ~obs ~obs_of ~data_dir
-        ~fsync:(not no_fsync)
+      backend_of keyed ~index ~shards ~obs_of ~data_dir ~fsync:(not no_fsync)
   in
   let backend = built.b_backend and on_shutdown = built.b_shutdown in
   let snapshot_merged () =
@@ -254,7 +209,7 @@ let main host port workers shards index key_type leaf_cache data_dir no_fsync
   let gate, migrate_handler, join_migration =
     match (cluster_self, cluster_peers) with
     | Some self, Some peers ->
-        let table = bootstrap_table ~key_type peers in
+        let table = bootstrap_table keyed peers in
         let g = Bw_server.Cluster_gate.create ~obs ~self table in
         let mig_tid = workers + 1 in
         let scan k ~n =

@@ -166,12 +166,10 @@ let () =
      keyspace-sweep and scan invariants all run against the router;
      partitioning the stress keyspace itself spreads the stripes over
      every shard and makes the sweeps genuinely cross-shard *)
+  let module D = Harness.Drivers.Int in
   let forest mk =
-    if !shards = 1 then mk ()
-    else
-      let keyspace = cfg.Bw_stress.domains * cfg.Bw_stress.keys_per_domain in
-      let part = Bw_shard.Part.make_int ~lo:0 ~hi:(keyspace - 1) !shards in
-      Bw_shard.route_int part (Array.init !shards (fun _ -> mk ()))
+    let keyspace = cfg.Bw_stress.domains * cfg.Bw_stress.keys_per_domain in
+    D.shard ~hi:(keyspace - 1) ~shards:!shards (fun _ -> mk ())
   in
   let subject =
     match !index with
@@ -192,19 +190,19 @@ let () =
         else
           Bw_stress.of_driver
             (forest (fun () ->
-                 Harness.Drivers.bwtree_driver_int ~config ~obs ()))
+                 D.bwtree ~config ~obs ()))
     | "skiplist" ->
         Bw_stress.of_driver
-          (forest (fun () -> Harness.Drivers.skiplist_driver_int ()))
+          (forest (fun () -> D.skiplist ()))
     | "btree" ->
         Bw_stress.of_driver
-          (forest (fun () -> Harness.Drivers.btree_driver_int ()))
+          (forest (fun () -> D.btree ()))
     | "art" ->
         Bw_stress.of_driver
-          (forest (fun () -> Harness.Drivers.art_driver_int ()))
+          (forest (fun () -> D.art ()))
     | "masstree" ->
         Bw_stress.of_driver
-          (forest (fun () -> Harness.Drivers.masstree_driver_int ()))
+          (forest (fun () -> D.masstree ()))
     | s -> raise (Arg.Bad ("unknown index " ^ s))
   in
   Printf.printf

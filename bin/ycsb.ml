@@ -17,31 +17,17 @@ let index_names =
 (* The Bw-Tree drivers take the sink directly (the tree instruments its
    own operations, adding restart and chain-depth series); competitor
    drivers are wrapped so only operation latency is recorded. *)
-let mk_int_driver name (obs : Bw_obs.sink) : int Runner.driver =
+let mk_driver (type k) (module D : Drivers.S with type key = k) ~bw_config
+    name (obs : Bw_obs.sink) : k Runner.driver =
   match name with
-  | "bw" ->
-      Drivers.bwtree_driver_int ~name:"Bw-Tree"
-        ~config:Bwtree.microsoft_config ~obs ()
-  | "openbw" -> Drivers.bwtree_driver_int ~obs ()
-  | "skiplist" -> Runner.instrument obs (Drivers.skiplist_driver_int ())
+  | "bw" -> D.bwtree ~name:"Bw-Tree" ?config:bw_config ~obs ()
+  | "openbw" -> D.bwtree ?config:bw_config ~obs ()
+  | "skiplist" -> Runner.instrument obs (D.skiplist ())
   | "skiplist-inline" ->
-      Runner.instrument obs (Drivers.skiplist_driver_int ~policy:Skiplist.Inline ())
-  | "masstree" -> Runner.instrument obs (Drivers.masstree_driver_int ())
-  | "btree" -> Runner.instrument obs (Drivers.btree_driver_int ())
-  | "art" -> Runner.instrument obs (Drivers.art_driver_int ())
-  | _ -> invalid_arg "unknown index"
-
-let mk_str_driver name (obs : Bw_obs.sink) : string Runner.driver =
-  match name with
-  | "bw" ->
-      Drivers.bwtree_driver_str ~name:"Bw-Tree"
-        ~config:Bwtree.microsoft_config ~obs ()
-  | "openbw" -> Drivers.bwtree_driver_str ~obs ()
-  | "skiplist" | "skiplist-inline" ->
-      Runner.instrument obs (Drivers.skiplist_driver_str ())
-  | "masstree" -> Runner.instrument obs (Drivers.masstree_driver_str ())
-  | "btree" -> Runner.instrument obs (Drivers.btree_driver_str ())
-  | "art" -> Runner.instrument obs (Drivers.art_driver_str ())
+      Runner.instrument obs (D.skiplist ~policy:Skiplist.Inline ())
+  | "masstree" -> Runner.instrument obs (D.masstree ())
+  | "btree" -> Runner.instrument obs (D.btree ())
+  | "art" -> Runner.instrument obs (D.art ())
   | _ -> invalid_arg "unknown index"
 
 (* One registry for a single tree; one per shard for a forest. The text
@@ -194,59 +180,25 @@ let main index workload keyspace keys ops threads shards batch theta
   in
   let fsync = not no_fsync in
   let durable_close = ref (fun () -> ()) in
-  (* --shards 1 builds exactly the single driver of previous releases;
-     N > 1 routes N instances of the same index through lib/shard *)
-  (match space with
-  | W.Email ->
-      let driver =
-        match data_dir with
-        | Some dir ->
-            let dur =
-              if shards = 1 then
-                Drivers.durable_bwtree_str ?config:bw_config ~obs:(obs_of 0)
-                  ~fsync ~dir ()
-              else
-                Drivers.durable_bwtree_forest_str ?config:bw_config ~obs_of
-                  ~lo:"a" ~hi:"z" ~fsync ~shards ~dir ()
-            in
-            durable_close := dur.Drivers.dur_close;
-            dur.Drivers.dur_driver
-        | None ->
-            if shards = 1 then mk_str_driver index (obs_of 0)
-            else
-              (* email keys all start with a lowercase name, so partition
-                 the ["a", "z") slice range rather than the full space *)
-              let part = Bw_shard.Part.make ~lo:"a" ~hi:"z" shards in
-              Bw_shard.route_binary part
-                (Array.init shards (fun i -> mk_str_driver index (obs_of i)))
-      in
-      run_generic driver ~conv:W.email_key_of ~space ~mix ~threads ~batch
-        ~cfg ~show_memory
-  | _ ->
-      let driver =
-        match data_dir with
-        | Some dir ->
-            let dur =
-              if shards = 1 then
-                Drivers.durable_bwtree_int ?config:bw_config ~obs:(obs_of 0)
-                  ~fsync ~dir ()
-              else
-                Drivers.durable_bwtree_forest_int ?config:bw_config ~obs_of
-                  ~lo:0 ~fsync ~shards ~dir ()
-            in
-            durable_close := dur.Drivers.dur_close;
-            dur.Drivers.dur_driver
-        | None ->
-            if shards = 1 then mk_int_driver index (obs_of 0)
-            else
-              (* every ycsb keyspace generates non-negative keys, so
-                 partition [0, max_int] — rand keys spread evenly *)
-              let part = Bw_shard.Part.make_int ~lo:0 shards in
-              Bw_shard.route_int part
-                (Array.init shards (fun i -> mk_int_driver index (obs_of i)))
-      in
-      run_generic driver ~conv:(W.int_key_of space) ~space ~mix ~threads
-        ~batch ~cfg ~show_memory);
+  (* --shards 1 builds the single driver; N > 1 routes N instances of
+     the same index through lib/shard, partitioned over the range the
+     key space's keys occupy *)
+  let module D = (val Drivers.of_key_space space) in
+  let lo, hi = D.K.workload_range in
+  let driver =
+    match data_dir with
+    | Some dir ->
+        let dur =
+          D.durable ?config:bw_config ~obs_of ?lo ?hi ~fsync ~shards ~dir ()
+        in
+        durable_close := dur.Drivers.dur_close;
+        dur.Drivers.dur_driver
+    | None ->
+        D.shard ?lo ?hi ~shards (fun i ->
+            mk_driver (module D) ~bw_config index (obs_of i))
+  in
+  run_generic driver ~conv:(D.K.of_workload space) ~space ~mix ~threads ~batch
+    ~cfg ~show_memory;
   !durable_close ();
   emit_metrics ~regs ~text:metrics ~json_file:metrics_json
 

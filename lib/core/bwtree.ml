@@ -678,8 +678,7 @@ module Make (K : KEY) (V : VALUE) :
               let page =
                 if t.cfg.fast_consolidation then
                   match
-                    consolidate_leaf_chain ~tid
-                      ~packed:t.cfg.packed_leaves head
+                    consolidate_leaf_chain ~tid ~packed:true head
                   with
                   | Some merged ->
                       if merged.P.m_gap_reused && Bw_obs.enabled t.o then
@@ -688,16 +687,13 @@ module Make (K : KEY) (V : VALUE) :
                   | None -> None
                 else
                   (* the paper's baseline pays the full sort *)
-                  Option.map
-                    (P.build ~packed:t.cfg.packed_leaves)
-                    (sort_consolidate_leaf ~tid head)
+                  Option.map P.build (sort_consolidate_leaf ~tid head)
               in
               let page =
                 match page with
                 | Some p -> p
                 | None ->
-                    P.build ~packed:t.cfg.packed_leaves
-                      (Growable.to_array (gather_leaf ~tid head))
+                    P.build (Growable.to_array (gather_leaf ~tid head))
               in
               leaf_base_of_page t ~tid page ~lo:m.lo ~hi:m.hi ~right:m.right
             end
@@ -943,8 +939,7 @@ module Make (K : KEY) (V : VALUE) :
                 ( ks,
                   !pos,
                   leaf_base_of_page t ~tid
-                    (P.build_sub ~packed:t.cfg.packed_leaves items ~pos:!pos
-                       ~len:(n - !pos))
+                    (P.build_sub items ~pos:!pos ~len:(n - !pos))
                     ~lo:(B ks) ~hi:m.hi ~right:m.right )
           end
         end
@@ -2510,8 +2505,7 @@ module Make (K : KEY) (V : VALUE) :
           match consolidate_leaf_chain ~tid ~reuse:false head with
           | Some merged -> merged.P.m_page
           | None ->
-              P.build ~packed:t.cfg.packed_leaves
-                (Growable.to_array (gather_leaf ~tid head)))
+              P.build (Growable.to_array (gather_leaf ~tid head)))
     in
     let first =
       with_epoch t ~tid @@ fun () ->

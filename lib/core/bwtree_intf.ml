@@ -50,11 +50,6 @@ type config = {
   inplace_leaf_update : bool;
       (** [true] rewrites leaf bases copy-on-write instead of appending
           deltas (§6.3 "disable delta updates"); single-threaded only *)
-  packed_leaves : bool;
-      (** [true] builds leaf base pages with the packed binary-comparable
-          key arena and branchless in-node search ({!Leaf_page});
-          [false] keeps the boxed layout (decoded keys searched through
-          [KEY.compare]) — the ablation baseline *)
   gc_scheme : Epoch.scheme;  (** §4.2; paper default for OpenBw is
       decentralized, for baseline Bw-Tree centralized *)
   gc_threshold : int;  (** local garbage list trigger (1024) *)
@@ -92,7 +87,6 @@ let default_config =
     search_shortcuts = true;
     use_atomic_cas = true;
     inplace_leaf_update = false;
-    packed_leaves = true;
     gc_scheme = Epoch.Decentralized;
     gc_threshold = 1024;
     max_threads = 64;
@@ -112,7 +106,6 @@ let microsoft_config =
     preallocate = false;
     fast_consolidation = false;
     search_shortcuts = false;
-    packed_leaves = false;
     gc_scheme = Epoch.Centralized;
     leaf_cache = false;
     read_consolidation = false;
@@ -148,7 +141,7 @@ module Config = struct
   let make ?(base = default_config) ?leaf_max ?inner_max ?leaf_chain_max
       ?inner_chain_max ?leaf_min ?inner_min ?unique_keys ?preallocate
       ?fast_consolidation ?search_shortcuts ?use_atomic_cas
-      ?inplace_leaf_update ?packed_leaves ?gc_scheme ?gc_threshold
+      ?inplace_leaf_update ?gc_scheme ?gc_threshold
       ?max_threads ?leaf_cache ?leaf_cache_bits ?read_consolidation () =
     let field v = function Some x -> x | None -> v in
     let c =
@@ -165,7 +158,6 @@ module Config = struct
         search_shortcuts = field base.search_shortcuts search_shortcuts;
         use_atomic_cas = field base.use_atomic_cas use_atomic_cas;
         inplace_leaf_update = field base.inplace_leaf_update inplace_leaf_update;
-        packed_leaves = field base.packed_leaves packed_leaves;
         gc_scheme = field base.gc_scheme gc_scheme;
         gc_threshold = field base.gc_threshold gc_threshold;
         max_threads = field base.max_threads max_threads;

@@ -5,9 +5,7 @@
     structure: every key's binary-comparable encoding ({!KEY.to_binary},
     the same slices {!Bw_util.Key_codec} gives the trie indexes) laid out
     contiguously in one byte arena. The arena is the serialization format
-    (checkpoints blit it) and supports a decode-free branchless lower
-    bound ({!lower_bound} [~arena:true]); the hot-path default searches
-    the decoded cache, which measures faster on skewed reads. The arena
+    (checkpoints blit it); searches run over the decoded cache. The arena
     ends in a small *gap* region so a consolidation
     can often reuse its predecessor's arena — surviving keys keep their
     byte slices, only the delta chain's new keys are appended into the gap
@@ -58,19 +56,16 @@ module type S = sig
   val length : t -> int
 
   val is_packed : t -> bool
-  (** Whether the page carries the packed binary-key search structure
-      (config [packed_leaves]; decoded pages are always packed). *)
+  (** Whether the page carries the packed binary-key region (tree bases
+      and decoded pages always do; transient snapshots may not). *)
 
   val key : t -> int -> key
   val value : t -> int -> value
   val get : t -> int -> key * value
 
-  val lower_bound : ?tid:int -> ?arena:bool -> t -> key -> int
-  (** First index whose key is [>=] the argument. [~arena:true] runs
-      the branchless word-parallel walk over the packed byte arena on
-      variable-length packed pages (decode-free: it touches only what
-      {!encode} serializes); the default searches the decoded key cache,
-      which measures faster on skewed reads. Both arms agree. *)
+  val lower_bound : ?tid:int -> t -> key -> int
+  (** First index whose key is [>=] the argument: a binary search over
+      the decoded key cache. *)
 
   val iter_from : t -> int -> (key -> value -> unit) -> unit
   (** [iter_from t pos f] visits items [pos..length-1] in key order. *)
@@ -83,9 +78,9 @@ module type S = sig
       pages blit it; boxed pages encode on demand. *)
 
   val search_cost : t -> int
-  (** Comparisons one {!lower_bound} over the whole page performs —
-      deterministic for the branchless packed search ([floor(log2 n)+1],
-      the bound the [leaf_probe_cmps] counter charges). *)
+  (** Comparisons one {!lower_bound} over the whole page performs at
+      most ([floor(log2 n)+1], the bound the [leaf_probe_cmps] counter
+      charges). *)
 
   val encode : Buffer.t -> (Buffer.t -> value -> unit) -> t -> unit
   (** Serialize: item count, key-length table, the key region (packed
@@ -107,19 +102,18 @@ module type FULL = sig
 
   val build : ?packed:bool -> (key * value) array -> t
   (** From a key-sorted item array. [packed] (default [true]) selects
-      whether to build the binary-key search structure; [false] gives a
-      boxed page (decoded keys only) — the ablation baseline and the
-      cheap choice for transient snapshots. *)
+      whether to build the packed binary-key region; [false] gives a
+      boxed page (decoded keys only) — the cheap choice for transient
+      snapshots. *)
 
   val build_sub : ?packed:bool -> (key * value) array -> pos:int -> len:int -> t
 
-  val lower_bound_in :
-    ?tid:int -> ?arena:bool -> t -> key -> lo:int -> hi:int -> int
+  val lower_bound_in : ?tid:int -> t -> key -> lo:int -> hi:int -> int
   (** {!lower_bound} restricted to [\[lo, hi)] — the §4.4 shortcut range. *)
 
   val lower_bound_range : tid:int -> t -> key -> lo:int -> hi:int -> int
-  (** {!lower_bound_in} over the decoded cache with no optional
-      arguments, so the point-read hot path passes no boxed [Some]. *)
+  (** {!lower_bound_in} with no optional arguments, so the point-read
+      hot path passes no boxed [Some]. *)
 
   val with_inserted : t -> int -> key -> value -> t
   (** Copy-on-write single insert at a given position (the §6.3
@@ -178,11 +172,10 @@ module Make (K : KEY) (V : VALUE) :
     n : int;
     kcache : key array;  (* decoded keys, length n *)
     vals : value array;  (* length n *)
-    pk : bool;  (* packed search structure present *)
+    pk : bool;  (* packed key region present *)
     arena : arena;  (* shared across generations when [pk] *)
     kpos : int array;  (* byte offset of key i's slice, when [pk] *)
     klen : int array;  (* slice length of key i, when [pk] *)
-    fixed8 : bool;  (* every slice is exactly 8 bytes (int keys) *)
   }
 
   let empty =
@@ -194,7 +187,6 @@ module Make (K : KEY) (V : VALUE) :
       arena = empty_arena;
       kpos = [||];
       klen = [||];
-      fixed8 = false;
     }
 
   let length t = t.n
@@ -222,71 +214,10 @@ module Make (K : KEY) (V : VALUE) :
   let search_cost t = search_cost_n t.n
 
   (* ---------------------------------------------------------------- *)
-  (* Word-parallel comparison over the arena                           *)
-  (* ---------------------------------------------------------------- *)
-
-  (* j-th big-endian 56-bit chunk (7 bytes, zero-padded low past the
-     slice end) of the slice at [pos, pos+len) in [bb], as a native int.
-     56 bits per step keep the chunk unboxed — Int64 loads allocate on
-     every comparison step without flambda, which dominates the probe.
-     Never reads beyond the slice: the arena is shared, so the bytes
-     after it belong to other keys. *)
-  let chunk56 bb pos len j =
-    let off = j * 7 in
-    let stop = if len - off >= 7 then 7 else max 0 (len - off) in
-    let v = ref 0 in
-    for b = 0 to stop - 1 do
-      v := (!v lsl 8) lor Char.code (Bytes.unsafe_get bb (pos + off + b))
-    done;
-    !v lsl ((7 - stop) lsl 3)
-
-  (* Same chunk of the encoded target key. *)
-  let schunk56 s j =
-    let off = j * 7 in
-    let len = String.length s in
-    let stop = if len - off >= 7 then 7 else max 0 (len - off) in
-    let v = ref 0 in
-    for b = 0 to stop - 1 do
-      v := (!v lsl 8) lor Char.code (String.unsafe_get s (off + b))
-    done;
-    !v lsl ((7 - stop) lsl 3)
-
-  (* Compare the slice at index [i] against the encoded target [tb]:
-     comparison of zero-padded 56-bit chunks. All chunks equal means one
-     slice zero-extends the other, so the shorter sorts first — exactly
-     lexicographic order on the raw bytes. *)
-  let cmp_slot t i tb =
-    let pos = Array.unsafe_get t.kpos i and len = Array.unsafe_get t.klen i in
-    let tlen = String.length tb in
-    let chunks = (max len tlen + 6) / 7 in
-    let rec go j =
-      if j >= chunks then Int.compare len tlen
-      else
-        let c = Int.compare (chunk56 t.arena.bb pos len j) (schunk56 tb j) in
-        if c <> 0 then c else go (j + 1)
-    in
-    go 0
-
-  (* ---------------------------------------------------------------- *)
   (* Search                                                            *)
   (* ---------------------------------------------------------------- *)
 
-  (* Branchless lower bound over [lo, hi): every iteration does one
-     comparison and converts it to arithmetic instead of a data-dependent
-     branch, so an n-slot search is a deterministic floor(log2 n)+1
-     comparisons. *)
-  let lower_bound_packed t tb ~lo ~hi =
-    let base = ref lo and len = ref (hi - lo) in
-    while !len > 0 do
-      let half = !len lsr 1 in
-      let mid = !base + half in
-      let lt = Bool.to_int (cmp_slot t mid tb < 0) in
-      base := !base + (lt * (half + 1));
-      len := half + (lt * ((!len land 1) - 1))
-    done;
-    !base
-
-  let lower_bound_boxed t k ~lo ~hi =
+  let lower_bound_cache t k ~lo ~hi =
     let lo = ref lo and hi = ref hi in
     let kcache = t.kcache in
     while !lo < !hi do
@@ -296,38 +227,25 @@ module Make (K : KEY) (V : VALUE) :
     done;
     !lo
 
-  (* Dispatch. The default arm is the classic branchy search over the
-     decoded cache: for word-sized keys the cache is a flat unboxed
-     array (already the cache-optimal layout, no per-probe [to_binary]
-     encode), for strings [K.compare] bottoms out in the memcmp stub,
-     and on skewed read workloads the predictor learns hot descent
-     paths — measured on YCSB C (Zipf 0.99, int and email keys) it
-     beats the branchless arena walk's serialized dependency chain in
-     every configuration we tried. [~arena] selects the arena walk on
-     variable-length packed pages instead: no decoded-cache dependence
-     (it reads only what {!encode} writes, so it can search a page
-     straight off the wire) and a deterministic comparison count — the
-     ablation arm and the decode-free path, not the hot-path default.
-     Either way an n-slot search does at most [search_cost_n n]
-     comparisons, which is what [search_cost] reports and the
-     [leaf_probe_cmps] counter charges. *)
-  let search ~tid ~arena t k ~lo ~hi =
+  (* The classic branchy search over the decoded cache: for word-sized
+     keys the cache is a flat unboxed array (already the cache-optimal
+     layout, no per-probe [to_binary] encode), for strings [K.compare]
+     bottoms out in the memcmp stub, and on skewed read workloads the
+     predictor learns hot descent paths. An n-slot search does at most
+     [search_cost_n n] comparisons, which is what [search_cost] reports
+     and the [leaf_probe_cmps] counter charges. *)
+  let lower_bound_range ~tid t k ~lo ~hi =
     if hi <= lo then lo
     else begin
       if !Counters.enabled then
         cnt_n tid Counters.Key_compare (search_cost_n (hi - lo));
-      if arena && t.pk && not t.fixed8 then
-        lower_bound_packed t (K.to_binary k) ~lo ~hi
-      else lower_bound_boxed t k ~lo ~hi
+      lower_bound_cache t k ~lo ~hi
     end
 
-  let lower_bound_in ?(tid = 0) ?(arena = false) t k ~lo ~hi =
-    search ~tid ~arena t k ~lo ~hi
+  let lower_bound_in ?(tid = 0) t k ~lo ~hi =
+    lower_bound_range ~tid t k ~lo ~hi
 
-  let lower_bound_range ~tid t k ~lo ~hi = search ~tid ~arena:false t k ~lo ~hi
-
-  let lower_bound ?(tid = 0) ?arena t k =
-    lower_bound_in ~tid ?arena t k ~lo:0 ~hi:t.n
+  let lower_bound ?(tid = 0) t k = lower_bound_range ~tid t k ~lo:0 ~hi:t.n
 
   (* ---------------------------------------------------------------- *)
   (* Iteration / materialization                                       *)
@@ -372,17 +290,15 @@ module Make (K : KEY) (V : VALUE) :
     let bb = Bytes.create (total + gap_for total) in
     let kpos = Array.make n 0 and klen = Array.make n 0 in
     let off = ref 0 in
-    let fixed8 = ref true in
     for i = 0 to n - 1 do
       let s = Array.unsafe_get bins i in
       let l = String.length s in
       Bytes.blit_string s 0 bb !off l;
       kpos.(i) <- !off;
       klen.(i) <- l;
-      if l <> 8 then fixed8 := false;
       off := !off + l
     done;
-    ({ bb; cursor = Atomic.make total }, kpos, klen, !fixed8)
+    ({ bb; cursor = Atomic.make total }, kpos, klen)
 
   let build_sub ?(packed = true) items ~pos ~len =
     if len = 0 then empty
@@ -402,11 +318,10 @@ module Make (K : KEY) (V : VALUE) :
           arena = empty_arena;
           kpos = [||];
           klen = [||];
-          fixed8 = false;
         }
       else begin
-        let arena, kpos, klen, fixed8 = pack_keys kcache len in
-        { n = len; kcache; vals; pk = true; arena; kpos; klen; fixed8 }
+        let arena, kpos, klen = pack_keys kcache len in
+        { n = len; kcache; vals; pk = true; arena; kpos; klen }
       end
     end
 
@@ -431,11 +346,10 @@ module Make (K : KEY) (V : VALUE) :
         arena = empty_arena;
         kpos = [||];
         klen = [||];
-        fixed8 = false;
       }
     else begin
-      let arena, kpos, klen, fixed8 = pack_keys kcache (n + 1) in
-      { n = n + 1; kcache; vals; pk = true; arena; kpos; klen; fixed8 }
+      let arena, kpos, klen = pack_keys kcache (n + 1) in
+      { n = n + 1; kcache; vals; pk = true; arena; kpos; klen }
     end
 
   (* ---------------------------------------------------------------- *)
@@ -578,7 +492,6 @@ module Make (K : KEY) (V : VALUE) :
               arena = empty_arena;
               kpos = [||];
               klen = [||];
-              fixed8 = false;
             };
           m_gap_reused = false;
         }
@@ -599,7 +512,7 @@ module Make (K : KEY) (V : VALUE) :
           else if base.pk then begin
             (* chain item: reuse the slice of any base occurrence of the
                same key, dead or alive — equal keys share bytes *)
-            let p = lower_bound_boxed base okc.(i) ~lo:0 ~hi:nb in
+            let p = lower_bound_cache base okc.(i) ~lo:0 ~hi:nb in
             if p < nb && K.compare base.kcache.(p) okc.(i) = 0 then
               bsrc.(i) <- p
             else begin
@@ -621,7 +534,6 @@ module Make (K : KEY) (V : VALUE) :
                 arena;
                 kpos;
                 klen;
-                fixed8 = all8 klen nout;
               };
             m_gap_reused = gap_reused;
           }
@@ -706,8 +618,9 @@ module Make (K : KEY) (V : VALUE) :
   let encode buf encode_value t =
     add_i64 buf t.n;
     if t.pk then begin
-      Buffer.add_char buf (if t.fixed8 then '\001' else '\000');
-      if not t.fixed8 then Array.iter (fun l -> add_i64 buf l) t.klen;
+      let fixed8 = all8 t.klen t.n in
+      Buffer.add_char buf (if fixed8 then '\001' else '\000');
+      if not fixed8 then Array.iter (fun l -> add_i64 buf l) t.klen;
       for i = 0 to t.n - 1 do
         Buffer.add_subbytes buf t.arena.bb t.kpos.(i) t.klen.(i)
       done
@@ -780,7 +693,6 @@ module Make (K : KEY) (V : VALUE) :
         arena = { bb; cursor = Atomic.make total };
         kpos;
         klen;
-        fixed8;
       }
     end
 end

@@ -1,30 +1,9 @@
 (** Shared contracts for all six indexes under comparison (§6).
 
     Every index — OpenBw-Tree, baseline Bw-Tree, SkipList, Masstree,
-    B+Tree-OLC and ART-OLC — is driven through {!INDEX}, so the workload
-    harness, the tests and the benchmarks treat them uniformly. *)
-
-(** 64-bit integer keys (Mono-Int / Rand-Int workloads). *)
-module Int_key = struct
-  type t = int
-
-  let compare = Int.compare
-  let to_binary = Bw_util.Key_codec.of_int
-  let of_binary = Bw_util.Key_codec.to_int
-  let dummy = 0
-  let pp = Format.pp_print_int
-end
-
-(** String keys (Email workload: fixed 32-byte strings). *)
-module String_key = struct
-  type t = string
-
-  let compare = String.compare
-  let to_binary = Bw_util.Key_codec.of_string
-  let of_binary s = s
-  let dummy = ""
-  let pp = Format.pp_print_string
-end
+    B+Tree-OLC and ART-OLC — is driven through one {!driver} record, so
+    the workload harness, the tests and the benchmarks treat them
+    uniformly. *)
 
 (** Values are 64-bit integers standing in for tuple pointers (§5.1). *)
 module Int_value = struct
@@ -34,53 +13,12 @@ module Int_value = struct
   let pp = Format.pp_print_int
 end
 
-(** The uniform index driver. [tid] is the dense worker-thread id used for
-    striped statistics and epoch membership. *)
-module type INDEX = sig
-  type t
-  type key
-
-  val name : string
-
-  val create : unit -> t
-
-  val insert : t -> tid:int -> key -> int -> bool
-  (** [false] if the key was already present (unique-key semantics). *)
-
-  val read : t -> tid:int -> key -> int option
-  val update : t -> tid:int -> key -> int -> bool
-  val remove : t -> tid:int -> key -> bool
-
-  val scan : t -> tid:int -> key -> n:int -> (key -> int -> unit) -> int
-  (** [scan t ~tid k ~n visit] walks up to [n] items starting at the first
-      key >= [k] in key order, calling [visit key value] on each, and
-      returns the number visited (the YCSB-E operation). Under optimistic
-      concurrency an attempt that observes interference is retried;
-      [visit] is called exactly once per reported item, after the attempt
-      that produced it validated. *)
-
-  val start_aux : t -> unit
-  (** Start any auxiliary threads the design needs (epoch advancer,
-      skip-list tower builder). Idempotent. *)
-
-  val stop_aux : t -> unit
-
-  val thread_done : t -> tid:int -> unit
-  (** Worker [tid] will issue no more operations (releases its epoch). *)
-
-  val memory_words : t -> int
-  (** Live heap words reachable from the index, for the Fig. 15 memory
-      comparison. *)
-end
-
-type 'k index = (module INDEX with type key = 'k)
-
 (* ------------------------------------------------------------------ *)
 (* Drivers: a uniform closure-record view of one index instance        *)
 (* ------------------------------------------------------------------ *)
 
 (** One operation of a multi-op batch, in driver terms (unique-key
-    point ops; [Bop_remove] needs no value, like {!INDEX.remove}). *)
+    point ops; [Bop_remove] needs no value, like [driver.remove]). *)
 type 'k batch_op =
   | Bop_insert of 'k * int
   | Bop_update of 'k * int
@@ -95,20 +33,27 @@ type batch_result =
       (** backends only: this slot's binary key failed to decode; the
           rest of the batch still executed *)
 
-(** A first-class index instance: the closure-record form of {!INDEX}
-    that the harness, the benchmarks, the stress checker, the serving
+(** A first-class index instance: the uniform closure-record view that
+    the harness, the benchmarks, the stress checker, the serving
     layer and the shard router all consume. Anything that satisfies this
     record — a single tree, a range-partitioned forest of trees
     ({!Bw_shard.route}), an instrumented wrapper — is interchangeable
-    everywhere a driver is accepted. *)
+    everywhere a driver is accepted. [tid] is the dense worker-thread id
+    used for striped statistics and epoch membership. *)
 type 'k driver = {
   name : string;
   insert : tid:int -> 'k -> int -> bool;
+      (** [false] if the key was already present (unique-key semantics). *)
   read : tid:int -> 'k -> int option;
   update : tid:int -> 'k -> int -> bool;
   remove : tid:int -> 'k -> bool;
   scan : tid:int -> 'k -> n:int -> ('k -> int -> unit) -> int;
-      (** Visitor scan with {!INDEX.scan}'s exactly-once semantics. *)
+      (** [scan ~tid k ~n visit] walks up to [n] items starting at the
+          first key >= [k] in key order, calling [visit key value] on
+          each, and returns the number visited (the YCSB-E operation).
+          Under optimistic concurrency an attempt that observes
+          interference is retried; [visit] is called exactly once per
+          reported item, after the attempt that produced it validated. *)
   batch : (tid:int -> 'k batch_op array -> batch_result array) option;
       (** Amortized multi-op execution, one result per op in submission
           order, equivalent to applying the ops sequentially. [None]
@@ -116,9 +61,15 @@ type 'k driver = {
           fall back to the point ops, so batch callers need no special
           case per index. *)
   start_aux : unit -> unit;
+      (** Start any auxiliary threads the design needs (epoch advancer,
+          skip-list tower builder). Idempotent. *)
   stop_aux : unit -> unit;
   thread_done : tid:int -> unit;
+      (** Worker [tid] will issue no more operations (releases its
+          epoch). *)
   memory_words : unit -> int;
+      (** Live heap words reachable from the index, for the Fig. 15
+          memory comparison. *)
 }
 
 let batch_op_key = function
@@ -258,9 +209,34 @@ let backend_of_driver ?decode_scan_key ~(decode_key : string -> 'k)
     memory_words = d.memory_words;
   }
 
-let backend_of_int_driver (d : int driver) : backend =
-  backend_of_driver ~decode_scan_key:Bw_util.Key_codec.int_at_least
-    ~decode_key:Bw_util.Key_codec.to_int ~encode_key:Bw_util.Key_codec.of_int d
+(** 64-bit integer keys (Mono-Int / Rand-Int workloads). *)
+module Int_key = struct
+  type t = int
 
-let backend_of_str_driver (d : string driver) : backend =
-  backend_of_driver ~decode_key:(fun s -> s) ~encode_key:(fun s -> s) d
+  let compare = Int.compare
+  let to_binary = Bw_util.Key_codec.of_int
+  let of_binary = Bw_util.Key_codec.to_int
+  let dummy = 0
+  let pp = Format.pp_print_int
+
+  (** The serving view of an int-keyed driver. *)
+  let backend (d : t driver) : backend =
+    backend_of_driver ~decode_scan_key:Bw_util.Key_codec.int_at_least
+      ~decode_key:of_binary ~encode_key:to_binary d
+end
+
+(** String keys (Email workload: fixed 32-byte strings). *)
+module String_key = struct
+  type t = string
+
+  let compare = String.compare
+  let to_binary = Bw_util.Key_codec.of_string
+  let of_binary s = s
+  let dummy = ""
+  let pp = Format.pp_print_string
+
+  (** The serving view of a string-keyed driver: raw strings already are
+      their binary-comparable encoding. *)
+  let backend (d : t driver) : backend =
+    backend_of_driver ~decode_key:of_binary ~encode_key:to_binary d
+end

@@ -76,6 +76,13 @@ let current_path dir = Filename.concat dir "CURRENT"
 let pages_dir dir g = Filename.concat dir (Printf.sprintf "pages-%06d" g)
 let wal_dir dir g = Filename.concat dir (Printf.sprintf "wal-%06d" g)
 
+(* Where shard [i] of a [shards]-way durable forest keeps its generations
+   and WAL: the root itself for a single store, [shard-<i>] below it for
+   a forest, so every shard commits and crashes independently. *)
+let shard_dir dir ~shards i =
+  if shards = 1 then dir
+  else Filename.concat dir (Printf.sprintf "shard-%02d" i)
+
 let rec mkdir_p path =
   if path <> "" && not (Sys.file_exists path) then begin
     mkdir_p (Filename.dirname path);

@@ -33,18 +33,18 @@ let err fmt = Format.kasprintf (fun m -> Wire.Err m) fmt
 (* Standby-side applier                                                *)
 (* ------------------------------------------------------------------ *)
 
-module Follow
-    (KC : Pagestore.Codec.CODEC)
-    (T : Bwtree.S with type key = KC.t and type value = int) =
-struct
-  module S = Pagestore.Store.Make (KC) (T)
+module Follow (D : Harness.Drivers.S) = struct
+  module T = D.Bw
+  module S = D.Durable
 
   (* One followed shard. [tree] is replaced wholesale by a re-bootstrap
      or a promotion-time cold rebuild, so every serving closure re-reads
-     the field per call instead of capturing the tree value. *)
+     [drv] per call instead of capturing the tree value; [set_tree]
+     keeps the two in step. *)
   type shard = {
     sid : int;
     mutable tree : T.t;
+    mutable drv : D.key Index_iface.driver;  (** the driver view of [tree] *)
     mutable s_gen : int;  (** WAL generation being followed; -1 = none *)
     mutable applied_recs : int;
         (** commit records of generation [s_gen] applied (absolute record
@@ -60,7 +60,6 @@ struct
 
   type t = {
     shards : shard array;
-    key_type : string;
     config : Bwtree.config option;
     obs : Bw_obs.sink;  (** replication counters and lag gauges *)
     obs_of : int -> Bw_obs.sink;  (** per-shard tree sinks *)
@@ -75,11 +74,10 @@ struct
   let fresh_tree t sid = T.create ?config:t.config ~obs:(t.obs_of sid) ()
 
   let create ?config ?(obs = Bw_obs.Null) ?(obs_of = fun _ -> Bw_obs.Null)
-      ~key_type ~shards () =
+      ~shards () =
     let t =
       {
         shards = [||];
-        key_type;
         config;
         obs;
         obs_of;
@@ -94,9 +92,11 @@ struct
         t with
         shards =
           Array.init shards (fun i ->
+              let tree = fresh_tree t i in
               {
                 sid = i;
-                tree = fresh_tree t i;
+                tree;
+                drv = D.driver_of_tree tree;
                 s_gen = -1;
                 applied_recs = 0;
                 applied_ops = 0;
@@ -122,8 +122,12 @@ struct
 
   let promoted t = t.promoted
 
+  let set_tree sh tree =
+    sh.tree <- tree;
+    sh.drv <- D.driver_of_tree tree
+
   let reset_shard t sh =
-    sh.tree <- fresh_tree t sh.sid;
+    set_tree sh (fresh_tree t sh.sid);
     sh.s_gen <- -1;
     sh.applied_recs <- 0;
     sh.applied_ops <- 0;
@@ -142,9 +146,9 @@ struct
     | S.W.W_remove k -> ignore (T.delete tree ~tid k 0 : bool)
 
   let handle_subscribe t ~key_type ~shards =
-    if key_type <> t.key_type then
+    if key_type <> D.K.tag then
       err "key type mismatch: primary ships %s, follower serves %s" key_type
-        t.key_type
+        D.K.tag
     else if shards <> Array.length t.shards then
       err "shard count mismatch: primary has %d, follower has %d" shards
         (Array.length t.shards)
@@ -263,7 +267,7 @@ struct
           S.inspect_dir ?config:t.config ~obs:(t.obs_of sh.sid) ~dir:sdir ()
         with
         | Some (tree, rs) ->
-            sh.tree <- tree;
+            set_tree sh tree;
             sh.s_gen <- rs.Pagestore.Store.rs_gen;
             sh.applied_recs <- rs.Pagestore.Store.rs_wal_records;
             sh.armed <- true;
@@ -279,9 +283,8 @@ struct
         Array.iter
           (fun sh ->
             let sdir =
-              if Array.length t.shards = 1 then dir
-              else
-                Filename.concat dir (Printf.sprintf "shard-%02d" sh.sid)
+              Pagestore.Store.shard_dir dir ~shards:(Array.length t.shards)
+                sh.sid
             in
             replayed := !replayed + catch_up ~tid t sh sdir)
           t.shards);
@@ -316,42 +319,38 @@ struct
               handle_walchunk t ~tid t.shards.(shard) ~gen ~from_rec ~groups
                 ~p_recs ~p_bytes)
 
-  (* The serving view of shard [sh]: reads pass through to the live tree,
-     writes raise {!Index_iface.Read_only} until promotion. [batch] is
-     [None] so BATCH frames fall back to the gated point ops. *)
-  let gated_driver t sh : KC.t Index_iface.driver =
+  (* The serving view of shard [sh]: the tree's own driver behind a
+     write gate — reads pass through to the live tree, writes raise
+     {!Index_iface.Read_only} until promotion. [batch] is [None] so BATCH
+     frames fall back to the gated point ops; the applier owns the
+     tree's epoch, so there is no aux thread to start. *)
+  let gated_driver t sh : D.key Index_iface.driver =
     let gate () = if not t.promoted then raise Index_iface.Read_only in
-    let hd_opt = function [] -> None | v :: _ -> Some v in
     {
       Index_iface.name = "OpenBw-Tree+follow";
       insert =
         (fun ~tid k v ->
           gate ();
-          T.insert sh.tree ~tid k v);
-      read = (fun ~tid k -> hd_opt (T.lookup sh.tree ~tid k));
+          sh.drv.insert ~tid k v);
+      read = (fun ~tid k -> sh.drv.read ~tid k);
       update =
         (fun ~tid k v ->
           gate ();
-          T.update sh.tree ~tid k v);
+          sh.drv.update ~tid k v);
       remove =
         (fun ~tid k ->
           gate ();
-          T.delete sh.tree ~tid k 0);
-      scan = (fun ~tid k ~n visit -> T.scan_iter sh.tree ~tid ~n k visit);
+          sh.drv.remove ~tid k);
+      scan = (fun ~tid k ~n visit -> sh.drv.scan ~tid k ~n visit);
       batch = None;
       start_aux = ignore;
       stop_aux = ignore;
-      thread_done = (fun ~tid -> T.quiesce sh.tree ~tid);
-      memory_words = (fun () -> T.memory_words sh.tree);
+      thread_done = (fun ~tid -> sh.drv.thread_done ~tid);
+      memory_words = (fun () -> sh.drv.memory_words ());
     }
 
   let drivers t = Array.map (gated_driver t) t.shards
 end
-
-module Bw_int = Bwtree.Make (Index_iface.Int_key) (Index_iface.Int_value)
-module Bw_str = Bwtree.Make (Index_iface.String_key) (Index_iface.Int_value)
-module F_int = Follow (Pagestore.Codec.Int) (Bw_int)
-module F_str = Follow (Pagestore.Codec.String) (Bw_str)
 
 (** The monomorphic view a serving process needs: a backend to serve
     GET/SCAN/STATS (writes answer ERR until promotion), the handler for
@@ -363,33 +362,17 @@ type follower = {
   fo_promoted : unit -> bool;
 }
 
-(* Shard routing must mirror the primary's ([bwt_server] partitions int
-   forests with [~lo:0]) so shard indices in the stream line up with the
-   follower's own partition. *)
-let follower_int ?config ?obs ?obs_of ?lo ?hi ~shards () =
-  let f = F_int.create ?config ?obs ?obs_of ~key_type:"int" ~shards () in
-  let drivers = F_int.drivers f in
-  let driver =
-    if shards = 1 then drivers.(0)
-    else Bw_shard.route_int (Bw_shard.Part.make_int ?lo ?hi shards) drivers
-  in
+(* Shard routing is [D.K.part]'s default, the same partition the primary
+   ([Drivers.forest]/[Drivers.durable]) uses, so shard indices in the
+   stream line up with the follower's own partition. *)
+let follower (module D : Harness.Drivers.S) ?config ?obs ?obs_of ~shards () =
+  let module F = Follow (D) in
+  let f = F.create ?config ?obs ?obs_of ~shards () in
+  let drivers = F.drivers f in
   {
-    fo_backend = Index_iface.backend_of_int_driver driver;
-    fo_handle = F_int.handle f;
-    fo_promoted = (fun () -> F_int.promoted f);
-  }
-
-let follower_str ?config ?obs ?obs_of ?lo ?hi ~shards () =
-  let f = F_str.create ?config ?obs ?obs_of ~key_type:"str" ~shards () in
-  let drivers = F_str.drivers f in
-  let driver =
-    if shards = 1 then drivers.(0)
-    else Bw_shard.route_binary (Bw_shard.Part.make ?lo ?hi shards) drivers
-  in
-  {
-    fo_backend = Index_iface.backend_of_str_driver driver;
-    fo_handle = F_str.handle f;
-    fo_promoted = (fun () -> F_str.promoted f);
+    fo_backend = D.K.backend (D.shard ~shards (Array.get drivers));
+    fo_handle = F.handle f;
+    fo_promoted = (fun () -> F.promoted f);
   }
 
 (* ------------------------------------------------------------------ *)

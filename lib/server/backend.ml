@@ -16,5 +16,4 @@
 type t = Index_iface.backend
 
 let of_driver = Index_iface.backend_of_driver
-let of_int_driver = Index_iface.backend_of_int_driver
-let of_str_driver = Index_iface.backend_of_str_driver
+let of_int_driver = Index_iface.Int_key.backend

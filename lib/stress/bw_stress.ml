@@ -105,7 +105,7 @@ let bwtree_subject ?(config = Bwtree.default_config) ?(obs = Bw_obs.Null)
       { config with Bwtree.max_threads = domains + 1 }
     else config
   in
-  let module B = Harness.Drivers.Bw_int in
+  let module B = Harness.Drivers.Int.Bw in
   let t = B.create ~config ~obs () in
   {
     s_name = "OpenBw-Tree";
@@ -895,23 +895,15 @@ let flip_random_bit rng path size =
    cycle against a fresh data dir. *)
 let run_crash_round (cfg : crash_config) ~seed ~record =
   let module D = Harness.Drivers in
-  let module W = D.Durable_int.W in
+  let module W = D.Int.Durable.W in
   let shards = max 1 cfg.cc_shards in
   let keyspace = cfg.cc_domains * cfg.cc_keys_per_domain in
   let checker_tid = cfg.cc_domains in
-  let part = Bw_shard.Part.make_int ~lo:0 ~hi:(keyspace - 1) shards in
-  let shard_of k = if shards = 1 then 0 else Bw_shard.Part.shard_of_int part k in
+  let shard_of = D.Int.K.shard_of (D.Int.K.part ~hi:(keyspace - 1) shards) in
   Pagestore.Store.rm_rf cfg.cc_dir;
   let open_durable ?on_replay () : int D.durable =
-    if shards = 1 then
-      D.durable_bwtree_int ~segment_bytes:cfg.cc_segment_bytes
-        ~fsync:cfg.cc_fsync
-        ?on_replay:(Option.map (fun f -> f 0) on_replay)
-        ~dir:cfg.cc_dir ()
-    else
-      D.durable_bwtree_forest_int ~segment_bytes:cfg.cc_segment_bytes
-        ~fsync:cfg.cc_fsync ~lo:0 ~hi:(keyspace - 1) ?on_replay ~shards
-        ~dir:cfg.cc_dir ()
+    D.Int.durable ~segment_bytes:cfg.cc_segment_bytes ~fsync:cfg.cc_fsync
+      ~hi:(keyspace - 1) ?on_replay ~shards ~dir:cfg.cc_dir ()
   in
   let workers =
     Array.init cfg.cc_domains (fun wid ->
@@ -1010,10 +1002,7 @@ let run_crash_round (cfg : crash_config) ~seed ~record =
 
   (* --- corrupt the WAL tail, one independent decision per shard --- *)
   let shard_dirs =
-    if shards = 1 then [| cfg.cc_dir |]
-    else
-      Array.init shards (fun i ->
-          Filename.concat cfg.cc_dir (Printf.sprintf "shard-%02d" i))
+    Array.init shards (Pagestore.Store.shard_dir cfg.cc_dir ~shards)
   in
   let crng = Rng.create ~seed:(Int64.of_int (seed + 604171)) in
   Array.iter

@@ -9,7 +9,6 @@ module Slice = Bw_cluster.Slice
 module Uniform = Bw_cluster.Uniform
 module Gate = Bw_server.Cluster_gate
 module Server = Bw_server.Server
-module Backend = Bw_server.Backend
 module Wire = Bw_server.Wire
 module Key = Bw_util.Key_codec
 
@@ -114,8 +113,8 @@ let endpoint_of port =
    an epoch-0 placeholder (ports are unknown until the listeners are
    up) and install the real table before any traffic. *)
 let with_cluster n f =
-  let drivers = Array.init n (fun _ -> Harness.Drivers.bwtree_driver_int ()) in
-  let backends = Array.map Backend.of_int_driver drivers in
+  let drivers = Array.init n (fun _ -> Harness.Drivers.Int.bwtree ()) in
+  let backends = Array.map Harness.Drivers.Int.K.backend drivers in
   let u = Uniform.make_int ~lo:0 n in
   let placeholder =
     Table.of_uniform ~epoch:0L (Array.make n (endpoint_of 1)) u
@@ -153,9 +152,9 @@ let with_cluster n f =
 (* A write reaching a read-only index must travel as the typed ERR code
    and surface as [Bw_client.Read_only] — not as a stringly error. *)
 let test_read_only_end_to_end () =
-  let inner = Harness.Drivers.bwtree_driver_int () in
+  let inner = Harness.Drivers.Int.bwtree () in
   let ro =
-    Backend.of_int_driver
+    Harness.Drivers.Int.K.backend
       {
         inner with
         Index_iface.insert = (fun ~tid:_ _ _ -> raise Index_iface.Read_only);

@@ -53,13 +53,13 @@ let prop_point_equivalence =
   QCheck.Test.make ~name:"cached == uncached (single tree, point ops)"
     ~count:80 gen_ops
     (equivalent (fun ~leaf_cache ->
-         D.bwtree_driver_int ~config:(config ~leaf_cache) ()))
+         D.Int.bwtree ~config:(config ~leaf_cache) ()))
 
 let prop_forest_equivalence =
   QCheck.Test.make ~name:"cached == uncached (3-shard forest, point ops)"
     ~count:40 gen_ops
     (equivalent (fun ~leaf_cache ->
-         D.bwtree_forest_int ~config:(config ~leaf_cache) ~lo:0 ~hi:61
+         D.Int.forest ~config:(config ~leaf_cache) ~lo:0 ~hi:61
            ~shards:3 ()))
 
 (* batches: chunk the trace into groups of 8 and run them through the
@@ -95,13 +95,13 @@ let prop_batch_equivalence =
   QCheck.Test.make ~name:"cached == uncached (single tree, batch 8)"
     ~count:80 gen_ops
     (equivalent_batched (fun ~leaf_cache ->
-         D.bwtree_driver_int ~config:(config ~leaf_cache) ()))
+         D.Int.bwtree ~config:(config ~leaf_cache) ()))
 
 let prop_forest_batch_equivalence =
   QCheck.Test.make ~name:"cached == uncached (3-shard forest, batch 8)"
     ~count:40 gen_ops
     (equivalent_batched (fun ~leaf_cache ->
-         D.bwtree_forest_int ~config:(config ~leaf_cache) ~lo:0 ~hi:61
+         D.Int.forest ~config:(config ~leaf_cache) ~lo:0 ~hi:61
            ~shards:3 ()))
 
 (* --- stamp validation across a forced split --------------------------- *)
@@ -168,7 +168,7 @@ let test_escape_hatch () =
 let test_instrument_idempotent () =
   let reg = Bw_obs.create () in
   let s = Bw_obs.sink reg in
-  let d = D.btree_driver_int () in
+  let d = D.Int.btree () in
   Alcotest.(check bool) "null sink is identity" true
     (Runner.instrument Bw_obs.Null d == d);
   let w = Runner.instrument s d in

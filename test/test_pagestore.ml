@@ -636,11 +636,7 @@ let oracle_bindings oracle keyspace =
 let run_store_oracle ~shards (ops, cut) =
   with_tmp_dir (fun dir ->
       let open_durable () =
-        if shards = 1 then
-          Harness.Drivers.durable_bwtree_int ~fsync:false ~dir ()
-        else
-          Harness.Drivers.durable_bwtree_forest_int ~fsync:false ~lo:0 ~hi:63
-            ~shards ~dir ()
+        Harness.Drivers.Int.durable ~fsync:false ~hi:63 ~shards ~dir ()
       in
       let oracle = Hashtbl.create 64 in
       let dur = open_durable () in

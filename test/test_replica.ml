@@ -6,10 +6,10 @@
    WAL-tail replay and the cold-rebuild fallback. *)
 
 module Wire = Bw_server.Wire
-module T = Bwtree.Make (Index_iface.Int_key) (Index_iface.Int_value)
-module Store_int = Pagestore.Store.Make (Pagestore.Codec.Int) (T)
+module T = Harness.Drivers.Int.Bw
+module Store_int = Harness.Drivers.Int.Durable
 module W = Store_int.W
-module F = Bw_replica.F_int
+module F = Bw_replica.Follow (Harness.Drivers.Int)
 
 let tmp_counter = ref 0
 
@@ -105,7 +105,7 @@ let test_wire_roundtrip () =
 (* --- stream protocol guards --- *)
 
 let test_protocol_guards () =
-  let f = F.create ~key_type:"int" ~shards:2 () in
+  let f = F.create ~shards:2 () in
   expect_err
     (F.handle f ~tid:0 (Wire.R_subscribe { key_type = "str"; shards = 2 }));
   expect_err
@@ -129,8 +129,58 @@ let test_protocol_guards () =
   Alcotest.(check (option int)) "remove applied" None
     (d.Index_iface.read ~tid:0 1)
 
+(* The serving view a string-keyed standby exposes: built through the
+   string driver instance, it refuses an int stream, serves reads of
+   applied chunks on both shards of its forest and refuses writes until
+   promoted. *)
+let test_str_follower () =
+  let module Sw = Harness.Drivers.Str.Durable.W in
+  let fo =
+    Bw_replica.follower (module Harness.Drivers.Str) ~shards:2 ()
+  in
+  let handle = fo.Bw_replica.fo_handle ~tid:0 in
+  let be = fo.Bw_replica.fo_backend in
+  expect_err (handle (Wire.R_subscribe { key_type = "int"; shards = 2 }));
+  Alcotest.(check int) "subscribe ack" 0
+    (ok (handle (Wire.R_subscribe { key_type = "str"; shards = 2 })));
+  (* first bytes on either side of the 2-shard partition's midpoint *)
+  let lo_key = "\x10-low" and hi_key = "\xf0-high" in
+  for shard = 0 to 1 do
+    ignore
+      (ok
+         (handle
+            (Wire.R_snapshot
+               { shard; gen = 0; start_rec = 0; start_ops = 0; pages = [];
+                 last = true; items = 0 }))
+        : int);
+    let key = if shard = 0 then lo_key else hi_key in
+    Alcotest.(check int) "chunk applied" 1
+      (ok
+         (handle
+            (Wire.R_walchunk
+               { shard; gen = 0; from_rec = 0; p_recs = 0; p_bytes = 0;
+                 groups = [ Sw.encode_ops [ Sw.W_insert (key, shard + 1) ] ] })))
+  done;
+  Alcotest.(check (option int)) "shard 0 read" (Some 1)
+    (be.Index_iface.read ~tid:0 lo_key);
+  Alcotest.(check (option int)) "shard 1 read" (Some 2)
+    (be.Index_iface.read ~tid:0 hi_key);
+  let seen = ref [] in
+  ignore
+    (be.Index_iface.scan ~tid:0 "" ~n:10 (fun k v -> seen := (k, v) :: !seen)
+      : int);
+  Alcotest.(check (list (pair string int)))
+    "scan across the forest" [ (lo_key, 1); (hi_key, 2) ] (List.rev !seen);
+  (match be.Index_iface.insert ~tid:0 "x" 1 with
+  | _ -> Alcotest.fail "write accepted while following"
+  | exception Index_iface.Read_only -> ());
+  ignore (ok (handle (Wire.R_promote { data_dir = None })) : int);
+  Alcotest.(check bool) "promoted" true (fo.Bw_replica.fo_promoted ());
+  Alcotest.(check bool) "write after promotion" true
+    (be.Index_iface.insert ~tid:0 "x" 1)
+
 let test_generation_handoff () =
-  let f = F.create ~key_type:"int" ~shards:1 () in
+  let f = F.create ~shards:1 () in
   subscribe f;
   bootstrap_empty f 0;
   ignore
@@ -153,7 +203,7 @@ let test_generation_handoff () =
     (d.Index_iface.read ~tid:0 2)
 
 let test_read_only_until_promoted () =
-  let f = F.create ~key_type:"int" ~shards:1 () in
+  let f = F.create ~shards:1 () in
   subscribe f;
   bootstrap_empty f 0;
   let d = (F.drivers f).(0) in
@@ -213,7 +263,7 @@ let test_snapshot_bootstrap () =
       let n = List.length pages in
       let first = List.filteri (fun i _ -> i < n / 2) pages in
       let rest = List.filteri (fun i _ -> i >= n / 2) pages in
-      let f = F.create ~key_type:"int" ~shards:1 () in
+      let f = F.create ~shards:1 () in
       subscribe f;
       ignore (ok (snap f ~last:false ~items:0 first) : int);
       (* chunks are refused while the bootstrap is still in flight *)
@@ -228,7 +278,7 @@ let test_snapshot_bootstrap () =
       done;
       (* a final chunk whose loaded count disagrees with the manifest is
          an integrity failure, not an armed stream *)
-      let f2 = F.create ~key_type:"int" ~shards:1 () in
+      let f2 = F.create ~shards:1 () in
       subscribe f2;
       expect_err (snap f2 ~last:true ~items first))
 
@@ -272,7 +322,7 @@ let run_follow ~shards (ops, seed, prefix_sel) =
   let part = Bw_shard.Part.make_int ~lo:0 ~hi:63 shards in
   let cut = prefix_sel mod (List.length ops + 1) in
   let prefix = List.filteri (fun i _ -> i < cut) ops in
-  let f = F.create ~key_type:"int" ~shards () in
+  let f = F.create ~shards () in
   ignore
     (ok (F.handle f ~tid:0 (Wire.R_subscribe { key_type = "int"; shards }))
       : int);
@@ -345,7 +395,7 @@ let test_promotion_tail_replay () =
           : int);
       let payloads = List.rev !payloads in
       Store_int.close st;
-      let f = F.create ~key_type:"int" ~shards:1 () in
+      let f = F.create ~shards:1 () in
       subscribe f;
       bootstrap_empty f 0;
       (* only the first 25 records arrived before the "crash" *)
@@ -380,7 +430,7 @@ let test_promotion_cold_rebuild () =
          checkpointed into generation 1 and died: the WAL it was
          following is gone from disk, so promotion must fall back to a
          cold rebuild of the committed state *)
-      let f = F.create ~key_type:"int" ~shards:1 () in
+      let f = F.create ~shards:1 () in
       subscribe f;
       bootstrap_empty f 0;
       ignore
@@ -410,6 +460,7 @@ let () =
       ( "stream",
         [
           Alcotest.test_case "protocol guards" `Quick test_protocol_guards;
+          Alcotest.test_case "string-keyed follower" `Quick test_str_follower;
           Alcotest.test_case "generation handoff" `Quick
             test_generation_handoff;
           Alcotest.test_case "read-only until promoted" `Quick

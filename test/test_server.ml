@@ -5,14 +5,13 @@
 
 module Wire = Bw_server.Wire
 module Server = Bw_server.Server
-module Backend = Bw_server.Backend
 module Key = Bw_util.Key_codec
 module IntMap = Map.Make (Int)
 
 let start_server ?(workers = 2) ?(close_on_malformed = false)
     ?(obs = Bw_obs.Null) () =
   let backend =
-    Backend.of_int_driver (Harness.Drivers.bwtree_driver_int ~obs ())
+    Harness.Drivers.Int.K.backend (Harness.Drivers.Int.bwtree ~obs ())
   in
   let config =
     { Server.default_config with port = 0; workers; close_on_malformed; obs }
@@ -331,8 +330,8 @@ let test_sync_ops () =
    sharded stats hook feeds the STATS frame. *)
 let test_forest_backend () =
   let backend =
-    Backend.of_int_driver
-      (Harness.Drivers.bwtree_forest_int ~lo:0 ~hi:1023 ~shards:4 ())
+    Harness.Drivers.Int.K.backend
+      (Harness.Drivers.Int.forest ~lo:0 ~hi:1023 ~shards:4 ())
   in
   let config =
     {
@@ -754,6 +753,102 @@ let test_half_frame_then_eof () =
       Bw_client.close c)
 
 (* ------------------------------------------------------------------ *)
+(* Loopback: string keys                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Sk = Harness.Drivers.Str
+
+(* Raw string keys whose first bytes (0x70..0x8f) straddle the boundary
+   of the default 2-shard string partition, the slice space's midpoint. *)
+let str_keys =
+  List.init 32 (fun i -> String.make 1 (Char.chr (0x70 + i)) ^ "-user")
+
+let str_items = List.mapi (fun i k -> (k, i)) str_keys
+
+let serve_str backend f =
+  let config = { Server.default_config with port = 0; workers = 2 } in
+  let srv = Server.start ~config backend in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let c = Bw_client.connect ~port:(Server.port srv) () in
+      Fun.protect ~finally:(fun () -> Bw_client.close c) (fun () -> f srv c))
+
+let test_str_forest () =
+  let part = Sk.K.part 2 in
+  Alcotest.(check (pair int int))
+    "keys straddle the shard boundary" (0, 1)
+    ( Sk.K.shard_of part (List.hd str_keys),
+      Sk.K.shard_of part (List.nth str_keys 31) );
+  serve_str (Sk.K.backend (Sk.forest ~shards:2 ())) (fun srv c ->
+      List.iter
+        (fun (k, v) ->
+          Alcotest.(check bool) "insert" true
+            (Bw_client.put c ~mode:Wire.Insert k v))
+        str_items;
+      Alcotest.(check bool) "duplicate insert" false
+        (Bw_client.put c ~mode:Wire.Insert (List.hd str_keys) 0);
+      Alcotest.(check (option int)) "get routed to shard 1" (Some 31)
+        (Bw_client.get c (List.nth str_keys 31));
+      Alcotest.(check (option int)) "get missing" None
+        (Bw_client.get c "absent");
+      Alcotest.(check (list (pair string int)))
+        "scan crosses the shard boundary"
+        (List.filteri (fun i _ -> i >= 8 && i < 24) str_items)
+        (Bw_client.scan c (List.nth str_keys 8) ~n:16);
+      (* a key cut short inside its frame is answered with ERR, and the
+         connection keeps serving *)
+      let fd = raw_connect (Server.port srv) in
+      let b = Buffer.create 32 in
+      Wire.encode_req b (Wire.Get "truncated-key");
+      let payload = Buffer.contents b in
+      raw_send fd
+        (frame_of_payload (String.sub payload 0 (String.length payload - 3)));
+      expect_err "truncated key" fd;
+      raw_send fd (Wire.frame_req (Wire.Get (List.hd str_keys)));
+      (match raw_recv_resp fd with
+      | Some (Wire.Value (Some 0)) -> ()
+      | _ -> Alcotest.fail "valid request after a bad key failed");
+      Unix.close fd)
+
+(* A 2-shard durable string store, closed without a checkpoint and
+   reopened: every acknowledged write comes back through WAL replay. *)
+let test_str_durable () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bwt-test-server-str-%d" (Unix.getpid ()))
+  in
+  let with_store f =
+    let dur = Sk.durable ~fsync:false ~shards:2 ~dir () in
+    Fun.protect
+      ~finally:(fun () -> dur.Harness.Drivers.dur_close ())
+      (fun () -> f dur)
+  in
+  Pagestore.Store.rm_rf dir;
+  Fun.protect
+    ~finally:(fun () -> Pagestore.Store.rm_rf dir)
+    (fun () ->
+      with_store (fun dur ->
+          serve_str (Sk.K.backend dur.dur_driver) (fun _ c ->
+              List.iter
+                (fun (k, v) -> ignore (Bw_client.put c ~mode:Wire.Insert k v))
+                str_items;
+              Alcotest.(check bool) "update" true
+                (Bw_client.put c ~mode:Wire.Update (List.hd str_keys) 100);
+              Alcotest.(check bool) "delete" true
+                (Bw_client.delete c (List.nth str_keys 1))));
+      with_store (fun dur ->
+          Alcotest.(check int) "every write replayed" 34
+            dur.dur_stats.Pagestore.Store.rs_wal_ops;
+          serve_str (Sk.K.backend dur.dur_driver) (fun _ c ->
+              Alcotest.(check (list (pair string int)))
+                "acknowledged writes survive reopen"
+                (List.filteri (fun i _ -> i <> 1)
+                   ((List.hd str_keys, 100) :: List.tl str_items))
+                (Bw_client.scan c "" ~n:100))))
+
+(* ------------------------------------------------------------------ *)
 (* Graceful drain                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -821,6 +916,9 @@ let () =
             test_concurrent_oracle;
           Alcotest.test_case "served scans == oracle" `Quick
             test_served_scans;
+          Alcotest.test_case "string-keyed forest" `Quick test_str_forest;
+          Alcotest.test_case "string-keyed durable store" `Quick
+            test_str_durable;
         ] );
       ( "fuzz",
         [

@@ -80,7 +80,7 @@ let batch_forest_case () =
   let d =
     Bw_shard.route_int p
       (Array.init 3 (fun _ ->
-           Harness.Drivers.bwtree_driver_int
+           Harness.Drivers.Int.bwtree
              ~config:(tree_config ~scheme:Epoch.Decentralized ~unique:true)
              ()))
   in
@@ -169,8 +169,8 @@ let () =
         [
           Alcotest.test_case "skiplist" `Quick
             (driver_case (fun () ->
-                 Harness.Drivers.skiplist_driver_int ()));
+                 Harness.Drivers.Int.skiplist ()));
           Alcotest.test_case "btree-olc" `Quick
-            (driver_case (fun () -> Harness.Drivers.btree_driver_int ()));
+            (driver_case (fun () -> Harness.Drivers.Int.btree ()));
         ] );
     ]
