@@ -76,7 +76,7 @@ let () =
       if not (List.mem_assoc k counters) then fail "counter %S missing" k)
     [
       "splits"; "consolidations"; "reclaim_batches"; "mt_growths";
-      "batch_redescents"; "leaf_pack_builds"; "leaf_gap_reuses";
+      "batch_redescents"; "leaf_gap_reuses";
       "leaf_probe_cmps"; "leaf_cache_hits"; "leaf_cache_misses";
       "leaf_cache_invalidations"; "leaf_cache_stale_verifies";
       "read_consolidations";

@@ -486,11 +486,9 @@ module Make (K : KEY) (V : VALUE) :
   (* Applicable when the chain is only data deltas over a leaf base:
      convert the chain (newest first) into {!P.delta} records and let
      the page module resolve visibility and emit the new page with a
-     single two-way merge — no full sort, and with packed pages the
-     surviving keys keep their byte slices (gap reuse). [None] on
-     SMO-bearing chains; the caller falls back to the general replay. *)
-  let consolidate_leaf_chain ~tid ?packed ?reuse (head : elem) :
-      P.merged option =
+     single two-way merge — no full sort. [None] on SMO-bearing chains;
+     the caller falls back to the general replay. *)
+  let consolidate_leaf_chain ~tid (head : elem) : P.t option =
     let exception Fallback in
     try
       let rec walk e =
@@ -510,16 +508,14 @@ module Make (K : KEY) (V : VALUE) :
         | Inner _ | ID _ -> raise Fallback
       in
       let page, deltas = walk head in
-      Some (P.merge_with_deltas ~tid ?packed ?reuse page deltas)
+      Some (P.merge_with_deltas ~tid page deltas)
     with Fallback -> None
 
   (* ---------------------------------------------------------------- *)
   (* Building base nodes                                               *)
   (* ---------------------------------------------------------------- *)
 
-  let leaf_base_of_page t ~tid page ~lo ~hi ~right =
-    if Bw_obs.enabled t.o && P.is_packed page then
-      Bw_obs.incr t.o ~tid Bw_obs.C_leaf_pack_builds;
+  let leaf_base_of_page t page ~lo ~hi ~right =
     Leaf
       {
         lb_page = page;
@@ -677,14 +673,7 @@ module Make (K : KEY) (V : VALUE) :
             if is_leaf_elem head then begin
               let page =
                 if t.cfg.fast_consolidation then
-                  match
-                    consolidate_leaf_chain ~tid ~packed:true head
-                  with
-                  | Some merged ->
-                      if merged.P.m_gap_reused && Bw_obs.enabled t.o then
-                        Bw_obs.incr t.o ~tid Bw_obs.C_leaf_gap_reuses;
-                      Some merged.P.m_page
-                  | None -> None
+                  consolidate_leaf_chain ~tid head
                 else
                   (* the paper's baseline pays the full sort *)
                   Option.map P.build (sort_consolidate_leaf ~tid head)
@@ -695,7 +684,7 @@ module Make (K : KEY) (V : VALUE) :
                 | None ->
                     P.build (Growable.to_array (gather_leaf ~tid head))
               in
-              leaf_base_of_page t ~tid page ~lo:m.lo ~hi:m.hi ~right:m.right
+              leaf_base_of_page t page ~lo:m.lo ~hi:m.hi ~right:m.right
             end
             else
               let items = Growable.to_array (gather_inner ~tid head) in
@@ -938,7 +927,7 @@ module Make (K : KEY) (V : VALUE) :
               Some
                 ( ks,
                   !pos,
-                  leaf_base_of_page t ~tid
+                  leaf_base_of_page t
                     (P.build_sub items ~pos:!pos ~len:(n - !pos))
                     ~lo:(B ks) ~hi:m.hi ~right:m.right )
           end
@@ -1474,7 +1463,7 @@ module Make (K : KEY) (V : VALUE) :
      can keep serving the exact leaf whose unfinished SMO the restart is
      waiting on. Concretely: a split posted under a hit's empty ancestor
      path leaves Stage III to help-along, and once the left node's
-     prealloc arena is exhausted every append attempt consolidates —
+     prealloc block is exhausted every append attempt consolidates —
      which refuses chains with a pending SMO — and restarts; only a
      from-root descent help-completes the separator and unblocks the
      node. Re-probing would validate the same entry forever (the head is
@@ -2218,9 +2207,8 @@ module Make (K : KEY) (V : VALUE) :
 
   (* Materialize a leaf head as one page, without touching the tree.
      Fully consolidated leaves are handed out zero-copy (pages are
-     immutable); chains go through the single-merge path with a *boxed*
-     result — snapshots are transient, so they must not claim shared
-     arena gap space or pay key re-encoding. *)
+     immutable); chains go through the single-merge path, which leaves
+     the base untouched. *)
   let snapshot_leaf_page t ~tid (head : elem) =
     match head with
     | Leaf b -> b.lb_page
@@ -2229,11 +2217,11 @@ module Make (K : KEY) (V : VALUE) :
           (* the §4.3 segment merge is much cheaper than the general
              replay and applies to any chain of plain data deltas *)
           if t.cfg.fast_consolidation then
-            consolidate_leaf_chain ~tid ~packed:false head
+            consolidate_leaf_chain ~tid head
           else None
         with
-        | Some merged -> merged.P.m_page
-        | None -> P.build ~packed:false (Growable.to_array (gather_leaf ~tid head)))
+        | Some page -> page
+        | None -> P.build (Growable.to_array (gather_leaf ~tid head)))
 
   (* A scan's page for the leaf [id] whose head it read. A chained leaf
      costs a full merge either way; with [read_consolidation] on, the
@@ -2241,7 +2229,7 @@ module Make (K : KEY) (V : VALUE) :
      (same CaS, same epoch retirement) and reads the installed base
      zero-copy, so later scans of this leaf version get it free too. A
      lost race, a head that cannot be consolidated, or a [Restart] from
-     completing a pending split falls back to the private boxed copy. *)
+     completing a pending split falls back to the private copy. *)
   let scan_leaf_page t ~tid id (head : elem) =
     match head with
     | Leaf b -> b.lb_page
@@ -2492,18 +2480,16 @@ module Make (K : KEY) (V : VALUE) :
 
   (* Checkpoint traversal: every non-empty logical leaf as one page, in
      key order (leftmost spine down, then the sibling high keys).
-     Depth-0 leaves are handed out zero-copy — with packed pages the
-     checkpoint then serializes their key bytes without re-encoding.
-     Chained leaves materialize through the single-merge path with
-     [~reuse:false]: a fresh arena, so a checkpoint never consumes the
-     live pages' shared gap space. *)
+     Depth-0 leaves are handed out zero-copy; chained leaves materialize
+     through the single-merge path, which leaves the live base
+     untouched. *)
   let iter_leaf_pages t ?(tid = 0) f =
     let materialize head =
       match head with
       | Leaf b -> b.lb_page
       | _ -> (
-          match consolidate_leaf_chain ~tid ~reuse:false head with
-          | Some merged -> merged.P.m_page
+          match consolidate_leaf_chain ~tid head with
+          | Some page -> page
           | None ->
               P.build (Growable.to_array (gather_leaf ~tid head)))
     in
@@ -2839,8 +2825,7 @@ module Make (K : KEY) (V : VALUE) :
     let rec pp_chain ppf e =
       match e with
       | Leaf b ->
-          Format.fprintf ppf "base[%d items%s]" (P.length b.lb_page)
-            (if P.is_packed b.lb_page then ", packed" else "")
+          Format.fprintf ppf "base[%d items]" (P.length b.lb_page)
       | Inner b ->
           Format.fprintf ppf "base{%a->%d" pp_bound b.ib_meta.lo b.ib_ids.(0);
           Array.iteri

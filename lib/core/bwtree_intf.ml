@@ -409,8 +409,8 @@ module type S = sig
       key order. Fully consolidated leaves are handed out zero-copy;
       leaves with pending deltas are materialized on the side (the tree
       is not modified). Quiescent callers only — this is the checkpoint
-      writer's traversal, and {!Page.encode} serializes packed pages by
-      blit, so a checkpoint never re-encodes keys. *)
+      writer's traversal, and {!Page.encode} gives each key its binary
+      slice only then, so the live pages carry no serialized copy. *)
 
   (** {1 Introspection} *)
 

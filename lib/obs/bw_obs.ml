@@ -125,7 +125,6 @@ type counter =
   | C_wal_bytes
   | C_recovered_pages
   | C_recovered_wal_records
-  | C_leaf_pack_builds
   | C_leaf_gap_reuses
   | C_leaf_probe_cmps
   | C_repl_records_shipped
@@ -165,28 +164,27 @@ let counter_index = function
   | C_wal_bytes -> 13
   | C_recovered_pages -> 14
   | C_recovered_wal_records -> 15
-  | C_leaf_pack_builds -> 16
-  | C_leaf_gap_reuses -> 17
-  | C_leaf_probe_cmps -> 18
-  | C_repl_records_shipped -> 19
-  | C_repl_bytes_shipped -> 20
-  | C_repl_records_applied -> 21
-  | C_repl_bytes_applied -> 22
-  | C_repl_ops_applied -> 23
-  | C_repl_snapshot_pages -> 24
-  | C_repl_promotions -> 25
-  | C_router_redirects -> 26
-  | C_wrongshard_replies -> 27
-  | C_migrations -> 28
-  | C_mig_items_copied -> 29
-  | C_mig_ops_replayed -> 30
-  | C_ckpt_gc_runs -> 31
-  | C_ckpt_gc_bytes -> 32
-  | C_leaf_cache_hits -> 33
-  | C_leaf_cache_misses -> 34
-  | C_leaf_cache_invalidations -> 35
-  | C_leaf_cache_stale_verifies -> 36
-  | C_read_consolidations -> 37
+  | C_leaf_gap_reuses -> 16
+  | C_leaf_probe_cmps -> 17
+  | C_repl_records_shipped -> 18
+  | C_repl_bytes_shipped -> 19
+  | C_repl_records_applied -> 20
+  | C_repl_bytes_applied -> 21
+  | C_repl_ops_applied -> 22
+  | C_repl_snapshot_pages -> 23
+  | C_repl_promotions -> 24
+  | C_router_redirects -> 25
+  | C_wrongshard_replies -> 26
+  | C_migrations -> 27
+  | C_mig_items_copied -> 28
+  | C_mig_ops_replayed -> 29
+  | C_ckpt_gc_runs -> 30
+  | C_ckpt_gc_bytes -> 31
+  | C_leaf_cache_hits -> 32
+  | C_leaf_cache_misses -> 33
+  | C_leaf_cache_invalidations -> 34
+  | C_leaf_cache_stale_verifies -> 35
+  | C_read_consolidations -> 36
 
 let all_counters =
   [
@@ -206,7 +204,6 @@ let all_counters =
     C_wal_bytes;
     C_recovered_pages;
     C_recovered_wal_records;
-    C_leaf_pack_builds;
     C_leaf_gap_reuses;
     C_leaf_probe_cmps;
     C_repl_records_shipped;
@@ -249,7 +246,6 @@ let counter_name = function
   | C_wal_bytes -> "wal_bytes"
   | C_recovered_pages -> "recovered_pages"
   | C_recovered_wal_records -> "recovered_wal_records"
-  | C_leaf_pack_builds -> "leaf_pack_builds"
   | C_leaf_gap_reuses -> "leaf_gap_reuses"
   | C_leaf_probe_cmps -> "leaf_probe_cmps"
   | C_repl_records_shipped -> "repl_records_shipped"

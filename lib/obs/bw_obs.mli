@@ -58,8 +58,10 @@ type counter =
   | C_wal_bytes  (** payload bytes appended to the WAL *)
   | C_recovered_pages  (** checkpoint pages loaded during recovery *)
   | C_recovered_wal_records  (** WAL records replayed during recovery *)
-  | C_leaf_pack_builds  (** packed leaf pages constructed *)
-  | C_leaf_gap_reuses  (** consolidations that reused the base page's arena *)
+  | C_leaf_gap_reuses
+      (** never incremented: leaf pages keep no encoded key copy whose
+          space a consolidation could reuse; kept only because the
+          benchmark still reads it *)
   | C_leaf_probe_cmps  (** key comparisons charged to in-leaf base searches *)
   | C_repl_records_shipped  (** WAL commit records pushed to a standby *)
   | C_repl_bytes_shipped  (** WAL payload bytes pushed to a standby *)

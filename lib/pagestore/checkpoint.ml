@@ -4,9 +4,9 @@
     Real LLAMA [23] writes physical delta/base pages out-of-place and keeps
     flash addresses in the mapping table. Here the checkpoint writes the
     tree's own leaf pages: {!Bwtree.S.iter_leaf_pages} consolidates each
-    leaf and hands over its packed page, whose binary key region is
-    serialized verbatim by {!Leaf_page.S.encode} — no per-key re-encoding
-    on the save path, which is why this functor takes no key codec. A
+    leaf and hands over its page, whose keys {!Leaf_page.S.encode}
+    serializes through the tree's own [KEY.to_binary] — which is why this
+    functor takes no key codec. A
     manifest record indexes the page records, and recovery rebuilds a
     fresh tree from the decoded pages. The substitution preserves the
     behaviours the substrate exists for — out-of-place page writes,

@@ -1,8 +1,8 @@
-(* Property tests for packed leaf pages: the packed (binary-arena,
-   branchless-search) representation must be observationally identical to
-   the boxed one for build / lower_bound / iter_from / merge, the merge
-   must agree with a sequential-replay oracle, and the on-disk encoding
-   must round-trip byte-identically. *)
+(* Property tests for leaf pages against a reference model: build /
+   lower_bound / iter_from must agree with the sorted item array, the
+   merge with a sequential-replay oracle, and the on-disk encoding must
+   round-trip byte-identically, match golden bytes, and reject every
+   malformed payload with [Failure] only. *)
 
 module LP = Bwtree.Leaf_page.Make (Index_iface.Int_key) (Index_iface.Int_value)
 module LPS =
@@ -28,75 +28,76 @@ let str_key_gen =
     int_range 0 10 >>= fun len ->
     string_size ~gen:(oneofl [ 'a'; 'b' ]) (return len))
 
-let str_items_gen =
+let str_items_of_size max =
   QCheck.(
-    list_of_size (Gen.int_range 0 200)
+    list_of_size (Gen.int_range 0 max)
       (pair (make ~print:Print.string str_key_gen) (int_bound 5)))
 
-let sorted_str_items kvs =
-  Array.of_list (List.stable_sort (fun (a, _) (b, _) -> compare a b) kvs)
+let str_items_gen = str_items_of_size 200
 
-(* ---- build / search / iterate equivalence ---- *)
+(* ---- build / search / iterate against the item array ---- *)
 
-(* reference lower bound over the item array *)
-let ref_lb items k =
-  let n = Array.length items in
-  let i = ref 0 in
-  while !i < n && fst items.(!i) < k do
+(* reference lower bound over [items.(lo..hi-1)] *)
+let ref_lb_in items k ~lo ~hi =
+  let i = ref lo in
+  while !i < hi && fst items.(!i) < k do
     incr i
   done;
   !i
 
-let prop_build_equiv =
-  QCheck.Test.make ~name:"packed == boxed: build/search/iterate" ~count:300
-    items_gen (fun kvs ->
+let ref_lb items k = ref_lb_in items k ~lo:0 ~hi:(Array.length items)
+
+let iter_list iter_from page pos =
+  let seen = ref [] in
+  iter_from page pos (fun k v -> seen := (k, v) :: !seen);
+  List.rev !seen
+
+let suffix items pos =
+  Array.to_list (Array.sub items pos (Array.length items - pos))
+
+let prop_build_model =
+  QCheck.Test.make ~name:"build/search/iterate match the item array"
+    ~count:300 items_gen (fun kvs ->
       let items = sorted_items kvs in
-      let p = LP.build ~packed:true items in
-      let b = LP.build ~packed:false items in
+      let p = LP.build items in
       let n = Array.length items in
-      assert (LP.length p = n && LP.length b = n);
-      assert (n = 0 || LP.is_packed p);
+      assert (LP.length p = n);
       for i = 0 to n - 1 do
-        assert (LP.get p i = items.(i));
-        assert (LP.get b i = items.(i))
+        assert (LP.get p i = items.(i))
       done;
+      assert (LP.keys p = Array.map fst items);
+      assert (LP.values p = Array.map snd items);
       for k = -1 to 62 do
-        let want = ref_lb items k in
-        assert (LP.lower_bound p k = want);
-        assert (LP.lower_bound b k = want)
+        assert (LP.lower_bound p k = ref_lb items k)
       done;
-      (* restricted ranges must agree too (the §4.4 shortcut) *)
+      (* restricted ranges too (the §4.4 shortcut) *)
       for k = 0 to 60 do
         let lo = min (k mod 7) n and hi = n - min (k mod 3) n in
         if lo <= hi then
-          assert (
-            LP.lower_bound_in p k ~lo ~hi = LP.lower_bound_in b k ~lo ~hi)
+          assert (LP.lower_bound_in p k ~lo ~hi = ref_lb_in items k ~lo ~hi)
       done;
-      let pos = n / 3 in
-      let seen_p = ref [] and seen_b = ref [] in
-      LP.iter_from p pos (fun k v -> seen_p := (k, v) :: !seen_p);
-      LP.iter_from b pos (fun k v -> seen_b := (k, v) :: !seen_b);
-      assert (!seen_p = !seen_b);
-      LP.slice p = LP.slice b)
+      List.iter
+        (fun pos -> assert (iter_list LP.iter_from p pos = suffix items pos))
+        [ 0; n / 3; n ];
+      LP.slice p = items)
 
-let prop_build_equiv_str =
-  QCheck.Test.make ~name:"packed == boxed: string keys" ~count:300
-    str_items_gen (fun kvs ->
-      let items = sorted_str_items kvs in
-      let p = LPS.build ~packed:true items in
-      let b = LPS.build ~packed:false items in
+let prop_build_model_str =
+  QCheck.Test.make ~name:"build/search/iterate match the item array (string keys)"
+    ~count:300 str_items_gen (fun kvs ->
+      let items = sorted_items kvs in
+      let p = LPS.build items in
       let n = Array.length items in
+      assert (LPS.length p = n);
       let probes =
         [ ""; "a"; "b"; "ab"; "ba"; "aaaa"; "aaaaaaaa"; "aaaaaaaab";
           "bbbbbbbbbb" ]
-        @ (List.map fst kvs)
+        @ List.map fst kvs
       in
+      List.iter (fun k -> assert (LPS.lower_bound p k = ref_lb items k)) probes;
       List.iter
-        (fun k ->
-          assert (LPS.lower_bound p k = LPS.lower_bound b k))
-        probes;
-      ignore n;
-      LPS.slice p = LPS.slice b)
+        (fun pos -> assert (iter_list LPS.iter_from p pos = suffix items pos))
+        [ 0; n / 2; n ];
+      LPS.slice p = items)
 
 (* ---- merge oracle ---- *)
 
@@ -148,41 +149,34 @@ let sortedness page =
   !ok
 
 let prop_merge_equiv =
-  QCheck.Test.make
-    ~name:"merge_with_deltas: packed == boxed == replay oracle" ~count:500
+  QCheck.Test.make ~name:"merge_with_deltas == replay oracle" ~count:500
     QCheck.(pair items_gen delta_gen)
     (fun (kvs, raw) ->
       let items = sorted_items kvs in
       let ops_oldest_first = List.map to_delta raw in
       (* the merge takes the chain newest-first, as the tree walks it *)
       let chain = List.rev ops_oldest_first in
-      let want = oracle items ops_oldest_first in
-      let check base ~packed ~reuse =
-        let m = LP.merge_with_deltas ~packed ~reuse base chain in
-        assert (sortedness m.LP.m_page);
-        assert (
-          List.sort compare (Array.to_list (LP.slice m.LP.m_page)) = want);
-        m.LP.m_page
-      in
-      let pbase = LP.build ~packed:true items in
-      let bbase = LP.build ~packed:false items in
-      let via_gap = check pbase ~packed:true ~reuse:true in
-      let fresh = check (LP.build ~packed:true items) ~packed:true ~reuse:false in
-      let boxed = check bbase ~packed:false ~reuse:true in
-      (* all three representations agree elementwise and under search *)
-      assert (LP.slice via_gap = LP.slice fresh);
-      assert (LP.slice via_gap = LP.slice boxed);
+      let base = LP.build items in
+      let m = LP.merge_with_deltas base chain in
+      assert (sortedness m);
+      assert (
+        List.sort compare (Array.to_list (LP.slice m))
+        = oracle items ops_oldest_first);
+      (* the merged page searches like its own item array, and the base
+         is left untouched *)
+      let out = LP.slice m in
       for k = -1 to 62 do
-        assert (LP.lower_bound via_gap k = LP.lower_bound boxed k);
-        assert (LP.lower_bound fresh k = LP.lower_bound boxed k)
+        assert (LP.lower_bound m k = ref_lb out k)
       done;
-      true)
+      LP.slice base = items)
 
 (* ---- serialization ---- *)
 
 let venc buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
+(* bounds-checked like [Pagestore.Codec]: a short payload is a [Failure] *)
 let vdec payload pos =
+  if !pos + 8 > String.length payload then failwith "vdec: truncated";
   let v = Int64.to_int (String.get_int64_le payload !pos) in
   pos := !pos + 8;
   v
@@ -197,50 +191,77 @@ let enc_s page =
   LPS.encode buf venc page;
   Buffer.contents buf
 
+let dec e =
+  let pos = ref 0 in
+  let d = LP.decode e ~pos ~value:(fun () -> vdec e pos) in
+  assert (!pos = String.length e);
+  d
+
+let dec_s e =
+  let pos = ref 0 in
+  let d = LPS.decode e ~pos ~value:(fun () -> vdec e pos) in
+  assert (!pos = String.length e);
+  d
+
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"encode/decode round-trips byte-identically"
     ~count:300
     QCheck.(pair items_gen delta_gen)
     (fun (kvs, raw) ->
       let items = sorted_items kvs in
-      (* exercise every construction path: fresh builds (packed and
-         boxed) and a gap-reusing merge, whose arena is out of index
-         order — encode must normalize it *)
-      let base = LP.build ~packed:true items in
-      let merged =
-        (LP.merge_with_deltas ~packed:true ~reuse:true base
-           (List.rev_map to_delta raw))
-          .LP.m_page
-      in
+      (* every construction path: a fresh build, a merge and the empty
+         page *)
+      let base = LP.build items in
+      let merged = LP.merge_with_deltas base (List.rev_map to_delta raw) in
       List.for_all
         (fun page ->
           let e1 = enc page in
-          let d = LP.decode e1 ~pos:(ref 0) ~value:(fun () -> 0) in
-          ignore d;
-          let pos = ref 0 in
-          let d =
-            LP.decode e1 ~pos ~value:(fun () -> vdec e1 pos)
-          in
-          assert (!pos = String.length e1);
+          let d = dec e1 in
           assert (LP.slice d = LP.slice page);
-          assert (LP.length d = 0 || LP.is_packed d);
           enc d = e1)
-        [ base; LP.build ~packed:false items; merged; LP.empty ])
+        [ base; merged; LP.empty ])
 
 let prop_codec_roundtrip_str =
   QCheck.Test.make ~name:"encode/decode round-trips (string keys)"
     ~count:300 str_items_gen (fun kvs ->
-      let items = sorted_str_items kvs in
-      let page = LPS.build ~packed:true items in
+      let page = LPS.build (sorted_items kvs) in
       let e1 = enc_s page in
-      let pos = ref 0 in
-      let d = LPS.decode e1 ~pos ~value:(fun () -> vdec e1 pos) in
+      let d = dec_s e1 in
       assert (LPS.slice d = LPS.slice page);
       enc_s d = e1)
 
+(* Encodings written by the packed-arena page representation, which this
+   one replaced: the on-disk format must not move, so existing data
+   directories, WAL snapshots and replica snapshot pages stay readable. *)
+let golden_int =
+  "\x04\x00\x00\x00\x00\x00\x00\x00\x01\x7f\xff\xff\xff\xff\xff\xff\xfb\x80\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x07\x80\x00\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00"
+
+let golden_int_items = [| (-5, 1); (0, 2); (7, 3); (1 lsl 40, 4) |]
+
+let golden_str =
+  "\x04\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x0b\x00\x00\x00\x00\x00\x00\x00\x61\x61\x62\x63\x68\x65\x6c\x6c\x6f\x20\x77\x6f\x72\x6c\x64\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00"
+
+let golden_str_items = [| ("", 1); ("a", 2); ("abc", 3); ("hello world", 4) |]
+
+let test_golden () =
+  Alcotest.(check string) "fixed8 int page" golden_int
+    (enc (LP.build golden_int_items));
+  Alcotest.(check bool) "int page decodes" true
+    (LP.slice (dec golden_int) = golden_int_items);
+  Alcotest.(check string) "variable-length string page" golden_str
+    (enc_s (LPS.build golden_str_items));
+  Alcotest.(check bool) "string page decodes" true
+    (LPS.slice (dec_s golden_str) = golden_str_items);
+  Alcotest.(check string) "empty page" "\000\000\000\000\000\000\000\000\000"
+    (enc LP.empty)
+
+let i64 v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int v);
+  Bytes.to_string b
+
 let test_decode_malformed () =
-  let page = LP.build ~packed:true [| (1, 10); (2, 20) |] in
-  let e = enc page in
+  let e = enc (LP.build [| (1, 10); (2, 20) |]) in
   List.iter
     (fun payload ->
       match
@@ -257,39 +278,98 @@ let test_decode_malformed () =
       (let b = Bytes.of_string e in
        Bytes.set b 8 '\042';
        Bytes.to_string b);
+      (* an int key slice that is not 8 bytes: [K.of_binary] raises
+         [Invalid_argument], which must surface as [Failure] so the
+         store falls back to an older generation *)
+      i64 1 ^ "\000" ^ i64 3 ^ "abc";
     ]
 
-(* ---- gap policy ---- *)
+(* ---- decoder fuzzing ---- *)
 
-let test_gap_reuse () =
-  let items = Array.init 100 (fun i -> (i * 3, i)) in
-  let base = LP.build ~packed:true items in
-  (* 100 8-byte keys: 800 arena bytes + a 200-byte gap *)
-  Alcotest.(check int) "gap" 200 (LP.gap_bytes base);
-  (* three new keys (24 fresh bytes) fit the gap *)
-  let chain = [ LP.Ins (1, 0); LP.Ins (4, 0); LP.Ins (7, 0) ] in
-  let m = LP.merge_with_deltas ~reuse:true base chain in
-  Alcotest.(check bool) "reused" true m.LP.m_gap_reused;
-  Alcotest.(check int) "gap shrank" 176 (LP.gap_bytes m.LP.m_page);
-  (* updates touch only keys the base holds: zero fresh bytes, free *)
-  let m2 =
-    LP.merge_with_deltas ~reuse:true m.LP.m_page [ LP.Upd (0, 0, 9) ]
+(* [decode] on a mutated real encoding must return a page or raise
+   [Failure]; any other exception escapes and fails the property. *)
+let survives decode payload =
+  match decode payload with _ -> () | exception Failure _ -> ()
+
+let mutations ~fixed8 ~n e flips =
+  let plen = String.length e in
+  let with_i64 off v =
+    if off + 8 > plen then e
+    else begin
+      let b = Bytes.of_string e in
+      Bytes.set_int64_le b off (Int64.of_int v);
+      Bytes.to_string b
+    end
   in
-  Alcotest.(check bool) "update is byte-free" true m2.LP.m_gap_reused;
-  Alcotest.(check int) "gap unchanged" 176 (LP.gap_bytes m2.LP.m_page);
-  (* exhaust the gap: reuse must fail over to a fresh arena *)
-  let big =
-    List.init 30 (fun i -> LP.Ins ((i * 3) + 2, 0))
+  let truncations = List.init plen (fun l -> String.sub e 0 l) in
+  let byte_flips =
+    List.map
+      (fun (pos, byte) ->
+        let b = Bytes.of_string e in
+        if plen > 0 then Bytes.set b (pos mod plen) (Char.chr byte);
+        Bytes.to_string b)
+      flips
   in
-  let m3 = LP.merge_with_deltas ~reuse:true m2.LP.m_page big in
-  Alcotest.(check bool) "fell back to fresh arena" false m3.LP.m_gap_reused;
-  Alcotest.(check bool) "contents intact" true
-    (Array.length (LP.slice m3.LP.m_page) = 133);
-  (* a no-reuse merge never touches the base's gap *)
-  let before = LP.gap_bytes base in
-  ignore (LP.merge_with_deltas ~reuse:false base chain);
-  Alcotest.(check int) "snapshot merge left the base alone" before
-    (LP.gap_bytes base)
+  (* the count at 0, and (unless fixed8) the length table from 9 *)
+  let fields = 0 :: (if fixed8 then [] else List.init n (fun i -> 9 + (8 * i))) in
+  let overwrites =
+    List.concat_map
+      (fun off ->
+        List.map (with_i64 off) [ 0; -1; max_int; plen + 1 ])
+      fields
+  in
+  truncations @ byte_flips @ overwrites
+
+let flips_gen = QCheck.(list_of_size (Gen.int_range 0 32) (pair small_nat (int_bound 255)))
+
+let fuzz_items_gen =
+  QCheck.(list_of_size (Gen.int_range 0 40) (pair (int_bound 60) (int_bound 5)))
+
+let prop_fuzz_decode =
+  QCheck.Test.make ~name:"decode of a mutated int page raises only Failure"
+    ~count:200
+    QCheck.(pair fuzz_items_gen flips_gen)
+    (fun (kvs, flips) ->
+      let page = LP.build (sorted_items kvs) in
+      let e = enc page in
+      List.iter
+        (survives (fun p ->
+             let pos = ref 0 in
+             LP.decode p ~pos ~value:(fun () -> vdec p pos)))
+        (mutations ~fixed8:(LP.length page > 0) ~n:(LP.length page) e flips);
+      true)
+
+let prop_fuzz_decode_str =
+  QCheck.Test.make ~name:"decode of a mutated string page raises only Failure"
+    ~count:200
+    (QCheck.pair (str_items_of_size 40) flips_gen)
+    (fun (kvs, flips) ->
+      let page = LPS.build (sorted_items kvs) in
+      let e = enc_s page in
+      let fixed8 = String.length e > 8 && e.[8] = '\001' in
+      List.iter
+        (survives (fun p ->
+             let pos = ref 0 in
+             LPS.decode p ~pos ~value:(fun () -> vdec p pos)))
+        (mutations ~fixed8 ~n:(LPS.length page) e flips);
+      true)
+
+(* ---- footprint ---- *)
+
+(* A page is its two arrays and nothing else: a 128-int-key page must
+   stay within 2 words per key plus headers, so no second copy of the
+   keys can return unnoticed. *)
+let test_footprint () =
+  let items = Array.init 128 (fun i -> (i * 2, i)) in
+  let bound = (2 * 128) + 16 in
+  let words p = Obj.reachable_words (Obj.repr p) in
+  let built = LP.build items in
+  Alcotest.(check bool) "built page" true (words built <= bound);
+  Alcotest.(check bool) "decoded page" true (words (dec (enc built)) <= bound);
+  let merged =
+    LP.merge_with_deltas (LP.build (Array.sub items 0 127)) [ LP.Ins (1000, 0) ]
+  in
+  Alcotest.(check bool) "merged page" true (words merged <= bound)
 
 let test_search_cost () =
   Alcotest.(check int) "0" 0 (LP.search_cost_n 0);
@@ -297,24 +377,27 @@ let test_search_cost () =
   Alcotest.(check int) "2" 2 (LP.search_cost_n 2);
   Alcotest.(check int) "128" 8 (LP.search_cost_n 128);
   Alcotest.(check int) "255" 8 (LP.search_cost_n 255);
-  let page = LP.build ~packed:true (Array.init 100 (fun i -> (i, i))) in
+  let page = LP.build (Array.init 100 (fun i -> (i, i))) in
   Alcotest.(check int) "page" (LP.search_cost_n 100) (LP.search_cost page)
 
 let () =
   Alcotest.run "leaf_page"
     [
-      ( "equivalence",
-        [ q prop_build_equiv; q prop_build_equiv_str; q prop_merge_equiv ] );
+      ( "model",
+        [ q prop_build_model; q prop_build_model_str; q prop_merge_equiv ] );
       ( "codec",
         [
           q prop_codec_roundtrip;
           q prop_codec_roundtrip_str;
+          Alcotest.test_case "golden encodings" `Quick test_golden;
           Alcotest.test_case "malformed payloads rejected" `Quick
             test_decode_malformed;
+          q prop_fuzz_decode;
+          q prop_fuzz_decode_str;
         ] );
       ( "policy",
         [
-          Alcotest.test_case "gap reuse and fallback" `Quick test_gap_reuse;
+          Alcotest.test_case "footprint" `Quick test_footprint;
           Alcotest.test_case "search cost" `Quick test_search_cost;
         ] );
     ]
