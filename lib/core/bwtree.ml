@@ -65,42 +65,56 @@ module Make (K : KEY) (V : VALUE) :
   (* Elements: base nodes and delta records                            *)
   (* ---------------------------------------------------------------- *)
 
-  (* Node attributes (Table 1), carried by every element so threads read
-     the logical node's current state from the chain head without replaying
-     the chain. *)
-  type meta = {
-    size : int;  (* items in the logical node *)
-    depth : int;  (* delta records in the chain *)
+  (* A node version's key range and right sibling (Table 1's low key,
+     high key and right-sibling attributes). A base and every data delta
+     above it share one physical record: only a split or merge delta (which
+     changes the range) and a new node allocate one, and consolidation
+     hands the head's record to the new base. *)
+  type range = {
     lo : bound;  (* low key *)
     hi : bound;  (* high key = low key of right sibling *)
     right : int;  (* right sibling id, [nil_id] if none *)
   }
 
-  (* Every element is one block: the constructor carries its fields
-     inline, so following [l_next] lands directly on the next record and
-     a chain step costs one dependent load, not two. *)
+  (* Every element is one heap block: each constructor carries its fields
+     inline, so following [next] lands directly on the next record and a
+     chain step costs one dependent load. A delta also carries the node's
+     attributes as of that version (Table 1), so threads read the logical
+     node's current state from the chain head without replaying the chain:
+     [size] (items in the logical node) and [depth] (delta records from
+     this one down to the base, this one included). A base derives them
+     instead: its size is its item count, its depth 0.
+
+     [range] is the first field and [next] the second in every constructor
+     that has them, so [range_of] compiles to one load with no tag switch
+     and a chain step reads the same offset whatever the delta kind. *)
   type elem =
-    | Leaf of { lb_page : P.t; lb_meta : meta; lb_pre : prealloc option }
+    | Leaf of { range : range; lb_page : P.t; lb_pre : prealloc option }
     | Inner of {
+        range : range;
         ib_seps : key array;
             (* separators 1..n-1, strictly ascending inside (lo, hi);
-               separator 0 is [ib_meta.lo]. ib_ids.(i) owns keys from
+               separator 0 is [range.lo]. ib_ids.(i) owns keys from
                separator i up to separator i+1, the last range closed by
                hi. Unboxed: routing compares keys, never bounds. *)
         ib_ids : int array;
-        ib_meta : meta;
         ib_pre : prealloc option;
       }
-    | LD of { l_op : l_op; l_next : elem; l_meta : meta; l_offset : int }
-        (* [l_offset]: the §4.3 base-node position of a data delta's key,
-           -1 when unknown; only data deltas read it, so it lives here
-           rather than in every meta *)
-    | ID of { i_op : i_op; i_next : elem; i_meta : meta }
+    (* The data deltas: key, value(s) and the §4.3 base-node position of
+       the key ([offset], -1 when unknown) inline, 8 words (9 for an
+       update) per delta. *)
+    | LIns of { range : range; next : elem; size : int; depth : int;
+                offset : int; key : key; v : value }
+    | LDel of { range : range; next : elem; size : int; depth : int;
+                offset : int; key : key; v : value (* the value removed *) }
+    | LUpd of { range : range; next : elem; size : int; depth : int;
+                offset : int; key : key; vold : value; vnew : value }
+    (* Leaf SMO deltas and every inner delta are rare, so their op stays a
+       separate block. *)
+    | LSmo of { range : range; next : elem; size : int; depth : int; op : l_smo }
+    | ID of { range : range; next : elem; size : int; depth : int; op : i_op }
 
-  and l_op =
-    | L_ins of key * value
-    | L_del of key * value
-    | L_upd of key * value * value  (* key, old value, new value *)
+  and l_smo =
     | L_split of key * int * bool Atomic.t
         (* split key, new right sibling id, Stage III done (set once, by
            whoever posts or confirms the parent's separator) *)
@@ -125,14 +139,32 @@ module Make (K : KEY) (V : VALUE) :
      reproduces the allocation discipline and its statistics.) *)
   and prealloc = { cap : int; used : int Atomic.t; wasted : int Atomic.t }
 
-  let meta_of = function
-    | Leaf { lb_meta = m; _ }
-    | Inner { ib_meta = m; _ }
-    | LD { l_meta = m; _ }
-    | ID { i_meta = m; _ } ->
-        m
+  (* The node attributes, read off any element without allocating. *)
+  let range_of = function
+    | Leaf { range; _ } | Inner { range; _ } | LIns { range; _ }
+    | LDel { range; _ } | LUpd { range; _ } | LSmo { range; _ }
+    | ID { range; _ } ->
+        range
 
-  let is_leaf_elem = function Leaf _ | LD _ -> true | Inner _ | ID _ -> false
+  let size_of = function
+    | Leaf b -> P.length b.lb_page
+    | Inner b -> Array.length b.ib_ids
+    | LIns { size; _ } | LDel { size; _ } | LUpd { size; _ } | LSmo { size; _ }
+    | ID { size; _ } ->
+        size
+
+  let depth_of = function
+    | Leaf _ | Inner _ -> 0
+    | LIns { depth; _ } | LDel { depth; _ } | LUpd { depth; _ }
+    | LSmo { depth; _ } | ID { depth; _ } ->
+        depth
+
+  let is_leaf_elem = function
+    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSmo _ -> true
+    | Inner _ | ID _ -> false
+
+  (* the unbounded range of a tree's first leaf and of every new root *)
+  let whole = { lo = Neg_inf; hi = Pos_inf; right = nil_id }
 
   (* ---------------------------------------------------------------- *)
   (* Tree                                                              *)
@@ -187,7 +219,7 @@ module Make (K : KEY) (V : VALUE) :
      - stamp: the SMO epoch at fill time, a refresh hint only.
      Entries are advisory — every hit re-reads the head through the
      mapping table and re-checks [lo <= k < hi] against the *current*
-     meta, so a stale/torn/racy entry costs a descent, never a wrong
+     range, so a stale/torn/racy entry costs a descent, never a wrong
      leaf. That advisory-ness is why plain (non-atomic) int reads and
      writes suffice: a torn triple (one key's fingerprint beside
      another's pid) just fails validation. Keeping the triples unboxed
@@ -245,12 +277,7 @@ module Make (K : KEY) (V : VALUE) :
       Some { cap = cap + 1; used = Atomic.make 0; wasted = Atomic.make 0 }
 
   let empty_leaf cfg =
-    Leaf
-      {
-        lb_page = P.empty;
-        lb_meta = { size = 0; depth = 0; lo = Neg_inf; hi = Pos_inf; right = nil_id };
-        lb_pre = new_prealloc cfg ~leaf:true;
-      }
+    Leaf { range = whole; lb_page = P.empty; lb_pre = new_prealloc cfg ~leaf:true }
 
   (* Sentinel element: a cache probe's miss, and the absent parent of a
      root-level node. Only ever compared physically. *)
@@ -265,10 +292,9 @@ module Make (K : KEY) (V : VALUE) :
     let root =
       Inner
         {
+          range = whole;
           ib_seps = [||];
           ib_ids = [| leaf_id |];
-          ib_meta =
-            { size = 1; depth = 0; lo = Neg_inf; hi = Pos_inf; right = nil_id };
           ib_pre = new_prealloc config ~leaf:false;
         }
     in
@@ -362,9 +388,10 @@ module Make (K : KEY) (V : VALUE) :
         let g = Growable.create ~capacity:(P.length b.lb_page + 8) () in
         P.iter_from b.lb_page 0 (fun k v -> Growable.push g (k, v));
         g
-    | LD d -> (
+    | LIns { next; _ } | LDel { next; _ } | LUpd { next; _ } | LSmo { next; _ }
+      -> (
         cnt tid Counters.Pointer_deref;
-        let items = gather_leaf ~tid d.l_next in
+        let items = gather_leaf ~tid next in
         let find_pair k v =
           (* position of the exact (k, v) pair, or -1 *)
           let n = Growable.length items in
@@ -387,26 +414,26 @@ module Make (K : KEY) (V : VALUE) :
           let pos = find_pair k v in
           if pos >= 0 then Growable.remove_at items pos
         in
-        match d.l_op with
-        | L_ins (k, v) ->
-            do_insert k v;
+        match e with
+        | LIns d ->
+            do_insert d.key d.v;
             items
-        | L_del (k, v) ->
-            do_delete k v;
+        | LDel d ->
+            do_delete d.key d.v;
             items
-        | L_upd (k, vold, vnew) ->
-            do_delete k vold;
-            do_insert k vnew;
+        | LUpd d ->
+            do_delete d.key d.vold;
+            do_insert d.key d.vnew;
             items
-        | L_split (ks, _, _) ->
+        | LSmo { op = L_split (ks, _, _); _ } ->
             let cut = lower_bound_g ~tid items ks in
             Growable.truncate items cut;
             items
-        | L_merge (_, right, _) ->
+        | LSmo { op = L_merge (_, right, _); _ } ->
             let r = gather_leaf ~tid right in
             Growable.iter (fun it -> Growable.push items it) r;
             items
-        | L_remove -> items)
+        | LSmo { op = L_remove; _ } | Leaf _ | Inner _ | ID _ -> items)
     | Inner _ | ID _ -> assert false
 
   and lower_bound_g ~tid items k =
@@ -435,12 +462,12 @@ module Make (K : KEY) (V : VALUE) :
     | Inner b ->
         let ids = b.ib_ids in
         let g = Growable.create ~capacity:(Array.length ids + 4) () in
-        if Array.length ids > 0 then Growable.push g (b.ib_meta.lo, ids.(0));
+        if Array.length ids > 0 then Growable.push g (b.range.lo, ids.(0));
         Array.iteri (fun i s -> Growable.push g (B s, ids.(i + 1))) b.ib_seps;
         g
     | ID d -> (
         cnt tid Counters.Pointer_deref;
-        let items = gather_inner ~tid d.i_next in
+        let items = gather_inner ~tid d.next in
         let pos_of_sep sep =
           let lo = ref 0 and hi = ref (Growable.length items) in
           while !lo < !hi do
@@ -452,7 +479,7 @@ module Make (K : KEY) (V : VALUE) :
           done;
           !lo
         in
-        match d.i_op with
+        match d.op with
         | I_ins (ks, cid, _) ->
             let pos = pos_of_sep (B ks) in
             if
@@ -477,7 +504,7 @@ module Make (K : KEY) (V : VALUE) :
             Growable.iter (fun it -> Growable.push items it) r;
             items
         | I_remove | I_abort -> items)
-    | Leaf _ | LD _ -> assert false
+    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSmo _ -> assert false
 
   (* ---------------------------------------------------------------- *)
   (* Fast consolidation (§4.3)                                         *)
@@ -494,18 +521,14 @@ module Make (K : KEY) (V : VALUE) :
       let rec walk e =
         match e with
         | Leaf b -> (b.lb_page, [])
-        | LD d ->
-            cnt tid Counters.Pointer_deref;
-            let dd =
-              match d.l_op with
-              | L_ins (k, v) -> P.Ins (k, v)
-              | L_del (k, v) -> P.Del (k, v)
-              | L_upd (k, vold, vnew) -> P.Upd (k, vold, vnew)
-              | L_split _ | L_merge _ | L_remove -> raise Fallback
-            in
-            let b, ds = walk d.l_next in
-            (b, dd :: ds)
-        | Inner _ | ID _ -> raise Fallback
+        | LIns d -> push (P.Ins (d.key, d.v)) d.next
+        | LDel d -> push (P.Del (d.key, d.v)) d.next
+        | LUpd d -> push (P.Upd (d.key, d.vold, d.vnew)) d.next
+        | LSmo _ | Inner _ | ID _ -> raise Fallback
+      and push dd next =
+        cnt tid Counters.Pointer_deref;
+        let b, ds = walk next in
+        (b, dd :: ds)
       in
       let page, deltas = walk head in
       Some (P.merge_with_deltas ~tid page deltas)
@@ -515,15 +538,10 @@ module Make (K : KEY) (V : VALUE) :
   (* Building base nodes                                               *)
   (* ---------------------------------------------------------------- *)
 
-  let leaf_base_of_page t page ~lo ~hi ~right =
-    Leaf
-      {
-        lb_page = page;
-        lb_meta = { size = P.length page; depth = 0; lo; hi; right };
-        lb_pre = new_prealloc t.cfg ~leaf:true;
-      }
+  let leaf_base_of_page t page ~range =
+    Leaf { range; lb_page = page; lb_pre = new_prealloc t.cfg ~leaf:true }
 
-  let inner_base_of_items t items ~lo ~hi ~right =
+  let inner_base_of_items t items ~range =
     let n = Array.length items in
     (* the first separator of an inner node is its own low bound, so only
        the rest are stored; those are always finite keys *)
@@ -534,9 +552,9 @@ module Make (K : KEY) (V : VALUE) :
     in
     Inner
       {
+        range;
         ib_seps = seps;
         ib_ids = Array.map snd items;
-        ib_meta = { size = n; depth = 0; lo; hi; right };
         ib_pre = new_prealloc t.cfg ~leaf:false;
       }
 
@@ -547,14 +565,11 @@ module Make (K : KEY) (V : VALUE) :
   let head_has_smo head =
     let rec go = function
       | Leaf _ | Inner _ -> false
-      | LD d -> (
-          match d.l_op with
-          | L_split _ | L_merge _ | L_remove -> true
-          | L_ins _ | L_del _ | L_upd _ -> go d.l_next)
-      | ID d -> (
-          match d.i_op with
-          | I_split _ | I_merge _ | I_remove | I_abort -> true
-          | I_ins _ | I_del _ -> go d.i_next)
+      | LIns { next; _ } | LDel { next; _ } | LUpd { next; _ }
+      | ID { op = I_ins _ | I_del _; next; _ } ->
+          go next
+      | LSmo _ | ID { op = I_split _ | I_merge _ | I_remove | I_abort; _ } ->
+          true
     in
     go head
 
@@ -573,7 +588,7 @@ module Make (K : KEY) (V : VALUE) :
      stays there while the split delta heads its node (see DESIGN.md
      "Read path"), so such heads are treated like any other. *)
   let head_is_split_topped = function
-    | LD { l_op = L_split (_, _, fin); _ } | ID { i_op = I_split (_, _, fin); _ }
+    | LSmo { op = L_split (_, _, fin); _ } | ID { op = I_split (_, _, fin); _ }
       ->
         not (Atomic.get fin)
     | _ -> false
@@ -615,21 +630,20 @@ module Make (K : KEY) (V : VALUE) :
       let rec walk e =
         match e with
         | Leaf b -> b.lb_page
-        | LD d -> (
+        | LIns { key = k; v; next; _ } ->
             cnt tid Counters.Pointer_deref;
-            match d.l_op with
-            | L_ins (k, v) ->
-                if not (take_pending k v) then Growable.push pres (k, v);
-                walk d.l_next
-            | L_del (k, v) ->
-                Growable.push dels (k, v);
-                walk d.l_next
-            | L_upd (k, vold, vnew) ->
-                if not (take_pending k vnew) then Growable.push pres (k, vnew);
-                Growable.push dels (k, vold);
-                walk d.l_next
-            | L_split _ | L_merge _ | L_remove -> raise Fallback)
-        | Inner _ | ID _ -> raise Fallback
+            if not (take_pending k v) then Growable.push pres (k, v);
+            walk next
+        | LDel { key = k; v; next; _ } ->
+            cnt tid Counters.Pointer_deref;
+            Growable.push dels (k, v);
+            walk next
+        | LUpd { key = k; vold; vnew; next; _ } ->
+            cnt tid Counters.Pointer_deref;
+            if not (take_pending k vnew) then Growable.push pres (k, vnew);
+            Growable.push dels (k, vold);
+            walk next
+        | LSmo _ | Inner _ | ID _ -> raise Fallback
       in
       let base = walk head in
       let out = Growable.create ~capacity:(P.length base + 8) () in
@@ -643,18 +657,17 @@ module Make (K : KEY) (V : VALUE) :
     with Fallback -> None
 
   (* Replace a logical node's chain by a freshly-built base node. SMO
-     deltas are absorbed: the head meta already carries the post-SMO
+     deltas are absorbed: the head's range already is the post-SMO
      lo/hi/right (Table 1), and the replay truncates/concatenates items
      accordingly. Nodes with a remove delta at the head are skipped — they
      are about to disappear. Returns the new base when this call's CaS
      installed it, [head] otherwise. *)
   let try_consolidate t ~tid id (head : elem) =
-    let m = meta_of head in
-    if m.depth = 0 then head
+    let depth = depth_of head in
+    if depth = 0 then head
     else
       match head with
-      | LD { l_op = L_remove; _ } | ID { i_op = I_remove | I_abort; _ } ->
-          head
+      | LSmo { op = L_remove; _ } | ID { op = I_remove | I_abort; _ } -> head
       | _ ->
           (* A split delta at the head may carry a still-unposted
              separator (Stage III pending — possible when the split was
@@ -663,8 +676,8 @@ module Make (K : KEY) (V : VALUE) :
              first; the CaS below then only absorbs what the descent
              just proved complete (see [head_is_split_topped]). *)
           (match head with
-          | LD { l_op = L_split (ks, _, fin); _ }
-          | ID { i_op = I_split (ks, _, fin); _ }
+          | LSmo { op = L_split (ks, _, fin); _ }
+          | ID { op = I_split (ks, _, fin); _ }
             when not (Atomic.get fin) ->
               !complete_split_for t ~tid ks fin
           | _ -> ());
@@ -684,11 +697,11 @@ module Make (K : KEY) (V : VALUE) :
                 | None ->
                     P.build (Growable.to_array (gather_leaf ~tid head))
               in
-              leaf_base_of_page t page ~lo:m.lo ~hi:m.hi ~right:m.right
+              leaf_base_of_page t page ~range:(range_of head)
             end
             else
               let items = Growable.to_array (gather_inner ~tid head) in
-              inner_base_of_items t items ~lo:m.lo ~hi:m.hi ~right:m.right
+              inner_base_of_items t items ~range:(range_of head)
           in
           if mt_cas t ~tid id ~expect:head ~repl then begin
             sbump t tid f_consolidations;
@@ -696,7 +709,7 @@ module Make (K : KEY) (V : VALUE) :
               Bw_obs.observe t.o ~tid Bw_obs.Lat_consolidate
                 (Bw_obs.now_ns () - t0);
               Bw_obs.incr t.o ~tid Bw_obs.C_consolidations;
-              Bw_obs.event t.o ~tid Bw_obs.Ev_consolidate ~a:id ~b:m.depth
+              Bw_obs.event t.o ~tid Bw_obs.Ev_consolidate ~a:id ~b:depth
             end;
             Epoch.retire t.epoch ~tid (Obj.repr head);
             repl
@@ -723,14 +736,15 @@ module Make (K : KEY) (V : VALUE) :
   let rec chain_base (e : elem) =
     match e with
     | Leaf _ | Inner _ -> e
-    | LD d -> chain_base d.l_next
-    | ID d -> chain_base d.i_next
+    | LIns { next; _ } | LDel { next; _ } | LUpd { next; _ } | LSmo { next; _ }
+    | ID { next; _ } ->
+        chain_base next
 
   let prealloc_of e =
     match chain_base e with
     | Leaf b -> b.lb_pre
     | Inner b -> b.ib_pre
-    | LD _ | ID _ -> assert false
+    | _ -> assert false
 
   (* §4.1: claim one pre-allocated slot; on exhaustion force consolidation
      and make the caller retry. *)
@@ -751,8 +765,7 @@ module Make (K : KEY) (V : VALUE) :
     | Some pre -> ignore (Atomic.fetch_and_add pre.wasted 1)
 
   let head_is_append_blocked = function
-    | LD { l_op = L_remove; _ } -> true
-    | ID { i_op = I_remove | I_abort; _ } -> true
+    | LSmo { op = L_remove; _ } | ID { op = I_remove | I_abort; _ } -> true
     | _ -> false
 
   (* ---------------------------------------------------------------- *)
@@ -771,27 +784,26 @@ module Make (K : KEY) (V : VALUE) :
     match e with
     | ID d -> (
         cnt tid Counters.Pointer_deref;
-        match d.i_op with
+        match d.op with
         | I_ins (ks, cid, nsep) ->
             cnt tid Counters.Key_compare;
             if K.compare k ks >= 0 && kb k nsep < 0 then cid
-            else inner_nav ~tid d.i_next k
+            else inner_nav ~tid d.next k
         | I_del (_, k0, n0, k2) ->
-            if kb k k0 >= 0 && kb k k2 < 0 then n0
-            else inner_nav ~tid d.i_next k
+            if kb k k0 >= 0 && kb k k2 < 0 then n0 else inner_nav ~tid d.next k
         | I_split (ks, rid, _) ->
             cnt tid Counters.Key_compare;
             if K.compare k ks >= 0 then go_right rid
-            else inner_nav ~tid d.i_next k
+            else inner_nav ~tid d.next k
         | I_merge (km, right, _) ->
             cnt tid Counters.Key_compare;
-            inner_nav ~tid (if K.compare k km >= 0 then right else d.i_next) k
-        | I_remove | I_abort -> inner_nav ~tid d.i_next k)
+            inner_nav ~tid (if K.compare k km >= 0 then right else d.next) k
+        | I_remove | I_abort -> inner_nav ~tid d.next k)
     | Inner b ->
-        let m = b.ib_meta in
-        if kb k m.hi >= 0 && m.right <> nil_id then go_right m.right
+        let r = b.range in
+        if kb k r.hi >= 0 && r.right <> nil_id then go_right r.right
         else Array.unsafe_get b.ib_ids (sep_index ~tid b.ib_seps k)
-    | Leaf _ | LD _ -> assert false
+    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSmo _ -> assert false
 
   (* Exact routing context from the consolidated view: the separator
      governing [k], its child, and the tight next bound. Used when posting
@@ -811,7 +823,7 @@ module Make (K : KEY) (V : VALUE) :
     let sep, cid = Growable.get items !lo in
     let nsep =
       if !lo + 1 < n then fst (Growable.get items (!lo + 1))
-      else (meta_of head).hi
+      else (range_of head).hi
     in
     (sep, cid, nsep)
 
@@ -832,10 +844,9 @@ module Make (K : KEY) (V : VALUE) :
         let root =
           Inner
             {
+              range = whole;
               ib_seps = [| ks |];
               ib_ids = [| left_id; rid |];
-              ib_meta =
-                { size = 2; depth = 0; lo = Neg_inf; hi = Pos_inf; right = nil_id };
               ib_pre = new_prealloc t.cfg ~leaf:false;
             }
         in
@@ -849,10 +860,10 @@ module Make (K : KEY) (V : VALUE) :
         let rec attempt pid =
           let phead = mt_get t ~tid pid in
           if head_is_append_blocked phead then raise Restart;
-          let pm = meta_of phead in
-          if kb ks pm.hi >= 0 && pm.right <> nil_id then
+          let pr = range_of phead in
+          if kb ks pr.hi >= 0 && pr.right <> nil_id then
             (* the parent itself split; our separator belongs right *)
-            attempt pm.right
+            attempt pr.right
           else begin
             let sep, cid, nsep = inner_locate_exact ~tid phead ks in
             if cmp_bound sep (B ks) = 0 then
@@ -866,18 +877,8 @@ module Make (K : KEY) (V : VALUE) :
               claim_slot t ~tid pid phead;
               let d =
                 ID
-                  {
-                    i_op = I_ins (ks, rid, nsep);
-                    i_next = phead;
-                    i_meta =
-                      {
-                        size = pm.size + 1;
-                        depth = pm.depth + 1;
-                        lo = pm.lo;
-                        hi = pm.hi;
-                        right = pm.right;
-                      };
-                  }
+                  { range = pr; next = phead; size = size_of phead + 1;
+                    depth = depth_of phead + 1; op = I_ins (ks, rid, nsep) }
               in
               if not (mt_cas t ~tid pid ~expect:phead ~repl:d) then begin
                 sbump t tid f_failed_cas;
@@ -893,9 +894,10 @@ module Make (K : KEY) (V : VALUE) :
 
   (* Post-append housekeeping shared by all inner-delta writers. *)
   and post_append_inner t ~tid id (head : elem) parent_path =
-    let m = meta_of head in
-    if m.size > t.cfg.inner_max then ignore (split_node t ~tid id head parent_path)
-    else if m.depth >= t.cfg.inner_chain_max then consolidate t ~tid id head
+    if size_of head > t.cfg.inner_max then
+      ignore (split_node t ~tid id head parent_path)
+    else if depth_of head >= t.cfg.inner_chain_max then
+      consolidate t ~tid id head
 
   (* Split one logical node (leaf or inner). Stage I builds the new right
      sibling and publishes it in the mapping table; Stage II posts the
@@ -903,7 +905,7 @@ module Make (K : KEY) (V : VALUE) :
      the split delta when this call installed it (its Stage III then
      complete), [head] otherwise. *)
   and split_node t ~tid id (head : elem) parent_path =
-    let m = meta_of head in
+    let r = range_of head in
     if head_is_append_blocked head then head
     else
       let leaf = is_leaf_elem head in
@@ -929,7 +931,7 @@ module Make (K : KEY) (V : VALUE) :
                   !pos,
                   leaf_base_of_page t
                     (P.build_sub items ~pos:!pos ~len:(n - !pos))
-                    ~lo:(B ks) ~hi:m.hi ~right:m.right )
+                    ~range:{ lo = B ks; hi = r.hi; right = r.right } )
           end
         end
         else begin
@@ -946,7 +948,7 @@ module Make (K : KEY) (V : VALUE) :
                     pos,
                     inner_base_of_items t
                       (Array.sub items pos (n - pos))
-                      ~lo:(B ks) ~hi:m.hi ~right:m.right )
+                      ~range:{ lo = B ks; hi = r.hi; right = r.right } )
         end
       in
       match cut with
@@ -955,19 +957,12 @@ module Make (K : KEY) (V : VALUE) :
           let rid = Mapping_table.allocate t.table right in
           cnt tid Counters.Allocation;
           let fin = Atomic.make false in
-          let meta =
-            { size; depth = m.depth + 1; lo = m.lo; hi = B ks; right = rid }
-          in
+          let range = { lo = r.lo; hi = B ks; right = rid }
+          and depth = depth_of head + 1 in
           let d =
             if leaf then
-              LD
-                {
-                  l_op = L_split (ks, rid, fin);
-                  l_next = head;
-                  l_meta = meta;
-                  l_offset = -1;
-                }
-            else ID { i_op = I_split (ks, rid, fin); i_next = head; i_meta = meta }
+              LSmo { range; next = head; size; depth; op = L_split (ks, rid, fin) }
+            else ID { range; next = head; size; depth; op = I_split (ks, rid, fin) }
           in
           if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
             sbump t tid f_failed_cas;
@@ -1010,8 +1005,7 @@ module Make (K : KEY) (V : VALUE) :
   and collapse_root t ~tid root_id =
     if Atomic.get t.root = root_id then begin
       let head = mt_get t ~tid root_id in
-      let m = meta_of head in
-      if m.size = 1 && not (is_leaf_elem head) && not (head_has_smo head)
+      if size_of head = 1 && not (is_leaf_elem head) && not (head_has_smo head)
       then begin
         let items = gather_inner ~tid head in
         if Growable.length items = 1 then begin
@@ -1043,14 +1037,13 @@ module Make (K : KEY) (V : VALUE) :
         let phead = mt_get t ~tid pid in
         if head_is_append_blocked phead then ()
         else begin
-          let pm = meta_of phead in
+          let pr = range_of phead
+          and psize = size_of phead
+          and pdepth = depth_of phead in
           let abort_d =
             ID
-              {
-                i_op = I_abort;
-                i_next = phead;
-                i_meta = { pm with depth = pm.depth + 1 };
-              }
+              { range = pr; next = phead; size = psize; depth = pdepth + 1;
+                op = I_abort }
           in
           if not (mt_cas t ~tid pid ~expect:phead ~repl:abort_d) then
             sbump t tid f_failed_cas
@@ -1061,18 +1054,20 @@ module Make (K : KEY) (V : VALUE) :
             in
             (* re-read our node under the parent lock *)
             let nhead = mt_get t ~tid id in
-            let nm = meta_of nhead in
+            let nr = range_of nhead
+            and nsize = size_of nhead
+            and ndepth = depth_of nhead in
             let give_up () = unlock_parent () in
             if
               head_is_append_blocked nhead
               || head_is_split_topped nhead
-              || nm.size >= t.cfg.leaf_min
+              || nsize >= t.cfg.leaf_min
                  && is_leaf_elem nhead
-              || nm.size >= t.cfg.inner_min
+              || nsize >= t.cfg.inner_min
                  && not (is_leaf_elem nhead)
             then give_up ()
             else
-              match nm.lo with
+              match nr.lo with
               | Neg_inf | Pos_inf -> give_up () (* leftmost: no left sibling *)
               | B merge_key -> (
                   (* locate our separator and our left sibling in the
@@ -1091,25 +1086,19 @@ module Make (K : KEY) (V : VALUE) :
                     else begin
                       let k2 =
                         if !idx + 1 < n then fst (Growable.get items (!idx + 1))
-                        else pm.hi
+                        else pr.hi
                       in
                       (* Stage I: remove delta on the victim *)
                       let rem =
+                        let depth = ndepth + 1 in
                         if is_leaf_elem nhead then
-                          LD
-                            {
-                              l_op = L_remove;
-                              l_next = nhead;
-                              l_meta = { nm with depth = nm.depth + 1 };
-                              l_offset = -1;
-                            }
+                          LSmo
+                            { range = nr; next = nhead; size = nsize; depth;
+                              op = L_remove }
                         else
                           ID
-                            {
-                              i_op = I_remove;
-                              i_next = nhead;
-                              i_meta = { nm with depth = nm.depth + 1 };
-                            }
+                            { range = nr; next = nhead; size = nsize; depth;
+                              op = I_remove }
                       in
                       if not (mt_cas t ~tid id ~expect:nhead ~repl:rem) then begin
                         sbump t tid f_failed_cas;
@@ -1122,42 +1111,29 @@ module Make (K : KEY) (V : VALUE) :
                         in
                         (* Stage II: merge delta on the left sibling *)
                         let lhead = mt_get t ~tid lid in
-                        let lm = meta_of lhead in
+                        let lr = range_of lhead in
                         if
                           head_is_append_blocked lhead
-                          || cmp_bound lm.hi (B merge_key) <> 0
-                          || lm.right <> id
+                          || cmp_bound lr.hi (B merge_key) <> 0
+                          || lr.right <> id
                           || is_leaf_elem lhead <> is_leaf_elem nhead
                         then begin
                           undo_remove ();
                           give_up ()
                         end
                         else begin
-                          let merged_meta =
-                            {
-                              size = lm.size + nm.size;
-                              depth = lm.depth + 1;
-                              lo = lm.lo;
-                              hi = nm.hi;
-                              right = nm.right;
-                            }
-                          in
+                          let range = { lo = lr.lo; hi = nr.hi; right = nr.right }
+                          and size = size_of lhead + nsize
+                          and depth = depth_of lhead + 1 in
                           let merge_d =
                             if is_leaf_elem lhead then
-                              LD
-                                {
-                                  l_op = L_merge (merge_key, nhead, id);
-                                  l_next = lhead;
-                                  l_meta = merged_meta;
-                                  l_offset = -1;
-                                }
+                              LSmo
+                                { range; next = lhead; size; depth;
+                                  op = L_merge (merge_key, nhead, id) }
                             else
                               ID
-                                {
-                                  i_op = I_merge (merge_key, nhead, id);
-                                  i_next = lhead;
-                                  i_meta = merged_meta;
-                                }
+                                { range; next = lhead; size; depth;
+                                  op = I_merge (merge_key, nhead, id) }
                           in
                           if not (mt_cas t ~tid lid ~expect:lhead ~repl:merge_d)
                           then begin
@@ -1170,18 +1146,9 @@ module Make (K : KEY) (V : VALUE) :
                                post the separator delete *)
                             let del_d =
                               ID
-                                {
-                                  i_op = I_del (merge_key, k0, lid, k2);
-                                  i_next = phead;
-                                  i_meta =
-                                    {
-                                      size = pm.size - 1;
-                                      depth = pm.depth + 1;
-                                      lo = pm.lo;
-                                      hi = pm.hi;
-                                      right = pm.right;
-                                    };
-                                }
+                                { range = pr; next = phead; size = psize - 1;
+                                  depth = pdepth + 1;
+                                  op = I_del (merge_key, k0, lid, k2) }
                             in
                             let ok =
                               mt_cas t ~tid pid ~expect:abort_d ~repl:del_d
@@ -1205,12 +1172,11 @@ module Make (K : KEY) (V : VALUE) :
                                underflow, or shrink the tree when the
                                root is down to a single inner child *)
                             let rest = List.tl parent_path in
-                            let dm = meta_of del_d in
-                            if dm.size < t.cfg.inner_min && rest <> [] then
+                            if psize - 1 < t.cfg.inner_min && rest <> [] then
                               merge_node t ~tid pid del_d rest
-                            else if rest = [] && dm.size = 1 then
+                            else if rest = [] && psize - 1 = 1 then
                               collapse_root t ~tid pid
-                            else if dm.depth >= t.cfg.inner_chain_max then
+                            else if pdepth + 1 >= t.cfg.inner_chain_max then
                               consolidate t ~tid pid del_d
                           end
                         end
@@ -1245,23 +1211,23 @@ module Make (K : KEY) (V : VALUE) :
     cnt tid Counters.Node_visit;
     let head = mt_get t ~tid id in
     (match head with
-    | LD { l_op = L_split (ks, rid, fin); _ }
-    | ID { i_op = I_split (ks, rid, fin); _ }
+    | LSmo { op = L_split (ks, rid, fin); _ }
+    | ID { op = I_split (ks, rid, fin); _ }
       when not (Atomic.get fin) ->
         (* unfinished half-split at the head: help post the separator
            before traversing (best effort; Restart on interference) *)
         sbump t tid f_smo_helps;
         let parent_path = if track || pid = nil_id then path else [ pid ] in
         post_split_separator t ~tid ~parent_path ~left_id:id ~ks ~rid ~fin
-    | LD { l_op = L_remove; _ } | ID { i_op = I_remove; _ } ->
+    | LSmo { op = L_remove; _ } | ID { op = I_remove; _ } ->
         (* node being merged away: its merging thread is mid-protocol;
            back off and retry from the root *)
         raise Restart
     | _ -> ());
-    let m = meta_of head in
-    if kb k m.hi >= 0 && m.right <> nil_id then
+    let r = range_of head in
+    if kb k r.hi >= 0 && r.right <> nil_id then
       (* B-link right move: the split separator may not be posted yet *)
-      descend t ~tid ~track k m.right path pid
+      descend t ~tid ~track k r.right path pid
     else if is_leaf_elem head then begin
       let c = t.cur.(tid) in
       c.c_id <- id;
@@ -1308,7 +1274,7 @@ module Make (K : KEY) (V : VALUE) :
      a split delta with Stage III pending (which only a real descent can
      complete — see [head_is_split_topped]; a finished split's leaf is
      served), and re-check [lo <= k < hi] on its
-     current meta. That is exactly the invariant
+     current range. That is exactly the invariant
      [descend] establishes, so a validated hit is interchangeable with a
      descent — except the ancestor path is unknown ([]), which only
      degrades SMO housekeeping: a split posted under an empty path
@@ -1387,13 +1353,13 @@ module Make (K : KEY) (V : VALUE) :
            mapping-table read and the return *)
         let pid = t.lcache.(b + 1) in
         let head = mt_get t ~tid pid in
-        let m = meta_of head in
+        let r = range_of head in
         if
           is_leaf_elem head
           && (not (head_is_append_blocked head))
           && (not (head_is_split_topped head))
-          && kb k m.lo >= 0
-          && kb k m.hi < 0
+          && kb k r.lo >= 0
+          && kb k r.hi < 0
         then begin
           let stamp = Atomic.get t.smo_epoch in
           (* survived validation across an SMO: re-stamp so the next
@@ -1532,34 +1498,38 @@ module Make (K : KEY) (V : VALUE) :
     let fin = ref false in
     while not !fin do
       match !e with
-      | LD d -> (
+      | ( LIns { key = k'; next; offset = o; _ }
+        | LUpd { key = k'; next; offset = o; _ }
+        | LDel { key = k'; next; offset = o; _ } ) as d ->
           incr walked;
           cnt tid Counters.Pointer_deref;
-          match d.l_op with
-          | L_ins (k', v) | L_upd (k', _, v) | L_del (k', v) ->
-              cnt tid Counters.Key_compare;
-              let c = K.compare k k' in
-              if c = 0 then begin
-                (match d.l_op with L_del _ -> () | _ -> res := Some v);
-                off := if !poisoned then -1 else d.l_offset;
-                fin := true
-              end
-              else begin
-                (if t.cfg.search_shortcuts then
-                   let o = d.l_offset in
-                   if o >= 0 then
-                     if c > 0 then (if o > !smin then smin := o)
-                     else if o < !smax then smax := o);
-                e := d.l_next
-              end
-          | L_split _ | L_remove ->
-              (* keys >= a split key moved right; the descent already
-                 ensured k < it *)
-              e := d.l_next
-          | L_merge (km, right, _) ->
-              cnt tid Counters.Key_compare;
-              poisoned := true;
-              e := if K.compare k km >= 0 then right else d.l_next)
+          cnt tid Counters.Key_compare;
+          let c = K.compare k k' in
+          if c = 0 then begin
+            (match d with
+            | LIns { v; _ } | LUpd { vnew = v; _ } -> res := Some v
+            | _ -> ());
+            off := if !poisoned then -1 else o;
+            fin := true
+          end
+          else begin
+            (if t.cfg.search_shortcuts && o >= 0 then
+               if c > 0 then (if o > !smin then smin := o)
+               else if o < !smax then smax := o);
+            e := next
+          end
+      | LSmo { op = L_split _ | L_remove; next; _ } ->
+          (* keys >= a split key moved right; the descent already
+             ensured k < it *)
+          incr walked;
+          cnt tid Counters.Pointer_deref;
+          e := next
+      | LSmo { op = L_merge (km, right, _); next; _ } ->
+          incr walked;
+          cnt tid Counters.Pointer_deref;
+          cnt tid Counters.Key_compare;
+          poisoned := true;
+          e := if K.compare k km >= 0 then right else next
       | Leaf b ->
           let pg = b.lb_page in
           let pos = base_search t ~tid pg k ~smin:!smin ~smax:!smax in
@@ -1609,45 +1579,39 @@ module Make (K : KEY) (V : VALUE) :
     in
     let delta_offset = ref (-1) in
     let note_offset o = if !delta_offset = -1 then delta_offset := o in
+    (* compare [k] with a data delta's key [k'] at base offset [o]:
+       narrow the shortcut range, and on a match record [o] *)
+    let probe k' o =
+      let c = K.compare k k' in
+      cnt tid Counters.Pointer_deref;
+      cnt tid Counters.Key_compare;
+      narrow o c;
+      if c = 0 then note_offset o;
+      c = 0
+    in
     let rec walk e =
       match e with
-      | LD d -> (
+      | LIns d ->
+          if probe d.key d.offset && not (take_pending d.v) then
+            Growable.push pres d.v;
+          walk d.next
+      | LDel d ->
+          if probe d.key d.offset then Growable.push dels d.v;
+          walk d.next
+      | LUpd d ->
+          if probe d.key d.offset then begin
+            if not (take_pending d.vnew) then Growable.push pres d.vnew;
+            Growable.push dels d.vold
+          end;
+          walk d.next
+      | LSmo { op = L_split _ | L_remove; next; _ } ->
           cnt tid Counters.Pointer_deref;
-          match d.l_op with
-          | L_ins (k', v) ->
-              let c = K.compare k k' in
-              cnt tid Counters.Key_compare;
-              narrow d.l_offset c;
-              if c = 0 then begin
-                note_offset d.l_offset;
-                if not (take_pending v) then Growable.push pres v
-              end;
-              walk d.l_next
-          | L_del (k', v) ->
-              let c = K.compare k k' in
-              cnt tid Counters.Key_compare;
-              narrow d.l_offset c;
-              if c = 0 then begin
-                note_offset d.l_offset;
-                Growable.push dels v
-              end;
-              walk d.l_next
-          | L_upd (k', vold, vnew) ->
-              let c = K.compare k k' in
-              cnt tid Counters.Key_compare;
-              narrow d.l_offset c;
-              if c = 0 then begin
-                note_offset d.l_offset;
-                if not (take_pending vnew) then Growable.push pres vnew;
-                Growable.push dels vold
-              end;
-              walk d.l_next
-          | L_split _ -> walk d.l_next
-          | L_merge (km, right, _) ->
-              cnt tid Counters.Key_compare;
-              delta_offset := -2;
-              if K.compare k km >= 0 then walk right else walk d.l_next
-          | L_remove -> walk d.l_next)
+          walk next
+      | LSmo { op = L_merge (km, right, _); next; _ } ->
+          cnt tid Counters.Pointer_deref;
+          cnt tid Counters.Key_compare;
+          delta_offset := -2;
+          if K.compare k km >= 0 then walk right else walk next
       | Leaf b ->
           let pg = b.lb_page in
           let n = P.length pg in
@@ -1722,13 +1686,13 @@ module Make (K : KEY) (V : VALUE) :
      when housekeeping posted one, else [head] — so a batch carries on
      from it rather than CaS-ing against a head it superseded itself. *)
   let post_append_leaf t ~tid id (head : elem) parent_path ~check_underflow =
-    let m = meta_of head in
+    let size = size_of head in
     match
-      if m.size > t.cfg.leaf_max then split_node t ~tid id head parent_path
-      else if m.depth >= t.cfg.leaf_chain_max then
+      if size > t.cfg.leaf_max then split_node t ~tid id head parent_path
+      else if depth_of head >= t.cfg.leaf_chain_max then
         try_consolidate t ~tid id head
       else begin
-        if check_underflow && m.size < t.cfg.leaf_min then
+        if check_underflow && size < t.cfg.leaf_min then
           merge_node t ~tid id head parent_path;
         head
       end
@@ -1747,14 +1711,7 @@ module Make (K : KEY) (V : VALUE) :
     | Leaf b ->
         let pg = b.lb_page in
         let pos = P.lower_bound ~tid pg k in
-        let repl =
-          Leaf
-            {
-              b with
-              lb_page = P.with_inserted pg pos k v;
-              lb_meta = { b.lb_meta with size = P.length pg + 1 };
-            }
-        in
+        let repl = Leaf { b with lb_page = P.with_inserted pg pos k v } in
         if not (mt_cas t ~tid id ~expect:head ~repl) then begin
           sbump t tid f_failed_cas;
           raise Restart
@@ -1762,29 +1719,11 @@ module Make (K : KEY) (V : VALUE) :
         post_append_leaf t ~tid id repl parent_path ~check_underflow:false
     | _ -> no_leaf
 
-  (* Append one data delta on [head] (leaf [id]) at base offset [offset],
-     changing the node's size by [dsize]. *)
-  let append_data t ~tid id head parent_path op ~dsize ~offset
-      ~check_underflow =
+  (* Append the data delta [d], built on [head] (leaf [id]): it shares
+     [head]'s range record and extends its depth by one. *)
+  let append_data t ~tid id head parent_path d ~check_underflow =
     if head_is_append_blocked head then raise Restart;
     claim_slot t ~tid id head;
-    let m = meta_of head in
-    let d =
-      LD
-        {
-          l_op = op;
-          l_next = head;
-          l_meta =
-            {
-              size = m.size + dsize;
-              depth = m.depth + 1;
-              lo = m.lo;
-              hi = m.hi;
-              right = m.right;
-            };
-          l_offset = offset;
-        }
-    in
     cnt tid Counters.Allocation;
     if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
       sbump t tid f_failed_cas;
@@ -1828,7 +1767,9 @@ module Make (K : KEY) (V : VALUE) :
         repl
       end
       else
-        append_data t ~tid id head path (L_ins (k, v)) ~dsize:1 ~offset
+        append_data t ~tid id head path
+          (LIns { range = range_of head; next = head; size = size_of head + 1;
+                  depth = depth_of head + 1; offset; key = k; v })
           ~check_underflow:false
 
   let delete_core t ~tid head k v =
@@ -1843,8 +1784,11 @@ module Make (K : KEY) (V : VALUE) :
     match victim with
     | None -> no_op c head
     | Some victim ->
-        append_data t ~tid id head path (L_del (k, victim)) ~dsize:(-1)
-          ~offset:c.c_offset ~check_underflow:true
+        append_data t ~tid id head path
+          (LDel { range = range_of head; next = head; size = size_of head - 1;
+                  depth = depth_of head + 1; offset = c.c_offset; key = k;
+                  v = victim })
+          ~check_underflow:true
 
   let update_core t ~tid head k v =
     let c = t.cur.(tid) in
@@ -1857,8 +1801,11 @@ module Make (K : KEY) (V : VALUE) :
     match current with
     | None -> no_op c head
     | Some vold ->
-        append_data t ~tid id head path (L_upd (k, vold, v)) ~dsize:0
-          ~offset:c.c_offset ~check_underflow:false
+        append_data t ~tid id head path
+          (LUpd { range = range_of head; next = head; size = size_of head;
+                  depth = depth_of head + 1; offset = c.c_offset; key = k;
+                  vold; vnew = v })
+          ~check_underflow:false
 
   (* ---------------------------------------------------------------- *)
   (* Point operations                                                  *)
@@ -1921,7 +1868,7 @@ module Make (K : KEY) (V : VALUE) :
     match leaf_find_unique t ~tid head k with Some v -> [ v ] | None -> []
 
   let lookup_sets t ~tid head k =
-    t.cur.(tid).c_walked <- (meta_of head).depth;
+    t.cur.(tid).c_walked <- depth_of head;
     probe_leaf_sets t ~tid head k
 
   let find_sets t ~tid head k =
@@ -1930,7 +1877,7 @@ module Make (K : KEY) (V : VALUE) :
   (* A point read's step: [probe] on the leaf, then the budget. *)
   let read_step t ~tid head k probe =
     if Bw_obs.enabled t.o then
-      Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (meta_of head).depth;
+      Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (depth_of head);
     let r = probe t ~tid head k in
     if t.cfg.read_consolidation then read_budget t ~tid head;
     r
@@ -2004,7 +1951,7 @@ module Make (K : KEY) (V : VALUE) :
   (* A batched read's answer, straight off the unique walk when it can. *)
   let batch_get t ~tid head k =
     if Bw_obs.enabled t.o then
-      Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (meta_of head).depth;
+      Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (depth_of head);
     if t.cfg.unique_keys then
       match leaf_find_unique t ~tid head k with
       | Some v -> R_values [ v ]
@@ -2018,8 +1965,8 @@ module Make (K : KEY) (V : VALUE) :
   let rec batch_descend t ~tid k = function
     | [] -> descend_root t ~tid ~track:true k
     | aid :: up ->
-        let m = meta_of (mt_get t ~tid aid) in
-        if kb k m.lo >= 0 && kb k m.hi < 0 then
+        let r = range_of (mt_get t ~tid aid) in
+        if kb k r.lo >= 0 && kb k r.hi < 0 then
           descend t ~tid ~track:true k aid up nil_id
         else batch_descend t ~tid k up
 
@@ -2055,8 +2002,8 @@ module Make (K : KEY) (V : VALUE) :
       let pending = ref true in
       while !pending do
         match
-          (let m = meta_of !head in
-           if !head == no_leaf || kb k m.lo < 0 || kb k m.hi >= 0 then begin
+          (let r = range_of !head in
+           if !head == no_leaf || kb k r.lo < 0 || kb k r.hi >= 0 then begin
              incr locates;
              head := batch_descend t ~tid k !path;
              id := c.c_id;
@@ -2268,8 +2215,8 @@ module Make (K : KEY) (V : VALUE) :
     let snapshot_node t ~tid k =
       retry_loop t ~tid @@ fun () ->
       let head = descend_root t ~tid ~track:false k in
-      let m = meta_of head in
-      (scan_leaf_page t ~tid t.cur.(tid).c_id head, m.lo, m.hi)
+      let r = range_of head in
+      (scan_leaf_page t ~tid t.cur.(tid).c_id head, r.lo, r.hi)
 
     (* first item >= k, possibly skipping empty nodes to the right *)
     let rec position_forward it k =
@@ -2306,14 +2253,10 @@ module Make (K : KEY) (V : VALUE) :
             cnt tid Counters.Node_visit;
             let head = mt_get t ~tid id in
             (match head with
-            | LD { l_op = L_remove; _ } | ID { i_op = I_remove; _ } ->
+            | LSmo { op = L_remove; _ } | ID { op = I_remove; _ } ->
                 raise Restart
             | _ -> ());
-            let m = meta_of head in
-            if cmp_bound m.hi (B klow) < 0 && m.right <> nil_id then
-              (* overshoot correction is handled at the leaf level *)
-              ()
-            ;
+            (* overshoot correction is handled at the leaf level *)
             if is_leaf_elem head then (id, head)
             else begin
               let items = gather_inner ~tid head in
@@ -2332,26 +2275,26 @@ module Make (K : KEY) (V : VALUE) :
           (* walk right while the node still lies strictly left of klow
              and cannot contain its predecessor *)
           let rec rightmost id head =
-            let m = meta_of head in
-            if cmp_bound m.hi (B klow) < 0 && m.right <> nil_id then begin
-              let rhead = mt_get t ~tid m.right in
-              let rm = meta_of rhead in
-              if cmp_bound rm.lo (B klow) < 0 then rightmost m.right rhead
+            let r = range_of head in
+            if cmp_bound r.hi (B klow) < 0 && r.right <> nil_id then begin
+              let rhead = mt_get t ~tid r.right in
+              if cmp_bound (range_of rhead).lo (B klow) < 0 then
+                rightmost r.right rhead
               else (id, head)
             end
             else (id, head)
           in
           let id, head = rightmost id head in
-          let m = meta_of head in
+          let r = range_of head in
           let items = scan_leaf_page t ~tid id head in
           it.items <- items;
-          it.lo <- m.lo;
-          it.hi <- m.hi;
+          it.lo <- r.lo;
+          it.hi <- r.hi;
           (* last index with key < klow *)
           let pos = P.lower_bound ~tid items klow - 1 in
           if pos >= 0 then it.pos <- pos
           else
-            match m.lo with
+            match r.lo with
             | Neg_inf -> it.pos <- -1 (* before the first item *)
             | B lower -> position_backward it lower
             | Pos_inf -> assert false)
@@ -2397,8 +2340,7 @@ module Make (K : KEY) (V : VALUE) :
        let rec down id =
          let head = mt_get t ~tid id in
          (match head with
-         | LD { l_op = L_remove; _ } | ID { i_op = I_remove; _ } ->
-             raise Restart
+         | LSmo { op = L_remove; _ } | ID { op = I_remove; _ } -> raise Restart
          | _ -> ());
          if is_leaf_elem head then (id, head)
          else
@@ -2406,10 +2348,10 @@ module Make (K : KEY) (V : VALUE) :
            down (snd (Growable.get items 0))
        in
        let id, head = down (Atomic.get t.root) in
-       let m = meta_of head in
+       let r = range_of head in
        it.items <- scan_leaf_page t ~tid id head;
-       it.lo <- m.lo;
-       it.hi <- m.hi;
+       it.lo <- r.lo;
+       it.hi <- r.hi;
        it.pos <- 0);
       if P.length it.items = 0 then begin
         (match it.hi with
@@ -2499,8 +2441,7 @@ module Make (K : KEY) (V : VALUE) :
       let rec down id =
         let head = mt_get t ~tid id in
         (match head with
-        | LD { l_op = L_remove; _ } | ID { i_op = I_remove; _ } ->
-            raise Restart
+        | LSmo { op = L_remove; _ } | ID { op = I_remove; _ } -> raise Restart
         | _ -> ());
         if is_leaf_elem head then head
         else
@@ -2508,7 +2449,7 @@ module Make (K : KEY) (V : VALUE) :
           down (snd (Growable.get items 0))
       in
       let head = down (Atomic.get t.root) in
-      (materialize head, (meta_of head).hi)
+      (materialize head, (range_of head).hi)
     in
     let rec go (page, hi) =
       if P.length page > 0 then f page;
@@ -2519,7 +2460,7 @@ module Make (K : KEY) (V : VALUE) :
             (with_epoch t ~tid @@ fun () ->
              retry_loop t ~tid @@ fun () ->
              let head = descend_root t ~tid ~track:false k in
-             (materialize head, (meta_of head).hi))
+             (materialize head, (range_of head).hi))
       | Neg_inf -> assert false
     in
     go first
@@ -2577,11 +2518,10 @@ module Make (K : KEY) (V : VALUE) :
     and lutil_n = ref 0 in
     let rec walk id depth max_depth =
       let head = mt_get t ~tid id in
-      let m = meta_of head in
       if is_leaf_elem head then begin
         incr leaf_nodes;
-        leaf_chain := !leaf_chain + m.depth;
-        leaf_size := !leaf_size + m.size;
+        leaf_chain := !leaf_chain + depth_of head;
+        leaf_size := !leaf_size + size_of head;
         (match prealloc_util (prealloc_of head) with
         | Some u ->
             lutil := !lutil +. u;
@@ -2591,8 +2531,8 @@ module Make (K : KEY) (V : VALUE) :
       end
       else begin
         incr inner_nodes;
-        inner_chain := !inner_chain + m.depth;
-        inner_size := !inner_size + m.size;
+        inner_chain := !inner_chain + depth_of head;
+        inner_size := !inner_size + size_of head;
         (match prealloc_util (prealloc_of head) with
         | Some u ->
             iutil := !iutil +. u;
@@ -2623,8 +2563,7 @@ module Make (K : KEY) (V : VALUE) :
     let tid = 0 in
     let rec walk id =
       let head = mt_get t ~tid id in
-      let m = meta_of head in
-      f ~leaf:(is_leaf_elem head) ~chain:m.depth ~size:m.size;
+      f ~leaf:(is_leaf_elem head) ~chain:(depth_of head) ~size:(size_of head);
       if not (is_leaf_elem head) then
         Growable.iter (fun (_, cid) -> walk cid) (gather_inner ~tid head)
     in
@@ -2694,8 +2633,8 @@ module Make (K : KEY) (V : VALUE) :
   let routing_check t ~tid k =
     let rec via_gather id =
       let head = mt_get t ~tid id in
-      let m = meta_of head in
-      if kb k m.hi >= 0 && m.right <> nil_id then via_gather m.right
+      let r = range_of head in
+      if kb k r.hi >= 0 && r.right <> nil_id then via_gather r.right
       else if is_leaf_elem head then id
       else
         let _, cid, _ = inner_locate_exact ~tid head k in
@@ -2714,28 +2653,70 @@ module Make (K : KEY) (V : VALUE) :
 
   let fail_inv fmt = Format.kasprintf (fun s -> raise (Invariant_violation s)) fmt
 
-  (* Single-threaded full check: key ordering, bound containment, meta
-     consistency, leaf-level sibling chain continuity. *)
+  (* Single-threaded full check: key ordering, bound containment, the
+     attributes of every chain element, leaf-level sibling chain
+     continuity. *)
   let verify_invariants t =
     let tid = 0 in
     let leaves : (bound * bound * int * int) Growable.t = Growable.create () in
     (* (lo, hi, right, id) in key order *)
+    (* Every element of node [id]'s chain against the one below it: a
+       delta's depth is one more than its next's; a data delta moves the
+       size by its step and shares its next's range record physically (the
+       sharing that keeps a data delta one block); a split delta's range
+       ends at its split key and points right at the new sibling. A merge
+       delta's absorbed chain is checked too. *)
+    let rec check_chain id e =
+      match e with
+      | Leaf _ | Inner _ -> ()
+      | LIns { next; _ } | LDel { next; _ } | LUpd { next; _ } | LSmo { next; _ }
+      | ID { next; _ } ->
+          if depth_of e <> depth_of next + 1 then
+            fail_inv "node %d: delta depth %d over depth %d" id (depth_of e)
+              (depth_of next);
+          let step =
+            match e with
+            | LIns _ | ID { op = I_ins _; _ } -> Some 1
+            | LUpd _ -> Some 0
+            | LDel _ | ID { op = I_del _; _ } -> Some (-1)
+            | _ -> None
+          in
+          (match step with
+          | Some step ->
+              if size_of e <> size_of next + step then
+                fail_inv "node %d: data delta size %d over size %d" id
+                  (size_of e) (size_of next);
+              if range_of e != range_of next then
+                fail_inv "node %d: data delta does not share its range" id
+          | None -> ());
+          (match e with
+          | LSmo { op = L_split (ks, rid, _); range; _ }
+          | ID { op = I_split (ks, rid, _); range; _ } ->
+              if cmp_bound range.hi (B ks) <> 0 || range.right <> rid then
+                fail_inv "node %d: split delta range (%a, %a) right %d" id
+                  pp_bound range.lo pp_bound range.hi range.right
+          | LSmo { op = L_merge (_, right, _); _ }
+          | ID { op = I_merge (_, right, _); _ } ->
+              check_chain id right
+          | _ -> ());
+          check_chain id next
+    in
     let rec walk id ~lo ~hi =
       let head = mt_get t ~tid id in
-      let m = meta_of head in
-      if cmp_bound m.lo lo <> 0 then
-        fail_inv "node %d: lo %a expected %a" id pp_bound m.lo pp_bound lo;
-      if cmp_bound m.hi hi > 0 then
-        fail_inv "node %d: hi %a beyond expected %a" id pp_bound m.hi pp_bound hi;
+      check_chain id head;
+      let r = range_of head and size = size_of head in
+      if cmp_bound r.lo lo <> 0 then
+        fail_inv "node %d: lo %a expected %a" id pp_bound r.lo pp_bound lo;
+      if cmp_bound r.hi hi > 0 then
+        fail_inv "node %d: hi %a beyond expected %a" id pp_bound r.hi pp_bound hi;
       if is_leaf_elem head then begin
         let items = Growable.to_array (gather_leaf ~tid head) in
-        if Array.length items <> m.size then
-          fail_inv "leaf %d: meta size %d but %d items" id m.size
-            (Array.length items);
+        if Array.length items <> size then
+          fail_inv "leaf %d: size %d but %d items" id size (Array.length items);
         Array.iteri
           (fun i (k, _) ->
-            if kb k m.lo < 0 then fail_inv "leaf %d: key below lo" id;
-            if kb k m.hi >= 0 then fail_inv "leaf %d: key above hi" id;
+            if kb k r.lo < 0 then fail_inv "leaf %d: key below lo" id;
+            if kb k r.hi >= 0 then fail_inv "leaf %d: key above hi" id;
             if i > 0 && K.compare (fst items.(i - 1)) k > 0 then
               fail_inv "leaf %d: keys out of order" id;
             if
@@ -2743,36 +2724,35 @@ module Make (K : KEY) (V : VALUE) :
               && K.compare (fst items.(i - 1)) k = 0
             then fail_inv "leaf %d: duplicate key in unique mode" id)
           items;
-        Growable.push leaves (m.lo, m.hi, m.right, id)
+        Growable.push leaves (r.lo, r.hi, r.right, id)
       end
       else begin
         (match chain_base head with
         | Inner b ->
-            let bm = b.ib_meta and seps = b.ib_seps in
+            let br = b.range and seps = b.ib_seps in
             if Array.length b.ib_ids <> Array.length seps + 1 then
               fail_inv "inner %d: %d children for %d separators" id
                 (Array.length b.ib_ids) (Array.length seps);
             Array.iteri
               (fun i s ->
-                if kb s bm.lo <= 0 || kb s bm.hi >= 0 then
+                if kb s br.lo <= 0 || kb s br.hi >= 0 then
                   fail_inv "inner %d: base separator outside (lo, hi)" id;
                 if i > 0 && K.compare seps.(i - 1) s >= 0 then
                   fail_inv "inner %d: base separators not ascending" id)
               seps
         | _ -> fail_inv "inner %d: chain not based on an inner node" id);
         let items = Growable.to_array (gather_inner ~tid head) in
-        if Array.length items <> m.size then
-          fail_inv "inner %d: meta size %d but %d items" id m.size
-            (Array.length items);
+        if Array.length items <> size then
+          fail_inv "inner %d: size %d but %d items" id size (Array.length items);
         if Array.length items = 0 then fail_inv "inner %d: empty" id;
-        if cmp_bound (fst items.(0)) m.lo <> 0 then
+        if cmp_bound (fst items.(0)) r.lo <> 0 then
           fail_inv "inner %d: first separator is not lo" id;
         Array.iteri
           (fun i (sep, cid) ->
             if i > 0 && cmp_bound (fst items.(i - 1)) sep >= 0 then
               fail_inv "inner %d: separators out of order" id;
             let child_hi =
-              if i + 1 < Array.length items then fst items.(i + 1) else m.hi
+              if i + 1 < Array.length items then fst items.(i + 1) else r.hi
             in
             walk cid ~lo:sep ~hi:child_hi)
           items
@@ -2799,10 +2779,7 @@ module Make (K : KEY) (V : VALUE) :
      chain — for debugging and test failure forensics. *)
   let dump t ppf =
     let tid = 0 in
-    let pp_op ppf = function
-      | L_ins (k, _) -> Format.fprintf ppf "ins(%a)" K.pp k
-      | L_del (k, _) -> Format.fprintf ppf "del(%a)" K.pp k
-      | L_upd (k, _, _) -> Format.fprintf ppf "upd(%a)" K.pp k
+    let pp_smo ppf = function
       | L_split (k, rid, fin) ->
           Format.fprintf ppf "SPLIT(%a,->%d%s)" K.pp k rid
             (if Atomic.get fin then "" else ",pending")
@@ -2827,23 +2804,25 @@ module Make (K : KEY) (V : VALUE) :
       | Leaf b ->
           Format.fprintf ppf "base[%d items]" (P.length b.lb_page)
       | Inner b ->
-          Format.fprintf ppf "base{%a->%d" pp_bound b.ib_meta.lo b.ib_ids.(0);
+          Format.fprintf ppf "base{%a->%d" pp_bound b.range.lo b.ib_ids.(0);
           Array.iteri
             (fun i s -> Format.fprintf ppf " %a->%d" K.pp s b.ib_ids.(i + 1))
             b.ib_seps;
           Format.fprintf ppf "}"
-      | LD d ->
-          Format.fprintf ppf "%a :: %a" pp_op d.l_op pp_chain d.l_next
-      | ID d ->
-          Format.fprintf ppf "%a :: %a" pp_iop d.i_op pp_chain d.i_next
+      | LIns d -> Format.fprintf ppf "ins(%a) :: %a" K.pp d.key pp_chain d.next
+      | LDel d -> Format.fprintf ppf "del(%a) :: %a" K.pp d.key pp_chain d.next
+      | LUpd d -> Format.fprintf ppf "upd(%a) :: %a" K.pp d.key pp_chain d.next
+      | LSmo d -> Format.fprintf ppf "%a :: %a" pp_smo d.op pp_chain d.next
+      | ID d -> Format.fprintf ppf "%a :: %a" pp_iop d.op pp_chain d.next
     in
     let rec walk id indent =
       let head = mt_get t ~tid id in
-      let m = meta_of head in
+      let r = range_of head in
       Format.fprintf ppf "%s%s %d [%a,%a) right=%d size=%d depth=%d: %a@."
         indent
         (if is_leaf_elem head then "leaf" else "inner")
-        id pp_bound m.lo pp_bound m.hi m.right m.size m.depth pp_chain head;
+        id pp_bound r.lo pp_bound r.hi r.right (size_of head) (depth_of head)
+        pp_chain head;
       if not (is_leaf_elem head) then
         Growable.iter
           (fun (_, cid) -> walk cid (indent ^ "  "))
@@ -2864,7 +2843,7 @@ module Make (K : KEY) (V : VALUE) :
       match mt_get t ~tid id with
       | Leaf b -> F_leaf b.lb_page
       | Inner b -> F_inner (b.ib_seps, Array.map conv b.ib_ids)
-      | LD _ | ID _ ->
+      | LIns _ | LDel _ | LUpd _ | LSmo _ | ID _ ->
           (* consolidate_all left a delta behind (concurrent writer):
              freezing is a single-threaded operation *)
           invalid_arg "Bwtree.freeze: tree is being mutated"

@@ -2,30 +2,37 @@ type 'a t = {
   dummy : 'a;
   chunk_bits : int;
   chunk_mask : int;
-  (* A directory slot holds [absent] (a shared sentinel) until its chunk is
-     faulted in. *)
-  directory : 'a Atomic.t array Atomic.t array;
-  absent : 'a Atomic.t array;
+  max_chunks : int;  (* 2^dir_bits *)
+  (* The directory: a plain array of chunks, replaced wholesale by
+     copy-and-CaS whenever a chunk is faulted in. A hole (a slot below
+     the directory's length whose chunk was never touched) holds the
+     shared empty array [[||]]. Chunks are shared between directory
+     versions, so a cell store is visible through every later copy. *)
+  dir : 'a Atomic.t array array Atomic.t;
+  (* The one cell every never-allocated id reads: holds [dummy], is never
+     written, and is physically compared to tell a boxed cell from an
+     empty one. *)
+  absent : 'a Atomic.t;
   next_id : int Atomic.t;
   free : int list Atomic.t;
   chunks : int Atomic.t;
   obs : Bw_obs.sink;
 }
 
-let create ?(chunk_bits = 16) ?(dir_bits = 12) ?(obs = Bw_obs.Null) ~dummy ()
+let create ?(chunk_bits = 10) ?(dir_bits = 18) ?(obs = Bw_obs.Null) ~dummy ()
     =
   if chunk_bits < 1 || chunk_bits > 24 then
     invalid_arg "Mapping_table.create: chunk_bits out of range";
   if dir_bits < 1 || dir_bits > 20 then
     invalid_arg "Mapping_table.create: dir_bits out of range";
-  let absent = [||] in
   let t =
     {
       dummy;
       chunk_bits;
       chunk_mask = (1 lsl chunk_bits) - 1;
-      directory = Array.init (1 lsl dir_bits) (fun _ -> Atomic.make absent);
-      absent;
+      max_chunks = 1 lsl dir_bits;
+      dir = Atomic.make [||];
+      absent = Atomic.make dummy;
       next_id = Atomic.make 0;
       free = Atomic.make [];
       chunks = Atomic.make 0;
@@ -37,49 +44,84 @@ let create ?(chunk_bits = 16) ?(dir_bits = 12) ?(obs = Bw_obs.Null) ~dummy ()
       List.length (Atomic.get t.free));
   t
 
-let capacity t = Array.length t.directory lsl t.chunk_bits
+let capacity t = t.max_chunks lsl t.chunk_bits
 
-(* Fault in the chunk covering [id], racing installers resolved by CaS: the
-   loser's freshly-built chunk is garbage-collected, mirroring how the OS
-   hands a single physical page to racing faulting threads. *)
+let check_id t id =
+  if id < 0 || id >= capacity t then invalid_arg "Mapping_table: id out of range"
+
+(* The cell for [id] as currently published, or [absent] when its chunk
+   is a hole or beyond the directory, or the cell was never boxed. Never
+   allocates. *)
+let cell t id =
+  check_id t id;
+  let d = Atomic.get t.dir in
+  let ci = id lsr t.chunk_bits in
+  if ci >= Array.length d then t.absent
+  else
+    let c = Array.unsafe_get d ci and j = id land t.chunk_mask in
+    if j < Array.length c then Array.unsafe_get c j else t.absent
+
+(* The chunk covering [id], faulted in if it is a hole: copy the
+   directory (extended to reach it) with a fresh all-[absent] chunk in
+   its slot and CaS the copy in. A failed CaS means another thread
+   faulted some chunk first; retry on its directory, reusing our fresh
+   chunk unless it installed the one we want — as the OS hands a single
+   physical page to racing faulting threads. *)
 let chunk_for t id =
-  if id < 0 || id >= capacity t then invalid_arg "Mapping_table: id out of range";
-  let slot = t.directory.(id lsr t.chunk_bits) in
-  let c = Atomic.get slot in
-  if c != t.absent then c
-  else begin
-    let fresh =
-      Array.init (1 lsl t.chunk_bits) (fun _ -> Atomic.make t.dummy)
-    in
-    if Atomic.compare_and_set slot t.absent fresh then begin
-      ignore (Atomic.fetch_and_add t.chunks 1);
-      if Bw_obs.enabled t.obs then begin
-        (* a chunk fault can come from any thread, including foreground
-           readers with no spare budget — anon context keeps it simple *)
-        Bw_obs.incr_anon t.obs Bw_obs.C_mt_growths;
-        Bw_obs.event_anon t.obs Bw_obs.Ev_mt_grow ~a:(id lsr t.chunk_bits)
-          ~b:(Atomic.get t.chunks)
-      end;
-      fresh
+  let ci = id lsr t.chunk_bits in
+  let rec go fresh =
+    let d = Atomic.get t.dir in
+    let n = Array.length d in
+    if ci < n && Array.length (Array.unsafe_get d ci) > 0 then
+      Array.unsafe_get d ci
+    else begin
+      let fresh =
+        if Array.length fresh > 0 then fresh
+        else Array.make (1 lsl t.chunk_bits) t.absent
+      in
+      let d' = Array.make (max n (ci + 1)) [||] in
+      Array.blit d 0 d' 0 n;
+      d'.(ci) <- fresh;
+      if Atomic.compare_and_set t.dir d d' then begin
+        ignore (Atomic.fetch_and_add t.chunks 1);
+        if Bw_obs.enabled t.obs then begin
+          (* a chunk fault can come from any thread, including foreground
+             readers with no spare budget — anon context keeps it simple *)
+          Bw_obs.incr_anon t.obs Bw_obs.C_mt_growths;
+          Bw_obs.event_anon t.obs Bw_obs.Ev_mt_grow ~a:ci
+            ~b:(Atomic.get t.chunks)
+        end;
+        fresh
+      end
+      else go fresh
     end
-    else Atomic.get slot
-  end
-
-let cell t id = (chunk_for t id).(id land t.chunk_mask)
+  in
+  go [||]
 
 let get t id = Atomic.get (cell t id)
 
-let cas t id ~expect ~repl = Atomic.compare_and_set (cell t id) expect repl
+let cas t id ~expect ~repl =
+  let c = cell t id in
+  c != t.absent && Atomic.compare_and_set c expect repl
 
 let cas_unsafe t id ~expect ~repl =
   let c = cell t id in
-  if Atomic.get c == expect then begin
+  if c != t.absent && Atomic.get c == expect then begin
     Atomic.set c repl;
     true
   end
   else false
 
-let set t id v = Atomic.set (cell t id) v
+(* Box the cell on its first store. The plain array store is safe: only
+   the id's owner (its allocator, or a single-threaded [set]) writes an
+   [absent] slot, and the id reaches other threads only through a later
+   CaS that publishes it, which orders this store before their reads. *)
+let set t id v =
+  check_id t id;
+  let c = chunk_for t id and j = id land t.chunk_mask in
+  let cl = Array.unsafe_get c j in
+  if cl == t.absent then Array.unsafe_set c j (Atomic.make v)
+  else Atomic.set cl v
 
 let rec pop_free t =
   match Atomic.get t.free with
@@ -100,7 +142,8 @@ let free_id t id =
   (* The dummy store must happen exactly once, before the id is published
      on the free list: once the push below succeeds, a racing [allocate]
      may pop [id] and install a live pointer immediately, and a dummy
-     store re-executed on a CaS retry would stomp it. *)
+     store re-executed on a CaS retry would stomp it. The cell stays
+     boxed, so the id's next owner reuses it. *)
   set t id t.dummy;
   let rec push () =
     let old = Atomic.get t.free in

@@ -4,12 +4,23 @@
     compare-and-swap redirects every logical link to a node at once.
 
     The paper grows the table by reserving a huge virtual address range and
-    letting the OS fault in physical pages lazily (the KISS-tree trick).
-    OCaml cannot hook page faults into its heap, so this implementation uses
-    the closest equivalent with the same observable property — lock-free,
-    incremental growth with no stop-the-world resize: a fixed directory of
-    chunk slots whose 2{^chunk_bits}-entry chunks are allocated on first
-    touch and installed with CaS (a losing racer's chunk is discarded).
+    letting the OS fault in physical pages lazily (the KISS-tree trick), so
+    memory is paid only for the ids actually handed out. OCaml cannot hook
+    page faults into its heap, so this implementation reproduces the same
+    pay-per-use property in two levels:
+    - the directory is one atomic pointer to a plain array of chunks. It
+      grows, and a chunk is faulted in, by copying the array and
+      installing the copy with CaS (lock-free, no stop-the-world resize; a
+      losing racer retries on the winner's copy). Untouched slots below
+      the highest faulted chunk are holes that share one empty chunk;
+    - a chunk is an array of [2{^chunk_bits}] cells that all start as one
+      shared read-only [absent] cell holding [dummy]. A cell is boxed into
+      its own [Atomic.t] only when its id is first allocated or {!set}.
+
+    So a fresh table holds a few dozen words, and each allocated id costs
+    its chunk slot plus one two-word cell. Every fault copies the
+    directory, which is one word per faulted-or-hole chunk: cheap at the
+    default 1 Ki ids per chunk.
 
     Shrinking is impossible without blocking all threads, exactly as the
     paper concedes; {!rebuild_capacity_hint} documents that path.
@@ -22,10 +33,13 @@ type 'a t
 val create :
   ?chunk_bits:int -> ?dir_bits:int -> ?obs:Bw_obs.sink -> dummy:'a -> unit ->
   'a t
-(** [create ~dummy ()] makes an empty table. [dummy] fills never-assigned
-    cells (reading an unallocated id returns it). Default geometry:
-    [chunk_bits = 16] (64 Ki entries per chunk), [dir_bits = 12] (4096
-    chunks ⇒ capacity 2{^28} ids). [obs] (default {!Bw_obs.Null}) receives
+(** [create ~dummy ()] makes an empty table: no chunk is faulted in and
+    no cell is boxed. [dummy] is what every never-assigned id reads.
+    Default geometry: [chunk_bits = 10] (1 Ki ids per chunk),
+    [dir_bits = 18] (at most 2{^18} chunks ⇒ capacity 2{^28} ids). A
+    chunk is faulted in by the first {!allocate} or {!set} in its range,
+    and each cell is boxed by the first {!allocate} or {!set} of its id;
+    reads never fault or box. [obs] (default {!Bw_obs.Null}) receives
     [Ev_mt_grow] events on chunk faults and registers the [G_mt_chunks]
     and [G_mt_free_ids] gauge providers. *)
 
@@ -37,16 +51,19 @@ val get : 'a t -> int -> 'a
 
 val cas : 'a t -> int -> expect:'a -> repl:'a -> bool
 (** Atomic pointer swing; compares by physical equality. This is the single
-    linearization primitive of the Bw-Tree. *)
+    linearization primitive of the Bw-Tree. Always [false] on an id that
+    was never allocated or {!set}. *)
 
 val set : 'a t -> int -> 'a -> unit
-(** Unconditional store — only for initialization and tests. *)
+(** Unconditional store — only for initialization and tests. The first
+    store to an id boxes its cell with a plain array write, so it must not
+    race another [set] or {!allocate} of the same id. *)
 
 val cas_unsafe : 'a t -> int -> expect:'a -> repl:'a -> bool
 (** Non-atomic compare-then-store: a plain load, comparison and store with
     no read-modify-write instruction. Exists solely for the paper's §6.3
     "disable CaS" decomposition experiment and is only correct
-    single-threaded. *)
+    single-threaded. [false] on a never-allocated id, like {!cas}. *)
 
 val free_id : 'a t -> int -> unit
 (** Recycle an id whose node has been removed. The caller must guarantee

@@ -645,8 +645,8 @@ let test_find_allocation () =
     Alcotest.failf "find allocates %.2f minor words per call (limit 8)" per_op
 
 (* A point update that appends without consolidating allocates its
-   delta (record, op, meta), the probe's [Some] and at most a short
-   ancestor path. A chain threshold that never fires keeps every update
+   delta (one block), the probe's [Some] and at most a short ancestor
+   path. A chain threshold that never fires keeps every update
    an append; updates change no sizes, so nothing splits either. *)
 let test_update_allocation () =
   let t = T.create ~config:(Bwtree.Config.make ~leaf_chain_max:1_000 ()) () in
@@ -669,6 +669,43 @@ let test_update_allocation () =
   if per_op > 24.0 then
     Alcotest.failf "update allocates %.2f minor words per call (limit 24)"
       per_op
+
+(* Pay-per-use footprint: an empty tree holds no pre-faulted mapping-table
+   chunk (only its leaf cache and per-thread rows), and each data delta
+   is one block that shares its node's range record: 9 words for an
+   update (header, range, next, size, depth, offset, key, old and new
+   value), 8 for an insert or delete. Garbage retired by consolidation is
+   flushed first, as the benchmark's heap figure does. The delta tree runs
+   without the leaf cache: a cache hit leaves an empty ancestor path in
+   the thread's cursor where a descent leaves a one-cell list, which
+   would move the count by 3 words either way. *)
+let test_memory_footprint () =
+  let empty = T.memory_words (T.create ()) in
+  if empty > 32 * 1024 then
+    Alcotest.failf "empty tree holds %d words (limit %d)" empty (32 * 1024);
+  let t = T.create ~config:(Bwtree.Config.make ~leaf_cache:false ()) () in
+  for k = 0 to 15 do
+    assert (T.insert t (2 * k) k)
+  done;
+  T.consolidate_all t;
+  let words () =
+    Epoch.flush (T.epoch t);
+    T.memory_words t
+  in
+  let step name limit op =
+    let w0 = words () in
+    assert (op ());
+    let grew = words () - w0 in
+    if grew > limit then
+      Alcotest.failf "%s adds %d reachable words (limit %d)" name grew limit
+  in
+  step "update" 9 (fun () -> T.update t 4 100);
+  step "insert" 8 (fun () -> T.insert t 5 5);
+  step "delete" 8 (fun () -> T.delete t 8 4);
+  Alcotest.(check (option int)) "update visible" (Some 100) (T.find t 4);
+  Alcotest.(check (option int)) "insert visible" (Some 5) (T.find t 5);
+  Alcotest.(check (option int)) "delete visible" None (T.find t 8);
+  T.verify_invariants t
 
 (* A unique-key batch of reads allocates per op only its answer
    ([R_values] of a one-element list, from the walk's [Some]); the op
@@ -945,6 +982,7 @@ let () =
       ( "introspection",
         [
           Alcotest.test_case "stats" `Quick test_stats_sanity;
+          Alcotest.test_case "memory footprint" `Quick test_memory_footprint;
           Alcotest.test_case "gc integration" `Quick test_gc_integration;
         ] );
       ("strings", [ Alcotest.test_case "email keys" `Quick test_string_keys ]);

@@ -195,6 +195,61 @@ let test_churn_accounting () =
     (MT.high_water t)
     (!live_total + MT.free_list_length t)
 
+(* Pay-per-use: a fresh table boxes nothing, and N allocated ids cost
+   their chunk slots, one two-word cell each and at most one partly-used
+   chunk beyond that. *)
+let test_footprint () =
+  let words t = Obj.reachable_words (Obj.repr t) in
+  let t = MT.create ~dummy:(-1) () in
+  Alcotest.(check bool) "fresh table <= 64 words" true (words t <= 64);
+  List.iter
+    (fun n ->
+      let t = MT.create ~dummy:(-1) () in
+      for i = 1 to n do
+        ignore (MT.allocate t i)
+      done;
+      let bound = (3 * n) + (1 lsl 10) + 64 in
+      if words t > bound then
+        Alcotest.failf "%d ids: %d words > %d" n (words t) bound)
+    [ 1; 1000; 1024; 1025; 20_000 ];
+  (* an id is boxed on its first set, not on a read or a failed cas *)
+  let t = MT.create ~chunk_bits:4 ~dir_bits:4 ~dummy:(-1) () in
+  MT.set t 3 7;
+  let w = words t in
+  Alcotest.(check int) "hole reads dummy" (-1) (MT.get t 5);
+  Alcotest.(check bool) "cas on a never-set id fails" false
+    (MT.cas t 5 ~expect:(-1) ~repl:9);
+  Alcotest.(check bool) "unsafe cas on a never-set id fails" false
+    (MT.cas_unsafe t 5 ~expect:(-1) ~repl:9);
+  Alcotest.(check int) "reads box nothing" w (words t);
+  Alcotest.(check int) "still dummy" (-1) (MT.get t 5)
+
+(* Four domains allocate through four-cell chunks, so every fourth id
+   faults a chunk and copies the directory: 500 copy-and-CaS growths,
+   with the four domains racing on the one directory pointer. *)
+let test_concurrent_growth () =
+  let t = MT.create ~chunk_bits:2 ~dir_bits:12 ~dummy:(-1) () in
+  let nthreads = 4 and per = 500 in
+  let ids = Array.make (nthreads * per) (-1) in
+  let domains =
+    Array.init nthreads (fun tid ->
+        Domain.spawn (fun () ->
+            for i = 0 to per - 1 do
+              ids.((tid * per) + i) <- MT.allocate t ((tid * per) + i)
+            done))
+  in
+  Array.iter Domain.join domains;
+  let seen = Hashtbl.create (nthreads * per) in
+  Array.iteri
+    (fun slot id ->
+      Alcotest.(check bool) "no duplicate id" false (Hashtbl.mem seen id);
+      Hashtbl.add seen id ();
+      Alcotest.(check int) "value readable" slot (MT.get t id))
+    ids;
+  Alcotest.(check int) "one chunk per 4 ids"
+    (((nthreads * per) + 3) / 4)
+    (MT.chunks_allocated t)
+
 let () =
   Alcotest.run "mapping_table"
     [
@@ -211,6 +266,7 @@ let () =
           Alcotest.test_case "lazy chunks" `Quick test_lazy_chunks;
           Alcotest.test_case "out of range" `Quick test_out_of_range;
           Alcotest.test_case "id recycling" `Quick test_free_list_reuse;
+          Alcotest.test_case "footprint" `Quick test_footprint;
         ] );
       ( "concurrent",
         [
@@ -220,5 +276,6 @@ let () =
           Alcotest.test_case "free/allocate race" `Slow
             test_free_allocate_race;
           Alcotest.test_case "churn accounting" `Slow test_churn_accounting;
+          Alcotest.test_case "directory growth" `Slow test_concurrent_growth;
         ] );
     ]
