@@ -15,7 +15,6 @@
     target and is recorded against the paper in EXPERIMENTS.md. *)
 
 module W = Workload
-module Counters = Bw_util.Counters
 open Harness
 
 let print_header = Runner.print_header
@@ -322,7 +321,9 @@ let hc_insert_run (d : int Runner.driver) ~nthreads ~ops =
 let tab2 scale =
   print_header "Table 2: OpenBw-Tree statistics (Insert-only, multi-threaded)";
   let run_one space =
-    let tree = Drivers.Int.Bw.create () in
+    let tree =
+      Drivers.Int.Bw.create ~obs:(Bw_obs.sink (Bw_obs.create ())) ()
+    in
     let driver = Drivers.Int.driver_of_tree tree in
     (match space with
     | W.Mono_hc ->
@@ -425,23 +426,20 @@ let tab3 scale =
   Printf.printf "%-14s | %9s %9s %9s %9s %9s %9s\n%!" "index" "ptr-deref"
     "key-cmp" "alloc" "cas" "cas-fail" "restart";
   List.iter
-    (fun (name, mk) ->
-      let d = mk () in
-      Counters.reset Counters.global;
-      Counters.enabled := true;
+    (fun (name, _) ->
+      let reg = Bw_obs.create () in
+      let d =
+        List.assoc name (Drivers.Int.lineup ~obs:(Bw_obs.sink reg) ()) ()
+      in
       let cfg = wl_cfg scale in
       let trace = W.load_trace cfg W.Rand_int (W.int_key_of W.Rand_int) in
       let res = Runner.load d ~nthreads:scale.threads trace in
       d.stop_aux ();
-      Counters.enabled := false;
-      let per ev =
-        float_of_int (Counters.read Counters.global ev) /. float_of_int res.ops
-      in
+      let per c = float_of_int (Bw_obs.count reg c) /. float_of_int res.ops in
       Printf.printf "%-14s | %9.2f %9.2f %9.2f %9.2f %9.4f %9.4f\n%!" name
-        (per Counters.Pointer_deref)
-        (per Counters.Key_compare)
-        (per Counters.Allocation) (per Counters.Cas_attempt)
-        (per Counters.Cas_failure) (per Counters.Restart))
+        (per Bw_obs.C_ptr_derefs) (per Bw_obs.C_key_compares)
+        (per Bw_obs.C_allocations) (per Bw_obs.C_cas_attempts)
+        (per Bw_obs.C_cas_failures) (per Bw_obs.C_restarts))
     (Drivers.Int.lineup ())
 
 (* ------------------------------------------------------------------ *)
@@ -459,21 +457,20 @@ let fig16 scale =
     (fun (nthreads, label) ->
       Printf.printf "-- %s (%d) --\n%!" label nthreads;
       List.iter
-        (fun (name, mk) ->
-          let d = mk () in
-          Counters.reset Counters.global;
-          Counters.enabled := true;
+        (fun (name, _) ->
+          let reg = Bw_obs.create () in
+          let d =
+            List.assoc name (Drivers.Int.lineup ~obs:(Bw_obs.sink reg) ()) ()
+          in
           let res = hc_insert_run d ~nthreads ~ops:scale.keys in
-          Counters.enabled := false;
-          let rate ev =
-            float_of_int (Counters.read Counters.global ev)
-            /. res.seconds /. 1e6
+          let rate c =
+            float_of_int (Bw_obs.count reg c) /. res.seconds /. 1e6
           in
           Printf.printf
             "%-14s | %8.3f Mops/s | deref %8.1f M/s | cas-fail %8.3f M/s\n%!"
             name res.mops
-            (rate Counters.Pointer_deref)
-            (rate Counters.Cas_failure))
+            (rate Bw_obs.C_ptr_derefs)
+            (rate Bw_obs.C_cas_failures))
         (Drivers.Int.lineup ()))
     thread_configs
 

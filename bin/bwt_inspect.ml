@@ -23,7 +23,25 @@
 
 module Tree = Harness.Drivers.Int.Bw
 module W = Workload
-module H = Bw_util.Histogram
+module H = Bw_obs.Histo
+
+(* One bar per non-empty bucket: exact below 16, ranges of at most 12.5%
+   of their value above. *)
+let pp_histo ~width ppf h =
+  if H.count h = 0 then Format.fprintf ppf "(empty)@."
+  else begin
+    let bs = H.buckets h in
+    let biggest = List.fold_left (fun m (_, _, n) -> max m n) 1 bs in
+    List.iter
+      (fun (lo, hi, n) ->
+        let label =
+          if lo = hi then Printf.sprintf "%6d" lo
+          else Printf.sprintf "%5d-%-5d" lo hi
+        in
+        Format.fprintf ppf "%s | %-7d %s@." label n
+          (String.make (max 1 (n * width / biggest)) '#'))
+      bs
+  end
 
 (* --data-dir mode: read-only recovery of every shard, then a per-shard
    report. Mirrors the server's layout: one store at the root for a
@@ -200,7 +218,21 @@ let () =
     exit 0
   end;
   let n_shards = !shards in
-  let trees = Array.init n_shards (fun _ -> Tree.create ~config ()) in
+  let nthreads = max 1 !threads in
+  (* one registry per shard, a stripe per loader: op_stats reads a tree's
+     registry, and the totals below sum over the shards *)
+  let trees =
+    Array.init n_shards (fun _ ->
+        Tree.create ~config
+          ~obs:(Bw_obs.sink (Bw_obs.create ~stripes:nthreads ()))
+          ())
+  in
+  (* a tree's reachable words include its registry; report the structure
+     alone *)
+  let registry_words =
+    Obj.reachable_words (Obj.repr (Bw_obs.create ~stripes:nthreads ()))
+  in
+  let tree_words t = Tree.memory_words t - registry_words in
   (* mono keys are dense in [0, keys); rand/hc scramble over the whole
      non-negative range — partition what the load will actually cover
      so the shard summaries show the balance *)
@@ -211,7 +243,6 @@ let () =
   in
   let tree_of k = trees.(Harness.Drivers.Int.K.shard_of part k) in
   Array.iter (fun t -> Tree.start_gc_thread t ()) trees;
-  let nthreads = max 1 !threads in
   let spawn f =
     let ds = Array.init nthreads (fun tid -> Domain.spawn (fun () -> f tid)) in
     Array.iter Domain.join ds
@@ -271,7 +302,7 @@ let () =
            %.2f | %7.2f MB\n"
           i (Tree.cardinal t) ss.depth ss.inner_nodes ss.leaf_nodes
           ss.avg_leaf_chain
-          (float_of_int (Tree.memory_words t * 8) /. 1024. /. 1024.);
+          (float_of_int (tree_words t * 8) /. 1024. /. 1024.);
         Format.printf "         %a@." Bwtree.pp_mapping_stats
           (Tree.mapping_table_stats t);
         Format.printf "         %a@." Bwtree.pp_leaf_cache_stats
@@ -294,13 +325,13 @@ let () =
           else H.add inner_size size))
     trees;
   Format.printf "leaf delta-chain lengths (p50=%d p99=%d max=%d):@.%a@."
-    (H.percentile leaf_chain 50.0)
-    (H.percentile leaf_chain 99.0)
-    (H.max_value leaf_chain) (H.pp ~width:36) leaf_chain;
+    (H.quantile leaf_chain 0.50)
+    (H.quantile leaf_chain 0.99)
+    (H.max_value leaf_chain) (pp_histo ~width:36) leaf_chain;
   Format.printf "leaf occupancy (items; p50=%d max=%d):@.%a@."
-    (H.percentile leaf_size 50.0)
-    (H.max_value leaf_size) (H.pp ~width:36) leaf_size;
-  Format.printf "inner fan-out:@.%a@." (H.pp ~width:36) inner_size;
+    (H.quantile leaf_size 0.50)
+    (H.max_value leaf_size) (pp_histo ~width:36) leaf_size;
+  Format.printf "inner fan-out:@.%a@." (pp_histo ~width:36) inner_size;
 
   let sum f = Array.fold_left (fun acc t -> acc + f t) 0 trees in
   Printf.printf
@@ -321,7 +352,7 @@ let () =
       (Tree.leaf_cache_stats trees.(0))
   end;
   Printf.printf "memory: %.2f MB live\n"
-    (float_of_int (sum Tree.memory_words * 8) /. 1024. /. 1024.);
+    (float_of_int (sum tree_words * 8) /. 1024. /. 1024.);
   let esum f =
     Array.fold_left (fun acc t -> acc + f (Epoch.stats (Tree.epoch t))) 0 trees
   in

@@ -212,6 +212,19 @@ let () =
     (if !unique then "unique" else "non-unique")
     (if !batch > 1 then Printf.sprintf " | batch %d" !batch else "");
   let r = Bw_stress.run cfg subject in
+  (* a cache forced on must have served hits, or its counter checks
+     passed on empty counts *)
+  let r =
+    match (!leaf_cache, subject.Bw_stress.s_cache_stats) with
+    | Some true, Some stats when (stats ()).Bwtree.lc_hits = 0 ->
+        {
+          r with
+          Bw_stress.r_violations =
+            "leaf cache: forced on but served no hits"
+            :: r.Bw_stress.r_violations;
+        }
+    | _ -> r
+  in
   Format.printf "%a@." Bw_stress.pp_report r;
   (match obs with
   | Bw_obs.Null -> ()

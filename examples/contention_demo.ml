@@ -9,7 +9,7 @@
 module Tree = Bwtree.Make (Index_iface.Int_key) (Index_iface.Int_value)
 
 let run ~label ~nthreads ~per_thread keygen =
-  let t = Tree.create () in
+  let t = Tree.create ~obs:(Bw_obs.sink (Bw_obs.create ())) () in
   Tree.start_gc_thread t ();
   let t0 = Unix.gettimeofday () in
   let workers =

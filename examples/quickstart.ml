@@ -11,8 +11,10 @@ let () =
   (* The default configuration is the fully-optimized OpenBw-Tree:
      pre-allocated delta records, fast consolidation, search shortcuts and
      decentralized epoch GC. [Bwtree.microsoft_config] gives the baseline
-     Bw-Tree instead, and every knob can be set individually. *)
-  let t = Tree.create () in
+     Bw-Tree instead, and every knob can be set individually. A Bw_obs
+     registry collects the tree's counters and latencies; without one
+     ([Bw_obs.Null], the default) the tree counts nothing. *)
+  let t = Tree.create ~obs:(Bw_obs.sink (Bw_obs.create ())) () in
 
   (* point operations *)
   assert (Tree.insert t 1 100);

@@ -18,8 +18,6 @@
     their parent (restoring path compression); node layouts are not shrunk
     otherwise. *)
 
-module Counters = Bw_util.Counters
-
 exception Restart
 
 module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
@@ -55,12 +53,13 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   and hdr = { version : int Atomic.t; mutable prefix : string }
 
-  type t = { root : node Atomic.t }
+  type t = { root : node Atomic.t; o : Bw_obs.sink }
 
-  let cnt tid ev =
-    if !Counters.enabled then Counters.incr Counters.global ~tid ev
+  (* Table 3 probes: one inlined branch on the null sink *)
+  let cnt t tid c =
+    match t.o with Bw_obs.Null -> () | Bw_obs.To _ as o -> Bw_obs.incr o ~tid c
 
-  let create () = { root = Atomic.make Empty }
+  let create ?(obs = Bw_obs.Null) () = { root = Atomic.make Empty; o = obs }
 
   let bkey_of k = K.to_binary k ^ "\x00"
 
@@ -248,12 +247,12 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   (* --- retry plumbing --- *)
 
-  let rec retry ~tid f =
+  let rec retry t ~tid f =
     try f () with
     | Restart | Invalid_argument _ ->
-        cnt tid Counters.Restart;
+        cnt t tid Bw_obs.C_restarts;
         Domain.cpu_relax ();
-        retry ~tid f
+        retry t ~tid f
 
   (* install a new value for the root pointer, validating the expected
      current value *)
@@ -284,13 +283,13 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   let insert t ~tid k value =
     let bkey = bkey_of k in
-    retry ~tid @@ fun () ->
+    retry t ~tid @@ fun () ->
     let rec go node depth parent_slot parent_ver =
-      cnt tid Counters.Node_visit;
+      cnt t tid Bw_obs.C_node_visits;
       match node with
       | Empty ->
           (* only reachable at the root: empty children are expanded below *)
-          cnt tid Counters.Allocation;
+          cnt t tid Bw_obs.C_allocations;
           cas_root t Empty (Leaf { bkey; value = Atomic.make value });
           true
       | Leaf l ->
@@ -313,7 +312,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
             let c_new = Char.code bkey.[depth + cpl] in
             add_child n4 c_old node;
             add_child n4 c_new (Leaf { bkey; value = Atomic.make value });
-            cnt tid Counters.Allocation;
+            cnt t tid Bw_obs.C_allocations;
             lock_and_swing t ~parent_slot ~parent_ver ~expect:node ~repl:n4;
             true
           end
@@ -342,7 +341,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
             add_child n4 c_old node;
             add_child n4 c_new
               (Leaf { bkey; value = Atomic.make value });
-            cnt tid Counters.Allocation;
+            cnt t tid Bw_obs.C_allocations;
             (try
                lock_and_swing t ~parent_slot ~parent_ver ~expect:node
                  ~repl:n4
@@ -369,7 +368,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
                     let bigger = grow node in
                     add_child bigger c
                       (Leaf { bkey; value = Atomic.make value });
-                    cnt tid Counters.Allocation;
+                    cnt t tid Bw_obs.C_allocations;
                     (try
                        lock_and_swing t ~parent_slot ~parent_ver
                          ~expect:node ~repl:bigger
@@ -384,12 +383,12 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
                     upgrade h v;
                     add_child node c
                       (Leaf { bkey; value = Atomic.make value });
-                    cnt tid Counters.Allocation;
+                    cnt t tid Bw_obs.C_allocations;
                     write_unlock h;
                     true
                   end
               | _ ->
-                  cnt tid Counters.Pointer_deref;
+                  cnt t tid Bw_obs.C_ptr_derefs;
                   go child (depth + 1) (In (node, c)) v
             end
           end
@@ -400,9 +399,9 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   let lookup t ~tid k =
     let bkey = bkey_of k in
-    retry ~tid @@ fun () ->
+    retry t ~tid @@ fun () ->
     let rec go node depth =
-      cnt tid Counters.Node_visit;
+      cnt t tid Bw_obs.C_node_visits;
       match node with
       | Empty -> None
       | Leaf l -> if String.equal l.bkey bkey then Some (Atomic.get l.value) else None
@@ -423,7 +422,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
             else begin
               let child = find_child node (Char.code bkey.[depth]) in
               validate h v;
-              cnt tid Counters.Pointer_deref;
+              cnt t tid Bw_obs.C_ptr_derefs;
               go child (depth + 1)
             end
           end
@@ -432,7 +431,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   let update t ~tid k value =
     let bkey = bkey_of k in
-    retry ~tid @@ fun () ->
+    retry t ~tid @@ fun () ->
     let rec go node depth =
       match node with
       | Empty -> false
@@ -507,7 +506,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   let delete t ~tid k =
     let bkey = bkey_of k in
-    retry ~tid @@ fun () ->
+    retry t ~tid @@ fun () ->
     let rec go node depth parent_slot parent_ver =
       match node with
       | Empty -> false
@@ -558,7 +557,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     else begin
     let bkey = bkey_of k in
     let items =
-      retry ~tid @@ fun () ->
+      retry t ~tid @@ fun () ->
       let acc = ref [] in
       let visited = ref 0 in
       let exception Done in
@@ -598,7 +597,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
        to that depth, so comparisons still constrain; None = unconstrained
        (strictly greater already) *)
     let rec visit node ~path_len ~constrained =
-      cnt tid Counters.Node_visit;
+      cnt t tid Bw_obs.C_node_visits;
       match node with
       | Empty -> ()
       | Leaf l ->

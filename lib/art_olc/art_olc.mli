@@ -17,7 +17,9 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) : sig
   type value = V.t
   type t
 
-  val create : unit -> t
+  val create : ?obs:Bw_obs.sink -> unit -> t
+  (** [obs] (default {!Bw_obs.Null}, which counts nothing) receives the
+      Table 3 event counters. *)
 
   val insert : t -> tid:int -> key -> value -> bool
   val lookup : t -> tid:int -> key -> value option

@@ -14,8 +14,6 @@
     workloads and does not affect the paper's workloads, which never shrink
     the tree. *)
 
-module Counters = Bw_util.Counters
-
 exception Restart
 
 module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
@@ -45,10 +43,11 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     children : node array;
   }
 
-  type t = { root : node Atomic.t }
+  type t = { root : node Atomic.t; o : Bw_obs.sink }
 
-  let cnt tid ev =
-    if !Counters.enabled then Counters.incr Counters.global ~tid ev
+  (* Table 3 probes: one inlined branch on the null sink *)
+  let cnt o tid c =
+    match o with Bw_obs.Null -> () | Bw_obs.To _ -> Bw_obs.incr o ~tid c
 
   (* --- version-lock primitives --- *)
 
@@ -86,28 +85,29 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
         Inner { children = Array.make (inner_capacity + 1) (Obj.magic 0 : node) };
     }
 
-  let create () = { root = Atomic.make (new_leaf ()) }
+  let create ?(obs = Bw_obs.Null) () =
+    { root = Atomic.make (new_leaf ()); o = obs }
 
   (* --- search within a node --- *)
 
   (* first index with keys.(i) >= k over the first [count] entries; racing
      reads may observe a torn (count, keys) pair — the caller re-validates
      the version before trusting the result *)
-  let lower_bound ~tid n k =
+  let lower_bound o ~tid n k =
     let count = n.count in
     let count = if count < 0 then 0 else min count (Array.length n.keys) in
     let lo = ref 0 and hi = ref count in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      cnt tid Counters.Key_compare;
+      cnt o tid Bw_obs.C_key_compares;
       if K.compare n.keys.(mid) k < 0 then lo := mid + 1 else hi := mid
     done;
     !lo
 
-  let child_for ~tid n k =
+  let child_for o ~tid n k =
     match n.kind with
     | Inner i ->
-        let pos = lower_bound ~tid n k in
+        let pos = lower_bound o ~tid n k in
         (* route equal keys to the right subtree: separator keys.(i) is the
            smallest key of children.(i+1) *)
         let pos =
@@ -166,17 +166,17 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   (* --- retry plumbing --- *)
 
-  let rec retry ~tid f =
+  let rec retry t ~tid f =
     try f () with
     | Restart ->
-        cnt tid Counters.Restart;
+        cnt t.o tid Bw_obs.C_restarts;
         Domain.cpu_relax ();
-        retry ~tid f
+        retry t ~tid f
     | Invalid_argument _ ->
         (* a torn optimistic read indexed out of bounds; treat as restart *)
-        cnt tid Counters.Restart;
+        cnt t.o tid Bw_obs.C_restarts;
         Domain.cpu_relax ();
-        retry ~tid f
+        retry t ~tid f
 
   (* --- operations --- *)
 
@@ -210,12 +210,12 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
       raise Restart
     end;
     let rec go node v =
-      cnt tid Counters.Node_visit;
+      cnt t.o tid Bw_obs.C_node_visits;
       match node.kind with
       | Leaf _ -> at_leaf node v
       | Inner _ ->
-          cnt tid Counters.Pointer_deref;
-          let child = child_for ~tid node k in
+          cnt t.o tid Bw_obs.C_ptr_derefs;
+          let child = child_for t.o ~tid node k in
           validate node v;
           let cv = read_lock child in
           if for_insert && is_full child then begin
@@ -239,10 +239,10 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     go root v
 
   let insert t ~tid k value =
-    retry ~tid @@ fun () ->
+    retry t ~tid @@ fun () ->
     descend t ~tid k ~for_insert:true @@ fun leaf v ->
     let l = match leaf.kind with Leaf l -> l | Inner _ -> assert false in
-    let pos = lower_bound ~tid leaf k in
+    let pos = lower_bound t.o ~tid leaf k in
     if pos < leaf.count && K.compare leaf.keys.(pos) k = 0 then begin
       validate leaf v;
       false
@@ -250,7 +250,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     else begin
       upgrade leaf v;
       (* re-check under the lock: position may have shifted *)
-      let pos = lower_bound ~tid leaf k in
+      let pos = lower_bound t.o ~tid leaf k in
       if pos < leaf.count && K.compare leaf.keys.(pos) k = 0 then begin
         write_unlock leaf;
         false
@@ -267,10 +267,10 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     end
 
   let lookup t ~tid k =
-    retry ~tid @@ fun () ->
+    retry t ~tid @@ fun () ->
     descend t ~tid k ~for_insert:false @@ fun leaf v ->
     let l = match leaf.kind with Leaf l -> l | Inner _ -> assert false in
-    let pos = lower_bound ~tid leaf k in
+    let pos = lower_bound t.o ~tid leaf k in
     let result =
       if pos < leaf.count && K.compare leaf.keys.(pos) k = 0 then
         Some l.vals.(pos)
@@ -280,13 +280,13 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     result
 
   let update t ~tid k value =
-    retry ~tid @@ fun () ->
+    retry t ~tid @@ fun () ->
     descend t ~tid k ~for_insert:false @@ fun leaf v ->
     let l = match leaf.kind with Leaf l -> l | Inner _ -> assert false in
-    let pos = lower_bound ~tid leaf k in
+    let pos = lower_bound t.o ~tid leaf k in
     if pos < leaf.count && K.compare leaf.keys.(pos) k = 0 then begin
       upgrade leaf v;
-      let pos = lower_bound ~tid leaf k in
+      let pos = lower_bound t.o ~tid leaf k in
       if pos < leaf.count && K.compare leaf.keys.(pos) k = 0 then begin
         l.vals.(pos) <- value;
         write_unlock leaf;
@@ -303,13 +303,13 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     end
 
   let delete t ~tid k =
-    retry ~tid @@ fun () ->
+    retry t ~tid @@ fun () ->
     descend t ~tid k ~for_insert:false @@ fun leaf v ->
     let l = match leaf.kind with Leaf l -> l | Inner _ -> assert false in
-    let pos = lower_bound ~tid leaf k in
+    let pos = lower_bound t.o ~tid leaf k in
     if pos < leaf.count && K.compare leaf.keys.(pos) k = 0 then begin
       upgrade leaf v;
-      let pos = lower_bound ~tid leaf k in
+      let pos = lower_bound t.o ~tid leaf k in
       if pos < leaf.count && K.compare leaf.keys.(pos) k = 0 then begin
         Array.blit leaf.keys (pos + 1) leaf.keys pos (leaf.count - pos - 1);
         Array.blit l.vals (pos + 1) l.vals pos (leaf.count - pos - 1);
@@ -334,7 +334,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
      has validated, so a restarted scan never double-reports. *)
   let scan t ~tid k ~n visit =
     let items =
-      retry ~tid @@ fun () ->
+      retry t ~tid @@ fun () ->
       descend t ~tid k ~for_insert:false @@ fun leaf v ->
       let acc = ref [] in
       let visited = ref 0 in
@@ -360,7 +360,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
               let nv = read_lock nx in
               walk nx nv 0
       in
-      let start = lower_bound ~tid leaf k in
+      let start = lower_bound t.o ~tid leaf k in
       walk leaf v start;
       !acc
     in

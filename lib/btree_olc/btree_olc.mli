@@ -23,7 +23,9 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) : sig
       number of domains; [tid] only labels the caller for the software
       event counters. *)
 
-  val create : unit -> t
+  val create : ?obs:Bw_obs.sink -> unit -> t
+  (** [obs] (default {!Bw_obs.Null}, which counts nothing) receives the
+      Table 3 event counters. *)
 
   val insert : t -> tid:int -> key -> value -> bool
   (** [false] if the key was already present. *)

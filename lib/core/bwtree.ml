@@ -16,7 +16,6 @@ module Leaf_page = Leaf_page
 (** Re-exported so tests and tools can instantiate the full page
     interface (build/merge) without going through a tree. *)
 
-module Counters = Bw_util.Counters
 module Growable = Bw_util.Growable
 
 exception Restart
@@ -29,10 +28,10 @@ module Make (K : KEY) (V : VALUE) :
   type key = K.t
   type value = V.t
 
-  (* The one leaf-materialization representation (ROADMAP item 2): every
-     consumer of leaf contents goes through this module. [P] is the full
-     internal interface; the public [Page] alias below is narrowed to
-     [Leaf_page.S] by the signature constraint. *)
+  (* The one leaf-materialization representation (DESIGN.md, "Leaf
+     pages"): every consumer of leaf contents goes through this module.
+     [P] is the full internal interface; the public [Page] alias below is
+     narrowed to [Leaf_page.S] by the signature constraint. *)
   module P = Leaf_page.Make (K) (V)
   module Page = P
 
@@ -170,35 +169,11 @@ module Make (K : KEY) (V : VALUE) :
   (* Tree                                                              *)
   (* ---------------------------------------------------------------- *)
 
-  (* per-thread statistic field indexes *)
-  let f_inserts = 0
-  and f_deletes = 1
-  and f_updates = 2
-  and f_lookups = 3
-  and f_splits = 4
-  and f_merges = 5
-  and f_consolidations = 6
-  and f_failed_cas = 7
-  and f_restarts = 8
-  and f_smo_helps = 9
-  and f_prealloc_overflows = 10
-  and f_lc_hits = 11
-  and f_lc_misses = 12
-  and f_lc_stale = 13
-  and f_lc_inval = 14
-  and f_lc_tick = 15 (* replacement sampler, not a reported stat *)
-  and f_lc_win = 16 (* probes seen in the current observation window *)
-  and f_lc_winh = 17 (* hits seen in the current observation window *)
-  and f_lc_bypass = 18 (* ops left in the current probe-bypass stretch *)
-  and f_read_consolidations = 19
-  and f_read_walk = 20 (* delta records walked by point reads since the
-                          last read-side consolidation, not reported *)
-
-  let n_stat_fields = 21
-
   (* Per-thread side results of the descent, the leaf walk and the write
      cores, so none of them has to return a tuple or a record: the point
-     paths allocate nothing here. *)
+     paths allocate nothing here. Also the thread's working state that
+     outlives one op: the leaf-cache gate and the read-consolidation
+     budget. *)
   type cursor = {
     mutable c_id : int;  (* leaf the last descent or cache hit found *)
     mutable c_path : int list;
@@ -207,9 +182,17 @@ module Make (K : KEY) (V : VALUE) :
     mutable c_offset : int;  (* §4.3 base position for an appended delta *)
     mutable c_walked : int;  (* delta records the last leaf walk crossed *)
     mutable c_ok : bool;  (* the last write core's point-op outcome *)
+    mutable c_restarts : int;  (* root restarts this thread has taken *)
+    mutable c_lc_tick : int;  (* leaf-cache replacement sampler *)
+    mutable c_lc_win : int;  (* probes seen in the current window *)
+    mutable c_lc_winh : int;  (* hits seen in the current window *)
+    mutable c_lc_bypass : int;  (* ops left in the probe-bypass stretch *)
+    mutable c_read_walk : int;
+        (* delta records walked by point reads since the last read-side
+           consolidation *)
   }
 
-  (* The leaf cache (ROADMAP item 3) is a flat int array of
+  (* The leaf cache (DESIGN.md, "Leaf cache") is a flat int array of
      [fingerprint; pid; stamp] triples, one per direct-mapped slot:
      - fingerprint: the full [Hashtbl.hash] of the cached key (-1 =
        empty). A probe compares it before touching anything else, so a
@@ -235,7 +218,6 @@ module Make (K : KEY) (V : VALUE) :
     root : int Atomic.t;
     epoch : Epoch.t;
     o : Bw_obs.sink;
-    st : int array array;  (* [tid].[field], owner-written *)
     cur : cursor array;  (* [tid], owner-written *)
     bperm : int array array;
         (* per-tid batch-permutation scratch, owner-written; each row is
@@ -250,9 +232,6 @@ module Make (K : KEY) (V : VALUE) :
     lc_mask : int;
   }
 
-  let sbump t tid f = t.st.(tid).(f) <- t.st.(tid).(f) + 1
-  let ssum t f = Array.fold_left (fun acc row -> acc + row.(f)) 0 t.st
-
   let lc_enabled t = t.lc_mask >= 0
 
   (* Every completed SMO advances the stamp. Unconditional: the counter
@@ -260,12 +239,16 @@ module Make (K : KEY) (V : VALUE) :
      when the cache itself is off. *)
   let smo_bump t = Atomic.incr t.smo_epoch
 
-  let cnt tid ev =
-    if !Counters.enabled then Counters.incr Counters.global ~tid ev
+  (* Counter probes: on the null sink one branch and nothing else. They
+     match the sink here rather than ask [Bw_obs.enabled]: a call into
+     another library is not inlined in the default (dev) build. *)
+  let cnt o tid c =
+    match o with Bw_obs.Null -> () | Bw_obs.To _ -> Bw_obs.incr o ~tid c
 
   let count_restart t ~tid =
-    sbump t tid f_restarts;
-    cnt tid Counters.Restart;
+    let c = t.cur.(tid) in
+    c.c_restarts <- c.c_restarts + 1;
+    cnt t.o tid Bw_obs.C_restarts;
     Domain.cpu_relax ()
 
   let new_prealloc cfg ~leaf =
@@ -309,7 +292,6 @@ module Make (K : KEY) (V : VALUE) :
           Epoch.create ~scheme:config.gc_scheme ~max_threads:config.max_threads
             ~gc_threshold:config.gc_threshold ~obs ();
         o = obs;
-        st = Array.init config.max_threads (fun _ -> Array.make n_stat_fields 0);
         cur =
           Array.init config.max_threads (fun _ ->
               {
@@ -318,6 +300,12 @@ module Make (K : KEY) (V : VALUE) :
                 c_offset = -1;
                 c_walked = 0;
                 c_ok = false;
+                c_restarts = 0;
+                c_lc_tick = 0;
+                c_lc_win = 0;
+                c_lc_winh = 0;
+                c_lc_bypass = 0;
+                c_read_walk = 0;
               });
         bperm = Array.make config.max_threads [||];
         smo_epoch = Atomic.make 0;
@@ -340,16 +328,16 @@ module Make (K : KEY) (V : VALUE) :
 
   (* The linearization primitive: swing a logical node's physical pointer. *)
   let mt_cas t ~tid id ~expect ~repl =
-    cnt tid Counters.Cas_attempt;
+    cnt t.o tid Bw_obs.C_cas_attempts;
     let ok =
       if t.cfg.use_atomic_cas then Mapping_table.cas t.table id ~expect ~repl
       else Mapping_table.cas_unsafe t.table id ~expect ~repl
     in
-    if not ok then cnt tid Counters.Cas_failure;
+    if not ok then cnt t.o tid Bw_obs.C_cas_failures;
     ok
 
   let mt_get t ~tid id =
-    cnt tid Counters.Pointer_deref;
+    cnt t.o tid Bw_obs.C_ptr_derefs;
     Mapping_table.get t.table id
 
   (* ---------------------------------------------------------------- *)
@@ -358,17 +346,26 @@ module Make (K : KEY) (V : VALUE) :
 
   (* In-leaf key search lives in {!Leaf_page} ([P.lower_bound] and
      friends) — one implementation for descent, batch probes, iterators
-     and the frozen tree. Only the separator search below stays here. *)
+     and the frozen tree. The page counts nothing, so each caller charges
+     the search's comparison bound itself ([lower_bound]). Only the
+     separator search below stays here. *)
+
+  let lower_bound o ~tid pg k =
+    (match o with
+    | Bw_obs.Null -> ()
+    | Bw_obs.To _ ->
+        Bw_obs.add o ~tid Bw_obs.C_key_compares (P.search_cost pg));
+    P.lower_bound pg k
 
   (* The child slot routing [k] in an inner base: how many of the
      separators 1..n-1 ([seps], unboxed) are <= k. Separator 0, the
      node's low bound, is <= k for any correctly-routed traversal, so it
      is never compared. *)
-  let sep_index ~tid (seps : key array) k =
+  let sep_index o ~tid (seps : key array) k =
     let lo = ref 0 and hi = ref (Array.length seps) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      cnt tid Counters.Key_compare;
+      cnt o tid Bw_obs.C_key_compares;
       if K.compare (Array.unsafe_get seps mid) k <= 0 then lo := mid + 1
       else hi := mid
     done;
@@ -382,7 +379,7 @@ module Make (K : KEY) (V : VALUE) :
      the chain oldest-first. Correct for every delta kind, including SMO
      records; used by consolidation (baseline mode), splits, iterators and
      the invariant checker. *)
-  let rec gather_leaf ~tid (e : elem) : (key * value) Growable.t =
+  let rec gather_leaf o ~tid (e : elem) : (key * value) Growable.t =
     match e with
     | Leaf b ->
         let g = Growable.create ~capacity:(P.length b.lb_page + 8) () in
@@ -390,12 +387,12 @@ module Make (K : KEY) (V : VALUE) :
         g
     | LIns { next; _ } | LDel { next; _ } | LUpd { next; _ } | LSmo { next; _ }
       -> (
-        cnt tid Counters.Pointer_deref;
-        let items = gather_leaf ~tid next in
+        cnt o tid Bw_obs.C_ptr_derefs;
+        let items = gather_leaf o ~tid next in
         let find_pair k v =
           (* position of the exact (k, v) pair, or -1 *)
           let n = Growable.length items in
-          let i = ref (lower_bound_g ~tid items k) in
+          let i = ref (lower_bound_g o ~tid items k) in
           let found = ref (-1) in
           while
             !found < 0 && !i < n
@@ -407,7 +404,7 @@ module Make (K : KEY) (V : VALUE) :
           !found
         in
         let do_insert k v =
-          let pos = upper_bound_g ~tid items k in
+          let pos = upper_bound_g o ~tid items k in
           Growable.insert_at items pos (k, v)
         in
         let do_delete k v =
@@ -426,38 +423,38 @@ module Make (K : KEY) (V : VALUE) :
             do_insert d.key d.vnew;
             items
         | LSmo { op = L_split (ks, _, _); _ } ->
-            let cut = lower_bound_g ~tid items ks in
+            let cut = lower_bound_g o ~tid items ks in
             Growable.truncate items cut;
             items
         | LSmo { op = L_merge (_, right, _); _ } ->
-            let r = gather_leaf ~tid right in
+            let r = gather_leaf o ~tid right in
             Growable.iter (fun it -> Growable.push items it) r;
             items
         | LSmo { op = L_remove; _ } | Leaf _ | Inner _ | ID _ -> items)
     | Inner _ | ID _ -> assert false
 
-  and lower_bound_g ~tid items k =
+  and lower_bound_g o ~tid items k =
     let lo = ref 0 and hi = ref (Growable.length items) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      cnt tid Counters.Key_compare;
+      cnt o tid Bw_obs.C_key_compares;
       if K.compare (fst (Growable.get items mid)) k < 0 then lo := mid + 1
       else hi := mid
     done;
     !lo
 
-  and upper_bound_g ~tid items k =
+  and upper_bound_g o ~tid items k =
     let lo = ref 0 and hi = ref (Growable.length items) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      cnt tid Counters.Key_compare;
+      cnt o tid Bw_obs.C_key_compares;
       if K.compare (fst (Growable.get items mid)) k <= 0 then lo := mid + 1
       else hi := mid
     done;
     !lo
 
   (* Same, for inner logical nodes: sorted (separator bound, child id). *)
-  let rec gather_inner ~tid (e : elem) : (bound * int) Growable.t =
+  let rec gather_inner o ~tid (e : elem) : (bound * int) Growable.t =
     match e with
     | Inner b ->
         let ids = b.ib_ids in
@@ -466,13 +463,13 @@ module Make (K : KEY) (V : VALUE) :
         Array.iteri (fun i s -> Growable.push g (B s, ids.(i + 1))) b.ib_seps;
         g
     | ID d -> (
-        cnt tid Counters.Pointer_deref;
-        let items = gather_inner ~tid d.next in
+        cnt o tid Bw_obs.C_ptr_derefs;
+        let items = gather_inner o ~tid d.next in
         let pos_of_sep sep =
           let lo = ref 0 and hi = ref (Growable.length items) in
           while !lo < !hi do
             let mid = (!lo + !hi) / 2 in
-            cnt tid Counters.Key_compare;
+            cnt o tid Bw_obs.C_key_compares;
             if cmp_bound (fst (Growable.get items mid)) sep < 0 then
               lo := mid + 1
             else hi := mid
@@ -500,7 +497,7 @@ module Make (K : KEY) (V : VALUE) :
             Growable.truncate items cut;
             items
         | I_merge (_, right, _) ->
-            let r = gather_inner ~tid right in
+            let r = gather_inner o ~tid right in
             Growable.iter (fun it -> Growable.push items it) r;
             items
         | I_remove | I_abort -> items)
@@ -515,7 +512,7 @@ module Make (K : KEY) (V : VALUE) :
      the page module resolve visibility and emit the new page with a
      single two-way merge — no full sort. [None] on SMO-bearing chains;
      the caller falls back to the general replay. *)
-  let consolidate_leaf_chain ~tid (head : elem) : P.t option =
+  let consolidate_leaf_chain o ~tid (head : elem) : P.t option =
     let exception Fallback in
     try
       let rec walk e =
@@ -526,12 +523,18 @@ module Make (K : KEY) (V : VALUE) :
         | LUpd d -> push (P.Upd (d.key, d.vold, d.vnew)) d.next
         | LSmo _ | Inner _ | ID _ -> raise Fallback
       and push dd next =
-        cnt tid Counters.Pointer_deref;
+        cnt o tid Bw_obs.C_ptr_derefs;
         let b, ds = walk next in
         (b, dd :: ds)
       in
-      let page, deltas = walk head in
-      Some (P.merge_with_deltas ~tid page deltas)
+      let base, deltas = walk head in
+      let page, searches = P.merge_with_deltas base deltas in
+      (match o with
+      | Bw_obs.Null -> ()
+      | Bw_obs.To _ ->
+          Bw_obs.add o ~tid Bw_obs.C_key_compares
+            (searches * P.search_cost base));
+      Some page
     with Fallback -> None
 
   (* ---------------------------------------------------------------- *)
@@ -608,7 +611,7 @@ module Make (K : KEY) (V : VALUE) :
      the chain to collect the logical node's items, then sort. Applies to
      chains of plain data deltas (like the fast path); SMO-bearing chains
      fall back to the general gather. *)
-  let sort_consolidate_leaf ~tid (head : elem) : (key * value) array option =
+  let sort_consolidate_leaf o ~tid (head : elem) : (key * value) array option =
     let exception Fallback in
     try
       let pres : (key * value) Growable.t = Growable.create () in
@@ -631,15 +634,15 @@ module Make (K : KEY) (V : VALUE) :
         match e with
         | Leaf b -> b.lb_page
         | LIns { key = k; v; next; _ } ->
-            cnt tid Counters.Pointer_deref;
+            cnt o tid Bw_obs.C_ptr_derefs;
             if not (take_pending k v) then Growable.push pres (k, v);
             walk next
         | LDel { key = k; v; next; _ } ->
-            cnt tid Counters.Pointer_deref;
+            cnt o tid Bw_obs.C_ptr_derefs;
             Growable.push dels (k, v);
             walk next
         | LUpd { key = k; vold; vnew; next; _ } ->
-            cnt tid Counters.Pointer_deref;
+            cnt o tid Bw_obs.C_ptr_derefs;
             if not (take_pending k vnew) then Growable.push pres (k, vnew);
             Growable.push dels (k, vold);
             walk next
@@ -686,25 +689,24 @@ module Make (K : KEY) (V : VALUE) :
             if is_leaf_elem head then begin
               let page =
                 if t.cfg.fast_consolidation then
-                  consolidate_leaf_chain ~tid head
+                  consolidate_leaf_chain t.o ~tid head
                 else
                   (* the paper's baseline pays the full sort *)
-                  Option.map P.build (sort_consolidate_leaf ~tid head)
+                  Option.map P.build (sort_consolidate_leaf t.o ~tid head)
               in
               let page =
                 match page with
                 | Some p -> p
                 | None ->
-                    P.build (Growable.to_array (gather_leaf ~tid head))
+                    P.build (Growable.to_array (gather_leaf t.o ~tid head))
               in
               leaf_base_of_page t page ~range:(range_of head)
             end
             else
-              let items = Growable.to_array (gather_inner ~tid head) in
+              let items = Growable.to_array (gather_inner t.o ~tid head) in
               inner_base_of_items t items ~range:(range_of head)
           in
           if mt_cas t ~tid id ~expect:head ~repl then begin
-            sbump t tid f_consolidations;
             if Bw_obs.enabled t.o then begin
               Bw_obs.observe t.o ~tid Bw_obs.Lat_consolidate
                 (Bw_obs.now_ns () - t0);
@@ -721,7 +723,7 @@ module Make (K : KEY) (V : VALUE) :
   let rec consolidate_subtree t ~tid id =
     let head = mt_get t ~tid id in
     if not (is_leaf_elem head) then begin
-      let children = gather_inner ~tid head in
+      let children = gather_inner t.o ~tid head in
       Growable.iter (fun (_, cid) -> consolidate_subtree t ~tid cid) children
     end;
     consolidate t ~tid id (mt_get t ~tid id)
@@ -754,7 +756,7 @@ module Make (K : KEY) (V : VALUE) :
     | Some pre ->
         let i = Atomic.fetch_and_add pre.used 1 in
         if i >= pre.cap then begin
-          sbump t tid f_prealloc_overflows;
+          cnt t.o tid Bw_obs.C_prealloc_overflows;
           consolidate t ~tid id head;
           raise Restart
         end
@@ -780,37 +782,38 @@ module Make (K : KEY) (V : VALUE) :
 
   (* Route [k] within one inner logical node. The caller has already
      verified k < hi of the chain head. *)
-  let rec inner_nav ~tid (e : elem) k =
+  let rec inner_nav o ~tid (e : elem) k =
     match e with
     | ID d -> (
-        cnt tid Counters.Pointer_deref;
+        cnt o tid Bw_obs.C_ptr_derefs;
         match d.op with
         | I_ins (ks, cid, nsep) ->
-            cnt tid Counters.Key_compare;
+            cnt o tid Bw_obs.C_key_compares;
             if K.compare k ks >= 0 && kb k nsep < 0 then cid
-            else inner_nav ~tid d.next k
+            else inner_nav o ~tid d.next k
         | I_del (_, k0, n0, k2) ->
-            if kb k k0 >= 0 && kb k k2 < 0 then n0 else inner_nav ~tid d.next k
+            if kb k k0 >= 0 && kb k k2 < 0 then n0
+            else inner_nav o ~tid d.next k
         | I_split (ks, rid, _) ->
-            cnt tid Counters.Key_compare;
+            cnt o tid Bw_obs.C_key_compares;
             if K.compare k ks >= 0 then go_right rid
-            else inner_nav ~tid d.next k
+            else inner_nav o ~tid d.next k
         | I_merge (km, right, _) ->
-            cnt tid Counters.Key_compare;
-            inner_nav ~tid (if K.compare k km >= 0 then right else d.next) k
-        | I_remove | I_abort -> inner_nav ~tid d.next k)
+            cnt o tid Bw_obs.C_key_compares;
+            inner_nav o ~tid (if K.compare k km >= 0 then right else d.next) k
+        | I_remove | I_abort -> inner_nav o ~tid d.next k)
     | Inner b ->
         let r = b.range in
         if kb k r.hi >= 0 && r.right <> nil_id then go_right r.right
-        else Array.unsafe_get b.ib_ids (sep_index ~tid b.ib_seps k)
+        else Array.unsafe_get b.ib_ids (sep_index o ~tid b.ib_seps k)
     | Leaf _ | LIns _ | LDel _ | LUpd _ | LSmo _ -> assert false
 
   (* Exact routing context from the consolidated view: the separator
      governing [k], its child, and the tight next bound. Used when posting
      SMO records, where stale "next separator" shortcuts would corrupt
      routing. *)
-  let inner_locate_exact ~tid (head : elem) k : bound * int * bound =
-    let items = gather_inner ~tid head in
+  let inner_locate_exact o ~tid (head : elem) k : bound * int * bound =
+    let items = gather_inner o ~tid head in
     let n = Growable.length items in
     assert (n > 0);
     (* largest i with sep <= k *)
@@ -865,7 +868,7 @@ module Make (K : KEY) (V : VALUE) :
             (* the parent itself split; our separator belongs right *)
             attempt pr.right
           else begin
-            let sep, cid, nsep = inner_locate_exact ~tid phead ks in
+            let sep, cid, nsep = inner_locate_exact t.o ~tid phead ks in
             if cmp_bound sep (B ks) = 0 then
               (* separator already posted: split complete *)
               mark_done fin
@@ -881,7 +884,7 @@ module Make (K : KEY) (V : VALUE) :
                     depth = depth_of phead + 1; op = I_ins (ks, rid, nsep) }
               in
               if not (mt_cas t ~tid pid ~expect:phead ~repl:d) then begin
-                sbump t tid f_failed_cas;
+                cnt t.o tid Bw_obs.C_delta_cas_failures;
                 slot_wasted phead;
                 raise Restart
               end;
@@ -912,7 +915,7 @@ module Make (K : KEY) (V : VALUE) :
       (* the split key and the new right sibling's base, or no split *)
       let cut =
         if leaf then begin
-          let items = Growable.to_array (gather_leaf ~tid head) in
+          let items = Growable.to_array (gather_leaf t.o ~tid head) in
           let n = Array.length items in
           if n <= t.cfg.leaf_max then None
           else begin
@@ -935,7 +938,7 @@ module Make (K : KEY) (V : VALUE) :
           end
         end
         else begin
-          let items = Growable.to_array (gather_inner ~tid head) in
+          let items = Growable.to_array (gather_inner t.o ~tid head) in
           let n = Array.length items in
           if n <= t.cfg.inner_max then None
           else
@@ -955,7 +958,7 @@ module Make (K : KEY) (V : VALUE) :
       | None -> head
       | Some (ks, size, right) ->
           let rid = Mapping_table.allocate t.table right in
-          cnt tid Counters.Allocation;
+          cnt t.o tid Bw_obs.C_allocations;
           let fin = Atomic.make false in
           let range = { lo = r.lo; hi = B ks; right = rid }
           and depth = depth_of head + 1 in
@@ -965,12 +968,11 @@ module Make (K : KEY) (V : VALUE) :
             else ID { range; next = head; size; depth; op = I_split (ks, rid, fin) }
           in
           if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
-            sbump t tid f_failed_cas;
+            cnt t.o tid Bw_obs.C_delta_cas_failures;
             Mapping_table.free_id t.table rid;
             head
           end
           else begin
-            sbump t tid f_splits;
             smo_bump t;
             if Bw_obs.enabled t.o then begin
               Bw_obs.incr t.o ~tid Bw_obs.C_splits;
@@ -1007,7 +1009,7 @@ module Make (K : KEY) (V : VALUE) :
       let head = mt_get t ~tid root_id in
       if size_of head = 1 && not (is_leaf_elem head) && not (head_has_smo head)
       then begin
-        let items = gather_inner ~tid head in
+        let items = gather_inner t.o ~tid head in
         if Growable.length items = 1 then begin
           let _, cid = Growable.get items 0 in
           let child = mt_get t ~tid cid in
@@ -1046,7 +1048,7 @@ module Make (K : KEY) (V : VALUE) :
                 op = I_abort }
           in
           if not (mt_cas t ~tid pid ~expect:phead ~repl:abort_d) then
-            sbump t tid f_failed_cas
+            cnt t.o tid Bw_obs.C_delta_cas_failures
           else begin
             let unlock_parent () =
               let ok = mt_cas t ~tid pid ~expect:abort_d ~repl:phead in
@@ -1072,7 +1074,7 @@ module Make (K : KEY) (V : VALUE) :
               | B merge_key -> (
                   (* locate our separator and our left sibling in the
                      write-locked parent *)
-                  let items = gather_inner ~tid phead in
+                  let items = gather_inner t.o ~tid phead in
                   let n = Growable.length items in
                   let idx = ref (-1) in
                   for i = 0 to n - 1 do
@@ -1101,7 +1103,7 @@ module Make (K : KEY) (V : VALUE) :
                               op = I_remove }
                       in
                       if not (mt_cas t ~tid id ~expect:nhead ~repl:rem) then begin
-                        sbump t tid f_failed_cas;
+                        cnt t.o tid Bw_obs.C_delta_cas_failures;
                         give_up ()
                       end
                       else begin
@@ -1137,7 +1139,7 @@ module Make (K : KEY) (V : VALUE) :
                           in
                           if not (mt_cas t ~tid lid ~expect:lhead ~repl:merge_d)
                           then begin
-                            sbump t tid f_failed_cas;
+                            cnt t.o tid Bw_obs.C_delta_cas_failures;
                             undo_remove ();
                             give_up ()
                           end
@@ -1154,7 +1156,6 @@ module Make (K : KEY) (V : VALUE) :
                               mt_cas t ~tid pid ~expect:abort_d ~repl:del_d
                             in
                             assert ok;
-                            sbump t tid f_merges;
                             smo_bump t;
                             if Bw_obs.enabled t.o then begin
                               Bw_obs.incr t.o ~tid Bw_obs.C_merges;
@@ -1208,7 +1209,7 @@ module Make (K : KEY) (V : VALUE) :
      ancestor has since been merged away its head carries a remove delta
      and the walk restarts from the root. *)
   let rec descend t ~tid ~track k id path pid =
-    cnt tid Counters.Node_visit;
+    cnt t.o tid Bw_obs.C_node_visits;
     let head = mt_get t ~tid id in
     (match head with
     | LSmo { op = L_split (ks, rid, fin); _ }
@@ -1216,7 +1217,7 @@ module Make (K : KEY) (V : VALUE) :
       when not (Atomic.get fin) ->
         (* unfinished half-split at the head: help post the separator
            before traversing (best effort; Restart on interference) *)
-        sbump t tid f_smo_helps;
+        cnt t.o tid Bw_obs.C_smo_helps;
         let parent_path = if track || pid = nil_id then path else [ pid ] in
         post_split_separator t ~tid ~parent_path ~left_id:id ~ks ~rid ~fin
     | LSmo { op = L_remove; _ } | ID { op = I_remove; _ } ->
@@ -1235,7 +1236,7 @@ module Make (K : KEY) (V : VALUE) :
       head
     end
     else
-      let nav = inner_nav ~tid head k in
+      let nav = inner_nav t.o ~tid head k in
       if nav >= 0 then
         descend t ~tid ~track k nav (if track then id :: path else path) id
       else descend t ~tid ~track k (right_of nav) path pid
@@ -1262,7 +1263,7 @@ module Make (K : KEY) (V : VALUE) :
         go ()
 
   (* ---------------------------------------------------------------- *)
-  (* Leaf cache: O(1) point-op descent skipping (ROADMAP item 3)       *)
+  (* Leaf cache: O(1) point-op descent skipping                       *)
   (* ---------------------------------------------------------------- *)
 
   (* Publish-then-validate, like every other shared structure here. A
@@ -1323,11 +1324,10 @@ module Make (K : KEY) (V : VALUE) :
         t.lcache.(b) <- h
       end
       else begin
-        sbump t tid f_lc_tick;
-        if t.st.(tid).(f_lc_tick) land 7 = 0 then begin
-          sbump t tid f_lc_inval;
-          if Bw_obs.enabled t.o then
-            Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_invalidations;
+        let c = t.cur.(tid) in
+        c.c_lc_tick <- c.c_lc_tick + 1;
+        if c.c_lc_tick land 7 = 0 then begin
+          cnt t.o tid Bw_obs.C_leaf_cache_invalidations;
           t.lcache.(b + 1) <- id;
           t.lcache.(b + 2) <- Atomic.get t.smo_epoch;
           t.lcache.(b) <- h
@@ -1369,8 +1369,6 @@ module Make (K : KEY) (V : VALUE) :
           head
         end
         else begin
-          sbump t tid f_lc_stale;
-          sbump t tid f_lc_inval;
           t.lcache.(b) <- -1;
           if Bw_obs.enabled t.o then begin
             Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_stale_verifies;
@@ -1379,14 +1377,6 @@ module Make (K : KEY) (V : VALUE) :
           no_leaf
         end
       end
-
-  let lc_count_hit t ~tid =
-    sbump t tid f_lc_hits;
-    if Bw_obs.enabled t.o then Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_hits
-
-  let lc_count_miss t ~tid =
-    sbump t tid f_lc_misses;
-    if Bw_obs.enabled t.o then Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_misses
 
   let descend_refill t ~tid ~track k =
     let head = descend_root t ~tid ~track k in
@@ -1407,16 +1397,14 @@ module Make (K : KEY) (V : VALUE) :
   let lc_window = 128
   let lc_bypass_len = 1024
 
-  let lc_window_step t ~tid ~hit =
-    let row = t.st.(tid) in
-    if hit then row.(f_lc_winh) <- row.(f_lc_winh) + 1;
-    let w = row.(f_lc_win) + 1 in
-    if w < lc_window then row.(f_lc_win) <- w
+  let lc_window_step c ~hit =
+    if hit then c.c_lc_winh <- c.c_lc_winh + 1;
+    let w = c.c_lc_win + 1 in
+    if w < lc_window then c.c_lc_win <- w
     else begin
-      if row.(f_lc_winh) * 8 < lc_window then
-        row.(f_lc_bypass) <- lc_bypass_len;
-      row.(f_lc_win) <- 0;
-      row.(f_lc_winh) <- 0
+      if c.c_lc_winh * 8 < lc_window then c.c_lc_bypass <- lc_bypass_len;
+      c.c_lc_win <- 0;
+      c.c_lc_winh <- 0
     end
 
   (* The point-op descent: try the cache, fall back to a from-root
@@ -1439,31 +1427,34 @@ module Make (K : KEY) (V : VALUE) :
   let point_leaf t ~tid ~track ~first k =
     if not (lc_enabled t) then descend_root t ~tid ~track k
     else if not first then descend_refill t ~tid ~track k
-    else if t.st.(tid).(f_lc_bypass) > 0 then begin
-      t.st.(tid).(f_lc_bypass) <- t.st.(tid).(f_lc_bypass) - 1;
-      descend_root t ~tid ~track k
-    end
     else
-      let head = lc_probe t ~tid k in
-      if head != no_leaf then begin
-        lc_count_hit t ~tid;
-        lc_window_step t ~tid ~hit:true;
-        if track then t.cur.(tid).c_path <- [];
-        head
+      let c = t.cur.(tid) in
+      if c.c_lc_bypass > 0 then begin
+        c.c_lc_bypass <- c.c_lc_bypass - 1;
+        descend_root t ~tid ~track k
       end
-      else begin
-        lc_count_miss t ~tid;
-        lc_window_step t ~tid ~hit:false;
-        descend_refill t ~tid ~track k
-      end
+      else
+        let head = lc_probe t ~tid k in
+        if head != no_leaf then begin
+          cnt t.o tid Bw_obs.C_leaf_cache_hits;
+          lc_window_step c ~hit:true;
+          if track then c.c_path <- [];
+          head
+        end
+        else begin
+          cnt t.o tid Bw_obs.C_leaf_cache_misses;
+          lc_window_step c ~hit:false;
+          descend_refill t ~tid ~track k
+        end
 
   (* ---------------------------------------------------------------- *)
   (* Leaf probing (existence / visibility, §3.1 + §4.4)                *)
   (* ---------------------------------------------------------------- *)
 
   (* Shared base-node search: clamp the §4.4 shortcut range to the page
-     and run the one {!Leaf_page} lower bound. [leaf_probe_cmps] charges
-     the search's deterministic comparison bound. *)
+     and run the one {!Leaf_page} lower bound. The search's deterministic
+     comparison bound is charged to [key_compares] and, as the in-leaf
+     share of them, to [leaf_probe_cmps]. *)
   let base_search t ~tid pg k ~smin ~smax =
     let n = P.length pg in
     let ss = t.cfg.search_shortcuts in
@@ -1473,10 +1464,13 @@ module Make (K : KEY) (V : VALUE) :
     let inverted = lo0 > hi0 in
     let lo0 = if inverted then 0 else lo0 in
     let hi0 = if inverted then n else hi0 in
-    if Bw_obs.enabled t.o then
-      Bw_obs.add t.o ~tid Bw_obs.C_leaf_probe_cmps
-        (P.search_cost_n (hi0 - lo0));
-    P.lower_bound_range ~tid pg k ~lo:lo0 ~hi:hi0
+    (match t.o with
+    | Bw_obs.Null -> ()
+    | Bw_obs.To _ as o ->
+        let cost = P.search_cost_n (hi0 - lo0) in
+        Bw_obs.add o ~tid Bw_obs.C_key_compares cost;
+        Bw_obs.add o ~tid Bw_obs.C_leaf_probe_cmps cost);
+    P.lower_bound_in pg k ~lo:lo0 ~hi:hi0
 
   (* Unique-key leaf walk (§3.1: stops at the first delta carrying the
      key) — the one probe behind point reads, batch reads and the write
@@ -1502,8 +1496,8 @@ module Make (K : KEY) (V : VALUE) :
         | LUpd { key = k'; next; offset = o; _ }
         | LDel { key = k'; next; offset = o; _ } ) as d ->
           incr walked;
-          cnt tid Counters.Pointer_deref;
-          cnt tid Counters.Key_compare;
+          cnt t.o tid Bw_obs.C_ptr_derefs;
+          cnt t.o tid Bw_obs.C_key_compares;
           let c = K.compare k k' in
           if c = 0 then begin
             (match d with
@@ -1522,12 +1516,12 @@ module Make (K : KEY) (V : VALUE) :
           (* keys >= a split key moved right; the descent already
              ensured k < it *)
           incr walked;
-          cnt tid Counters.Pointer_deref;
+          cnt t.o tid Bw_obs.C_ptr_derefs;
           e := next
       | LSmo { op = L_merge (km, right, _); next; _ } ->
           incr walked;
-          cnt tid Counters.Pointer_deref;
-          cnt tid Counters.Key_compare;
+          cnt t.o tid Bw_obs.C_ptr_derefs;
+          cnt t.o tid Bw_obs.C_key_compares;
           poisoned := true;
           e := if K.compare k km >= 0 then right else next
       | Leaf b ->
@@ -1583,8 +1577,8 @@ module Make (K : KEY) (V : VALUE) :
        narrow the shortcut range, and on a match record [o] *)
     let probe k' o =
       let c = K.compare k k' in
-      cnt tid Counters.Pointer_deref;
-      cnt tid Counters.Key_compare;
+      cnt t.o tid Bw_obs.C_ptr_derefs;
+      cnt t.o tid Bw_obs.C_key_compares;
       narrow o c;
       if c = 0 then note_offset o;
       c = 0
@@ -1605,11 +1599,11 @@ module Make (K : KEY) (V : VALUE) :
           end;
           walk d.next
       | LSmo { op = L_split _ | L_remove; next; _ } ->
-          cnt tid Counters.Pointer_deref;
+          cnt t.o tid Bw_obs.C_ptr_derefs;
           walk next
       | LSmo { op = L_merge (km, right, _); next; _ } ->
-          cnt tid Counters.Pointer_deref;
-          cnt tid Counters.Key_compare;
+          cnt t.o tid Bw_obs.C_ptr_derefs;
+          cnt t.o tid Bw_obs.C_key_compares;
           delta_offset := -2;
           if K.compare k km >= 0 then walk right else walk next
       | Leaf b ->
@@ -1641,7 +1635,7 @@ module Make (K : KEY) (V : VALUE) :
   (* For the iterators and maintenance walks; the point ops and the
      batch path bracket inline, without the closure. *)
   let with_epoch t ~tid f =
-    cnt tid Counters.Epoch_enter;
+    cnt t.o tid Bw_obs.C_epoch_enters;
     Epoch.op_begin t.epoch ~tid;
     match f () with
     | x ->
@@ -1667,11 +1661,11 @@ module Make (K : KEY) (V : VALUE) :
     | Bw_obs.Null -> f ()
     | Bw_obs.To _ as s ->
         let t0 = Bw_obs.now_ns () in
-        let r0 = t.st.(tid).(f_restarts) in
+        let c = t.cur.(tid) in
+        let r0 = c.c_restarts in
         let x = f () in
         Bw_obs.observe s ~tid series (Bw_obs.now_ns () - t0);
-        Bw_obs.observe s ~tid Bw_obs.Val_op_restarts
-          (t.st.(tid).(f_restarts) - r0);
+        Bw_obs.observe s ~tid Bw_obs.Val_op_restarts (c.c_restarts - r0);
         x
 
   (* ---------------------------------------------------------------- *)
@@ -1698,9 +1692,7 @@ module Make (K : KEY) (V : VALUE) :
       end
     with
     | h -> h
-    | exception Restart ->
-        cnt tid Counters.Restart;
-        head
+    | exception Restart -> head
 
   (* §6.3 "disable delta updates": rewrite the leaf base copy-on-write
      instead of appending a delta. Only valid when the chain is a bare
@@ -1710,10 +1702,10 @@ module Make (K : KEY) (V : VALUE) :
     match head with
     | Leaf b ->
         let pg = b.lb_page in
-        let pos = P.lower_bound ~tid pg k in
+        let pos = lower_bound t.o ~tid pg k in
         let repl = Leaf { b with lb_page = P.with_inserted pg pos k v } in
         if not (mt_cas t ~tid id ~expect:head ~repl) then begin
-          sbump t tid f_failed_cas;
+          cnt t.o tid Bw_obs.C_delta_cas_failures;
           raise Restart
         end;
         post_append_leaf t ~tid id repl parent_path ~check_underflow:false
@@ -1724,9 +1716,9 @@ module Make (K : KEY) (V : VALUE) :
   let append_data t ~tid id head parent_path d ~check_underflow =
     if head_is_append_blocked head then raise Restart;
     claim_slot t ~tid id head;
-    cnt tid Counters.Allocation;
+    cnt t.o tid Bw_obs.C_allocations;
     if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
-      sbump t tid f_failed_cas;
+      cnt t.o tid Bw_obs.C_delta_cas_failures;
       slot_wasted head;
       raise Restart
     end;
@@ -1824,7 +1816,7 @@ module Make (K : KEY) (V : VALUE) :
         op_retry t ~tid ~track ~first:false k x step
 
   let op_body t ~tid ~track k x step =
-    cnt tid Counters.Epoch_enter;
+    cnt t.o tid Bw_obs.C_epoch_enters;
     Epoch.op_begin t.epoch ~tid;
     match op_retry t ~tid ~track ~first:true k x step with
     | r ->
@@ -1845,17 +1837,13 @@ module Make (K : KEY) (V : VALUE) :
      chain walking it saves. A lost race (stale head, concurrent SMO)
      simply spends the budget. *)
   let read_budget t ~tid head =
-    let row = t.st.(tid) in
     let c = t.cur.(tid) in
-    let n = row.(f_read_walk) + c.c_walked in
-    if n < t.cfg.leaf_max then row.(f_read_walk) <- n
+    let n = c.c_read_walk + c.c_walked in
+    if n < t.cfg.leaf_max then c.c_read_walk <- n
     else begin
-      row.(f_read_walk) <- 0;
+      c.c_read_walk <- 0;
       match try_consolidate t ~tid c.c_id head with
-      | h when h != head ->
-          sbump t tid f_read_consolidations;
-          if Bw_obs.enabled t.o then
-            Bw_obs.incr t.o ~tid Bw_obs.C_read_consolidations
+      | h when h != head -> cnt t.o tid Bw_obs.C_read_consolidations
       | _ -> ()
       | exception Restart -> ()
     end
@@ -1886,37 +1874,37 @@ module Make (K : KEY) (V : VALUE) :
 
   (* Public write/read entry points: the null-sink path must not even
      allocate the thunk [timed] would take, so the branch happens here
-     and the instrumented arm builds its closure only when a registry is
-     attached. *)
+     and the instrumented arm counts the op and builds its closure only
+     when a registry is attached. *)
   let insert t ?(tid = 0) k v =
-    sbump t tid f_inserts;
     match t.o with
     | Bw_obs.Null -> write_body t ~tid k v insert_core
-    | Bw_obs.To _ ->
+    | Bw_obs.To _ as o ->
+        Bw_obs.incr o ~tid Bw_obs.C_inserts;
         timed t ~tid Bw_obs.Lat_insert (fun () ->
             write_body t ~tid k v insert_core)
 
   let delete t ?(tid = 0) k v =
-    sbump t tid f_deletes;
     match t.o with
     | Bw_obs.Null -> write_body t ~tid k v delete_core
-    | Bw_obs.To _ ->
+    | Bw_obs.To _ as o ->
+        Bw_obs.incr o ~tid Bw_obs.C_deletes;
         timed t ~tid Bw_obs.Lat_delete (fun () ->
             write_body t ~tid k v delete_core)
 
   let update t ?(tid = 0) k v =
-    sbump t tid f_updates;
     match t.o with
     | Bw_obs.Null -> write_body t ~tid k v update_core
-    | Bw_obs.To _ ->
+    | Bw_obs.To _ as o ->
+        Bw_obs.incr o ~tid Bw_obs.C_updates;
         timed t ~tid Bw_obs.Lat_update (fun () ->
             write_body t ~tid k v update_core)
 
   let read t ~tid k probe =
-    sbump t tid f_lookups;
     match t.o with
     | Bw_obs.Null -> read_body t ~tid k probe
-    | Bw_obs.To _ ->
+    | Bw_obs.To _ as o ->
+        Bw_obs.incr o ~tid Bw_obs.C_lookups;
         timed t ~tid Bw_obs.Lat_lookup (fun () -> read_body t ~tid k probe)
 
   let lookup t ?(tid = 0) k =
@@ -2108,14 +2096,18 @@ module Make (K : KEY) (V : VALUE) :
     let n = Array.length ops in
     if n = 0 then [||]
     else begin
-      Array.iter
-        (fun (_, op) ->
-          match op with
-          | B_insert _ -> sbump t tid f_inserts
-          | B_update _ | B_upsert _ -> sbump t tid f_updates
-          | B_delete _ -> sbump t tid f_deletes
-          | B_get -> sbump t tid f_lookups)
-        ops;
+      (match t.o with
+      | Bw_obs.Null -> ()
+      | Bw_obs.To _ as o ->
+          Array.iter
+            (fun (_, op) ->
+              Bw_obs.incr o ~tid
+                (match op with
+                | B_insert _ -> Bw_obs.C_inserts
+                | B_update _ | B_upsert _ -> Bw_obs.C_updates
+                | B_delete _ -> Bw_obs.C_deletes
+                | B_get -> Bw_obs.C_lookups))
+            ops);
       let perm =
         let p = t.bperm.(tid) in
         if Array.length p = n then p
@@ -2130,7 +2122,7 @@ module Make (K : KEY) (V : VALUE) :
       done;
       sort_perm ops perm 0 n;
       let results = Array.make n r_false in
-      cnt tid Counters.Epoch_enter;
+      cnt t.o tid Bw_obs.C_epoch_enters;
       Epoch.op_begin t.epoch ~tid;
       let redescents =
         match exec_batch_body t ~tid ops perm results with
@@ -2164,11 +2156,11 @@ module Make (K : KEY) (V : VALUE) :
           (* the §4.3 segment merge is much cheaper than the general
              replay and applies to any chain of plain data deltas *)
           if t.cfg.fast_consolidation then
-            consolidate_leaf_chain ~tid head
+            consolidate_leaf_chain t.o ~tid head
           else None
         with
         | Some page -> page
-        | None -> P.build (Growable.to_array (gather_leaf ~tid head)))
+        | None -> P.build (Growable.to_array (gather_leaf t.o ~tid head)))
 
   (* A scan's page for the leaf [id] whose head it read. A chained leaf
      costs a full merge either way; with [read_consolidation] on, the
@@ -2186,9 +2178,7 @@ module Make (K : KEY) (V : VALUE) :
           else head
         with
         | Leaf b as h when h != head ->
-            sbump t tid f_read_consolidations;
-            if Bw_obs.enabled t.o then
-              Bw_obs.incr t.o ~tid Bw_obs.C_read_consolidations;
+            cnt t.o tid Bw_obs.C_read_consolidations;
             b.lb_page
         | _ -> snapshot_leaf_page t ~tid head
         | exception Restart -> snapshot_leaf_page t ~tid head)
@@ -2225,7 +2215,7 @@ module Make (K : KEY) (V : VALUE) :
       it.lo <- lo;
       it.hi <- hi;
       let n = P.length items in
-      let pos = P.lower_bound ~tid:it.tid items k in
+      let pos = lower_bound it.tree.o ~tid:it.tid items k in
       if pos < n then it.pos <- pos
       else
         match hi with
@@ -2250,7 +2240,7 @@ module Make (K : KEY) (V : VALUE) :
           (* descend with the go-left rule: when the governing separator
              equals klow, take the preceding child *)
           let rec down id =
-            cnt tid Counters.Node_visit;
+            cnt t.o tid Bw_obs.C_node_visits;
             let head = mt_get t ~tid id in
             (match head with
             | LSmo { op = L_remove; _ } | ID { op = I_remove; _ } ->
@@ -2259,7 +2249,7 @@ module Make (K : KEY) (V : VALUE) :
             (* overshoot correction is handled at the leaf level *)
             if is_leaf_elem head then (id, head)
             else begin
-              let items = gather_inner ~tid head in
+              let items = gather_inner t.o ~tid head in
               let n = Growable.length items in
               let idx = ref 0 in
               for i = 0 to n - 1 do
@@ -2291,7 +2281,7 @@ module Make (K : KEY) (V : VALUE) :
           it.lo <- r.lo;
           it.hi <- r.hi;
           (* last index with key < klow *)
-          let pos = P.lower_bound ~tid items klow - 1 in
+          let pos = lower_bound t.o ~tid items klow - 1 in
           if pos >= 0 then it.pos <- pos
           else
             match r.lo with
@@ -2344,7 +2334,7 @@ module Make (K : KEY) (V : VALUE) :
          | _ -> ());
          if is_leaf_elem head then (id, head)
          else
-           let items = gather_inner ~tid head in
+           let items = gather_inner t.o ~tid head in
            down (snd (Growable.get items 0))
        in
        let id, head = down (Atomic.get t.root) in
@@ -2372,7 +2362,7 @@ module Make (K : KEY) (V : VALUE) :
         with_epoch t ~tid @@ fun () -> Iterator.snapshot_node t ~tid k
       in
       let len = P.length items in
-      let pos = ref (P.lower_bound ~tid items k) in
+      let pos = ref (lower_bound t.o ~tid items k) in
       while !pos < len && !count < n do
         visit (P.key items !pos) (P.value items !pos);
         incr count;
@@ -2430,10 +2420,10 @@ module Make (K : KEY) (V : VALUE) :
       match head with
       | Leaf b -> b.lb_page
       | _ -> (
-          match consolidate_leaf_chain ~tid head with
+          match consolidate_leaf_chain t.o ~tid head with
           | Some page -> page
           | None ->
-              P.build (Growable.to_array (gather_leaf ~tid head)))
+              P.build (Growable.to_array (gather_leaf t.o ~tid head)))
     in
     let first =
       with_epoch t ~tid @@ fun () ->
@@ -2445,7 +2435,7 @@ module Make (K : KEY) (V : VALUE) :
         | _ -> ());
         if is_leaf_elem head then head
         else
-          let items = gather_inner ~tid head in
+          let items = gather_inner t.o ~tid head in
           down (snd (Growable.get items 0))
       in
       let head = down (Atomic.get t.root) in
@@ -2481,20 +2471,28 @@ module Make (K : KEY) (V : VALUE) :
   (* Introspection                                                     *)
   (* ---------------------------------------------------------------- *)
 
+  (* The stats readers sum the tree's own counters. A tree on the null
+     sink counted nothing, and zeros would look like real counts. *)
+  let counts t caller =
+    match t.o with
+    | Bw_obs.To r -> Bw_obs.count r
+    | Bw_obs.Null -> invalid_arg (caller ^ ": the tree has no Bw_obs registry")
+
   let op_stats t =
+    let c = counts t "Bwtree.op_stats" in
     {
-      inserts = ssum t f_inserts;
-      deletes = ssum t f_deletes;
-      updates = ssum t f_updates;
-      lookups = ssum t f_lookups;
-      splits = ssum t f_splits;
-      merges = ssum t f_merges;
-      consolidations = ssum t f_consolidations;
-      failed_cas = ssum t f_failed_cas;
-      restarts = ssum t f_restarts;
-      smo_helps = ssum t f_smo_helps;
-      prealloc_overflows = ssum t f_prealloc_overflows;
-      read_consolidations = ssum t f_read_consolidations;
+      inserts = c Bw_obs.C_inserts;
+      deletes = c Bw_obs.C_deletes;
+      updates = c Bw_obs.C_updates;
+      lookups = c Bw_obs.C_lookups;
+      splits = c Bw_obs.C_splits;
+      merges = c Bw_obs.C_merges;
+      consolidations = c Bw_obs.C_consolidations;
+      failed_cas = c Bw_obs.C_delta_cas_failures;
+      restarts = c Bw_obs.C_restarts;
+      smo_helps = c Bw_obs.C_smo_helps;
+      prealloc_overflows = c Bw_obs.C_prealloc_overflows;
+      read_consolidations = c Bw_obs.C_read_consolidations;
     }
 
   let prealloc_util = function
@@ -2538,7 +2536,7 @@ module Make (K : KEY) (V : VALUE) :
             iutil := !iutil +. u;
             incr iutil_n
         | None -> ());
-        let children = gather_inner ~tid head in
+        let children = gather_inner t.o ~tid head in
         Growable.iter (fun (_, cid) -> walk cid (depth + 1) max_depth) children
       end
     in
@@ -2565,7 +2563,7 @@ module Make (K : KEY) (V : VALUE) :
       let head = mt_get t ~tid id in
       f ~leaf:(is_leaf_elem head) ~chain:(depth_of head) ~size:(size_of head);
       if not (is_leaf_elem head) then
-        Growable.iter (fun (_, cid) -> walk cid) (gather_inner ~tid head)
+        Growable.iter (fun (_, cid) -> walk cid) (gather_inner t.o ~tid head)
     in
     walk (Atomic.get t.root)
 
@@ -2589,11 +2587,12 @@ module Make (K : KEY) (V : VALUE) :
     }
 
   let leaf_cache_stats t =
+    let c = counts t "Bwtree.leaf_cache_stats" in
     {
-      lc_hits = ssum t f_lc_hits;
-      lc_misses = ssum t f_lc_misses;
-      lc_stale_verifies = ssum t f_lc_stale;
-      lc_invalidations = ssum t f_lc_inval;
+      lc_hits = c Bw_obs.C_leaf_cache_hits;
+      lc_misses = c Bw_obs.C_leaf_cache_misses;
+      lc_stale_verifies = c Bw_obs.C_leaf_cache_stale_verifies;
+      lc_invalidations = c Bw_obs.C_leaf_cache_invalidations;
       lc_smo_events = Atomic.get t.smo_epoch;
       lc_occupied =
         (let n = ref 0 in
@@ -2637,7 +2636,7 @@ module Make (K : KEY) (V : VALUE) :
       if kb k r.hi >= 0 && r.right <> nil_id then via_gather r.right
       else if is_leaf_elem head then id
       else
-        let _, cid, _ = inner_locate_exact ~tid head k in
+        let _, cid, _ = inner_locate_exact t.o ~tid head k in
         via_gather cid
     in
     with_epoch t ~tid @@ fun () ->
@@ -2710,7 +2709,7 @@ module Make (K : KEY) (V : VALUE) :
       if cmp_bound r.hi hi > 0 then
         fail_inv "node %d: hi %a beyond expected %a" id pp_bound r.hi pp_bound hi;
       if is_leaf_elem head then begin
-        let items = Growable.to_array (gather_leaf ~tid head) in
+        let items = Growable.to_array (gather_leaf t.o ~tid head) in
         if Array.length items <> size then
           fail_inv "leaf %d: size %d but %d items" id size (Array.length items);
         Array.iteri
@@ -2741,7 +2740,7 @@ module Make (K : KEY) (V : VALUE) :
                   fail_inv "inner %d: base separators not ascending" id)
               seps
         | _ -> fail_inv "inner %d: chain not based on an inner node" id);
-        let items = Growable.to_array (gather_inner ~tid head) in
+        let items = Growable.to_array (gather_inner t.o ~tid head) in
         if Array.length items <> size then
           fail_inv "inner %d: size %d but %d items" id size (Array.length items);
         if Array.length items = 0 then fail_inv "inner %d: empty" id;
@@ -2826,7 +2825,7 @@ module Make (K : KEY) (V : VALUE) :
       if not (is_leaf_elem head) then
         Growable.iter
           (fun (_, cid) -> walk cid (indent ^ "  "))
-          (gather_inner ~tid head)
+          (gather_inner t.o ~tid head)
     in
     walk (Atomic.get t.root) ""
 
@@ -2834,7 +2833,10 @@ module Make (K : KEY) (V : VALUE) :
   (* §6.3: frozen direct-pointer tree (mapping table disabled)         *)
   (* ---------------------------------------------------------------- *)
 
-  type frozen = F_leaf of P.t | F_inner of key array * frozen array
+  type fnode = F_leaf of P.t | F_inner of key array * fnode array
+
+  (* the source tree's sink, so lookups count into its registry *)
+  type frozen = Bw_obs.sink * fnode
 
   let freeze t =
     consolidate_all t;
@@ -2848,17 +2850,17 @@ module Make (K : KEY) (V : VALUE) :
              freezing is a single-threaded operation *)
           invalid_arg "Bwtree.freeze: tree is being mutated"
     in
-    conv (Atomic.get t.root)
+    (t.o, conv (Atomic.get t.root))
 
-  let frozen_lookup fz k =
+  let frozen_lookup (o, root) k =
     let tid = 0 in
     let rec go = function
       | F_inner (seps, children) ->
-          cnt tid Counters.Pointer_deref;
-          go children.(sep_index ~tid seps k)
+          cnt o tid Bw_obs.C_ptr_derefs;
+          go children.(sep_index o ~tid seps k)
       | F_leaf pg ->
           let n = P.length pg in
-          let pos = P.lower_bound ~tid pg k in
+          let pos = lower_bound o ~tid pg k in
           let out = ref [] in
           let i = ref pos in
           while !i < n && K.compare (P.key pg !i) k = 0 do
@@ -2867,5 +2869,5 @@ module Make (K : KEY) (V : VALUE) :
           done;
           !out
     in
-    go fz
+    go root
 end

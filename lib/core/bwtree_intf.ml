@@ -55,7 +55,7 @@ type config = {
   gc_threshold : int;  (** local garbage list trigger (1024) *)
   max_threads : int;
   leaf_cache : bool;
-      (** Wormhole-style point-op accelerator (ROADMAP item 3): a
+      (** Wormhole-style point-op accelerator (DESIGN.md, "Leaf cache"): a
           lock-free hash cache from key buckets to candidate leaf PIDs
           so hot GET/PUT/DELETE ops skip the root-to-leaf descent.
           Entries are re-validated through the mapping table on every
@@ -170,7 +170,8 @@ module Config = struct
     c
 end
 
-(** Operation counters, striped per thread. *)
+(** Operation counters: the tree's {!Bw_obs} counters of the same names,
+    summed over the registry's stripes (see [S.op_stats]). *)
 type op_stats = {
   inserts : int;
   deletes : int;
@@ -179,7 +180,8 @@ type op_stats = {
   splits : int;
   merges : int;
   consolidations : int;
-  failed_cas : int;  (** delta-append CaS failures *)
+  failed_cas : int;
+      (** failed CaS installs of a delta record ([delta_cas_failures]) *)
   restarts : int;  (** operation attempts aborted and retried from the root *)
   smo_helps : int;  (** help-along completions attempted *)
   prealloc_overflows : int;  (** consolidations forced by slot exhaustion *)
@@ -201,10 +203,10 @@ let pp_mapping_stats ppf s =
     "@[<h>mapping table: %d ids allocated, %d free, %d chunks, capacity %d@]"
     s.allocated s.freed s.chunks s.table_capacity
 
-(** Leaf-cache effectiveness snapshot (ROADMAP item 3). Counts are
-    summed over the per-thread stripes; [lc_smo_events] is the current
-    SMO-epoch value, i.e. the number of completed splits + merges +
-    root collapses that stamped (and logically invalidated) entries. *)
+(** Leaf-cache effectiveness snapshot. The counts are the tree's
+    [leaf_cache_*] {!Bw_obs} counters; [lc_smo_events] is the current
+    SMO-epoch value, i.e. the number of completed splits + merges + root
+    collapses that stamped (and logically invalidated) entries. *)
 type leaf_cache_stats = {
   lc_hits : int;
   lc_misses : int;
@@ -269,8 +271,10 @@ module type S = sig
       Bw-Tree design. The config is validated ({!Config.validate});
       inconsistent settings raise [Invalid_argument]. [obs] (default
       {!Bw_obs.Null}) receives per-operation latencies, restart counts,
-      chain depths, SMO events and the epoch/mapping-table gauges; with
-      the default null sink every probe is a single branch. *)
+      chain depths, SMO events, the epoch/mapping-table gauges, the
+      Table 3 event counters and the operation counters {!op_stats}
+      reads; with the default null sink every probe is a single branch
+      and nothing is counted. *)
 
   val config : t -> config
   val obs : t -> Bw_obs.sink
@@ -402,7 +406,7 @@ module type S = sig
   module Page : Leaf_page.S with type key := key and type value := value
   (** The one leaf-materialization representation: every consumer of
       leaf contents — descent, consolidation, iterators, freeze/inspect,
-      checkpointing — goes through this API (ROADMAP item 2). *)
+      checkpointing — goes through this API (DESIGN.md, "Leaf pages"). *)
 
   val iter_leaf_pages : t -> ?tid:int -> (Page.t -> unit) -> unit
   (** Visits every non-empty logical leaf as one consolidated page, in
@@ -415,6 +419,10 @@ module type S = sig
   (** {1 Introspection} *)
 
   val op_stats : t -> op_stats
+  (** The operation counters of the tree's registry. Trees sharing one
+      registry report their combined counts. Raises [Invalid_argument]
+      on a tree created with the null sink, which counts nothing. *)
+
   val structure_stats : t -> structure_stats
 
   (** [iter_nodes t f] visits every logical node with its Delta-Chain
@@ -431,8 +439,10 @@ module type S = sig
   val mapping_table_stats : t -> mapping_stats
 
   val leaf_cache_stats : t -> leaf_cache_stats
-  (** Effectiveness counters of the point-op leaf cache; all zeros (and
-      [lc_slots = 0]) when [config.leaf_cache] is off. *)
+  (** Effectiveness counters of the point-op leaf cache, read from the
+      tree's registry like {!op_stats} (and raising [Invalid_argument]
+      on a null-sink tree the same way); all zeros (and [lc_slots = 0])
+      when [config.leaf_cache] is off. *)
 
   val leaf_cache_check : t -> tid:int -> key -> bool
   (** Harness oracle: probe the cache for the key and, on a verified
@@ -469,4 +479,5 @@ module type S = sig
       tree must be quiescent. *)
 
   val frozen_lookup : frozen -> key -> value list
+  (** Counts into the source tree's sink. *)
 end

@@ -15,7 +15,6 @@
     merge-absorbed leaves exceed 256 slots, where a young-seeded stdlib
     array constructor would force a minor collection per page build. *)
 
-module Counters = Bw_util.Counters
 module Arr = Bw_util.Arr
 module Growable = Bw_util.Growable
 
@@ -49,7 +48,7 @@ module type S = sig
   val value : t -> int -> value
   val get : t -> int -> key * value
 
-  val lower_bound : ?tid:int -> t -> key -> int
+  val lower_bound : t -> key -> int
   (** First index whose key is [>=] the argument: a binary search over
       the decoded keys. *)
 
@@ -61,8 +60,9 @@ module type S = sig
 
   val search_cost : t -> int
   (** Comparisons one {!lower_bound} over the whole page performs at
-      most ([floor(log2 n)+1], the bound the [leaf_probe_cmps] counter
-      charges). *)
+      most ([floor(log2 n)+1]). The page counts nothing itself: this is
+      the bound a caller charges to its key-compare and
+      [leaf_probe_cmps] counters for each search. *)
 
   val encode : Buffer.t -> (Buffer.t -> value -> unit) -> t -> unit
   (** Serialize: item count, key-length table, each key's binary slice
@@ -86,12 +86,9 @@ module type FULL = sig
 
   val build_sub : (key * value) array -> pos:int -> len:int -> t
 
-  val lower_bound_in : ?tid:int -> t -> key -> lo:int -> hi:int -> int
-  (** {!lower_bound} restricted to [\[lo, hi)] — the §4.4 shortcut range. *)
-
-  val lower_bound_range : tid:int -> t -> key -> lo:int -> hi:int -> int
-  (** {!lower_bound_in} with no optional arguments, so the point-read
-      hot path passes no boxed [Some]. *)
+  val lower_bound_in : t -> key -> lo:int -> hi:int -> int
+  (** {!lower_bound} restricted to [\[lo, hi)] — the §4.4 shortcut range.
+      At most [search_cost_n (hi - lo)] comparisons. *)
 
   val with_inserted : t -> int -> key -> value -> t
   (** Copy-on-write single insert at a given position (the §6.3
@@ -102,13 +99,14 @@ module type FULL = sig
     | Del of key * value
     | Upd of key * value * value  (* key, old value, new value *)
 
-  val merge_with_deltas : ?tid:int -> t -> delta list -> t
+  val merge_with_deltas : t -> delta list -> t * int
   (** Apply a data-delta chain (newest first) to a base page with the
       multiset pending-delete semantics of §3.1 and a single two-way
       merge — no full sort; only the chain's items get sorted
       (chain-bounded, insertion sort). The base is left untouched, so the
       same call serves live consolidations and side-effect-free
-      snapshots. *)
+      snapshots. Also returns how many base searches resolving deletes
+      it ran, each costing at most [search_cost] of the base. *)
 
   val search_cost_n : int -> int
   (** {!search_cost} for an [n]-item range. *)
@@ -141,9 +139,6 @@ module Make (K : KEY) (V : VALUE) :
   let keys t = t.kcache
   let values t = t.vals
 
-  let cnt_n tid ev n =
-    if !Counters.enabled then Counters.add Counters.global ~tid ev n
-
   let search_cost_n n =
     if n <= 0 then 0
     else begin
@@ -166,27 +161,18 @@ module Make (K : KEY) (V : VALUE) :
      layout), for strings [K.compare] bottoms out in the memcmp stub, and
      on skewed read workloads the predictor learns hot descent paths. An
      n-slot search does at most [search_cost_n n] comparisons, which is
-     what [search_cost] reports and the [leaf_probe_cmps] counter
-     charges. *)
-  let lower_bound_range ~tid t k ~lo ~hi =
-    if hi <= lo then lo
-    else begin
-      if !Counters.enabled then
-        cnt_n tid Counters.Key_compare (search_cost_n (hi - lo));
-      let lo = ref lo and hi = ref hi in
-      let kcache = t.kcache in
-      while !lo < !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        if K.compare (Array.unsafe_get kcache mid) k < 0 then lo := mid + 1
-        else hi := mid
-      done;
-      !lo
-    end
+     what [search_cost] reports and callers charge. *)
+  let lower_bound_in t k ~lo ~hi =
+    let lo = ref lo and hi = ref hi in
+    let kcache = t.kcache in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if K.compare (Array.unsafe_get kcache mid) k < 0 then lo := mid + 1
+      else hi := mid
+    done;
+    !lo
 
-  let lower_bound_in ?(tid = 0) t k ~lo ~hi =
-    lower_bound_range ~tid t k ~lo ~hi
-
-  let lower_bound ?(tid = 0) t k = lower_bound_range ~tid t k ~lo:0 ~hi:t.n
+  let lower_bound t k = lower_bound_in t k ~lo:0 ~hi:t.n
 
   (* ---------------------------------------------------------------- *)
   (* Iteration / materialization                                       *)
@@ -234,7 +220,7 @@ module Make (K : KEY) (V : VALUE) :
     | Del of key * value
     | Upd of key * value * value
 
-  let merge_with_deltas ?(tid = 0) base deltas =
+  let merge_with_deltas base deltas =
     (* 1. newest-to-oldest walk with multiset pending-delete semantics: a
        delete is *pending* and is consumed by the next-older insert of
        the same pair, or failing that by a base occurrence (§3.1 — the
@@ -273,7 +259,7 @@ module Make (K : KEY) (V : VALUE) :
     let n_dead = ref 0 in
     Growable.iter
       (fun (k, v) ->
-        let i = ref (lower_bound_in ~tid base k ~lo:0 ~hi:nb) in
+        let i = ref (lower_bound_in base k ~lo:0 ~hi:nb) in
         let stop = ref false in
         while
           (not !stop) && !i < nb && K.compare base.kcache.(!i) k = 0
@@ -300,7 +286,7 @@ module Make (K : KEY) (V : VALUE) :
       pa.(!j + 1) <- x
     done;
     let nout = nb - !n_dead + np in
-    if nout = 0 then empty
+    if nout = 0 then (empty, Growable.length dels)
     else begin
       (* 4. single two-way merge. Delta items are emitted before base
          items with an equal key (they are newer — matches the probe
@@ -331,7 +317,7 @@ module Make (K : KEY) (V : VALUE) :
         end
       done;
       assert (!oi = nout);
-      { n = nout; kcache = okc; vals = ov }
+      ({ n = nout; kcache = okc; vals = ov }, Growable.length dels)
     end
 
   (* ---------------------------------------------------------------- *)

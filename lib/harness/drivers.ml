@@ -74,13 +74,17 @@ module type S = sig
     ?name:string -> ?config:Bwtree.config -> ?obs:Bw_obs.sink -> unit ->
     key driver
 
-  val btree : unit -> key driver
-  val skiplist : ?policy:Skiplist.tower_policy -> unit -> key driver
-  val art : unit -> key driver
-  val masstree : unit -> key driver
+  val btree : ?obs:Bw_obs.sink -> unit -> key driver
 
-  val lineup : unit -> (string * (unit -> key driver)) list
-  (** The six-index lineup of the §6 experiments. *)
+  val skiplist :
+    ?policy:Skiplist.tower_policy -> ?obs:Bw_obs.sink -> unit -> key driver
+
+  val art : ?obs:Bw_obs.sink -> unit -> key driver
+  val masstree : ?obs:Bw_obs.sink -> unit -> key driver
+
+  val lineup : ?obs:Bw_obs.sink -> unit -> (string * (unit -> key driver)) list
+  (** The six-index lineup of the §6 experiments, each index counting
+      its Table 3 events into [obs] (default {!Bw_obs.Null}). *)
 
   val shard :
     ?lo:key -> ?hi:key -> shards:int -> (int -> key driver) -> key driver
@@ -171,8 +175,8 @@ module Make (K : KEYED) = struct
 
   (* --- lock-based / lock-free comparators --- *)
 
-  let btree () : key driver =
-    let t = Bt.create () in
+  let btree ?obs () : key driver =
+    let t = Bt.create ?obs () in
     {
       name = "B+Tree";
       insert = (fun ~tid k v -> Bt.insert t ~tid k v);
@@ -187,8 +191,8 @@ module Make (K : KEYED) = struct
       memory_words = (fun () -> Bt.memory_words t);
     }
 
-  let skiplist ?(policy = Skiplist.Background) () : key driver =
-    let t = Sl.create ~policy () in
+  let skiplist ?(policy = Skiplist.Background) ?obs () : key driver =
+    let t = Sl.create ~policy ?obs () in
     {
       name =
         (match policy with
@@ -206,8 +210,8 @@ module Make (K : KEYED) = struct
       memory_words = (fun () -> Sl.memory_words t);
     }
 
-  let art () : key driver =
-    let t = Ar.create () in
+  let art ?obs () : key driver =
+    let t = Ar.create ?obs () in
     {
       name = "ART";
       insert = (fun ~tid k v -> Ar.insert t ~tid k v);
@@ -222,8 +226,8 @@ module Make (K : KEYED) = struct
       memory_words = (fun () -> Ar.memory_words t);
     }
 
-  let masstree () : key driver =
-    let t = Mt.create () in
+  let masstree ?obs () : key driver =
+    let t = Mt.create ?obs () in
     {
       name = "Masstree";
       insert = (fun ~tid k v -> Mt.insert t ~tid k v);
@@ -240,15 +244,15 @@ module Make (K : KEYED) = struct
 
   (* --- the six-index lineup used by §6 experiments --- *)
 
-  let lineup () : (string * (unit -> key driver)) list =
+  let lineup ?obs () : (string * (unit -> key driver)) list =
     [
       ("Bw-Tree", fun () -> bwtree ~name:"Bw-Tree"
-                      ~config:Bwtree.microsoft_config ());
-      ("OpenBw-Tree", fun () -> bwtree ());
-      ("SkipList", fun () -> skiplist ());
-      ("Masstree", fun () -> masstree ());
-      ("B+Tree", fun () -> btree ());
-      ("ART", fun () -> art ());
+                      ~config:Bwtree.microsoft_config ?obs ());
+      ("OpenBw-Tree", fun () -> bwtree ?obs ());
+      ("SkipList", fun () -> skiplist ?obs ());
+      ("Masstree", fun () -> masstree ?obs ());
+      ("B+Tree", fun () -> btree ?obs ());
+      ("ART", fun () -> art ?obs ());
     ]
 
   (* --- range-partitioned forests (lib/shard router) --- *)

@@ -1,14 +1,13 @@
 (** Benchmark harness: drives any index through YCSB-style traces with a
-    configurable number of worker domains and measures throughput, memory
-    and software event counters.
+    configurable number of worker domains and measures throughput and
+    memory. Software event counters live in each index's {!Bw_obs}
+    registry.
 
     The protocol mirrors the paper's framework (§5): a load phase inserts
     [num_keys] keys (measured and reported as the Insert-only workload),
     then the measured phase replays pre-generated per-thread op traces.
     Worker domains synchronize on a start barrier so trace generation and
     domain spawning never pollute the measured section. *)
-
-module Counters = Bw_util.Counters
 
 (* ------------------------------------------------------------------ *)
 (* Drivers: a uniform closure-record view of one index instance         *)

@@ -20,7 +20,6 @@
     hints, and range scans work on int-keyed instances via layer-0
     in-order traversal only (sufficient for the YCSB-E workload). *)
 
-module Counters = Bw_util.Counters
 
 exception Restart
 
@@ -57,10 +56,11 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   and layer = { root : lnode Atomic.t }
 
-  type t = { top : layer }
+  type t = { top : layer; o : Bw_obs.sink }
 
-  let cnt tid ev =
-    if !Counters.enabled then Counters.incr Counters.global ~tid ev
+  (* Table 3 probes: one inlined branch on the null sink *)
+  let cnt o tid c =
+    match o with Bw_obs.Null -> () | Bw_obs.To _ -> Bw_obs.incr o ~tid c
 
   let new_border () =
     {
@@ -82,7 +82,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     }
 
   let new_layer () = { root = Atomic.make (new_border ()) }
-  let create () = { top = new_layer () }
+  let create ?(obs = Bw_obs.Null) () = { top = new_layer (); o = obs }
 
   let new_link () =
     { terminals = Atomic.make []; next_layer = Atomic.make None }
@@ -103,21 +103,21 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   (* --- in-node search --- *)
 
-  let lower_bound ~tid n (k : slice) =
+  let lower_bound o ~tid n (k : slice) =
     let count = min (max n.count 0) (Array.length n.keys) in
     let lo = ref 0 and hi = ref count in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      cnt tid Counters.Key_compare;
+      cnt o tid Bw_obs.C_key_compares;
       if Int64.unsigned_compare n.keys.(mid) k < 0 then lo := mid + 1
       else hi := mid
     done;
     !lo
 
-  let child_for ~tid n k =
+  let child_for o ~tid n k =
     match n.kind with
     | Interior i ->
-        let pos = lower_bound ~tid n k in
+        let pos = lower_bound o ~tid n k in
         let pos =
           if pos < n.count && Int64.unsigned_compare n.keys.(pos) k = 0 then
             pos + 1
@@ -172,16 +172,16 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
         parent.count <- parent.count + 1
     | Border _ -> assert false
 
-  let rec retry ~tid f =
+  let rec retry o ~tid f =
     try f () with
     | Restart | Invalid_argument _ ->
-        cnt tid Counters.Restart;
+        cnt o tid Bw_obs.C_restarts;
         Domain.cpu_relax ();
-        retry ~tid f
+        retry o ~tid f
 
   (* Descend one layer's B+Tree to the border node owning [slice]; eager
      splits when [grow] is set. Calls [at_border border version]. *)
-  let descend_layer (layer : layer) ~tid slice ~grow at_border =
+  let descend_layer o (layer : layer) ~tid slice ~grow at_border =
     let root = Atomic.get layer.root in
     let v = read_lock root in
     if Atomic.get layer.root != root then raise Restart;
@@ -206,12 +206,12 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
       raise Restart
     end;
     let rec go node v =
-      cnt tid Counters.Node_visit;
+      cnt o tid Bw_obs.C_node_visits;
       match node.kind with
       | Border _ -> at_border node v
       | Interior _ ->
-          cnt tid Counters.Pointer_deref;
-          let child = child_for ~tid node slice in
+          cnt o tid Bw_obs.C_ptr_derefs;
+          let child = child_for o ~tid node slice in
           validate node v;
           let cv = read_lock child in
           if grow && is_full child then begin
@@ -234,11 +234,11 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     go root v
 
   (* find the border link for [slice], or None; read-only *)
-  let find_link (layer : layer) ~tid slice =
-    retry ~tid @@ fun () ->
-    descend_layer layer ~tid slice ~grow:false @@ fun border v ->
+  let find_link o (layer : layer) ~tid slice =
+    retry o ~tid @@ fun () ->
+    descend_layer o layer ~tid slice ~grow:false @@ fun border v ->
     let b = match border.kind with Border b -> b | _ -> assert false in
-    let pos = lower_bound ~tid border slice in
+    let pos = lower_bound o ~tid border slice in
     let res =
       if pos < border.count && Int64.unsigned_compare border.keys.(pos) slice = 0
       then Some b.links.(pos)
@@ -248,12 +248,12 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     res
 
   (* find the border link for [slice], inserting a fresh one if absent *)
-  let find_or_add_link (layer : layer) ~tid slice =
-    retry ~tid @@ fun () ->
-    descend_layer layer ~tid slice ~grow:true @@ fun border v ->
+  let find_or_add_link o (layer : layer) ~tid slice =
+    retry o ~tid @@ fun () ->
+    descend_layer o layer ~tid slice ~grow:true @@ fun border v ->
     let b = match border.kind with Border b -> b | _ -> assert false in
     upgrade border v;
-    let pos = lower_bound ~tid border slice in
+    let pos = lower_bound o ~tid border slice in
     if pos < border.count && Int64.unsigned_compare border.keys.(pos) slice = 0
     then begin
       let link = b.links.(pos) in
@@ -262,7 +262,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     end
     else begin
       let link = new_link () in
-      cnt tid Counters.Allocation;
+      cnt o tid Bw_obs.C_allocations;
       Array.blit border.keys pos border.keys (pos + 1) (border.count - pos);
       Array.blit b.links pos b.links (pos + 1) (border.count - pos);
       border.keys.(pos) <- slice;
@@ -274,18 +274,18 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   (* --- layered operations --- *)
 
-  let rec add_terminal ~tid link bkey value =
+  let rec add_terminal o ~tid link bkey value =
     let old = Atomic.get link.terminals in
     if List.exists (fun (k, _) -> String.equal k bkey) old then false
     else begin
-      cnt tid Counters.Cas_attempt;
+      cnt o tid Bw_obs.C_cas_attempts;
       if
         Atomic.compare_and_set link.terminals old
           ((bkey, Atomic.make value) :: old)
       then true
       else begin
-        cnt tid Counters.Cas_failure;
-        add_terminal ~tid link bkey value
+        cnt o tid Bw_obs.C_cas_failures;
+        add_terminal o ~tid link bkey value
       end
     end
 
@@ -302,10 +302,10 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     let slices = Bw_util.Key_codec.slice_count bkey in
     let rec go layer d =
       let slice = Bw_util.Key_codec.slice64 bkey d in
-      let link = find_or_add_link layer ~tid slice in
-      if d = slices - 1 then add_terminal ~tid link bkey value
+      let link = find_or_add_link t.o layer ~tid slice in
+      if d = slices - 1 then add_terminal t.o ~tid link bkey value
       else begin
-        cnt tid Counters.Pointer_deref;
+        cnt t.o tid Bw_obs.C_ptr_derefs;
         go (get_or_make_next_layer link) (d + 1)
       end
     in
@@ -316,7 +316,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     let slices = Bw_util.Key_codec.slice_count bkey in
     let rec go layer d =
       let slice = Bw_util.Key_codec.slice64 bkey d in
-      match find_link layer ~tid slice with
+      match find_link t.o layer ~tid slice with
       | None -> None
       | Some link ->
           if d = slices - 1 then
@@ -325,7 +325,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
               (Atomic.get link.terminals)
             |> Option.map (fun (_, v) -> Atomic.get v)
           else begin
-            cnt tid Counters.Pointer_deref;
+            cnt t.o tid Bw_obs.C_ptr_derefs;
             match Atomic.get link.next_layer with
             | None -> None
             | Some next -> go next (d + 1)
@@ -338,7 +338,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     let slices = Bw_util.Key_codec.slice_count bkey in
     let rec go layer d =
       let slice = Bw_util.Key_codec.slice64 bkey d in
-      match find_link layer ~tid slice with
+      match find_link t.o layer ~tid slice with
       | None -> false
       | Some link ->
           if d = slices - 1 then
@@ -366,7 +366,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     let slices = Bw_util.Key_codec.slice_count bkey in
     let rec go layer d =
       let slice = Bw_util.Key_codec.slice64 bkey d in
-      match find_link layer ~tid slice with
+      match find_link t.o layer ~tid slice with
       | None -> false
       | Some link ->
           if d = slices - 1 then begin
@@ -400,7 +400,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     else begin
     let bkey = K.to_binary k in
     let items =
-      retry ~tid @@ fun () ->
+      retry t.o ~tid @@ fun () ->
       let acc = ref [] in
       let visited = ref 0 in
       let exception Done in
@@ -425,7 +425,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
          layer and prune everything below it; otherwise stream all *)
       let from_slice = if constrained then slice_of depth else 0L in
       let border0 =
-        descend_layer layer ~tid from_slice ~grow:false (fun b v ->
+        descend_layer t.o layer ~tid from_slice ~grow:false (fun b v ->
             ignore v;
             b)
       in

@@ -146,6 +146,21 @@ type counter =
   | C_leaf_cache_invalidations
   | C_leaf_cache_stale_verifies
   | C_read_consolidations
+  | C_ptr_derefs
+  | C_key_compares
+  | C_allocations
+  | C_cas_attempts
+  | C_cas_failures
+  | C_restarts
+  | C_node_visits
+  | C_epoch_enters
+  | C_inserts
+  | C_deletes
+  | C_updates
+  | C_lookups
+  | C_delta_cas_failures
+  | C_smo_helps
+  | C_prealloc_overflows
 
 let counter_index = function
   | C_splits -> 0
@@ -185,6 +200,21 @@ let counter_index = function
   | C_leaf_cache_invalidations -> 34
   | C_leaf_cache_stale_verifies -> 35
   | C_read_consolidations -> 36
+  | C_ptr_derefs -> 37
+  | C_key_compares -> 38
+  | C_allocations -> 39
+  | C_cas_attempts -> 40
+  | C_cas_failures -> 41
+  | C_restarts -> 42
+  | C_node_visits -> 43
+  | C_epoch_enters -> 44
+  | C_inserts -> 45
+  | C_deletes -> 46
+  | C_updates -> 47
+  | C_lookups -> 48
+  | C_delta_cas_failures -> 49
+  | C_smo_helps -> 50
+  | C_prealloc_overflows -> 51
 
 let all_counters =
   [
@@ -225,6 +255,21 @@ let all_counters =
     C_leaf_cache_invalidations;
     C_leaf_cache_stale_verifies;
     C_read_consolidations;
+    C_ptr_derefs;
+    C_key_compares;
+    C_allocations;
+    C_cas_attempts;
+    C_cas_failures;
+    C_restarts;
+    C_node_visits;
+    C_epoch_enters;
+    C_inserts;
+    C_deletes;
+    C_updates;
+    C_lookups;
+    C_delta_cas_failures;
+    C_smo_helps;
+    C_prealloc_overflows;
   ]
 
 let n_counters = List.length all_counters
@@ -267,6 +312,21 @@ let counter_name = function
   | C_leaf_cache_invalidations -> "leaf_cache_invalidations"
   | C_leaf_cache_stale_verifies -> "leaf_cache_stale_verifies"
   | C_read_consolidations -> "read_consolidations"
+  | C_ptr_derefs -> "ptr_derefs"
+  | C_key_compares -> "key_compares"
+  | C_allocations -> "allocations"
+  | C_cas_attempts -> "cas_attempts"
+  | C_cas_failures -> "cas_failures"
+  | C_restarts -> "restarts"
+  | C_node_visits -> "node_visits"
+  | C_epoch_enters -> "epoch_enters"
+  | C_inserts -> "inserts"
+  | C_deletes -> "deletes"
+  | C_updates -> "updates"
+  | C_lookups -> "lookups"
+  | C_delta_cas_failures -> "delta_cas_failures"
+  | C_smo_helps -> "smo_helps"
+  | C_prealloc_overflows -> "prealloc_overflows"
 
 type gauge =
   | G_epoch_pending
@@ -434,6 +494,15 @@ module Histo = struct
 
   let count h = h.h_count
   let sum h = h.h_sum
+
+  let buckets h =
+    let out = ref [] in
+    for b = n_buckets - 1 downto 0 do
+      let n = h.buckets.(b) in
+      if n > 0 then out := (bucket_lo b, bucket_hi b, n) :: !out
+    done;
+    !out
+
   let min_value h = if h.h_count = 0 then 0 else h.h_min
   let max_value h = h.h_max
 
@@ -546,6 +615,10 @@ let add s ~tid c n =
       row.(i) <- row.(i) + n
 
 let incr s ~tid c = add s ~tid c 1
+
+let count r c =
+  let i = counter_index c in
+  Array.fold_left (fun acc st -> acc + st.counters.(i)) 0 r.stripes
 
 let push_ring r ring kind ~tid ~a ~b =
   let slot = ring.writes mod Array.length ring.slots in

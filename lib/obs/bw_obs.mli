@@ -2,6 +2,13 @@
     software counters, pull-style gauges and a bounded structural-event
     trace, striped per domain so hot paths never write shared cache lines.
 
+    It is the one counting system in a process. The Table 3 events
+    (pointer derefs, key compares, allocations, CaS attempts and
+    failures, restarts, node visits, epoch enters) are counters of the
+    registry an index was created with, so each index instance counts
+    into its own registry; so are the Bw-Tree's operation counters,
+    which [Bwtree.S.op_stats] and [Bwtree.S.leaf_cache_stats] read back.
+
     Every probe takes a {!sink}. With {!Null} (the default everywhere) a
     probe is a single branch and touches nothing; with [To registry] it
     writes only the caller's stripe. Merging across stripes happens at
@@ -62,7 +69,9 @@ type counter =
       (** never incremented: leaf pages keep no encoded key copy whose
           space a consolidation could reuse; kept only because the
           benchmark still reads it *)
-  | C_leaf_probe_cmps  (** key comparisons charged to in-leaf base searches *)
+  | C_leaf_probe_cmps
+      (** key comparisons charged to in-leaf base searches (also counted
+          in [C_key_compares]) *)
   | C_repl_records_shipped  (** WAL commit records pushed to a standby *)
   | C_repl_bytes_shipped  (** WAL payload bytes pushed to a standby *)
   | C_repl_records_applied  (** WAL commit records applied by a follower *)
@@ -84,6 +93,26 @@ type counter =
   | C_read_consolidations
       (** leaf consolidations performed by point reads (also counted in
           [C_consolidations]) *)
+  (* The paper's Table 3 events, the software stand-in for its hardware
+     counters; every index of the §6 lineup counts these. *)
+  | C_ptr_derefs  (** pointers chased: chain hops, table lookups, children *)
+  | C_key_compares
+  | C_allocations  (** index nodes, delta records or towers allocated *)
+  | C_cas_attempts
+  | C_cas_failures
+  | C_restarts  (** operation attempts aborted and retried from the root *)
+  | C_node_visits  (** logical (or trie) nodes examined by a descent *)
+  | C_epoch_enters  (** epoch protection acquired *)
+  (* Bw-Tree operation counters, read back by [Bwtree.S.op_stats]. *)
+  | C_inserts
+  | C_deletes
+  | C_updates
+  | C_lookups
+  | C_delta_cas_failures
+      (** failed CaS installs of a delta record (also counted in
+          [C_cas_failures]) *)
+  | C_smo_helps  (** help-along completions attempted *)
+  | C_prealloc_overflows  (** consolidations forced by slot exhaustion *)
 
 val counter_name : counter -> string
 
@@ -158,6 +187,10 @@ val observe : sink -> tid:int -> series -> int -> unit
 
 val incr : sink -> tid:int -> counter -> unit
 
+val count : t -> counter -> int
+(** One counter summed over the registry's stripes, without building a
+    {!snapshot}. Racy like a snapshot while workers run. *)
+
 val add : sink -> tid:int -> counter -> int -> unit
 (** Bump a counter by an arbitrary amount (bytes-in/out accounting). *)
 
@@ -196,6 +229,9 @@ module Histo : sig
   val merge_into : dst:h -> h -> unit
   val count : h -> int
   val sum : h -> int
+  val buckets : h -> (int * int * int) list
+  (** The non-empty buckets as [(lo, hi, count)], ascending. *)
+
   val min_value : h -> int
   (** Exact smallest recorded value; 0 when empty. *)
 

@@ -18,8 +18,6 @@
       each level (a classic Pugh/Fraser-style lock-free skip list), as an
       ablation showing the cost/benefit of the background design. *)
 
-module Counters = Bw_util.Counters
-
 type tower_policy = Background | Inline
 
 module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
@@ -47,10 +45,12 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     mutable maintenance : unit Domain.t option;
     stop : bool Atomic.t;
     interval_s : float;
+    o : Bw_obs.sink;
   }
 
-  let cnt tid ev =
-    if !Counters.enabled then Counters.incr Counters.global ~tid ev
+  (* Table 3 probes: one inlined branch on the null sink *)
+  let cnt t tid c =
+    match t.o with Bw_obs.Null -> () | Bw_obs.To _ as o -> Bw_obs.incr o ~tid c
 
   let make_node k v level =
     {
@@ -60,7 +60,8 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
       level;
     }
 
-  let create ?(policy = Background) ?(interval_s = 0.01) () =
+  let create ?(policy = Background) ?(interval_s = 0.01) ?(obs = Bw_obs.Null)
+      () =
     {
       head = make_node K.dummy (Obj.magic 0 : value) max_level;
       policy;
@@ -68,6 +69,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
       maintenance = None;
       stop = Atomic.make false;
       interval_s;
+      o = obs;
     }
 
   let is_marked = function Marked _ | Marked_tail -> true | Tail | Next _ -> false
@@ -94,7 +96,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
      fails. *)
   let rec find_level ~tid t k lvl =
     let rec advance pred =
-      cnt tid Counters.Pointer_deref;
+      cnt t tid Bw_obs.C_ptr_derefs;
       match Atomic.get pred.nexts.(lvl) with
       | Tail -> { pred; succ_val = Tail; succ_node = None }
       | Marked _ | Marked_tail ->
@@ -112,7 +114,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
                 raise Exit
               else advance pred
           | Tail | Next _ ->
-              cnt tid Counters.Key_compare;
+              cnt t tid Bw_obs.C_key_compares;
               if K.compare curr.key k < 0 then advance curr
               else { pred; succ_val = pv; succ_node = Some curr })
     in
@@ -124,7 +126,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   and find_level_from_head ~tid t k lvl =
     let rec advance pred =
-      cnt tid Counters.Pointer_deref;
+      cnt t tid Bw_obs.C_ptr_derefs;
       match Atomic.get pred.nexts.(lvl) with
       | Tail -> { pred; succ_val = Tail; succ_node = None }
       | Marked _ | Marked_tail -> raise Exit
@@ -139,7 +141,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
                 raise Exit
               else advance pred
           | Tail | Next _ ->
-              cnt tid Counters.Key_compare;
+              cnt t tid Bw_obs.C_key_compares;
               if K.compare curr.key k < 0 then advance curr
               else { pred; succ_val = pv; succ_node = Some curr })
     in
@@ -153,7 +155,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
     for l = max_level - 1 downto lvl + 1 do
       let continue_ = ref true in
       while !continue_ do
-        cnt tid Counters.Pointer_deref;
+        cnt t tid Bw_obs.C_ptr_derefs;
         match Atomic.get !pred.nexts.(l) with
         | (Next n | Marked n)
           when K.compare n.key k < 0
@@ -161,7 +163,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
             (* step only onto nodes still clean at this level; towers are
                marked top-down, so clean-at-l implies clean at every
                level below l at this instant *)
-            cnt tid Counters.Key_compare;
+            cnt t tid Bw_obs.C_key_compares;
             pred := n
         | _ -> continue_ := false
       done
@@ -226,17 +228,17 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
              insert bursts *)
           let level = random_level t in
           let node = make_node k v level in
-          cnt tid Counters.Allocation;
+          cnt t tid Bw_obs.C_allocations;
           Atomic.set node.nexts.(0) f.succ_val;
-          cnt tid Counters.Cas_attempt;
+          cnt t tid Bw_obs.C_cas_attempts;
           if Atomic.compare_and_set f.pred.nexts.(0) f.succ_val (Next node)
           then begin
             if t.policy = Inline && level > 1 then link_level ~tid t node 1;
             true
           end
           else begin
-            cnt tid Counters.Cas_failure;
-            cnt tid Counters.Restart;
+            cnt t tid Bw_obs.C_cas_failures;
+            cnt t tid Bw_obs.C_restarts;
             go ()
           end
     in
@@ -265,9 +267,9 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
       match Atomic.get cell with
       | Marked _ | Marked_tail -> ()
       | (Tail | Next _) as clean ->
-          cnt tid Counters.Cas_attempt;
+          cnt t tid Bw_obs.C_cas_attempts;
           if not (Atomic.compare_and_set cell clean (mark_of clean)) then begin
-            cnt tid Counters.Cas_failure;
+            cnt t tid Bw_obs.C_cas_failures;
             mark_slot cell
           end
     in
@@ -284,7 +286,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
           match Atomic.get s.nexts.(0) with
           | Marked _ | Marked_tail -> false (* someone else deleted it *)
           | (Tail | Next _) as clean ->
-              cnt tid Counters.Cas_attempt;
+              cnt t tid Bw_obs.C_cas_attempts;
               if Atomic.compare_and_set s.nexts.(0) clean (mark_of clean)
               then begin
                 (* physical unlink at every level, best effort *)
@@ -296,7 +298,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
                 true
               end
               else begin
-                cnt tid Counters.Cas_failure;
+                cnt t tid Bw_obs.C_cas_failures;
                 go ()
               end)
       | _ -> false
@@ -320,7 +322,7 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
             | (Tail | Next _) as s ->
                 visit node.key (Atomic.get node.value);
                 incr visited;
-                cnt tid Counters.Pointer_deref;
+                cnt t tid Bw_obs.C_ptr_derefs;
                 walk (unmarked_next s))
           end
     in

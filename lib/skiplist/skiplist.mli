@@ -22,8 +22,11 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) : sig
   type value = V.t
   type t
 
-  val create : ?policy:tower_policy -> ?interval_s:float -> unit -> t
-  (** Default policy [Background] with a 10 ms maintenance interval. *)
+  val create :
+    ?policy:tower_policy -> ?interval_s:float -> ?obs:Bw_obs.sink -> unit -> t
+  (** Default policy [Background] with a 10 ms maintenance interval. [obs]
+      (default {!Bw_obs.Null}, which counts nothing) receives the Table 3
+      event counters. *)
 
   val insert : t -> tid:int -> key -> value -> bool
   val lookup : t -> tid:int -> key -> value option

@@ -98,8 +98,14 @@ type subject = {
 
 (* --- subjects --- *)
 
-let bwtree_subject ?(config = Bwtree.default_config) ?(obs = Bw_obs.Null)
-    ~domains () =
+let bwtree_subject ?(config = Bwtree.default_config) ?obs ~domains () =
+  (* the leaf-cache counter check reads the tree's registry, so the tree
+     always gets one *)
+  let obs =
+    match obs with
+    | Some (Bw_obs.To _ as o) -> o
+    | Some Bw_obs.Null | None -> Bw_obs.sink (Bw_obs.create ())
+  in
   let config =
     if config.Bwtree.max_threads < domains + 1 then
       { config with Bwtree.max_threads = domains + 1 }

@@ -126,7 +126,9 @@ val bwtree_subject :
   subject
 (** A fresh integer-keyed Bw-Tree with every probe wired up.
     [config.max_threads] is raised to [domains + 1] if needed (the
-    checker uses tid [domains]). *)
+    checker uses tid [domains]). Without [obs], or with {!Bw_obs.Null},
+    the tree gets a private registry, so the leaf-cache counter checks
+    read real counts. *)
 
 val of_driver : int Harness.Runner.driver -> subject
 (** Wrap any harness driver (SkipList, B+Tree, ART, Masstree, …) as a

@@ -10,6 +10,10 @@ let tiny =
   Bwtree.Config.make ~leaf_max:8 ~inner_max:6 ~leaf_chain_max:4
     ~inner_chain_max:2 ~leaf_min:2 ~inner_min:2 ()
 
+(* a tree counting into its own registry, for tests that read its stats *)
+let counted ?config () =
+  T.create ?config ~obs:(Bw_obs.sink (Bw_obs.create ())) ()
+
 let spawn_workers n f =
   let domains = Array.init n (fun tid -> Domain.spawn (fun () -> f tid)) in
   Array.iter Domain.join domains
@@ -72,7 +76,7 @@ let test_concurrent_split_merge_storm () =
   (* insert/delete waves over a small key range with tiny nodes: constant
      splits and merges interleaving across threads *)
   let nthreads = 4 and rounds = 6 in
-  let t = T.create ~config:tiny () in
+  let t = counted ~config:tiny () in
   for round = 1 to rounds do
     spawn_workers nthreads (fun tid ->
         let lo = tid * 500 in
@@ -95,7 +99,7 @@ let test_concurrent_split_merge_storm () =
 let test_high_contention_right_edge () =
   (* §6.2: every thread appends at the index's right edge *)
   let nthreads = 8 in
-  let t = T.create ~config:tiny () in
+  let t = counted ~config:tiny () in
   let hc = Workload.Hc.create ~nthreads in
   let per = 4_000 in
   spawn_workers nthreads (fun tid ->
@@ -150,7 +154,7 @@ let test_readers_never_block () =
    and scans themselves install consolidations of the chained leaves
    they visit, racing the writer's appends and splits. *)
 let test_concurrent_iteration () =
-  let t = T.create ~config:tiny () in
+  let t = counted ~config:tiny () in
   let preload = List.init 500 (fun k -> k * 4) in
   List.iter (fun k -> assert (T.insert t k (k / 4))) preload;
   let stop = Atomic.make false in

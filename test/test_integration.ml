@@ -218,6 +218,64 @@ let test_harness_hc_and_all_mixes () =
         [ W.Insert_only; W.Read_only; W.Read_update; W.Scan_insert ])
     (Drivers.Int.lineup ())
 
+(* Table 3 pinned: each index counts its events into its own registry,
+   so a one-thread load of a fixed trace counts the same every time —
+   except in the skip list, whose index levels a background domain
+   rebuilds on its own schedule — and the orderings the paper explains
+   its comparison by hold. *)
+let test_table3 () =
+  let table3 =
+    Bw_obs.
+      [
+        C_ptr_derefs; C_key_compares; C_allocations; C_cas_attempts;
+        C_cas_failures; C_restarts; C_node_visits; C_epoch_enters;
+      ]
+  in
+  let cfg = { W.default_config with num_keys = 20_000; seed = 7L } in
+  let trace = W.load_trace cfg W.Rand_int (W.int_key_of W.Rand_int) in
+  let run name =
+    let reg = Bw_obs.create () in
+    let d =
+      List.assoc name (Drivers.Int.lineup ~obs:(Bw_obs.sink reg) ()) ()
+    in
+    let res = Runner.load d ~nthreads:1 trace in
+    d.Runner.stop_aux ();
+    Alcotest.(check int) (name ^ " loaded") cfg.num_keys res.Runner.ops;
+    List.map (Bw_obs.count reg) table3
+  in
+  let names = List.map fst (Drivers.Int.lineup ()) in
+  let counts = List.map (fun name -> (name, run name)) names in
+  List.iter
+    (fun (name, c) ->
+      if name <> "SkipList" then
+        Alcotest.(check (list int)) (name ^ " deterministic") c (run name))
+    counts;
+  (* per-insert rates: every run loaded the same number of keys *)
+  let nth i name = List.nth (List.assoc name counts) i in
+  let derefs = nth 0 and cas = nth 3 in
+  let others name = List.filter (( <> ) name) names in
+  List.iter
+    (fun other ->
+      Alcotest.(check bool)
+        ("SkipList derefs more than " ^ other)
+        true
+        (derefs "SkipList" > derefs other);
+      Alcotest.(check bool)
+        ("B+Tree derefs less than " ^ other)
+        true
+        (derefs "B+Tree" < derefs other))
+    (others "SkipList" |> List.filter (( <> ) "B+Tree"));
+  List.iter
+    (fun bw ->
+      List.iter
+        (fun other ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s CaS more than %s" bw other)
+            true
+            (cas bw > cas other))
+        (List.filter (fun n -> n <> "Bw-Tree" && n <> "OpenBw-Tree") names))
+    [ "Bw-Tree"; "OpenBw-Tree" ]
+
 let test_barrier () =
   let b = Runner.Barrier.create 4 in
   let released = Atomic.make 0 in
@@ -258,6 +316,7 @@ let () =
           Alcotest.test_case "string keys" `Slow test_string_cross_index;
           Alcotest.test_case "skiplist policy names" `Quick
             test_skiplist_policy;
+          Alcotest.test_case "table 3 counters" `Slow test_table3;
         ] );
       ( "harness",
         [

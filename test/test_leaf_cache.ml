@@ -10,6 +10,10 @@ module T = D.Bw_int
 
 (* tiny nodes + a 16-slot cache: every run forces splits, merges,
    consolidations, bucket collisions and evictions *)
+(* a tree counting into its own registry, for tests that read its stats *)
+let counted ?config () =
+  T.create ?config ~obs:(Bw_obs.sink (Bw_obs.create ())) ()
+
 let config ~leaf_cache =
   Bwtree.Config.make ~leaf_max:8 ~inner_max:6 ~leaf_chain_max:4
     ~inner_chain_max:2 ~leaf_min:2 ~inner_min:2 ~leaf_cache
@@ -112,7 +116,7 @@ let prop_forest_batch_equivalence =
    oracle confirms surviving entries, and the counter accounting of the
    protocol holds (a failed re-validation is always an invalidation). *)
 let test_stamp_rejects_across_split () =
-  let t = T.create ~config:(config ~leaf_cache:true) () in
+  let t = counted ~config:(config ~leaf_cache:true) () in
   for k = 0 to 7 do
     assert (T.insert t k k)
   done;
@@ -149,7 +153,7 @@ let test_stamp_rejects_across_split () =
 (* the escape hatch: a disabled cache allocates no slots, counts
    nothing, and the probe path stays inert *)
 let test_escape_hatch () =
-  let t = T.create ~config:(config ~leaf_cache:false) () in
+  let t = counted ~config:(config ~leaf_cache:false) () in
   for k = 0 to 200 do
     assert (T.insert t k k)
   done;

@@ -157,8 +157,15 @@ let prop_merge_equiv =
       (* the merge takes the chain newest-first, as the tree walks it *)
       let chain = List.rev ops_oldest_first in
       let base = LP.build items in
-      let m = LP.merge_with_deltas base chain in
+      let m, searches = LP.merge_with_deltas base chain in
       assert (sortedness m);
+      (* at most one base search per delete the chain carries *)
+      assert (
+        searches
+        <= List.length
+             (List.filter
+                (function LP.Del _ | LP.Upd _ -> true | LP.Ins _ -> false)
+                chain));
       assert (
         List.sort compare (Array.to_list (LP.slice m))
         = oracle items ops_oldest_first);
@@ -212,7 +219,7 @@ let prop_codec_roundtrip =
       (* every construction path: a fresh build, a merge and the empty
          page *)
       let base = LP.build items in
-      let merged = LP.merge_with_deltas base (List.rev_map to_delta raw) in
+      let merged, _ = LP.merge_with_deltas base (List.rev_map to_delta raw) in
       List.for_all
         (fun page ->
           let e1 = enc page in
@@ -366,7 +373,7 @@ let test_footprint () =
   let built = LP.build items in
   Alcotest.(check bool) "built page" true (words built <= bound);
   Alcotest.(check bool) "decoded page" true (words (dec (enc built)) <= bound);
-  let merged =
+  let merged, _ =
     LP.merge_with_deltas (LP.build (Array.sub items 0 127)) [ LP.Ins (1000, 0) ]
   in
   Alcotest.(check bool) "merged page" true (words merged <= bound)

@@ -1,12 +1,11 @@
 (* Unit and property tests for the utility substrate: RNG, Zipf sampler,
-   growable arrays, binary key codecs, statistics, counters. *)
+   growable arrays, binary key codecs, statistics. *)
 
 module Rng = Bw_util.Rng
 module Zipf = Bw_util.Zipf
 module Growable = Bw_util.Growable
 module Key_codec = Bw_util.Key_codec
 module Stats = Bw_util.Stats
-module Counters = Bw_util.Counters
 
 let check = Alcotest.(check int)
 let checkf = Alcotest.(check (float 1e-9))
@@ -374,56 +373,6 @@ let test_stats_summary () =
   checkf "max" 3.0 s.max;
   check "n" 3 s.n
 
-(* --- Histogram --- *)
-
-module H = Bw_util.Histogram
-
-let test_histogram_basics () =
-  let h = H.create () in
-  List.iter (H.add h) [ 1; 2; 2; 3; 3; 3 ];
-  check "count" 6 (H.count h);
-  check "total" 14 (H.total h);
-  checkf "mean" (14.0 /. 6.0) (H.mean h);
-  check "min" 1 (H.min_value h);
-  check "max" 3 (H.max_value h);
-  Alcotest.(check (list (pair int int))) "buckets" [ (1, 1); (2, 2); (3, 3) ]
-    (H.buckets h)
-
-let test_histogram_percentiles () =
-  let h = H.create () in
-  for v = 1 to 100 do
-    H.add h v
-  done;
-  check "p50" 50 (H.percentile h 50.0);
-  check "p99" 99 (H.percentile h 99.0);
-  check "p100" 100 (H.percentile h 100.0);
-  check "p1" 1 (H.percentile h 1.0)
-
-let test_histogram_empty () =
-  let h = H.create () in
-  Alcotest.check_raises "empty" (Invalid_argument "Histogram: empty")
-    (fun () -> ignore (H.min_value h))
-
-let test_histogram_addn_render () =
-  let h = H.create () in
-  H.addn h 5 10;
-  H.addn h 500 1;
-  check "count" 11 (H.count h);
-  let out = Format.asprintf "%a" (H.pp ~width:10) h in
-  Alcotest.(check bool) "renders rows" true (String.length out > 10)
-
-(* --- Counters --- *)
-
-let test_counters () =
-  let c = Counters.create ~max_threads:4 in
-  Counters.incr c ~tid:0 Counters.Cas_attempt;
-  Counters.incr c ~tid:3 Counters.Cas_attempt;
-  Counters.add c ~tid:1 Counters.Pointer_deref 5;
-  check "summed" 2 (Counters.read c Counters.Cas_attempt);
-  check "add" 5 (Counters.read c Counters.Pointer_deref);
-  Counters.reset c;
-  check "reset" 0 (Counters.read c Counters.Cas_attempt)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -477,12 +426,4 @@ let () =
           Alcotest.test_case "basics" `Quick test_stats_basics;
           Alcotest.test_case "summary" `Quick test_stats_summary;
         ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "basics" `Quick test_histogram_basics;
-          Alcotest.test_case "percentiles" `Quick test_histogram_percentiles;
-          Alcotest.test_case "empty" `Quick test_histogram_empty;
-          Alcotest.test_case "addn/render" `Quick test_histogram_addn_render;
-        ] );
-      ("counters", [ Alcotest.test_case "basics" `Quick test_counters ]);
     ]
