@@ -887,76 +887,6 @@ let wal_bench scale =
   Pagestore.Store.rm_rf dir
 
 (* ------------------------------------------------------------------ *)
-(* Leaf cache: point-op descent skipping                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The epoch-verified leaf cache (DESIGN.md "Leaf cache"): hot point ops
-   jump straight to the candidate leaf and re-validate against the
-   mapping table, skipping the root-to-leaf descent. YCSB C at Zipfian
-   0.99 is the intended win (hot keys revisit the same leaves); the
-   near-uniform row prices the cache when hits are rare; batch 256 shows
-   the interaction with the batch path's own leaf reuse. The adversarial
-   row forces a ~0% hit rate (a 2-slot cache under uniform keys), so
-   every probe is pure overhead — the acceptance bar is a win on
-   Zipfian b=1 and <= 3% regression on the miss-dominated rows. *)
-let leafcache_bench scale =
-  print_header
-    "Leaf cache: descent skipping on point ops (YCSB C, rand int keys, \
-     OpenBw-Tree, multi-threaded)";
-  let sample ~theta ~batch config =
-    let cfg = { (wl_cfg scale) with W.theta } in
-    let conv = W.int_key_of W.Rand_int in
-    let d =
-      Runner.instrument !obs_sink (Drivers.Int.bwtree ~config ())
-    in
-    ignore
-      (Runner.load d ~nthreads:scale.threads (W.load_trace cfg W.Rand_int conv));
-    let traces =
-      Array.init scale.threads (fun tid ->
-          W.ops_trace cfg W.Rand_int W.Read_only ~tid ~nthreads:scale.threads
-            conv)
-    in
-    (* normalise heap state before the timed section: without this the
-       major heap grown by earlier samples dominates the ~10% effect
-       being measured *)
-    Gc.compact ();
-    let r = Runner.run_batched d ~batch traces in
-    d.stop_aux ();
-    r.mops
-  in
-  (* Interleave off/on samples in ABBA order: the process slows down as
-     its major heap grows across runs, so back-to-back blocks of repeats
-     would systematically penalise whichever side runs second. *)
-  let compare_row label ~theta ~batch on_config =
-    let off_config = Bwtree.Config.make ~leaf_cache:false () in
-    let n = max 1 scale.repeats in
-    let offs = Array.make n 0. and ons = Array.make n 0. in
-    for i = 0 to n - 1 do
-      if i land 1 = 0 then begin
-        offs.(i) <- sample ~theta ~batch off_config;
-        ons.(i) <- sample ~theta ~batch on_config
-      end
-      else begin
-        ons.(i) <- sample ~theta ~batch on_config;
-        offs.(i) <- sample ~theta ~batch off_config
-      end
-    done;
-    let off = Bw_util.Stats.median offs and on_ = Bw_util.Stats.median ons in
-    print_row label [ ("off", off); ("on", on_); ("ratio", on_ /. off) ]
-  in
-  List.iter
-    (fun (tname, theta) ->
-      List.iter
-        (fun b ->
-          compare_row
-            (Printf.sprintf "C %s b=%d" tname b)
-            ~theta ~batch:b Bwtree.default_config)
-        [ 1; 256 ])
-    [ ("zipf .99", 0.99); ("uniform", 0.01) ];
-  compare_row "C adversarial (2-slot) b=1" ~theta:0.01 ~batch:1
-    (Bwtree.Config.make ~leaf_cache:true ~leaf_cache_bits:1 ())
-
-(* ------------------------------------------------------------------ *)
 (* CLI                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1030,7 +960,6 @@ let experiments =
     ("fig18", fig18); ("bech", bech); ("abl", abl); ("store", store);
     ("shards", shards_bench); ("batch", batch_bench);
     ("wal", wal_bench); ("cluster", cluster_bench);
-    ("leafcache", leafcache_bench);
   ]
 
 let () =

@@ -304,9 +304,7 @@ let () =
           ss.avg_leaf_chain
           (float_of_int (tree_words t * 8) /. 1024. /. 1024.);
         Format.printf "         %a@." Bwtree.pp_mapping_stats
-          (Tree.mapping_table_stats t);
-        Format.printf "         %a@." Bwtree.pp_leaf_cache_stats
-          (Tree.leaf_cache_stats t))
+          (Tree.mapping_table_stats t))
       trees;
     print_newline ();
     Printf.printf "forest totals:\n"
@@ -345,12 +343,9 @@ let () =
     (sum (fun t -> (Tree.op_stats t).failed_cas))
     (sum (fun t -> (Tree.op_stats t).restarts))
     (sum (fun t -> (Tree.op_stats t).smo_helps));
-  if n_shards = 1 then begin
+  if n_shards = 1 then
     Format.printf "%a@." Bwtree.pp_mapping_stats
       (Tree.mapping_table_stats trees.(0));
-    Format.printf "%a@." Bwtree.pp_leaf_cache_stats
-      (Tree.leaf_cache_stats trees.(0))
-  end;
   Printf.printf "memory: %.2f MB live\n"
     (float_of_int (sum tree_words * 8) /. 1024. /. 1024.);
   let esum f =

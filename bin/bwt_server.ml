@@ -28,23 +28,13 @@ type built = {
     (tid:int -> Bw_server.Wire.repl_req -> Bw_server.Wire.resp) option;
 }
 
-(* --leaf-cache override; set in [main] before any backend is built *)
-let leaf_cache_override : bool option ref = ref None
-
 let config_of_index index =
-  let base =
-    match index with
-    | "openbw" -> None
-    | "bw" -> Some Bwtree.microsoft_config
-    | s ->
-        Printf.eprintf "bwt_server: unknown index %S (try: openbw, bw)\n" s;
-        exit 2
-  in
-  match !leaf_cache_override with
-  | None -> base
-  | Some on ->
-      let b = Option.value base ~default:Bwtree.default_config in
-      Some { b with Bwtree.leaf_cache = on }
+  match index with
+  | "openbw" -> None
+  | "bw" -> Some Bwtree.microsoft_config
+  | s ->
+      Printf.eprintf "bwt_server: unknown index %S (try: openbw, bw)\n" s;
+      exit 2
 
 let backend_of (module D : Harness.Drivers.S) ~index ~shards ~obs_of
     ~data_dir ~fsync : built =
@@ -126,10 +116,9 @@ let bootstrap_table (module D : Harness.Drivers.S) peers =
   let u = Bw_shard.Part.uniform (D.K.part (Array.length endpoints)) in
   Bw_cluster.Table.of_uniform ~epoch:1L endpoints u
 
-let main host port workers shards index key_type leaf_cache data_dir no_fsync
+let main host port workers shards index key_type data_dir no_fsync
     close_on_malformed metrics metrics_json replicate_to follow cluster_self
     cluster_peers =
-  leaf_cache_override := leaf_cache;
   let keyed =
     try Harness.Drivers.of_key_type key_type
     with Invalid_argument m ->
@@ -346,13 +335,6 @@ let cmd =
          & info [ "key-type" ] ~docv:"T"
              ~doc:"Key type behind the binary wire keys: int, str.")
   in
-  let leaf_cache =
-    Arg.(value & opt (some bool) None
-         & info [ "leaf-cache" ] ~docv:"BOOL"
-             ~doc:"Enable/disable the point-op leaf cache (default: the \
-                   index config's own setting — on for openbw, off for \
-                   bw).")
-  in
   let data_dir =
     Arg.(value & opt (some string) None
          & info [ "data-dir" ] ~docv:"DIR"
@@ -425,7 +407,7 @@ let cmd =
   let term =
     Term.(
       const main $ host $ port $ workers $ shards $ index $ key_type
-      $ leaf_cache $ data_dir $ no_fsync $ close_on_malformed $ metrics
+      $ data_dir $ no_fsync $ close_on_malformed $ metrics
       $ metrics_json $ replicate_to $ follow $ cluster_self $ cluster_peers)
   in
   Cmd.v

@@ -77,9 +77,7 @@ let () =
     [
       "splits"; "consolidations"; "reclaim_batches"; "mt_growths";
       "batch_redescents"; "leaf_gap_reuses";
-      "leaf_probe_cmps"; "leaf_cache_hits"; "leaf_cache_misses";
-      "leaf_cache_invalidations"; "leaf_cache_stale_verifies";
-      "read_consolidations";
+      "leaf_probe_cmps"; "read_consolidations";
     ];
   let gauges = as_obj "gauges" (get "gauges" v) in
   List.iter

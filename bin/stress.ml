@@ -20,7 +20,6 @@ let index = ref "openbw"
 let shards = ref 1
 let batch = ref 1
 let unique = ref true
-let leaf_cache = ref None
 let quiet = ref false
 let metrics = ref false
 let metrics_json = ref ""
@@ -58,10 +57,6 @@ let speclist =
       "N submit point ops through the subject's batch path in groups of N \
        (default 1 = per-op)" );
     ("--non-unique", Arg.Clear unique, " stress the non-unique key support");
-    ( "--leaf-cache",
-      Arg.Bool (fun b -> leaf_cache := Some b),
-      "BOOL force the Bw-Tree point-op leaf cache on/off (default: the \
-       config's own setting — on for openbw, off for bw)" );
     ( "--crash",
       Arg.Set crash,
       " crash-recovery mode: checkpoint a durable pagestore, crash it \
@@ -179,11 +174,6 @@ let () =
           else Bwtree.default_config
         in
         let config = { base with gc_scheme; unique_keys = !unique } in
-        let config =
-          match !leaf_cache with
-          | None -> config
-          | Some on -> { config with Bwtree.leaf_cache = on }
-        in
         if !shards = 1 then
           Bw_stress.bwtree_subject ~config ~obs
             ~domains:cfg.Bw_stress.domains ()
@@ -212,19 +202,6 @@ let () =
     (if !unique then "unique" else "non-unique")
     (if !batch > 1 then Printf.sprintf " | batch %d" !batch else "");
   let r = Bw_stress.run cfg subject in
-  (* a cache forced on must have served hits, or its counter checks
-     passed on empty counts *)
-  let r =
-    match (!leaf_cache, subject.Bw_stress.s_cache_stats) with
-    | Some true, Some stats when (stats ()).Bwtree.lc_hits = 0 ->
-        {
-          r with
-          Bw_stress.r_violations =
-            "leaf cache: forced on but served no hits"
-            :: r.Bw_stress.r_violations;
-        }
-    | _ -> r
-  in
   Format.printf "%a@." Bw_stress.pp_report r;
   (match obs with
   | Bw_obs.Null -> ()

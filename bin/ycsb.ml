@@ -86,7 +86,7 @@ let run_generic (type k) (driver : k Runner.driver) ~(conv : int -> k) ~space
       (float_of_int (driver.memory_words () * 8) /. 1024.0 /. 1024.0)
 
 let main index workload keyspace keys ops threads shards batch theta
-    leaf_cache data_dir no_fsync show_memory metrics metrics_json list_ =
+    data_dir no_fsync show_memory metrics metrics_json list_ =
   if list_ then begin
     Printf.printf "indexes: %s\nworkloads: insert | c | a | e\nkeyspaces: \
                    mono | rand | email | hc\n"
@@ -166,18 +166,7 @@ let main index workload keyspace keys ops threads shards batch theta
     Printf.eprintf "ycsb: --data-dir requires a Bw-Tree index (bw, openbw)\n";
     usage ()
   end;
-  (* --leaf-cache overrides the config default (on for openbw, off for
-     the baseline); leaving it unset keeps each config's own setting *)
-  let bw_config =
-    match leaf_cache with
-    | None -> if index = "bw" then Some Bwtree.microsoft_config else None
-    | Some on ->
-        let base =
-          if index = "bw" then Bwtree.microsoft_config
-          else Bwtree.default_config
-        in
-        Some { base with Bwtree.leaf_cache = on }
-  in
+  let bw_config = if index = "bw" then Some Bwtree.microsoft_config else None in
   let fsync = not no_fsync in
   let durable_close = ref (fun () -> ()) in
   (* --shards 1 builds the single driver; N > 1 routes N instances of
@@ -246,13 +235,6 @@ let cmd =
     Arg.(value & opt float 0.99
          & info [ "theta" ] ~docv:"F" ~doc:"Zipfian skew in (0,1).")
   in
-  let leaf_cache =
-    Arg.(value & opt (some bool) None
-         & info [ "leaf-cache" ] ~docv:"BOOL"
-             ~doc:"Bw-Tree only: enable/disable the point-op leaf cache \
-                   (default: the index config's own setting — on for \
-                   openbw, off for the baseline bw).")
-  in
   let data_dir =
     Arg.(value & opt (some string) None
          & info [ "data-dir" ] ~docv:"DIR"
@@ -287,7 +269,7 @@ let cmd =
   let term =
     Term.(
       const main $ index $ workload $ keyspace $ keys $ ops $ threads
-      $ shards $ batch $ theta $ leaf_cache $ data_dir $ no_fsync $ memory
+      $ shards $ batch $ theta $ data_dir $ no_fsync $ memory
       $ metrics $ metrics_json $ list_)
   in
   Cmd.v

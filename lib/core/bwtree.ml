@@ -172,10 +172,9 @@ module Make (K : KEY) (V : VALUE) :
   (* Per-thread side results of the descent, the leaf walk and the write
      cores, so none of them has to return a tuple or a record: the point
      paths allocate nothing here. Also the thread's working state that
-     outlives one op: the leaf-cache gate and the read-consolidation
-     budget. *)
+     outlives one op: the read-consolidation budget. *)
   type cursor = {
-    mutable c_id : int;  (* leaf the last descent or cache hit found *)
+    mutable c_id : int;  (* leaf the last descent found *)
     mutable c_path : int list;
         (* its ancestors' ids, nearest first; written only by tracking
            (write-path) descents *)
@@ -183,34 +182,10 @@ module Make (K : KEY) (V : VALUE) :
     mutable c_walked : int;  (* delta records the last leaf walk crossed *)
     mutable c_ok : bool;  (* the last write core's point-op outcome *)
     mutable c_restarts : int;  (* root restarts this thread has taken *)
-    mutable c_lc_tick : int;  (* leaf-cache replacement sampler *)
-    mutable c_lc_win : int;  (* probes seen in the current window *)
-    mutable c_lc_winh : int;  (* hits seen in the current window *)
-    mutable c_lc_bypass : int;  (* ops left in the probe-bypass stretch *)
     mutable c_read_walk : int;
         (* delta records walked by point reads since the last read-side
            consolidation *)
   }
-
-  (* The leaf cache (DESIGN.md, "Leaf cache") is a flat int array of
-     [fingerprint; pid; stamp] triples, one per direct-mapped slot:
-     - fingerprint: the full [Hashtbl.hash] of the cached key (-1 =
-       empty). A probe compares it before touching anything else, so a
-       slot holding some other key costs one array load — no pointer
-       chase, no mapping-table read.
-     - pid: the candidate leaf for that key.
-     - stamp: the SMO epoch at fill time, a refresh hint only.
-     Entries are advisory — every hit re-reads the head through the
-     mapping table and re-checks [lo <= k < hi] against the *current*
-     range, so a stale/torn/racy entry costs a descent, never a wrong
-     leaf. That advisory-ness is why plain (non-atomic) int reads and
-     writes suffice: a torn triple (one key's fingerprint beside
-     another's pid) just fails validation. Keeping the triples unboxed
-     and adjacent matters more than atomicity here — the boxed
-     [entry option Atomic.t array] representation this replaced cost
-     two dependent cache-line misses per probe and an allocation per
-     fill, which showed up as a double-digit regression on exactly the
-     miss-dominated workloads the cache must not hurt. *)
 
   type t = {
     cfg : config;
@@ -223,21 +198,7 @@ module Make (K : KEY) (V : VALUE) :
         (* per-tid batch-permutation scratch, owner-written; each row is
            grown to the batch size once and then reused, so steady-state
            fixed-size batches sort without allocating *)
-    smo_epoch : int Atomic.t;
-        (* completed structure modifications (splits, merges, root
-           collapses) — the leaf cache's global invalidation stamp *)
-    lcache : int array;
-        (* direct-mapped point-op leaf cache, 3 ints per slot
-           (fingerprint, pid, stamp); [||] when disabled *)
-    lc_mask : int;
   }
-
-  let lc_enabled t = t.lc_mask >= 0
-
-  (* Every completed SMO advances the stamp. Unconditional: the counter
-     is one rarely-written atomic, and [leaf_cache_stats] reports it even
-     when the cache itself is off. *)
-  let smo_bump t = Atomic.incr t.smo_epoch
 
   (* Counter probes: on the null sink one branch and nothing else. They
      match the sink here rather than ask [Bw_obs.enabled]: a call into
@@ -262,8 +223,9 @@ module Make (K : KEY) (V : VALUE) :
   let empty_leaf cfg =
     Leaf { range = whole; lb_page = P.empty; lb_pre = new_prealloc cfg ~leaf:true }
 
-  (* Sentinel element: a cache probe's miss, and the absent parent of a
-     root-level node. Only ever compared physically. *)
+  (* Sentinel element: "no element" where a function returns a head
+     (no in-place rewrite, no cached batch leaf yet). Only ever compared
+     physically. *)
   let no_leaf = empty_leaf { default_config with preallocate = false }
 
   let create ?(config = default_config) ?(obs = Bw_obs.Null) () =
@@ -282,45 +244,27 @@ module Make (K : KEY) (V : VALUE) :
         }
     in
     let root_id = Mapping_table.allocate table root in
-    let lc_slots = if config.leaf_cache then 1 lsl config.leaf_cache_bits else 0 in
-    let t =
-      {
-        cfg = config;
-        table;
-        root = Atomic.make root_id;
-        epoch =
-          Epoch.create ~scheme:config.gc_scheme ~max_threads:config.max_threads
-            ~gc_threshold:config.gc_threshold ~obs ();
-        o = obs;
-        cur =
-          Array.init config.max_threads (fun _ ->
-              {
-                c_id = nil_id;
-                c_path = [];
-                c_offset = -1;
-                c_walked = 0;
-                c_ok = false;
-                c_restarts = 0;
-                c_lc_tick = 0;
-                c_lc_win = 0;
-                c_lc_winh = 0;
-                c_lc_bypass = 0;
-                c_read_walk = 0;
-              });
-        bperm = Array.make config.max_threads [||];
-        smo_epoch = Atomic.make 0;
-        lcache = Array.make (3 * lc_slots) (-1);
-        lc_mask = lc_slots - 1;
-      }
-    in
-    if lc_enabled t && Bw_obs.enabled obs then
-      Bw_obs.register_gauge obs Bw_obs.G_leaf_cache_fill (fun () ->
-          let occupied = ref 0 in
-          for s = 0 to lc_slots - 1 do
-            if t.lcache.(3 * s) >= 0 then incr occupied
-          done;
-          !occupied * 1000 / lc_slots);
-    t
+    {
+      cfg = config;
+      table;
+      root = Atomic.make root_id;
+      epoch =
+        Epoch.create ~scheme:config.gc_scheme ~max_threads:config.max_threads
+          ~gc_threshold:config.gc_threshold ~obs ();
+      o = obs;
+      cur =
+        Array.init config.max_threads (fun _ ->
+            {
+              c_id = nil_id;
+              c_path = [];
+              c_offset = -1;
+              c_walked = 0;
+              c_ok = false;
+              c_restarts = 0;
+              c_read_walk = 0;
+            });
+      bperm = Array.make config.max_threads [||];
+    }
 
   let config t = t.cfg
   let obs t = t.o
@@ -582,12 +526,11 @@ module Make (K : KEY) (V : VALUE) :
      Ordinary appends only land on top of a split delta once the split
      is complete, so a BURIED split delta is always a completed split.
      Paths that cannot complete Stage III themselves must therefore
-     leave pending heads alone: the leaf cache refuses to serve them,
-     consolidation completes the split first and merges give up on such
-     victims. Absorbing the evidence early would orphan the right
-     sibling — the parent never learns its separator, and the sibling's
-     own split later restarts forever against routing that cannot
-     recognize it. A set flag means the separator is in the parent and
+     leave pending heads alone: consolidation completes the split first
+     and merges give up on such victims. Absorbing the evidence early
+     would orphan the right sibling — the parent never learns its
+     separator, and the sibling's own split later restarts forever
+     against routing that cannot recognize it. A set flag means the separator is in the parent and
      stays there while the split delta heads its node (see DESIGN.md
      "Read path"), so such heads are treated like any other. *)
   let head_is_split_topped = function
@@ -673,11 +616,11 @@ module Make (K : KEY) (V : VALUE) :
       | LSmo { op = L_remove; _ } | ID { op = I_remove | I_abort; _ } -> head
       | _ ->
           (* A split delta at the head may carry a still-unposted
-             separator (Stage III pending — possible when the split was
-             posted under a cache hit's empty ancestor path). Absorbing
-             it would orphan the right sibling, so complete the split
-             first; the CaS below then only absorbs what the descent
-             just proved complete (see [head_is_split_topped]). *)
+             separator (Stage III pending — its splitter may still be
+             posting it). Absorbing it would orphan the right sibling,
+             so complete the split first; the CaS below then only
+             absorbs what the descent just proved complete (see
+             [head_is_split_topped]). *)
           (match head with
           | LSmo { op = L_split (ks, _, fin); _ }
           | ID { op = I_split (ks, _, fin); _ }
@@ -973,7 +916,6 @@ module Make (K : KEY) (V : VALUE) :
             head
           end
           else begin
-            smo_bump t;
             if Bw_obs.enabled t.o then begin
               Bw_obs.incr t.o ~tid Bw_obs.C_splits;
               Bw_obs.event t.o ~tid Bw_obs.Ev_split ~a:id ~b:rid
@@ -982,11 +924,12 @@ module Make (K : KEY) (V : VALUE) :
             d
           end
 
-  (* Stage III for a split this thread just posted. A cache-hit append
-     carries no ancestor path; an empty path on a non-root node would
-     otherwise fall into [post_split_separator]'s root-grow branch,
-     raise, and leave the right sibling orphaned (the caller swallows
-     Restarts — the append itself already linearized). A posting that
+  (* Stage III for a split this thread just posted. A parent split that
+     a read's help-along cascades into carries no ancestor path (the
+     read knows only the immediate parent); an empty path on a non-root
+     node would otherwise fall into [post_split_separator]'s root-grow
+     branch, raise, and leave the right sibling orphaned (callers
+     swallow Restarts once their own CaS has landed). A posting that
      loses a race raises too, and would leave the split pending until a
      later traversal happens to help it — never, if no one visits the
      leaf again, so a quiesced tree could keep an unposted separator.
@@ -1015,7 +958,6 @@ module Make (K : KEY) (V : VALUE) :
           let child = mt_get t ~tid cid in
           if not (is_leaf_elem child) then
             if Atomic.compare_and_set t.root root_id cid then begin
-              smo_bump t;
               if Bw_obs.enabled t.o then begin
                 Bw_obs.incr t.o ~tid Bw_obs.C_root_collapses;
                 Bw_obs.event t.o ~tid Bw_obs.Ev_root_collapse ~a:root_id
@@ -1156,7 +1098,6 @@ module Make (K : KEY) (V : VALUE) :
                               mt_cas t ~tid pid ~expect:abort_d ~repl:del_d
                             in
                             assert ok;
-                            smo_bump t;
                             if Bw_obs.enabled t.o then begin
                               Bw_obs.incr t.o ~tid Bw_obs.C_merges;
                               Bw_obs.event t.o ~tid Bw_obs.Ev_merge ~a:id
@@ -1202,8 +1143,8 @@ module Make (K : KEY) (V : VALUE) :
      does not build it: it carries only the current parent's id ([pid];
      [nil_id] at the root level), which is all help-along needs to post
      a separator — a cascading parent split then completes through
-     [complete_split_for], as after a cache hit. So a read descent
-     allocates nothing unless it helps.
+     [complete_split_for]. So a read descent allocates nothing unless it
+     helps.
 
      The batch path re-enters here from a cached ancestor; if that
      ancestor has since been merged away its head carries a remove delta
@@ -1261,191 +1202,6 @@ module Make (K : KEY) (V : VALUE) :
               go ()
         in
         go ()
-
-  (* ---------------------------------------------------------------- *)
-  (* Leaf cache: O(1) point-op descent skipping                       *)
-  (* ---------------------------------------------------------------- *)
-
-  (* Publish-then-validate, like every other shared structure here. A
-     fill publishes the leaf a real descent just returned; a probe
-     validates the entry against the *current* tree before trusting it:
-     re-read the head through the mapping table (leaf PIDs are never
-     recycled once published, so the cell always names the same logical
-     node), require a leaf that is neither remove-blocked nor topped by
-     a split delta with Stage III pending (which only a real descent can
-     complete — see [head_is_split_topped]; a finished split's leaf is
-     served), and re-check [lo <= k < hi] on its
-     current range. That is exactly the invariant
-     [descend] establishes, so a validated hit is interchangeable with a
-     descent — except the ancestor path is unknown ([]), which only
-     degrades SMO housekeeping: a split posted under an empty path
-     leaves Stage III to the next descent's help-along.
-
-     The SMO stamp is the fast-invalidation hint: entries filled before
-     the latest split/merge/root-collapse are re-stamped when they
-     survive validation, dropped when they fail it. The mapping-table
-     re-read is what makes this sound — a stamp alone cannot be, since
-     a Stage-II CAS lands before the stamp advances. *)
-
-  (* Base index of [k]'s slot triple. [Hashtbl.hash] is non-negative,
-     so -1 is a safe empty-slot fingerprint. *)
-  let lc_base t h = 3 * (h land t.lc_mask)
-
-  (* Store the leaf a descent for [k] just returned.
-
-     Write traffic is the cache's whole overhead budget: when hits are
-     rare (uniform keys, or a deliberately undersized cache) every op
-     is a miss and a naive always-write fill turns the slot cache
-     lines into multi-thread ping-pong. Damping rules keep the miss
-     path nearly read-only:
-     - same key, same leaf, same SMO stamp: skip the write entirely;
-     - a different key's entry: evict only every 8th conflicting miss
-       per thread (sampled replacement). A genuinely hot key still
-       claims its slot within a few misses, while thrash-prone
-       workloads stop paying coherence traffic for entries that would
-       never hit.
-     Replacing another key's entry is an eviction, counted as an
-     invalidation so occupancy arithmetic stays honest. *)
-  let lc_fill t ~tid k ~id =
-    if lc_enabled t then begin
-      let h = Hashtbl.hash k in
-      let b = lc_base t h in
-      let fp = Array.unsafe_get t.lcache b in
-      if fp = h then begin
-        let stamp = Atomic.get t.smo_epoch in
-        if t.lcache.(b + 1) <> id || t.lcache.(b + 2) <> stamp then begin
-          t.lcache.(b + 1) <- id;
-          t.lcache.(b + 2) <- stamp
-        end
-      end
-      else if fp < 0 then begin
-        t.lcache.(b + 1) <- id;
-        t.lcache.(b + 2) <- Atomic.get t.smo_epoch;
-        t.lcache.(b) <- h
-      end
-      else begin
-        let c = t.cur.(tid) in
-        c.c_lc_tick <- c.c_lc_tick + 1;
-        if c.c_lc_tick land 7 = 0 then begin
-          cnt t.o tid Bw_obs.C_leaf_cache_invalidations;
-          t.lcache.(b + 1) <- id;
-          t.lcache.(b + 2) <- Atomic.get t.smo_epoch;
-          t.lcache.(b) <- h
-        end
-      end
-    end
-
-  (* Validated probe: the leaf's head, its id in the cursor, only when
-     the slot's fingerprint matches [k] and the current head still
-     proves ownership (leaf, not append-blocked, no unfinished split on
-     top, and [k] inside its *current* separator range); [no_leaf]
-     otherwise. A failed validation drops the entry (stale verify +
-     invalidation); a slot fingerprinted by a different key is a plain
-     miss and is left alone — it may still serve its own key. *)
-  let lc_probe t ~tid k =
-    if not (lc_enabled t) then no_leaf
-    else
-      let h = Hashtbl.hash k in
-      let b = lc_base t h in
-      if Array.unsafe_get t.lcache b <> h then no_leaf
-      else begin
-        (* read pid once: a racing fill could swap it between the
-           mapping-table read and the return *)
-        let pid = t.lcache.(b + 1) in
-        let head = mt_get t ~tid pid in
-        let r = range_of head in
-        if
-          is_leaf_elem head
-          && (not (head_is_append_blocked head))
-          && (not (head_is_split_topped head))
-          && kb k r.lo >= 0
-          && kb k r.hi < 0
-        then begin
-          let stamp = Atomic.get t.smo_epoch in
-          (* survived validation across an SMO: re-stamp so the next
-             fill for this key stays write-free *)
-          if t.lcache.(b + 2) <> stamp then t.lcache.(b + 2) <- stamp;
-          t.cur.(tid).c_id <- pid;
-          head
-        end
-        else begin
-          t.lcache.(b) <- -1;
-          if Bw_obs.enabled t.o then begin
-            Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_stale_verifies;
-            Bw_obs.incr t.o ~tid Bw_obs.C_leaf_cache_invalidations
-          end;
-          no_leaf
-        end
-      end
-
-  let descend_refill t ~tid ~track k =
-    let head = descend_root t ~tid ~track k in
-    lc_fill t ~tid k ~id:t.cur.(tid).c_id;
-    head
-
-  (* Adaptive bypass: the acceptance bar says a workload the cache
-     cannot help (near-zero hit rate — uniform keys over a deliberately
-     undersized cache) must not pay for it. Per thread, watch the hit
-     rate over a window of [lc_window] probes; if fewer than 1/8 of
-     them hit, descend without probing or filling for the next
-     [lc_bypass_len] point ops, then re-open a window. Steady-state
-     overhead on a hopeless workload is one branch per op plus a short
-     probing burst every [lc_bypass_len] ops (~1/9 of the ungated
-     cost), while any workload whose hit rate clears breakeven (~25%)
-     keeps the cache fully engaged. All gate state is owner-written
-     per-thread scratch — no shared writes. *)
-  let lc_window = 128
-  let lc_bypass_len = 1024
-
-  let lc_window_step c ~hit =
-    if hit then c.c_lc_winh <- c.c_lc_winh + 1;
-    let w = c.c_lc_win + 1 in
-    if w < lc_window then c.c_lc_win <- w
-    else begin
-      if c.c_lc_winh * 8 < lc_window then c.c_lc_bypass <- lc_bypass_len;
-      c.c_lc_win <- 0;
-      c.c_lc_winh <- 0
-    end
-
-  (* The point-op descent: try the cache, fall back to a from-root
-     descent and fill from what it found. Returns the leaf head with its
-     id in the cursor (and, when [track], its ancestor path — empty on a
-     hit, which is safe for every caller, see above).
-
-     The retry path after a [Restart] ([first] false) must NOT re-probe
-     the cache: a hit
-     can keep serving the exact leaf whose unfinished SMO the restart is
-     waiting on. Concretely: a split posted under a hit's empty ancestor
-     path leaves Stage III to help-along, and once the left node's
-     prealloc block is exhausted every append attempt consolidates —
-     which refuses chains with a pending SMO — and restarts; only a
-     from-root descent help-completes the separator and unblocks the
-     node. Re-probing would validate the same entry forever (the head is
-     a live, in-range leaf) and livelock. So each op consults the cache
-     on its first attempt only; retries descend for real, which both
-     guarantees progress and repairs the cache via the refill. *)
-  let point_leaf t ~tid ~track ~first k =
-    if not (lc_enabled t) then descend_root t ~tid ~track k
-    else if not first then descend_refill t ~tid ~track k
-    else
-      let c = t.cur.(tid) in
-      if c.c_lc_bypass > 0 then begin
-        c.c_lc_bypass <- c.c_lc_bypass - 1;
-        descend_root t ~tid ~track k
-      end
-      else
-        let head = lc_probe t ~tid k in
-        if head != no_leaf then begin
-          cnt t.o tid Bw_obs.C_leaf_cache_hits;
-          lc_window_step c ~hit:true;
-          if track then c.c_path <- [];
-          head
-        end
-        else begin
-          cnt t.o tid Bw_obs.C_leaf_cache_misses;
-          lc_window_step c ~hit:false;
-          descend_refill t ~tid ~track k
-        end
 
   (* ---------------------------------------------------------------- *)
   (* Leaf probing (existence / visibility, §3.1 + §4.4)                *)
@@ -1726,14 +1482,14 @@ module Make (K : KEY) (V : VALUE) :
     t.cur.(tid).c_ok <- true;
     h
 
-  (* The write cores work on the leaf a descent or cache hit just left in
-     the cursor (its id, and its ancestor path — possibly empty), so the
-     point ops and the batch path (which loads its cached traversal into
-     the cursor) share one copy of the delta-append protocol. Each
-     returns the head under which its outcome is current — what
-     [post_append_leaf] reports after an append, the probed head on a
-     no-op — so the batch path keeps probing without re-reading the
-     mapping-table cell; the point-op boolean goes to [c_ok]. *)
+  (* The write cores work on the leaf a descent just left in the cursor
+     (its id and its ancestor path), so the point ops and the batch path
+     (which loads its cached traversal into the cursor) share one copy
+     of the delta-append protocol. Each returns the head under which its
+     outcome is current — what [post_append_leaf] reports after an
+     append, the probed head on a no-op — so the batch path keeps
+     probing without re-reading the mapping-table cell; the point-op
+     boolean goes to [c_ok]. *)
   let no_op c head =
     c.c_ok <- false;
     head
@@ -1808,17 +1564,17 @@ module Make (K : KEY) (V : VALUE) :
      cursor. Written without closures — the retry loop is a recursive
      function, the epoch bracket an exception match and [step] a
      top-level function — so the bracket allocates nothing. *)
-  let rec op_retry t ~tid ~track ~first k x step =
-    match step t ~tid (point_leaf t ~tid ~track ~first k) k x with
+  let rec op_retry t ~tid ~track k x step =
+    match step t ~tid (descend_root t ~tid ~track k) k x with
     | r -> r
     | exception Restart ->
         count_restart t ~tid;
-        op_retry t ~tid ~track ~first:false k x step
+        op_retry t ~tid ~track k x step
 
   let op_body t ~tid ~track k x step =
     cnt t.o tid Bw_obs.C_epoch_enters;
     Epoch.op_begin t.epoch ~tid;
-    match op_retry t ~tid ~track ~first:true k x step with
+    match op_retry t ~tid ~track k x step with
     | r ->
         Epoch.op_end t.epoch ~tid;
         r
@@ -2586,43 +2342,8 @@ module Make (K : KEY) (V : VALUE) :
       table_capacity = Mapping_table.capacity t.table;
     }
 
-  let leaf_cache_stats t =
-    let c = counts t "Bwtree.leaf_cache_stats" in
-    {
-      lc_hits = c Bw_obs.C_leaf_cache_hits;
-      lc_misses = c Bw_obs.C_leaf_cache_misses;
-      lc_stale_verifies = c Bw_obs.C_leaf_cache_stale_verifies;
-      lc_invalidations = c Bw_obs.C_leaf_cache_invalidations;
-      lc_smo_events = Atomic.get t.smo_epoch;
-      lc_occupied =
-        (let n = ref 0 in
-         for s = 0 to (Array.length t.lcache / 3) - 1 do
-           if t.lcache.(3 * s) >= 0 then incr n
-         done;
-         !n);
-      lc_slots = Array.length t.lcache / 3;
-    }
-
-  (* Harness oracle: a validated cache hit must name the same leaf a
-     from-root descent finds. A concurrent SMO can move the key between
-     the probe and the descent, so a single disagreement proves nothing;
-     each retry re-validates against the then-current tree, so an
-     implementation whose validation is sound converges while one that
-     can serve a wrong leaf disagrees persistently. *)
-  let leaf_cache_check t ~tid k =
-    let rec go attempts =
-      let agree =
-        with_epoch t ~tid @@ fun () ->
-        retry_loop t ~tid @@ fun () ->
-        if lc_probe t ~tid k == no_leaf then true
-        else
-          let id = t.cur.(tid).c_id in
-          ignore (descend_root t ~tid ~track:false k);
-          id = t.cur.(tid).c_id
-      in
-      agree || (attempts > 1 && go (attempts - 1))
-    in
-    go 4
+  (* The tree has no leaf cache; [perfbench] still reads [lc_hits]. *)
+  let leaf_cache_stats _ = { lc_hits = 0 }
 
   (* Test oracle for the unboxed separators: the leaf the descent
      reaches for [k] must be the one found by routing every inner level

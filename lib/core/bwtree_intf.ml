@@ -54,14 +54,6 @@ type config = {
       decentralized, for baseline Bw-Tree centralized *)
   gc_threshold : int;  (** local garbage list trigger (1024) *)
   max_threads : int;
-  leaf_cache : bool;
-      (** Wormhole-style point-op accelerator (DESIGN.md, "Leaf cache"): a
-          lock-free hash cache from key buckets to candidate leaf PIDs
-          so hot GET/PUT/DELETE ops skip the root-to-leaf descent.
-          Entries are re-validated through the mapping table on every
-          hit, so a stale entry costs a retry, never a wrong result. *)
-  leaf_cache_bits : int;
-      (** log2 of the leaf-cache slot count (13 = 8192 slots) *)
   read_consolidation : bool;
       (** point reads consolidate the leaves whose chains they walk: each
           thread counts the delta records its reads traverse, and once the
@@ -90,8 +82,6 @@ let default_config =
     gc_scheme = Epoch.Decentralized;
     gc_threshold = 1024;
     max_threads = 64;
-    leaf_cache = true;
-    leaf_cache_bits = 13;
     read_consolidation = true;
   }
 
@@ -107,7 +97,6 @@ let microsoft_config =
     fast_consolidation = false;
     search_shortcuts = false;
     gc_scheme = Epoch.Centralized;
-    leaf_cache = false;
     read_consolidation = false;
   }
 
@@ -134,15 +123,13 @@ module Config = struct
     if c.inner_chain_max < 1 then
       fail "inner_chain_max %d < 1" c.inner_chain_max;
     if c.gc_threshold < 1 then fail "gc_threshold %d < 1" c.gc_threshold;
-    if c.max_threads < 1 then fail "max_threads %d < 1" c.max_threads;
-    if c.leaf_cache_bits < 1 || c.leaf_cache_bits > 24 then
-      fail "leaf_cache_bits %d outside [1, 24]" c.leaf_cache_bits
+    if c.max_threads < 1 then fail "max_threads %d < 1" c.max_threads
 
   let make ?(base = default_config) ?leaf_max ?inner_max ?leaf_chain_max
       ?inner_chain_max ?leaf_min ?inner_min ?unique_keys ?preallocate
       ?fast_consolidation ?search_shortcuts ?use_atomic_cas
       ?inplace_leaf_update ?gc_scheme ?gc_threshold
-      ?max_threads ?leaf_cache ?leaf_cache_bits ?read_consolidation () =
+      ?max_threads ?read_consolidation () =
     let field v = function Some x -> x | None -> v in
     let c =
       {
@@ -161,8 +148,6 @@ module Config = struct
         gc_scheme = field base.gc_scheme gc_scheme;
         gc_threshold = field base.gc_threshold gc_threshold;
         max_threads = field base.max_threads max_threads;
-        leaf_cache = field base.leaf_cache leaf_cache;
-        leaf_cache_bits = field base.leaf_cache_bits leaf_cache_bits;
         read_consolidation = field base.read_consolidation read_consolidation;
       }
     in
@@ -203,31 +188,9 @@ let pp_mapping_stats ppf s =
     "@[<h>mapping table: %d ids allocated, %d free, %d chunks, capacity %d@]"
     s.allocated s.freed s.chunks s.table_capacity
 
-(** Leaf-cache effectiveness snapshot. The counts are the tree's
-    [leaf_cache_*] {!Bw_obs} counters; [lc_smo_events] is the current
-    SMO-epoch value, i.e. the number of completed splits + merges + root
-    collapses that stamped (and logically invalidated) entries. *)
-type leaf_cache_stats = {
-  lc_hits : int;
-  lc_misses : int;
-  lc_stale_verifies : int;  (** cached entries that failed re-validation *)
-  lc_invalidations : int;  (** entries dropped (every stale verify drops) *)
-  lc_smo_events : int;
-  lc_occupied : int;  (** slots currently holding an entry *)
-  lc_slots : int;  (** total slots; 0 when the cache is disabled *)
-}
-
-let pp_leaf_cache_stats ppf s =
-  let total = s.lc_hits + s.lc_misses in
-  Format.fprintf ppf
-    "@[<h>leaf cache: %d/%d slots (%.1f%%), %d hits / %d misses (%.1f%% hit \
-     rate), %d stale, %d invalidated, %d SMO events@]"
-    s.lc_occupied s.lc_slots
-    (if s.lc_slots = 0 then 0.
-     else 100. *. float_of_int s.lc_occupied /. float_of_int s.lc_slots)
-    s.lc_hits s.lc_misses
-    (if total = 0 then 0. else 100. *. float_of_int s.lc_hits /. float_of_int total)
-    s.lc_stale_verifies s.lc_invalidations s.lc_smo_events
+(** Kept only because the benchmark still reads [lc_hits]: the tree has
+    no leaf cache, so it is always 0 (see [S.leaf_cache_stats]). *)
+type leaf_cache_stats = { lc_hits : int }
 
 let mapping_stats_to_json s =
   Bw_obs.Json.Obj
@@ -339,8 +302,7 @@ module type S = sig
       scratch buffers are reused and the op loop builds no closures or
       tuples, so a steady-state fixed-size batch allocates little beyond
       the deltas it publishes, the result array and its results (plus
-      the ancestor path of each re-descent). The batch does not consult
-      the point-op leaf cache. *)
+      the ancestor path of each re-descent). *)
 
   (** {1 Range operations (§3.2, Appendix C)} *)
 
@@ -439,19 +401,8 @@ module type S = sig
   val mapping_table_stats : t -> mapping_stats
 
   val leaf_cache_stats : t -> leaf_cache_stats
-  (** Effectiveness counters of the point-op leaf cache, read from the
-      tree's registry like {!op_stats} (and raising [Invalid_argument]
-      on a null-sink tree the same way); all zeros (and [lc_slots = 0])
-      when [config.leaf_cache] is off. *)
-
-  val leaf_cache_check : t -> tid:int -> key -> bool
-  (** Harness oracle: probe the cache for the key and, on a verified
-      hit, compare the served leaf against an independent from-root
-      descent. [true] when they agree or the probe misses — [false]
-      means a verified entry disagreed with the tree, i.e. the
-      stamp/verify protocol let a wrong leaf through. Concurrent SMOs
-      between the probe and the descent are tolerated (the check
-      re-probes), so it is safe to sample under load. *)
+  (** Always [{ lc_hits = 0 }]; kept only because the benchmark still
+      reads it. *)
 
   val routing_check : t -> tid:int -> key -> bool
   (** Test oracle: [true] when the leaf the descent reaches for the key

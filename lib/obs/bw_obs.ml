@@ -141,10 +141,6 @@ type counter =
   | C_mig_ops_replayed
   | C_ckpt_gc_runs
   | C_ckpt_gc_bytes
-  | C_leaf_cache_hits
-  | C_leaf_cache_misses
-  | C_leaf_cache_invalidations
-  | C_leaf_cache_stale_verifies
   | C_read_consolidations
   | C_ptr_derefs
   | C_key_compares
@@ -195,26 +191,22 @@ let counter_index = function
   | C_mig_ops_replayed -> 29
   | C_ckpt_gc_runs -> 30
   | C_ckpt_gc_bytes -> 31
-  | C_leaf_cache_hits -> 32
-  | C_leaf_cache_misses -> 33
-  | C_leaf_cache_invalidations -> 34
-  | C_leaf_cache_stale_verifies -> 35
-  | C_read_consolidations -> 36
-  | C_ptr_derefs -> 37
-  | C_key_compares -> 38
-  | C_allocations -> 39
-  | C_cas_attempts -> 40
-  | C_cas_failures -> 41
-  | C_restarts -> 42
-  | C_node_visits -> 43
-  | C_epoch_enters -> 44
-  | C_inserts -> 45
-  | C_deletes -> 46
-  | C_updates -> 47
-  | C_lookups -> 48
-  | C_delta_cas_failures -> 49
-  | C_smo_helps -> 50
-  | C_prealloc_overflows -> 51
+  | C_read_consolidations -> 32
+  | C_ptr_derefs -> 33
+  | C_key_compares -> 34
+  | C_allocations -> 35
+  | C_cas_attempts -> 36
+  | C_cas_failures -> 37
+  | C_restarts -> 38
+  | C_node_visits -> 39
+  | C_epoch_enters -> 40
+  | C_inserts -> 41
+  | C_deletes -> 42
+  | C_updates -> 43
+  | C_lookups -> 44
+  | C_delta_cas_failures -> 45
+  | C_smo_helps -> 46
+  | C_prealloc_overflows -> 47
 
 let all_counters =
   [
@@ -250,10 +242,6 @@ let all_counters =
     C_mig_ops_replayed;
     C_ckpt_gc_runs;
     C_ckpt_gc_bytes;
-    C_leaf_cache_hits;
-    C_leaf_cache_misses;
-    C_leaf_cache_invalidations;
-    C_leaf_cache_stale_verifies;
     C_read_consolidations;
     C_ptr_derefs;
     C_key_compares;
@@ -307,10 +295,6 @@ let counter_name = function
   | C_mig_ops_replayed -> "mig_ops_replayed"
   | C_ckpt_gc_runs -> "ckpt_gc_runs"
   | C_ckpt_gc_bytes -> "ckpt_gc_bytes"
-  | C_leaf_cache_hits -> "leaf_cache_hits"
-  | C_leaf_cache_misses -> "leaf_cache_misses"
-  | C_leaf_cache_invalidations -> "leaf_cache_invalidations"
-  | C_leaf_cache_stale_verifies -> "leaf_cache_stale_verifies"
   | C_read_consolidations -> "read_consolidations"
   | C_ptr_derefs -> "ptr_derefs"
   | C_key_compares -> "key_compares"
@@ -338,7 +322,6 @@ type gauge =
   | G_repl_lag_records
   | G_repl_lag_bytes
   | G_cluster_epoch
-  | G_leaf_cache_fill  (** per-mille occupancy of the leaf-cache slots *)
 
 let gauge_name = function
   | G_epoch_pending -> "epoch_pending"
@@ -350,7 +333,6 @@ let gauge_name = function
   | G_repl_lag_records -> "repl_lag_records"
   | G_repl_lag_bytes -> "repl_lag_bytes"
   | G_cluster_epoch -> "cluster_epoch"
-  | G_leaf_cache_fill -> "leaf_cache_fill"
 
 type event_kind =
   | Ev_split

@@ -7,7 +7,7 @@
     failures, restarts, node visits, epoch enters) are counters of the
     registry an index was created with, so each index instance counts
     into its own registry; so are the Bw-Tree's operation counters,
-    which [Bwtree.S.op_stats] and [Bwtree.S.leaf_cache_stats] read back.
+    which [Bwtree.S.op_stats] reads back.
 
     Every probe takes a {!sink}. With {!Null} (the default everywhere) a
     probe is a single branch and touches nothing; with [To registry] it
@@ -86,10 +86,6 @@ type counter =
   | C_mig_ops_replayed  (** capture-WAL ops drained to a migration destination *)
   | C_ckpt_gc_runs  (** incremental checkpoints escalated to full for pages-log GC *)
   | C_ckpt_gc_bytes  (** pages-log bytes reclaimed by those escalations *)
-  | C_leaf_cache_hits  (** point ops served off a verified leaf-cache entry *)
-  | C_leaf_cache_misses  (** point ops that fell back to the full descent *)
-  | C_leaf_cache_invalidations  (** cache entries dropped (stale or evicted) *)
-  | C_leaf_cache_stale_verifies  (** cached entries that failed re-validation *)
   | C_read_consolidations
       (** leaf consolidations performed by point reads (also counted in
           [C_consolidations]) *)
@@ -128,7 +124,6 @@ type gauge =
   | G_repl_lag_records  (** WAL commit records the standby is behind *)
   | G_repl_lag_bytes  (** WAL payload bytes the standby is behind *)
   | G_cluster_epoch  (** this node's current partition-table epoch *)
-  | G_leaf_cache_fill  (** leaf-cache slot occupancy, per mille (0–1000) *)
 
 val gauge_name : gauge -> string
 

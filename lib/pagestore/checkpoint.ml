@@ -49,15 +49,22 @@ module Make (VC : Codec.CODEC) (T : Bwtree.S with type value = VC.t) = struct
     Codec.encode_int buf wal_pos;
     Buffer.contents buf
 
+  (* Malformed input raises [Failure] only, which is what
+     [Store.newest_manifest] skips. *)
   let decode_manifest payload =
-    if String.length payload = 0 || payload.[0] <> manifest_tag then
+    let len = String.length payload in
+    if len = 0 || payload.[0] <> manifest_tag then
       failwith "Checkpoint: not a manifest record";
     let pos = ref 1 in
     let n = Codec.decode_int payload ~pos in
+    (* each page offset takes 8 bytes *)
+    if n < 0 || n > (len - !pos) / 8 then
+      failwith "Checkpoint: bad manifest page count";
     let pages = Array.init n (fun _ -> Codec.decode_int payload ~pos) in
     let item_count = Codec.decode_int payload ~pos in
     let wal_gen = Codec.decode_int payload ~pos in
     let wal_pos = Codec.decode_int payload ~pos in
+    if !pos <> len then failwith "Checkpoint: trailing manifest bytes";
     { pages; item_count; wal_gen; wal_pos }
 
   type save_report = {

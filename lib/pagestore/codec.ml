@@ -22,7 +22,7 @@ let encode_string buf s =
 
 let decode_string s ~pos =
   let len = decode_int s ~pos in
-  if len < 0 || !pos + len > String.length s then
+  if len < 0 || len > String.length s - !pos then
     failwith "Codec: truncated string";
   let v = String.sub s !pos len in
   pos := !pos + len;

@@ -74,24 +74,36 @@ module Make (KC : Codec.CODEC) (VC : Codec.CODEC) = struct
       ops;
     Buffer.contents buf
 
+  (* A payload arrives from disk, from a WALCHUNK frame or from a
+     migration's capture log, so a malformed one raises [Failure] only:
+     the count is checked against the bytes before anything is built,
+     and trailing bytes are refused. *)
   let decode_ops payload =
+    let len = String.length payload in
     let pos = ref 0 in
     let n = Codec.decode_int payload ~pos in
-    List.init n (fun _ ->
-        let tag = payload.[!pos] in
-        incr pos;
-        match tag with
-        | 'i' ->
-            let k = KC.decode payload ~pos in
-            W_insert (k, VC.decode payload ~pos)
-        | 'u' ->
-            let k = KC.decode payload ~pos in
-            W_update (k, VC.decode payload ~pos)
-        | 'p' ->
-            let k = KC.decode payload ~pos in
-            W_upsert (k, VC.decode payload ~pos)
-        | 'r' -> W_remove (KC.decode payload ~pos)
-        | c -> failwith (Printf.sprintf "Wal: bad op tag %C" c))
+    (* every op takes at least its tag byte *)
+    if n < 0 || n > len - !pos then failwith "Wal: bad op count";
+    let ops =
+      List.init n (fun _ ->
+          if !pos >= len then failwith "Wal: truncated op";
+          let tag = payload.[!pos] in
+          incr pos;
+          match tag with
+          | 'i' ->
+              let k = KC.decode payload ~pos in
+              W_insert (k, VC.decode payload ~pos)
+          | 'u' ->
+              let k = KC.decode payload ~pos in
+              W_update (k, VC.decode payload ~pos)
+          | 'p' ->
+              let k = KC.decode payload ~pos in
+              W_upsert (k, VC.decode payload ~pos)
+          | 'r' -> W_remove (KC.decode payload ~pos)
+          | c -> failwith (Printf.sprintf "Wal: bad op tag %C" c))
+    in
+    if !pos <> len then failwith "Wal: trailing bytes";
+    ops
 
   let record_ops payload =
     let pos = ref 0 in

@@ -92,15 +92,13 @@ type subject = {
   s_verify : (unit -> unit) option;
   s_max_chains : (unit -> int * int) option;
   s_chain_bound : int option;
-  s_cache_check : (tid:int -> int -> bool) option;
-  s_cache_stats : (unit -> Bwtree.leaf_cache_stats) option;
 }
 
 (* --- subjects --- *)
 
 let bwtree_subject ?(config = Bwtree.default_config) ?obs ~domains () =
-  (* the leaf-cache counter check reads the tree's registry, so the tree
-     always gets one *)
+  (* the pending-garbage gauge check reads the tree's registry, so the
+     tree always gets one *)
   let obs =
     match obs with
     | Some (Bw_obs.To _ as o) -> o
@@ -154,8 +152,6 @@ let bwtree_subject ?(config = Bwtree.default_config) ?obs ~domains () =
         (max config.Bwtree.leaf_chain_max config.Bwtree.inner_chain_max
         + (2 * (domains + 1))
         + 8);
-    s_cache_check = Some (fun ~tid k -> B.leaf_cache_check t ~tid k);
-    s_cache_stats = Some (fun () -> B.leaf_cache_stats t);
   }
 
 let of_driver (d : int Runner.driver) =
@@ -198,8 +194,6 @@ let of_driver (d : int Runner.driver) =
     s_verify = None;
     s_max_chains = None;
     s_chain_bound = None;
-    s_cache_check = None;
-    s_cache_stats = None;
   }
 
 (* --- journals --- *)
@@ -653,42 +647,6 @@ let run cfg s =
                with exn -> Printexc.to_string exn))
   in
 
-  (* Leaf-cache soundness at a quiesced barrier: sampled keys probe the
-     cache and compare the cached leaf against a from-root descent (the
-     splitters raced during the phase, so surviving entries must still
-     agree), and the counters must satisfy the protocol's accounting —
-     every failed re-validation was also an invalidation, so
-     stale_verifies can never outrun invalidations + SMO events. *)
-  let check_cache ~phase =
-    (match s.s_cache_check with
-    | None -> ()
-    | Some probe ->
-        let step = max 1 (keyspace / 512) in
-        let k = ref 0 in
-        while !k < keyspace do
-          record
-            (probe ~tid:checker_tid !k)
-            (fun () ->
-              Printf.sprintf
-                "[phase %d] leaf cache: cached leaf for key %d disagrees \
-                 with a from-root descent" phase !k);
-          k := !k + step
-        done);
-    match s.s_cache_stats with
-    | None -> ()
-    | Some stats ->
-        let st = stats () in
-        record
-          (st.Bwtree.lc_stale_verifies
-          <= st.Bwtree.lc_invalidations + st.Bwtree.lc_smo_events)
-          (fun () ->
-            Printf.sprintf
-              "[phase %d] leaf cache: %d stale verifies exceed %d \
-               invalidations + %d SMO events" phase
-              st.Bwtree.lc_stale_verifies st.Bwtree.lc_invalidations
-              st.Bwtree.lc_smo_events)
-  in
-
   let check_table ~phase =
     if cfg.churn_domains > 0 then begin
       let seen = Hashtbl.create 1024 in
@@ -749,7 +707,6 @@ let run cfg s =
     sweep ~phase;
     check_epoch ~phase;
     check_structure ~phase;
-    check_cache ~phase;
     check_table ~phase;
     phases_done := phase;
     if cfg.verbose then

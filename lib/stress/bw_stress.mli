@@ -21,10 +21,6 @@
       [live + free-list length = high water] whenever churn is paused.
     - {b Bounded delta chains} and the tree's own {!Bwtree.S.verify_invariants}
       structural check.
-    - {b Leaf-cache agreement.} When the subject exposes a leaf-cache
-      probe, sampled keys check that every surviving cache entry serves
-      the same leaf a from-root descent reaches, and that stale
-      re-validations never outrun invalidations + SMO events.
 
     Violations are collected as strings rather than raised, so a long
     soak run reports everything it saw. *)
@@ -71,8 +67,7 @@ val short_config : config
 
 val read_heavy_config : config
 (** [short_config] with one writer and three reader workers: the point
-    read path (leaf cache, read-side consolidation) under a concurrent
-    writer. *)
+    read path (read-side consolidation) under a concurrent writer. *)
 
 (** Point operations in batch-submission form; results mirror the point
     entry points ([Sb_values] for lookups, [Sb_applied] otherwise). *)
@@ -109,13 +104,6 @@ type subject = {
   s_max_chains : (unit -> int * int) option;
   s_chain_bound : int option;
       (** longest delta chain tolerated at a quiesced barrier *)
-  s_cache_check : (tid:int -> int -> bool) option;
-      (** leaf-cache agreement oracle: [probe ~tid k] must confirm that
-          any cached leaf for [k] matches a from-root descent; sampled
-          over the key space at every barrier *)
-  s_cache_stats : (unit -> Bwtree.leaf_cache_stats) option;
-      (** leaf-cache counters, checked for protocol accounting
-          (stale verifies never outrun invalidations + SMO events) *)
 }
 
 val bwtree_subject :
@@ -127,8 +115,8 @@ val bwtree_subject :
 (** A fresh integer-keyed Bw-Tree with every probe wired up.
     [config.max_threads] is raised to [domains + 1] if needed (the
     checker uses tid [domains]). Without [obs], or with {!Bw_obs.Null},
-    the tree gets a private registry, so the leaf-cache counter checks
-    read real counts. *)
+    the tree gets a private registry, so the pending-garbage gauge check
+    reads real counts. *)
 
 val of_driver : int Harness.Runner.driver -> subject
 (** Wrap any harness driver (SkipList, B+Tree, ART, Masstree, …) as a

@@ -534,11 +534,7 @@ let test_stats_need_registry () =
   ignore (T.insert t 1 1);
   Alcotest.check_raises "op_stats"
     (Invalid_argument "Bwtree.op_stats: the tree has no Bw_obs registry")
-    (fun () -> ignore (T.op_stats t));
-  Alcotest.check_raises "leaf_cache_stats"
-    (Invalid_argument
-       "Bwtree.leaf_cache_stats: the tree has no Bw_obs registry")
-    (fun () -> ignore (T.leaf_cache_stats t))
+    (fun () -> ignore (T.op_stats t))
 
 let test_iter_nodes_consistent () =
   let t = T.create ~config:tiny () in
@@ -610,9 +606,8 @@ let dump_string t =
   Buffer.contents buf
 
 (* A split whose separator is posted must not be re-helped by every read
-   that lands on its left leaf, and the leaf cache must serve that leaf:
-   before the split delta recorded Stage III as done, each such read
-   re-ran help-along (copying the parent) and bypassed the cache. *)
+   that lands on its left leaf: before the split delta recorded Stage III
+   as done, each such read re-ran help-along (copying the parent). *)
 let test_finished_split_reads () =
   let config =
     Bwtree.Config.make ~leaf_max:8 ~leaf_min:2 ~read_consolidation:false ()
@@ -627,14 +622,11 @@ let test_finished_split_reads () =
   Alcotest.(check bool) "left leaf topped by a split" true (contains d "SPLIT(");
   Alcotest.(check bool) "split marked done" false (contains d "pending");
   let helps0 = (T.op_stats t).smo_helps in
-  let hits0 = (T.leaf_cache_stats t).lc_hits in
   for _ = 1 to 20 do
     Alcotest.(check (option int)) "left-leaf key" (Some 1) (T.find t 1)
   done;
   Alcotest.(check int) "no help-along on a finished split" helps0
     (T.op_stats t).smo_helps;
-  Alcotest.(check bool) "leaf cache serves the left leaf" true
-    ((T.leaf_cache_stats t).lc_hits - hits0 >= 19);
   T.verify_invariants t
 
 (* A unique-key read on a consolidated tree allocates only its [Some]
@@ -694,19 +686,16 @@ let test_update_allocation () =
       per_op
 
 (* Pay-per-use footprint: an empty tree holds no pre-faulted mapping-table
-   chunk (only its leaf cache and per-thread rows), and each data delta
-   is one block that shares its node's range record: 9 words for an
-   update (header, range, next, size, depth, offset, key, old and new
-   value), 8 for an insert or delete. Garbage retired by consolidation is
-   flushed first, as the benchmark's heap figure does. The delta tree runs
-   without the leaf cache: a cache hit leaves an empty ancestor path in
-   the thread's cursor where a descent leaves a one-cell list, which
-   would move the count by 3 words either way. *)
+   chunk, only its per-thread rows (4 232 words at 64 threads), and each
+   data delta is one block that shares its node's range record: 9 words
+   for an update (header, range, next, size, depth, offset, key, old and
+   new value), 8 for an insert or delete. Garbage retired by
+   consolidation is flushed first, as the benchmark's heap figure does. *)
 let test_memory_footprint () =
   let empty = T.memory_words (T.create ()) in
-  if empty > 32 * 1024 then
-    Alcotest.failf "empty tree holds %d words (limit %d)" empty (32 * 1024);
-  let t = T.create ~config:(Bwtree.Config.make ~leaf_cache:false ()) () in
+  if empty > 8 * 1024 then
+    Alcotest.failf "empty tree holds %d words (limit %d)" empty (8 * 1024);
+  let t = T.create () in
   for k = 0 to 15 do
     assert (T.insert t (2 * k) k)
   done;

@@ -304,6 +304,25 @@ let test_skiplist_policy () =
         (D.skiplist ~policy:Skiplist.Inline ()).name)
     [ "int"; "str" ]
 
+(* [Runner.instrument] is idempotent: wrapping a wrapper adds no second
+   timing layer. *)
+let test_instrument_idempotent () =
+  let reg = Bw_obs.create () in
+  let s = Bw_obs.sink reg in
+  let d = Drivers.Int.btree () in
+  Alcotest.(check bool) "null sink is identity" true
+    (Runner.instrument Bw_obs.Null d == d);
+  let w = Runner.instrument s d in
+  Alcotest.(check bool) "live sink wraps" true (w != d);
+  Alcotest.(check bool) "re-instrumenting a wrapper is identity" true
+    (Runner.instrument s w == w);
+  Alcotest.(check bool) "wrapper still wraps the original" true
+    (Runner.instrument s d != d);
+  (* the wrapper must still work after the registry bookkeeping *)
+  assert (w.Runner.insert ~tid:0 1 10);
+  Alcotest.(check (option int)) "read through wrapper" (Some 10)
+    (w.Runner.read ~tid:0 1)
+
 let () =
   Alcotest.run "integration"
     [
@@ -324,5 +343,7 @@ let () =
           Alcotest.test_case "all mixes all indexes" `Slow
             test_harness_hc_and_all_mixes;
           Alcotest.test_case "barrier" `Quick test_barrier;
+          Alcotest.test_case "instrument idempotent" `Quick
+            test_instrument_idempotent;
         ] );
     ]

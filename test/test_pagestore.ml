@@ -115,6 +115,15 @@ let test_codec_truncation () =
   Alcotest.check_raises "truncated" (Failure "Codec: truncated int")
     (fun () -> ignore (Pagestore.Codec.Int.decode "abc" ~pos:(ref 0)))
 
+(* a length near max_int must not wrap the bounds check *)
+let test_codec_string_length_overflow () =
+  let buf = Buffer.create 16 in
+  Pagestore.Codec.Int.encode buf max_int;
+  Buffer.add_string buf "x";
+  Alcotest.check_raises "rejected" (Failure "Codec: truncated string")
+    (fun () ->
+      ignore (Pagestore.Codec.String.decode (Buffer.contents buf) ~pos:(ref 0)))
+
 (* qcheck properties: the wire protocol (lib/server) rides on these
    codecs, so their roundtrip/rejection behavior is load-bearing beyond
    the page store *)
@@ -923,6 +932,143 @@ let test_inspect_dir_read_only () =
       Alcotest.(check bool) "no byte of the store was touched" true
         (digest_dir dir = before))
 
+(* --- decoders of untrusted payloads --- *)
+
+(* WAL op groups arrive from disk, from WALCHUNK frames and from a
+   migration's capture log (string keys); checkpoint manifests from a
+   pages log that may hold a torn or foreign record. Malformed input must
+   raise [Failure] only: [Store.newest_manifest] and the replication
+   error paths catch nothing else. *)
+module WI = Wal.Make (Pagestore.Codec.Int) (Pagestore.Codec.Int)
+module WS = Wal.Make (Pagestore.Codec.String) (Pagestore.Codec.Int)
+
+let raises_failure name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Failure _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+
+let with_i64 e off v =
+  let b = Bytes.of_string e in
+  Bytes.set_int64_le b off (Int64.of_int v);
+  Bytes.to_string b
+
+let test_decode_ops_malformed () =
+  let e = WI.encode_ops [ WI.W_insert (1, 2); WI.W_remove 3 ] in
+  let bad =
+    [
+      ("empty", "");
+      ("count without ops", String.sub e 0 8);
+      ("truncated op tag", String.sub e 0 25);
+      ("count -1", with_i64 e 0 (-1));
+      ("count max_int", with_i64 e 0 max_int);
+      ("count beyond ops", with_i64 e 0 3);
+      ("trailing bytes", e ^ "r");
+    ]
+  in
+  List.iter (fun (name, p) -> raises_failure name (fun () -> WI.decode_ops p)) bad;
+  let s = WS.encode_ops [ WS.W_upsert ("k", 1) ] in
+  raises_failure "string key length max_int" (fun () ->
+      WS.decode_ops (with_i64 s 9 max_int))
+
+let test_decode_manifest_malformed () =
+  let e =
+    CP.encode_manifest ~wal_gen:1 ~wal_pos:2 ~pages:[| 10; 20; 30 |]
+      ~item_count:4
+  in
+  let bad =
+    [
+      ("count -1", with_i64 e 1 (-1));
+      ("count max_int", with_i64 e 1 max_int);
+      ("count short", with_i64 e 1 2);
+      ("trailing bytes", e ^ "\000");
+    ]
+  in
+  List.iter
+    (fun (name, p) -> raises_failure name (fun () -> CP.decode_manifest p))
+    bad;
+  (* the recovery scan skips a malformed manifest for the one before it *)
+  let log = Log.create () in
+  let good = Log.append log e in
+  ignore (Log.append log (with_i64 e 1 (-1)));
+  Alcotest.(check (option int)) "newest decodable manifest" (Some good)
+    (Store_int.newest_manifest log)
+
+(* every truncation, [flips] byte overwrites, and each i64 field at
+   [fields] set to -1, 0 and max_int *)
+let mutations e ~fields flips =
+  let plen = String.length e in
+  List.init plen (fun l -> String.sub e 0 l)
+  @ List.map
+      (fun (pos, byte) ->
+        let b = Bytes.of_string e in
+        Bytes.set b (pos mod plen) (Char.chr byte);
+        Bytes.to_string b)
+      flips
+  @ List.concat_map
+      (fun off -> List.map (with_i64 e off) [ -1; 0; max_int ])
+      (List.filter (fun off -> off + 8 <= plen) fields)
+
+(* [decode] a mutation: a value or [Failure]; any other exception
+   escapes and fails the property *)
+let survives decode p =
+  match decode p with _ -> true | exception Failure _ -> true
+
+(* a real encoding with a byte appended *)
+let rejects_trailing decode e =
+  match decode (e ^ "\000") with _ -> false | exception Failure _ -> true
+
+let flips_gen =
+  QCheck.(list_of_size (Gen.int_range 0 32) (pair small_nat (int_bound 255)))
+
+let int_op_gen =
+  QCheck.(
+    map
+      (fun (tag, k, v) ->
+        match tag with
+        | 0 -> WI.W_insert (k, v)
+        | 1 -> WI.W_update (k, v)
+        | 2 -> WI.W_upsert (k, v)
+        | _ -> WI.W_remove k)
+      (triple (int_bound 3) int int))
+
+let prop_fuzz_decode_ops =
+  QCheck.Test.make ~name:"decode_ops of a mutated group raises only Failure"
+    ~count:200
+    QCheck.(pair (list_of_size (Gen.int_range 0 8) int_op_gen) flips_gen)
+    (fun (ops, flips) ->
+      let e = WI.encode_ops ops in
+      rejects_trailing WI.decode_ops e
+      && List.for_all (survives WI.decode_ops) (mutations e ~fields:[ 0 ] flips))
+
+let prop_fuzz_decode_ops_str =
+  QCheck.Test.make
+    ~name:"decode_ops of a mutated string-key group raises only Failure"
+    ~count:200
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 6)
+           (pair (string_of_size (Gen.int_range 0 12)) int))
+        flips_gen)
+    (fun (kvs, flips) ->
+      let e = WS.encode_ops (List.map (fun (k, v) -> WS.W_upsert (k, v)) kvs) in
+      (* the count, and the first key's length after its tag *)
+      rejects_trailing WS.decode_ops e
+      && List.for_all (survives WS.decode_ops)
+           (mutations e ~fields:[ 0; 9 ] flips))
+
+let prop_fuzz_decode_manifest =
+  QCheck.Test.make ~name:"decode_manifest of a mutated record raises only Failure"
+    ~count:200
+    QCheck.(
+      triple (array_of_size (Gen.int_range 0 8) int) (triple int int int)
+        flips_gen)
+    (fun (pages, (item_count, wal_gen, wal_pos), flips) ->
+      let e = CP.encode_manifest ~wal_gen ~wal_pos ~pages ~item_count in
+      rejects_trailing CP.decode_manifest e
+      && List.for_all (survives CP.decode_manifest)
+           (mutations e ~fields:[ 1 ] flips))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "pagestore"
@@ -948,6 +1094,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "truncation" `Quick test_codec_truncation;
+          Alcotest.test_case "string length overflow" `Quick
+            test_codec_string_length_overflow;
           q prop_codec_int_roundtrip;
           q prop_codec_string_roundtrip;
           q prop_codec_mixed_stream_roundtrip;
@@ -1013,5 +1161,15 @@ let () =
           Alcotest.test_case "non-unique config" `Quick
             test_checkpoint_non_unique;
           q prop_checkpoint_roundtrip;
+        ] );
+      ( "decoders",
+        [
+          Alcotest.test_case "decode_ops rejects malformed groups" `Quick
+            test_decode_ops_malformed;
+          Alcotest.test_case "decode_manifest rejects malformed records"
+            `Quick test_decode_manifest_malformed;
+          q prop_fuzz_decode_ops;
+          q prop_fuzz_decode_ops_str;
+          q prop_fuzz_decode_manifest;
         ] );
     ]

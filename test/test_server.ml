@@ -187,6 +187,19 @@ let prop_wire_garbage_never_crashes =
       | exception Wire.Malformed _ -> true
       | exception _ -> false)
 
+(* A key length near max_int must not wrap the codec's bounds check into
+   a [String.sub] that raises [Invalid_argument] past the Malformed
+   handler. *)
+let test_wire_overflowing_key_length () =
+  let b = Buffer.create 16 in
+  Wire.encode_req b (Wire.Get "k");
+  let s = Bytes.of_string (Buffer.contents b) in
+  (* after the opcode byte: the key's 8-byte length *)
+  Bytes.set_int64_le s 1 (Int64.of_int max_int);
+  match Wire.decode_req (Bytes.to_string s) with
+  | _ -> Alcotest.fail "accepted"
+  | exception Wire.Malformed _ -> ()
+
 let test_wire_decoder_reassembly () =
   (* frames split at every possible byte boundary reassemble intact *)
   let reqs = [ Wire.Get "hello"; Wire.Put (Wire.Upsert, "k", 1); Wire.Stats ] in
@@ -900,6 +913,8 @@ let () =
             test_wire_oversized_frame_flagged;
           Alcotest.test_case "decoder shrinks after a large frame" `Quick
             test_wire_decoder_shrink;
+          Alcotest.test_case "overflowing key length is malformed" `Quick
+            test_wire_overflowing_key_length;
           q prop_wire_req_roundtrip;
           q prop_wire_req_prefix_rejected;
           q prop_wire_resp_roundtrip;

@@ -87,8 +87,8 @@ let batch_forest_case () =
   check_clean (Bw_stress.run cfg (Bw_stress.of_driver d))
 
 (* Point readers racing a writer: three workers only read the writer's
-   stripe (leaf-cache hits, read-side consolidation rebuilding leaves
-   the writer is appending to and splitting) under tiny nodes. *)
+   stripe (read-side consolidation rebuilding leaves the writer is
+   appending to and splitting) under tiny nodes. *)
 let read_heavy_case () =
   let cfg = { Bw_stress.read_heavy_config with seed = 37 } in
   let subject =
