@@ -90,31 +90,37 @@ module Make (K : Bwtree.KEY) (V : Bwtree.VALUE) = struct
 
   (* --- search within a node --- *)
 
-  (* first index with keys.(i) >= k over the first [count] entries; racing
-     reads may observe a torn (count, keys) pair — the caller re-validates
-     the version before trusting the result *)
-  let lower_bound o ~tid n k =
+  (* The first [count] entries, clamped to the key array: racing reads
+     may observe a torn (count, keys) pair — the caller re-validates the
+     version before trusting a search over them. *)
+  let live_count n =
     let count = n.count in
-    let count = if count < 0 then 0 else min count (Array.length n.keys) in
-    let lo = ref 0 and hi = ref count in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      cnt o tid Bw_obs.C_key_compares;
-      if K.compare n.keys.(mid) k < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
+    if count < 0 then 0 else min count (Array.length n.keys)
+
+  (* Both searches run the key type's kernel, as the Bw-Tree's node and
+     page searches do, and charge its comparison bound. *)
+  let charge o ~tid count =
+    match o with
+    | Bw_obs.Null -> ()
+    | Bw_obs.To _ ->
+        Bw_obs.add o ~tid Bw_obs.C_key_compares
+          (Bwtree.Leaf_page.search_cost_n count)
+
+  (* first index with keys.(i) >= k *)
+  let lower_bound o ~tid n k =
+    let count = live_count n in
+    charge o ~tid count;
+    K.lower_bound_in n.keys k ~lo:0 ~hi:count
 
   let child_for o ~tid n k =
     match n.kind with
     | Inner i ->
-        let pos = lower_bound o ~tid n k in
-        (* route equal keys to the right subtree: separator keys.(i) is the
-           smallest key of children.(i+1) *)
-        let pos =
-          if pos < n.count && K.compare n.keys.(pos) k = 0 then pos + 1
-          else pos
-        in
-        i.children.(pos)
+        (* route equal keys to the right subtree: separator keys.(i) is
+           the smallest key of children.(i+1), so the child is the first
+           separator > k *)
+        let count = live_count n in
+        charge o ~tid count;
+        i.children.(K.upper_bound_in n.keys k ~lo:0 ~hi:count)
     | Leaf _ -> assert false
 
   let is_full n =

@@ -3,9 +3,9 @@
     Than Just Buzz Words" (SIGMOD 2018).
 
     Concurrency model: base nodes and delta records are immutable; the only
-    mutable state is the mapping table's atomic cells (plus per-node
+    mutable state is the mapping table's CaS-swung slots (plus per-node
     allocation markers and the epoch system). Every state change is a
-    single CaS on a logical node's cell. A failed CaS aborts the operation,
+    single CaS on a logical node's slot. A failed CaS aborts the operation,
     which restarts from the root (§2.2).
 
     See {!Bwtree_intf} for the configuration knobs; every optimization from
@@ -133,9 +133,8 @@ module Make (K : KEY) (V : VALUE) :
   (* §4.1 pre-allocated delta area: an atomic allocation marker over a
      fixed number of slots. Claiming a slot is one atomic add; exhaustion
      forces consolidation. (The paper places the records physically inside
-     the chunk; in OCaml the records are ordinary heap blocks — typically
-     adjacent thanks to the bump-allocating minor heap — and the marker
-     reproduces the allocation discipline and its statistics.) *)
+     the chunk; in OCaml the records are ordinary heap blocks, and the
+     marker reproduces the allocation discipline and its statistics.) *)
   and prealloc = { cap : int; used : int Atomic.t; wasted : int Atomic.t }
 
   (* The node attributes, read off any element without allocating. *)
@@ -302,18 +301,17 @@ module Make (K : KEY) (V : VALUE) :
     P.lower_bound pg k
 
   (* The child slot routing [k] in an inner base: how many of the
-     separators 1..n-1 ([seps], unboxed) are <= k. Separator 0, the
-     node's low bound, is <= k for any correctly-routed traversal, so it
-     is never compared. *)
+     separators 1..n-1 ([seps], unboxed) are <= k, found by the key
+     type's upper-bound kernel. Separator 0, the node's low bound, is
+     <= k for any correctly-routed traversal, so it is never compared.
+     Charges the search's comparison bound, like [lower_bound]. *)
   let sep_index o ~tid (seps : key array) k =
-    let lo = ref 0 and hi = ref (Array.length seps) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      cnt o tid Bw_obs.C_key_compares;
-      if K.compare (Array.unsafe_get seps mid) k <= 0 then lo := mid + 1
-      else hi := mid
-    done;
-    !lo
+    let n = Array.length seps in
+    (match o with
+    | Bw_obs.Null -> ()
+    | Bw_obs.To _ ->
+        Bw_obs.add o ~tid Bw_obs.C_key_compares (P.search_cost_n n));
+    K.upper_bound_in seps k ~lo:0 ~hi:n
 
   (* ---------------------------------------------------------------- *)
   (* Full replay: logical node -> sorted items (the "slow" path)       *)
@@ -1488,7 +1486,7 @@ module Make (K : KEY) (V : VALUE) :
      of the delta-append protocol. Each returns the head under which its
      outcome is current — what [post_append_leaf] reports after an
      append, the probed head on a no-op — so the batch path keeps
-     probing without re-reading the mapping-table cell; the point-op
+     probing without re-reading the mapping-table slot; the point-op
      boolean goes to [c_ok]. *)
   let no_op c head =
     c.c_ok <- false;

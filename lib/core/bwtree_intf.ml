@@ -5,6 +5,17 @@ module type KEY = sig
 
   val compare : t -> t -> int
 
+  val lower_bound_in : t array -> t -> lo:int -> hi:int -> int
+  (** [lower_bound_in a k ~lo ~hi]: the first index in [\[lo, hi)] of
+      the sorted [a] whose key is [>= k], or [hi]. A binary search of at
+      most [floor(log2 (hi - lo)) + 1] comparisons. It is the key type's
+      own search kernel, so the comparison can be inlined rather than
+      called through {!compare}: the tree's node and page searches run
+      on it. *)
+
+  val upper_bound_in : t array -> t -> lo:int -> hi:int -> int
+  (** As {!lower_bound_in}, for the first key [> k]. *)
+
   val to_binary : t -> string
   (** Binary-comparable encoding. The Bw-Tree itself never uses it; it is
       part of the key contract so that the same key modules drive the trie

@@ -22,9 +22,24 @@ module type KEY = sig
   type t
 
   val compare : t -> t -> int
+  val lower_bound_in : t array -> t -> lo:int -> hi:int -> int
+  val upper_bound_in : t array -> t -> lo:int -> hi:int -> int
   val to_binary : t -> string
   val of_binary : string -> t
 end
+
+(* Comparisons a binary search over [n] sorted items performs at most:
+   [floor(log2 n) + 1], or 0 for an empty range. *)
+let search_cost_n n =
+  if n <= 0 then 0
+  else begin
+    let c = ref 0 and len = ref n in
+    while !len > 0 do
+      incr c;
+      len := !len lsr 1
+    done;
+    !c
+  end
 
 module type VALUE = sig
   type t
@@ -139,38 +154,22 @@ module Make (K : KEY) (V : VALUE) :
   let keys t = t.kcache
   let values t = t.vals
 
-  let search_cost_n n =
-    if n <= 0 then 0
-    else begin
-      let c = ref 0 and len = ref n in
-      while !len > 0 do
-        incr c;
-        len := !len lsr 1
-      done;
-      !c
-    end
-
+  let search_cost_n = search_cost_n
   let search_cost t = search_cost_n t.n
 
   (* ---------------------------------------------------------------- *)
   (* Search                                                            *)
   (* ---------------------------------------------------------------- *)
 
-  (* The classic branchy search over the decoded keys: for word-sized
-     keys they are a flat unboxed array (already the cache-optimal
-     layout), for strings [K.compare] bottoms out in the memcmp stub, and
-     on skewed read workloads the predictor learns hot descent paths. An
-     n-slot search does at most [search_cost_n n] comparisons, which is
-     what [search_cost] reports and callers charge. *)
-  let lower_bound_in t k ~lo ~hi =
-    let lo = ref lo and hi = ref hi in
-    let kcache = t.kcache in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if K.compare (Array.unsafe_get kcache mid) k < 0 then lo := mid + 1
-      else hi := mid
-    done;
-    !lo
+  (* The key type's own search kernel ({!KEY.lower_bound_in}) over the
+     decoded keys: a classic branchy binary search whose comparison is
+     inline for int keys (a plain [<] on an unboxed [int array]) and a
+     direct [String.compare] for strings, never a call through
+     [K.compare]. On skewed read workloads the predictor learns hot
+     descent paths. An n-slot search does at most [search_cost_n n]
+     comparisons, which is what [search_cost] reports and callers
+     charge. *)
+  let lower_bound_in t k ~lo ~hi = K.lower_bound_in t.kcache k ~lo ~hi
 
   let lower_bound t k = lower_bound_in t k ~lo:0 ~hi:t.n
 
@@ -342,11 +341,16 @@ module Make (K : KEY) (V : VALUE) :
       encode_value buf t.vals.(i)
     done
 
+  (* Canonical like [Pagestore.Codec.decode_int]: a field outside the
+     63-bit int range is refused, not wrapped. *)
   let get_i64 s ~pos =
     if !pos + 8 > String.length s then failwith "Leaf_page.decode: truncated";
-    let v = String.get_int64_le s !pos in
+    let v64 = String.get_int64_le s !pos in
+    let v = Int64.to_int v64 in
+    if not (Int64.equal (Int64.of_int v) v64) then
+      failwith "Leaf_page.decode: int out of range";
     pos := !pos + 8;
-    Int64.to_int v
+    v
 
   (* [K.of_binary] may reject a slice with any exception (int keys raise
      [Invalid_argument] on a non-8-byte slice); the decoder's contract is

@@ -135,7 +135,7 @@ module Make (K : KEYED) = struct
      (remove deletes with value 0, read reports the newest value). The
      conversion arrays are batch-sized, so they go through [Bw_util.Arr]
      to avoid a forced minor collection per batch. *)
-  let bw_batch tree ~tid ops =
+  let bw_batch tree ?tid ops =
     let bops =
       Bw_util.Arr.map
         (function
@@ -150,20 +150,26 @@ module Make (K : KEYED) = struct
       (function
         | Bw.R_applied b -> Bres_applied b
         | Bw.R_values vs -> Bres_value (hd_opt vs))
-      (Bw.execute_batch tree ~tid bops)
+      (Bw.execute_batch tree ?tid bops)
 
   (* The common core of the create-and-wrap constructor below, the
      durable (recovered-tree) constructor further down and the
      replication follower. *)
   let driver_of_tree ?(name = "OpenBw-Tree") tree : key driver =
+    (* The tree's ops take an optional [?tid]: passing [~tid] would box a
+       fresh [Some tid] on every call, so each closure passes the
+       preallocated option for its tid. *)
+    let some_tid = Array.init (Bw.config tree).max_threads Option.some in
     {
       name;
-      insert = (fun ~tid k v -> Bw.insert tree ~tid k v);
-      read = (fun ~tid k -> Bw.find tree ~tid k);
-      update = (fun ~tid k v -> Bw.update tree ~tid k v);
-      remove = (fun ~tid k -> Bw.delete tree ~tid k 0);
-      scan = (fun ~tid k ~n visit -> Bw.scan_iter tree ~tid ~n k visit);
-      batch = Some (bw_batch tree);
+      insert = (fun ~tid k v -> Bw.insert tree ?tid:some_tid.(tid) k v);
+      read = (fun ~tid k -> Bw.find tree ?tid:some_tid.(tid) k);
+      update = (fun ~tid k v -> Bw.update tree ?tid:some_tid.(tid) k v);
+      remove = (fun ~tid k -> Bw.delete tree ?tid:some_tid.(tid) k 0);
+      scan =
+        (fun ~tid k ~n visit ->
+          Bw.scan_iter tree ?tid:some_tid.(tid) ~n k visit);
+      batch = Some (fun ~tid ops -> bw_batch tree ?tid:some_tid.(tid) ops);
       start_aux = (fun () -> Bw.start_gc_thread tree ());
       stop_aux = (fun () -> Bw.stop_gc_thread tree);
       thread_done = (fun ~tid -> Bw.quiesce tree ~tid);

@@ -214,6 +214,25 @@ module Int_key = struct
   type t = int
 
   let compare = Int.compare
+
+  (* The search kernels: on an [int array] the comparisons compile to
+     inline integer compares. *)
+  let lower_bound_in (a : int array) (k : int) ~lo ~hi =
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get a mid < k then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let upper_bound_in (a : int array) (k : int) ~lo ~hi =
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get a mid <= k then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
   let to_binary = Bw_util.Key_codec.of_int
   let of_binary = Bw_util.Key_codec.to_int
   let dummy = 0
@@ -230,6 +249,26 @@ module String_key = struct
   type t = string
 
   let compare = String.compare
+
+  (* The search kernels call [String.compare] directly: no closure. *)
+  let lower_bound_in (a : string array) k ~lo ~hi =
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if String.compare (Array.unsafe_get a mid) k < 0 then lo := mid + 1
+      else hi := mid
+    done;
+    !lo
+
+  let upper_bound_in (a : string array) k ~lo ~hi =
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if String.compare (Array.unsafe_get a mid) k <= 0 then lo := mid + 1
+      else hi := mid
+    done;
+    !lo
+
   let to_binary = Bw_util.Key_codec.of_string
   let of_binary s = s
   let dummy = ""

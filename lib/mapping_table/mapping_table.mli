@@ -13,14 +13,17 @@
       installing the copy with CaS (lock-free, no stop-the-world resize; a
       losing racer retries on the winner's copy). Untouched slots below
       the highest faulted chunk are holes that share one empty chunk;
-    - a chunk is an array of [2{^chunk_bits}] cells that all start as one
-      shared read-only [absent] cell holding [dummy]. A cell is boxed into
-      its own [Atomic.t] only when its id is first allocated or {!set}.
+    - a chunk is a flat array of [2{^chunk_bits}] element pointers, each
+      slot starting as a private sentinel that {!get} reports as
+      [dummy]. {!get} is one plain load of the slot; {!cas} is the
+      runtime's field compare-and-swap on it (a C stub over
+      [caml_atomic_cas_field]), the same instruction
+      [Atomic.compare_and_set] issues on a one-field block.
 
     So a fresh table holds a few dozen words, and each allocated id costs
-    its chunk slot plus one two-word cell. Every fault copies the
-    directory, which is one word per faulted-or-hole chunk: cheap at the
-    default 1 Ki ids per chunk.
+    one word: its chunk slot. Every fault copies the directory, which is
+    one word per faulted-or-hole chunk: cheap at the default 1 Ki ids
+    per chunk.
 
     Shrinking is impossible without blocking all threads, exactly as the
     paper concedes; {!rebuild_capacity_hint} documents that path.
@@ -33,13 +36,12 @@ type 'a t
 val create :
   ?chunk_bits:int -> ?dir_bits:int -> ?obs:Bw_obs.sink -> dummy:'a -> unit ->
   'a t
-(** [create ~dummy ()] makes an empty table: no chunk is faulted in and
-    no cell is boxed. [dummy] is what every never-assigned id reads.
+(** [create ~dummy ()] makes an empty table: no chunk is faulted in.
+    [dummy] is what every never-assigned id reads.
     Default geometry: [chunk_bits = 10] (1 Ki ids per chunk),
     [dir_bits = 18] (at most 2{^18} chunks ⇒ capacity 2{^28} ids). A
-    chunk is faulted in by the first {!allocate} or {!set} in its range,
-    and each cell is boxed by the first {!allocate} or {!set} of its id;
-    reads never fault or box. [obs] (default {!Bw_obs.Null}) receives
+    chunk is faulted in by the first {!allocate} or {!set} in its range;
+    reads never fault. [obs] (default {!Bw_obs.Null}) receives
     [Ev_mt_grow] events on chunk faults and registers the [G_mt_chunks]
     and [G_mt_free_ids] gauge providers. *)
 
@@ -55,9 +57,9 @@ val cas : 'a t -> int -> expect:'a -> repl:'a -> bool
     was never allocated or {!set}. *)
 
 val set : 'a t -> int -> 'a -> unit
-(** Unconditional store — only for initialization and tests. The first
-    store to an id boxes its cell with a plain array write, so it must not
-    race another [set] or {!allocate} of the same id. *)
+(** Unconditional store — only for initialization and tests. A plain
+    array write, so it must not race another [set] or {!allocate} of the
+    same id. *)
 
 val cas_unsafe : 'a t -> int -> expect:'a -> repl:'a -> bool
 (** Non-atomic compare-then-store: a plain load, comparison and store with
@@ -68,7 +70,7 @@ val cas_unsafe : 'a t -> int -> expect:'a -> repl:'a -> bool
 val free_id : 'a t -> int -> unit
 (** Recycle an id whose node has been removed. The caller must guarantee
     (via epochs) that no thread can still traverse to it, and must not
-    free the same id twice. The cell is reset to [dummy] strictly before
+    free the same id twice. The slot is reset to [dummy] strictly before
     the id becomes poppable by {!allocate}, so a recycled id never
     exposes its previous pointer. *)
 

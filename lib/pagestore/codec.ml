@@ -10,9 +10,15 @@ end
 let encode_int buf (v : int) =
   Buffer.add_int64_le buf (Int64.of_int v)
 
+(* Canonical: a field outside OCaml's 63-bit int range is refused, not
+   wrapped by [Int64.to_int] (which drops bit 63), so every accepted
+   field re-encodes to the bytes it was read from. *)
 let decode_int s ~pos =
   if !pos + 8 > String.length s then failwith "Codec: truncated int";
-  let v = Int64.to_int (Bytes.get_int64_le (Bytes.unsafe_of_string s) !pos) in
+  let v64 = String.get_int64_le s !pos in
+  let v = Int64.to_int v64 in
+  if not (Int64.equal (Int64.of_int v) v64) then
+    failwith "Codec: int out of range";
   pos := !pos + 8;
   v
 

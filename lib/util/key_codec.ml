@@ -8,8 +8,13 @@ let of_int k =
 
 let to_int s =
   if String.length s <> 8 then invalid_arg "Key_codec.to_int: need 8 bytes";
-  let v = Bytes.get_int64_be (Bytes.unsafe_of_string s) 0 in
-  Int64.to_int (Int64.logxor v Int64.min_int)
+  let v = Int64.logxor (String.get_int64_be s 0) Int64.min_int in
+  let k = Int64.to_int v in
+  (* 8-byte slices outside the 63-bit range encode no int: refuse them
+     rather than let [Int64.to_int] wrap two slices onto one key *)
+  if not (Int64.equal (Int64.of_int k) v) then
+    invalid_arg "Key_codec.to_int: out of int range";
+  k
 
 let int_at_least s =
   (* Scan start keys are lower bounds over the binary key space, not

@@ -11,7 +11,10 @@ val of_int : int -> string
     (including negatives). *)
 
 val to_int : string -> int
-(** Inverse of {!of_int}. Raises [Invalid_argument] on malformed input. *)
+(** Inverse of {!of_int}. Raises [Invalid_argument] on malformed input:
+    a slice that is not 8 bytes long, or one outside the image of
+    {!of_int} (OCaml ints cover only the middle half of the 8-byte
+    slices). *)
 
 val int_at_least : string -> int option
 (** The smallest int whose {!of_int} encoding sorts at or above the

@@ -291,6 +291,29 @@ let test_decode_malformed () =
       i64 1 ^ "\000" ^ i64 3 ^ "abc";
     ]
 
+(* A count or key-length field outside the 63-bit int range is refused:
+   it used to lose bit 63, so a flip of that bit decoded silently to the
+   original page. *)
+let test_decode_out_of_range () =
+  let flip_top e ~field =
+    let b = Bytes.of_string e in
+    let at = field + 7 in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lor 0x80));
+    Bytes.to_string b
+  in
+  let rejects name decode payload =
+    match decode payload with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Failure _ -> ()
+  in
+  rejects "int page, item count"
+    (fun p -> LP.decode p ~pos:(ref 0) ~value:(fun () -> 0))
+    (flip_top (enc (LP.build [| (1, 10) |])) ~field:0);
+  (* a string page: count, flag byte, then the key-length table *)
+  rejects "string page, key length"
+    (fun p -> LPS.decode p ~pos:(ref 0) ~value:(fun () -> 0))
+    (flip_top (enc_s (LPS.build [| ("abc", 1) |])) ~field:9)
+
 (* ---- decoder fuzzing ---- *)
 
 (* [decode] on a mutated real encoding must return a page or raise
@@ -378,6 +401,51 @@ let test_footprint () =
   in
   Alcotest.(check bool) "merged page" true (words merged <= bound)
 
+(* ---- the key modules' search kernels ---- *)
+
+(* linear-scan references over [a.(lo..hi-1)] *)
+let linear_bound ~strict cmp a k ~lo ~hi =
+  let i = ref lo in
+  while !i < hi && (if strict then cmp a.(!i) k <= 0 else cmp a.(!i) k < 0) do
+    incr i
+  done;
+  !i
+
+(* Each kernel must return the linear scan's index over the drawn
+   [lo, hi) range, the full range and an empty range. The sorted keys
+   repeat often (small key space); probes fall inside, between and
+   outside them. *)
+let kernels_agree cmp lower upper (keys, probe, (x, y)) =
+  let a = Array.of_list (List.sort cmp keys) in
+  let n = Array.length a in
+  let x = x mod (n + 1) and y = y mod (n + 1) in
+  List.for_all
+    (fun (lo, hi) ->
+      lower a probe ~lo ~hi = linear_bound ~strict:false cmp a probe ~lo ~hi
+      && upper a probe ~lo ~hi = linear_bound ~strict:true cmp a probe ~lo ~hi)
+    [ (min x y, max x y); (0, n); (x, x) ]
+
+let prop_int_kernels =
+  QCheck.Test.make ~name:"int kernels == linear scan" ~count:1000
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_range 0 80) (int_range (-20) 20))
+        (oneof [ int_range (-22) 22; always min_int; always max_int ])
+        (pair small_nat small_nat))
+    (kernels_agree Int.compare Index_iface.Int_key.lower_bound_in
+       Index_iface.Int_key.upper_bound_in)
+
+let prop_string_kernels =
+  QCheck.Test.make ~name:"string kernels == linear scan" ~count:1000
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_range 0 60)
+           (make ~print:Print.string str_key_gen))
+        (make ~print:Print.string str_key_gen)
+        (pair small_nat small_nat))
+    (kernels_agree String.compare Index_iface.String_key.lower_bound_in
+       Index_iface.String_key.upper_bound_in)
+
 let test_search_cost () =
   Alcotest.(check int) "0" 0 (LP.search_cost_n 0);
   Alcotest.(check int) "1" 1 (LP.search_cost_n 1);
@@ -399,9 +467,12 @@ let () =
           Alcotest.test_case "golden encodings" `Quick test_golden;
           Alcotest.test_case "malformed payloads rejected" `Quick
             test_decode_malformed;
+          Alcotest.test_case "out-of-range int fields rejected" `Quick
+            test_decode_out_of_range;
           q prop_fuzz_decode;
           q prop_fuzz_decode_str;
         ] );
+      ("kernels", [ q prop_int_kernels; q prop_string_kernels ]);
       ( "policy",
         [
           Alcotest.test_case "footprint" `Quick test_footprint;

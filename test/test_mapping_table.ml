@@ -195,9 +195,9 @@ let test_churn_accounting () =
     (MT.high_water t)
     (!live_total + MT.free_list_length t)
 
-(* Pay-per-use: a fresh table boxes nothing, and N allocated ids cost
-   their chunk slots, one two-word cell each and at most one partly-used
-   chunk beyond that. *)
+(* Pay-per-use: a fresh table holds no chunk, and N allocated ids cost
+   their one-word chunk slots and at most one partly-used chunk beyond
+   that: no per-id box. *)
 let test_footprint () =
   let words t = Obj.reachable_words (Obj.repr t) in
   let t = MT.create ~dummy:(-1) () in
@@ -208,11 +208,11 @@ let test_footprint () =
       for i = 1 to n do
         ignore (MT.allocate t i)
       done;
-      let bound = (3 * n) + (1 lsl 10) + 64 in
+      let bound = n + (1 lsl 10) + 64 in
       if words t > bound then
         Alcotest.failf "%d ids: %d words > %d" n (words t) bound)
     [ 1; 1000; 1024; 1025; 20_000 ];
-  (* an id is boxed on its first set, not on a read or a failed cas *)
+  (* a read or a failed cas stores nothing *)
   let t = MT.create ~chunk_bits:4 ~dir_bits:4 ~dummy:(-1) () in
   MT.set t 3 7;
   let w = words t in

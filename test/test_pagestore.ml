@@ -115,6 +115,30 @@ let test_codec_truncation () =
   Alcotest.check_raises "truncated" (Failure "Codec: truncated int")
     (fun () -> ignore (Pagestore.Codec.Int.decode "abc" ~pos:(ref 0)))
 
+(* an 8-byte field outside the 63-bit int range is refused, not
+   wrapped: bit 63 used to be dropped, so a flip of it decoded silently
+   to the original value *)
+let test_codec_int_out_of_range () =
+  let field v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.check_raises name (Failure "Codec: int out of range")
+        (fun () -> ignore (Pagestore.Codec.Int.decode (field v) ~pos:(ref 0))))
+    [
+      ("bit 63 alone", Int64.min_int);
+      ("bit 63 over 42", Int64.logor Int64.min_int 42L);
+      ("max_int + 1", Int64.succ (Int64.of_int max_int));
+      ("min_int - 1", Int64.pred (Int64.of_int min_int));
+    ];
+  Alcotest.(check int) "max_int still decodes" max_int
+    (Pagestore.Codec.Int.decode (field (Int64.of_int max_int)) ~pos:(ref 0));
+  Alcotest.(check int) "min_int still decodes" min_int
+    (Pagestore.Codec.Int.decode (field (Int64.of_int min_int)) ~pos:(ref 0))
+
 (* a length near max_int must not wrap the bounds check *)
 let test_codec_string_length_overflow () =
   let buf = Buffer.create 16 in
@@ -1069,6 +1093,67 @@ let prop_fuzz_decode_manifest =
       && List.for_all (survives CP.decode_manifest)
            (mutations e ~fields:[ 1 ] flips))
 
+(* Canonical decoders: an accepted mutation must re-encode to exactly
+   the mutated bytes, or two encodings would decode to one value. Beyond
+   the random overwrites, flip the top and bottom bit of every byte, so
+   bit 63 of each 8-byte field is tried wherever it sits. *)
+let bit_flips e =
+  List.concat_map
+    (fun pos ->
+      List.map
+        (fun bit ->
+          let b = Bytes.of_string e in
+          Bytes.set b pos (Char.chr (Char.code e.[pos] lxor bit));
+          Bytes.to_string b)
+        [ 0x80; 0x01 ])
+    (List.init (String.length e) Fun.id)
+
+let canonical decode encode p =
+  match decode p with
+  | v -> String.equal (encode v) p
+  | exception Failure _ -> true
+
+let prop_canonical_ops =
+  QCheck.Test.make ~name:"an accepted mutated group re-encodes identically"
+    ~count:200
+    QCheck.(pair (list_of_size (Gen.int_range 0 8) int_op_gen) flips_gen)
+    (fun (ops, flips) ->
+      let e = WI.encode_ops ops in
+      List.for_all
+        (canonical WI.decode_ops WI.encode_ops)
+        (mutations e ~fields:[ 0 ] flips @ bit_flips e))
+
+let prop_canonical_ops_str =
+  QCheck.Test.make
+    ~name:"an accepted mutated string-key group re-encodes identically"
+    ~count:200
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 6)
+           (pair (string_of_size (Gen.int_range 0 12)) int))
+        flips_gen)
+    (fun (kvs, flips) ->
+      let e = WS.encode_ops (List.map (fun (k, v) -> WS.W_upsert (k, v)) kvs) in
+      List.for_all
+        (canonical WS.decode_ops WS.encode_ops)
+        (mutations e ~fields:[ 0; 9 ] flips @ bit_flips e))
+
+let prop_canonical_manifest =
+  QCheck.Test.make
+    ~name:"an accepted mutated manifest re-encodes identically" ~count:200
+    QCheck.(
+      triple (array_of_size (Gen.int_range 0 8) int) (triple int int int)
+        flips_gen)
+    (fun (pages, (item_count, wal_gen, wal_pos), flips) ->
+      let e = CP.encode_manifest ~wal_gen ~wal_pos ~pages ~item_count in
+      let encode (m : CP.manifest) =
+        CP.encode_manifest ~wal_gen:m.wal_gen ~wal_pos:m.wal_pos
+          ~pages:m.pages ~item_count:m.item_count
+      in
+      List.for_all
+        (canonical CP.decode_manifest encode)
+        (mutations e ~fields:[ 1 ] flips @ bit_flips e))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "pagestore"
@@ -1094,6 +1179,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "truncation" `Quick test_codec_truncation;
+          Alcotest.test_case "int out of range" `Quick
+            test_codec_int_out_of_range;
           Alcotest.test_case "string length overflow" `Quick
             test_codec_string_length_overflow;
           q prop_codec_int_roundtrip;
@@ -1171,5 +1258,8 @@ let () =
           q prop_fuzz_decode_ops;
           q prop_fuzz_decode_ops_str;
           q prop_fuzz_decode_manifest;
+          q prop_canonical_ops;
+          q prop_canonical_ops_str;
+          q prop_canonical_manifest;
         ] );
     ]

@@ -71,45 +71,49 @@ let test_wire_roundtrip_unit () =
   in
   List.iter (fun r -> assert (roundtrip_resp r = r)) resps
 
-(* request generator: point ops, scans, one-level batches *)
-let gen_point =
+(* request generator: point ops, scans, one-level batches, over the
+   key/string generator [str] *)
+let gen_point_of str =
   QCheck.Gen.(
     oneof
       [
-        map (fun k -> Wire.Get k) string;
+        map (fun k -> Wire.Get k) str;
         map3
           (fun m k v ->
             Wire.Put
               ((match m mod 3 with 0 -> Wire.Insert | 1 -> Wire.Update | _ -> Wire.Upsert), k, v))
-          small_nat string int;
-        map (fun k -> Wire.Delete k) string;
-        map2 (fun k n -> Wire.Scan (k, n mod (Wire.max_scan + 1))) string small_nat;
+          small_nat str int;
+        map (fun k -> Wire.Delete k) str;
+        map2 (fun k n -> Wire.Scan (k, n mod (Wire.max_scan + 1))) str small_nat;
       ])
 
 (* cluster frames: TOPOLOGY fetch/offer, MIGRATE, INGEST *)
-let gen_cluster =
+let gen_cluster_of str =
   QCheck.Gen.(
     oneof
       [
-        map (fun t -> Wire.Topology t) (option string);
+        map (fun t -> Wire.Topology t) (option str);
         map3
           (fun lo hi dst ->
             Wire.Migrate { m_lo = lo; m_hi = hi; m_dst = dst })
-          string (option string) small_nat;
+          str (option str) small_nat;
         map
           (fun items -> Wire.Ingest items)
-          (list_size (int_bound 8) (pair string (option int)));
+          (list_size (int_bound 8) (pair str (option int)));
       ])
 
-let gen_req =
+let gen_req_of str =
+  let gen_point = gen_point_of str in
   QCheck.Gen.(
     frequency
       [
         (6, gen_point);
         (1, return Wire.Stats);
         (2, map (fun l -> Wire.Batch l) (list_size (int_bound 8) gen_point));
-        (2, gen_cluster);
+        (2, gen_cluster_of str);
       ])
+
+let gen_req = gen_req_of QCheck.Gen.string
 
 let arb_req = QCheck.make gen_req
 
@@ -186,6 +190,47 @@ let prop_wire_garbage_never_crashes =
       | _ -> true
       | exception Wire.Malformed _ -> true
       | exception _ -> false)
+
+(* A canonical request decoder: every accepted mutation of a request
+   frame's payload (a byte overwrite, or the top or bottom bit of any
+   byte flipped, which reaches bit 63 of each 8-byte field) re-encodes to
+   exactly the mutated bytes. Short strings keep the frames, and the
+   per-byte flips over them, small. *)
+let prop_wire_req_canonical =
+  QCheck.Test.make ~count:300
+    ~name:"an accepted mutated request re-encodes identically"
+    QCheck.(
+      pair
+        (make (gen_req_of (Gen.string_size (Gen.int_bound 12))))
+        (list_of_size (Gen.int_range 0 16) (pair small_nat (int_bound 255))))
+    (fun (r, overwrites) ->
+      let b = Buffer.create 64 in
+      Wire.encode_req b r;
+      let e = Buffer.contents b in
+      let set pos f =
+        let b = Bytes.of_string e in
+        Bytes.set b pos (Char.chr (f (Char.code e.[pos])));
+        Bytes.to_string b
+      in
+      let n = String.length e in
+      let muts =
+        List.map (fun (pos, byte) -> set (pos mod n) (fun _ -> byte)) overwrites
+        @ List.concat_map
+            (fun pos ->
+              [
+                set pos (fun c -> c lxor 0x80); set pos (fun c -> c lxor 0x01);
+              ])
+            (List.init n Fun.id)
+      in
+      List.for_all
+        (fun p ->
+          match Wire.decode_req p with
+          | r' ->
+              let b = Buffer.create 64 in
+              Wire.encode_req b r';
+              String.equal (Buffer.contents b) p
+          | exception Wire.Malformed _ -> true)
+        muts)
 
 (* A key length near max_int must not wrap the codec's bounds check into
    a [String.sub] that raises [Invalid_argument] past the Malformed
@@ -682,6 +727,40 @@ let frame_of_payload payload =
   Wire.add_frame b payload;
   Buffer.contents b
 
+(* An 8-byte key outside the image of [Key_codec.of_int] is undecodable:
+   the int backend used to wrap "\x00"x8 onto key 0 and answer with key
+   0's value. It gets ERR, in place inside a batch too, and the
+   connection keeps serving. *)
+let test_out_of_range_int_key () =
+  with_server (fun srv ->
+      let c = Bw_client.connect ~port:(Server.port srv) () in
+      Fun.protect ~finally:(fun () -> Bw_client.close c) (fun () ->
+          Alcotest.(check bool) "insert key 0" true
+            (Bw_client.Int_key.put c ~mode:Wire.Insert 0 7));
+      let fd = raw_connect (Server.port srv) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          List.iter
+            (fun (name, k) ->
+              raw_send fd (Wire.frame_req (Wire.Get k));
+              expect_err name fd)
+            [
+              ("all-zero slice", String.make 8 '\000');
+              ( "enc(42), top bit flipped",
+                "\000" ^ String.sub (Key.of_int 42) 1 7 );
+              ("all-ones slice", String.make 8 '\255');
+            ];
+          raw_send fd
+            (Wire.frame_req
+               (Wire.Batch
+                  [ Wire.Get (String.make 8 '\000'); Wire.Get (Key.of_int 0) ]));
+          (match raw_recv_resp fd with
+          | Some (Wire.Batched [ Wire.Err _; Wire.Value (Some 7) ]) -> ()
+          | _ -> Alcotest.fail "batch: expected ERR then key 0's value");
+          raw_send fd (Wire.frame_req (Wire.Get (Key.of_int 0)));
+          match raw_recv_resp fd with
+          | Some (Wire.Value (Some 7)) -> ()
+          | _ -> Alcotest.fail "valid GET after an undecodable key failed"))
+
 let test_fuzz_malformed_frames () =
   let obs = Bw_obs.To (Bw_obs.create ()) in
   with_server ~obs (fun srv ->
@@ -920,6 +999,7 @@ let () =
           q prop_wire_resp_roundtrip;
           q prop_wire_resp_prefix_rejected;
           q prop_wire_garbage_never_crashes;
+          q prop_wire_req_canonical;
         ] );
       ( "loopback",
         [
@@ -943,6 +1023,8 @@ let () =
             test_close_on_malformed;
           Alcotest.test_case "half frame then EOF" `Quick
             test_half_frame_then_eof;
+          Alcotest.test_case "out-of-range int key is undecodable" `Quick
+            test_out_of_range_int_key;
         ] );
       ( "lifecycle",
         [

@@ -302,6 +302,36 @@ let test_codec_roundtrip () =
     (fun k -> check "roundtrip" k (Key_codec.to_int (Key_codec.of_int k)))
     [ 0; 1; -1; max_int; min_int; 42; -4096; 1 lsl 40 ]
 
+(* 8-byte slices outside the image of [of_int] are refused: before,
+   [Int64.to_int] dropped bit 63, so the slices "\x00"x8 and
+   "\x80\x00..." (and every pair differing only in the top bit of the
+   flipped value) decoded to one key. *)
+let test_codec_rejects_out_of_range () =
+  let rejects name s =
+    match Key_codec.to_int s with
+    | k -> Alcotest.failf "%s: decoded to %d" name k
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "all-zero slice" (String.make 8 '\x00');
+  rejects "all-ones slice" (String.make 8 '\xFF');
+  rejects "just below enc(min_int)" ("\x3F" ^ String.make 7 '\xFF');
+  rejects "just above enc(max_int)" ("\xC0" ^ String.make 7 '\x00');
+  check "enc(0) still decodes" 0
+    (Key_codec.to_int ("\x80" ^ String.make 7 '\x00'));
+  check "enc(min_int) still decodes" min_int
+    (Key_codec.to_int ("\x40" ^ String.make 7 '\x00'))
+
+let prop_codec_canonical =
+  QCheck.Test.make ~name:"to_int accepts exactly the encodings" ~count:2000
+    QCheck.(string_of_size (Gen.return 8))
+    (fun s ->
+      match Key_codec.to_int s with
+      | k -> String.equal (Key_codec.of_int k) s
+      | exception Invalid_argument _ ->
+          (* the top two bits of a valid slice are 01 or 10 *)
+          let top = Char.code s.[0] lsr 6 in
+          top = 0 || top = 3)
+
 let prop_codec_order =
   QCheck.Test.make ~name:"int codec preserves order" ~count:1000
     QCheck.(pair int int)
@@ -416,6 +446,9 @@ let () =
       ( "key_codec",
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
+          Alcotest.test_case "rejects out-of-range slices" `Quick
+            test_codec_rejects_out_of_range;
+          q prop_codec_canonical;
           q prop_codec_order;
           Alcotest.test_case "int_at_least clamps" `Quick test_int_at_least;
           q prop_int_at_least_floor;
