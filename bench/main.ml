@@ -5,7 +5,8 @@
     Usage: [dune exec bench/main.exe -- [EXPERIMENT..] [OPTIONS]]
 
     Experiments: fig8 fig9 fig10 fig11 fig12 tab2 fig13 fig14 fig15 tab3
-    fig16 fig17 fig18 bech (default: all).
+    fig16 fig17 fig18 bech, and beyond the paper abl store shards batch
+    wal (default: all).
 
     Options: [--keys N] [--ops N] [--threads N] [--repeats N] [--full]
 
@@ -890,68 +891,6 @@ let wal_bench scale =
 (* CLI                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Cluster partition table: routing lookup cost (see DESIGN.md)        *)
-(* ------------------------------------------------------------------ *)
-
-(* Every routed request pays one owner lookup. The process-local forest
-   uses O(1) stride arithmetic; the cluster table is a binary search
-   over its range bounds, which migrations grow two boundaries at a
-   time — this prices that trade across table sizes. *)
-let cluster_bench scale =
-  print_header
-    "Cluster: partition-table owner lookup (binary search) vs uniform \
-     stride arithmetic";
-  let iters = max 1_000_000 scale.ops in
-  let n_members = 4 in
-  let part = Bw_shard.Part.make_int ~lo:0 n_members in
-  let endpoints =
-    Array.make n_members
-      { Bw_cluster.Table.ep_host = "h"; ep_port = 1; ep_replica = None }
-  in
-  let base =
-    Bw_cluster.Table.of_uniform ~epoch:1L endpoints
-      (Bw_cluster.Uniform.make_int ~lo:0 n_members)
-  in
-  (* split the table the way successive small migrations would: each
-     move carves two fresh boundaries out of a member's range *)
-  let split moves =
-    let t = ref base in
-    for i = 1 to moves do
-      let lo = Int64.shift_left (Int64.of_int i) 40 in
-      let hi = Int64.add lo (Int64.shift_left 1L 39) in
-      t :=
-        Bw_cluster.Table.with_range_moved !t ~lo ~hi:(Some hi)
-          ~dst:(i mod n_members)
-    done;
-    !t
-  in
-  let time name f =
-    let sink = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to iters do
-      sink := !sink lxor f (i * 7919)
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    Printf.printf "%-38s %8.1f ns/op\n%!" name
-      (ignore (Sys.opaque_identity !sink);
-       1e9 *. dt /. float_of_int iters)
-  in
-  time "Part.shard_of_int (stride)" (fun k ->
-      Bw_shard.Part.shard_of_int part k);
-  time
-    (Printf.sprintf "Table.owner_int (%d ranges)"
-       (Bw_cluster.Table.n_ranges base))
-    (fun k -> Bw_cluster.Table.owner_int base k);
-  List.iter
-    (fun moves ->
-      let t = split moves in
-      time
-        (Printf.sprintf "Table.owner_int (%d ranges)"
-           (Bw_cluster.Table.n_ranges t))
-        (fun k -> Bw_cluster.Table.owner_int t k))
-    [ 4; 32; 256 ]
-
 let experiments =
   [
     ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("fig11", fig11);
@@ -959,7 +898,7 @@ let experiments =
     ("fig15", fig15); ("tab3", tab3); ("fig16", fig16); ("fig17", fig17);
     ("fig18", fig18); ("bech", bech); ("abl", abl); ("store", store);
     ("shards", shards_bench); ("batch", batch_bench);
-    ("wal", wal_bench); ("cluster", cluster_bench);
+    ("wal", wal_bench);
   ]
 
 let () =

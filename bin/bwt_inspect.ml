@@ -91,79 +91,6 @@ let inspect_durable ~dir ~shards ~key_type ~config ~dump =
       (float_of_int (!total_mem * 8) /. 1024. /. 1024.);
   if !missing > 0 then exit 1
 
-(* --cluster mode: join a running fleet through a seed endpoint and
-   report the live partition table, a one-line summary per member, and
-   the merged fleet counters/gauges. *)
-let inspect_cluster seeds_arg =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | Some i -> (
-        let host = String.sub s 0 i in
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some p when p > 0 && p < 65536 ->
-            ((if host = "" then "127.0.0.1" else host), p)
-        | _ ->
-            Printf.eprintf "bwt_inspect: bad port in %S\n" s;
-            exit 1)
-    | None ->
-        Printf.eprintf "bwt_inspect: expected HOST:PORT, got %S\n" s;
-        exit 1
-  in
-  let seeds = List.map parse (String.split_on_char ',' seeds_arg) in
-  let r =
-    try Bw_router.connect ~seeds ()
-    with Bw_router.Unroutable m ->
-      Printf.eprintf "bwt_inspect: %s\n" m;
-      exit 1
-  in
-  let module J = Bw_obs.Json in
-  print_endline (Bw_cluster.Table.to_string (Bw_router.table r));
-  List.iter
-    (fun (i, s) ->
-      match J.parse s with
-      | Error _ -> Printf.printf "node %d: unparseable STATS\n" i
-      | Ok v ->
-          let num section name =
-            match Option.bind (J.member section v) (J.member name) with
-            | Some (J.Int n) -> n
-            | _ -> 0
-          in
-          Printf.printf
-            "node %d: epoch %d | %d requests | %d wrongshard replies | %d \
-             migrations out (%d items, %d replayed)\n"
-            i
-            (num "gauges" "cluster_epoch")
-            (num "counters" "net_requests")
-            (num "counters" "wrongshard_replies")
-            (num "counters" "migrations")
-            (num "counters" "mig_items_copied")
-            (num "counters" "mig_ops_replayed"))
-    (Bw_router.node_stats r);
-  (* merged fleet totals (skip the node<i>_ per-node breakdown) *)
-  (match J.parse (Bw_router.fleet_stats_json r) with
-  | Error m -> Printf.printf "fleet: unparseable merged snapshot: %s\n" m
-  | Ok v ->
-      let print_section section =
-        match J.member section v with
-        | Some (J.Obj kvs) ->
-            Printf.printf "fleet %s:\n" section;
-            List.iter
-              (fun (k, n) ->
-                match n with
-                | J.Int i
-                  when i <> 0
-                       && not
-                            (String.length k > 4 && String.sub k 0 4 = "node")
-                  ->
-                    Printf.printf "  %-28s %d\n" k i
-                | _ -> ())
-              kvs
-        | _ -> ()
-      in
-      print_section "counters";
-      print_section "gauges");
-  Bw_router.close r
-
 let () =
   let keys = ref 100_000
   and threads = ref 1
@@ -171,7 +98,6 @@ let () =
   and shards = ref 1
   and baseline = ref false
   and data_dir = ref ""
-  and cluster = ref ""
   and key_type = ref "int"
   and dump = ref false in
   let args =
@@ -189,11 +115,6 @@ let () =
         Arg.Set_string data_dir,
         "DIR  open a durable store read-only and report recovery per shard \
          (no load)" );
-      ( "--cluster",
-        Arg.Set_string cluster,
-        "SEEDS  comma-separated HOST:PORT endpoints of a running cluster: \
-         report its partition table, per-node summaries and merged fleet \
-         stats (no load)" );
       ( "--key-type",
         Arg.Set_string key_type,
         "T  with --data-dir: int | str (default int)" );
@@ -208,10 +129,6 @@ let () =
   let config =
     if !baseline then Bwtree.microsoft_config else Bwtree.default_config
   in
-  if !cluster <> "" then begin
-    inspect_cluster !cluster;
-    exit 0
-  end;
   if !data_dir <> "" then begin
     inspect_durable ~dir:!data_dir ~shards:!shards ~key_type:!key_type
       ~config ~dump:!dump;

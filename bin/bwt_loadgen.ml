@@ -75,91 +75,11 @@ let drive obs ~tid client ops ~depth ~batch =
   done;
   !errors
 
-(* Replay [ops] through a cluster router: synchronous routed calls (the
-   router owns redirect retries, so pipelining depth does not apply).
-   With [batch] > 1, runs of point ops chunk into owner-partitioned
-   BATCH dispatches; scans flush the pending chunk and route on their
-   own (a cross-shard scan is already multi-frame). *)
-let drive_router obs ~tid router ops ~batch =
-  let timed = Bw_obs.enabled obs in
-  let errors = ref 0 in
-  let time series f =
-    let t0 = if timed then Bw_obs.now_ns () else 0 in
-    (match f () with
-    | () -> ()
-    | exception Bw_client.Protocol_error _ -> incr errors
-    | exception Bw_router.Unroutable _ -> incr errors);
-    if timed then Bw_obs.observe obs ~tid series (Bw_obs.now_ns () - t0)
-  in
-  let one op =
-    time (series_of_op op) (fun () ->
-        match op with
-        | W.Insert (k, v) ->
-            ignore (Bw_router.put router ~mode:Wire.Insert k v : bool)
-        | W.Update (k, v) ->
-            ignore (Bw_router.put router ~mode:Wire.Update k v : bool)
-        | W.Read k -> ignore (Bw_router.get router k : int option)
-        | W.Scan (k, n) ->
-            ignore
-              (Bw_router.scan router k ~n:(min n Wire.max_scan)
-                : (string * int) list))
-  in
-  if batch = 1 then Array.iter one ops
-  else begin
-    let pending = ref [] in
-    let pn = ref 0 in
-    let first_series = ref None in
-    let flush () =
-      if !pending <> [] then begin
-        let reqs = List.rev !pending in
-        let series =
-          Option.value !first_series ~default:Bw_obs.Lat_req_batch
-        in
-        time series (fun () ->
-            List.iter
-              (function Wire.Err _ -> incr errors | _ -> ())
-              (Bw_router.batch router reqs));
-        pending := [];
-        pn := 0;
-        first_series := None
-      end
-    in
-    Array.iter
-      (fun op ->
-        match op with
-        | W.Scan _ ->
-            flush ();
-            one op
-        | _ ->
-            if !first_series = None then first_series := Some (series_of_op op);
-            pending := req_of_op op :: !pending;
-            incr pn;
-            if !pn >= batch then flush ())
-      ops;
-    flush ()
-  end;
-  !errors
-
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let parse_host_port s =
-  match String.rindex_opt s ':' with
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 ->
-          ((if host = "" then "127.0.0.1" else host), p)
-      | _ ->
-          Printf.eprintf "bwt_loadgen: bad port in %S\n" s;
-          exit 2)
-  | None ->
-      Printf.eprintf "bwt_loadgen: expected HOST:PORT, got %S\n" s;
-      exit 2
-
-let main host port cluster clients depth batch mix keyspace keys ops theta
+let main host port clients depth batch mix keyspace keys ops theta
     no_load stats_json metrics metrics_json =
   let mix =
     match W.mix_of_string mix with
@@ -204,42 +124,26 @@ let main host port cluster clients depth batch mix keyspace keys ops theta
     else Bw_obs.Null
   in
   Printf.printf
-    "bwt_loadgen: %s | mix: %s | keys: %s | clients: %d | pipeline: %d%s\n%!"
-    (match cluster with
-    | Some seeds -> "cluster " ^ seeds
-    | None -> Printf.sprintf "%s:%d" host port)
+    "bwt_loadgen: %s:%d | mix: %s | keys: %s | clients: %d | pipeline: %d%s\n%!"
+    host port
     (Format.asprintf "%a" W.pp_mix mix)
     (Format.asprintf "%a" W.pp_key_space space)
     clients depth
     (if batch > 1 then Printf.sprintf " | batch: %d" batch else "");
-  let use =
-    match cluster with
-    | None -> (
-        try
-          `Direct (Array.init clients (fun _ -> Bw_client.connect ~host ~port ()))
-        with Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "bwt_loadgen: cannot connect to %s:%d: %s\n" host port
-            (Unix.error_message e);
-          exit 1)
-    | Some seeds -> (
-        let seeds = List.map parse_host_port (String.split_on_char ',' seeds) in
-        try
-          `Cluster
-            (Array.init clients (fun tid ->
-                 Bw_router.connect ~obs ~tid ~seeds ()))
-        with Bw_router.Unroutable m | Failure m ->
-          Printf.eprintf "bwt_loadgen: cannot join cluster: %s\n" m;
-          exit 1)
+  let conns =
+    try Array.init clients (fun _ -> Bw_client.connect ~host ~port ()) with
+    | Invalid_argument m ->
+        Printf.eprintf "bwt_loadgen: %s\n" m;
+        exit 2
+    | Unix.Unix_error (e, _, _) ->
+        Printf.eprintf "bwt_loadgen: cannot connect to %s:%d: %s\n" host port
+          (Unix.error_message e);
+        exit 1
   in
   let errors = Atomic.make 0 in
   let run_clients traces =
     Harness.Runner.run_phase ~nthreads:clients (fun tid ->
-        let e =
-          match use with
-          | `Direct conns -> drive obs ~tid conns.(tid) traces.(tid) ~depth ~batch
-          | `Cluster routers ->
-              drive_router obs ~tid routers.(tid) traces.(tid) ~batch
-        in
+        let e = drive obs ~tid conns.(tid) traces.(tid) ~depth ~batch in
         ignore (Atomic.fetch_and_add errors e))
   in
   (* load phase: stripe the key set across client connections *)
@@ -274,29 +178,14 @@ let main host port cluster clients depth batch mix keyspace keys ops theta
     Printf.printf "errors: %d ERR replies\n%!" (Atomic.get errors);
   Option.iter
     (fun file ->
-      let json =
-        match use with
-        | `Direct conns -> Bw_client.stats conns.(0)
-        | `Cluster routers ->
-            (* the merged fleet snapshot, with the loadgen's own
-               registry folded in (it holds router_redirects) *)
-            let extra =
-              match obs with
-              | Bw_obs.To reg ->
-                  [ ("loadgen", Bw_obs.snapshot_to_string (Bw_obs.snapshot reg)) ]
-              | Bw_obs.Null -> []
-            in
-            Bw_router.fleet_stats_json ~extra routers.(0)
-      in
+      let json = Bw_client.stats conns.(0) in
       let oc = open_out file in
       output_string oc json;
       output_char oc '\n';
       close_out oc;
       Printf.printf "stats: wrote server snapshot to %s\n%!" file)
     stats_json;
-  (match use with
-  | `Direct conns -> Array.iter Bw_client.close conns
-  | `Cluster routers -> Array.iter Bw_router.close routers);
+  Array.iter Bw_client.close conns;
   (match obs with
   | Bw_obs.Null -> ()
   | Bw_obs.To reg ->
@@ -319,16 +208,6 @@ let cmd =
   in
   let port =
     Arg.(value & opt int 4680 & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Server port.")
-  in
-  let cluster =
-    Arg.(value & opt (some string) None
-         & info [ "cluster" ] ~docv:"SEEDS"
-             ~doc:"Drive a multi-node cluster instead of one server: \
-                   comma-separated HOST:PORT seed endpoints. Each client \
-                   domain runs its own routing table fetched from the \
-                   seeds; EWRONGSHARD redirects refetch and retry. \
-                   --pipeline does not apply (routed calls are \
-                   synchronous); --host/--port are ignored.")
   in
   let clients =
     Arg.(value & opt int 4
@@ -393,7 +272,7 @@ let cmd =
   in
   let term =
     Term.(
-      const main $ host $ port $ cluster $ clients $ depth $ batch $ mix
+      const main $ host $ port $ clients $ depth $ batch $ mix
       $ keyspace $ keys $ ops $ theta $ no_load $ stats_json $ metrics
       $ metrics_json)
   in

@@ -20,16 +20,6 @@ module Wire = Bw_server.Wire
 exception Server_closed
 exception Protocol_error of string
 
-exception Wrong_shard of int64
-(** The server does not own the requested key under its partition table
-    (whose epoch is carried here): the caller's routing table is stale.
-    Refetch the table ({!topology}) and retry — {!Bw_router} does. *)
-
-exception Read_only
-(** The key's range is sealed for the final instants of an outgoing
-    migration; retrying shortly yields either success or
-    {!Wrong_shard} with the post-flip table. *)
-
 type t = {
   fd : Unix.file_descr;
   out : Buffer.t;  (** encoded-but-unsent request frames *)
@@ -41,9 +31,17 @@ type t = {
 }
 
 let connect ?(host = "127.0.0.1") ~port () =
+  (* parsed before the socket exists, so a bad host leaks nothing *)
+  let addr =
+    try Unix.inet_addr_of_string host
+    with Failure _ ->
+      invalid_arg
+        (Printf.sprintf "Bw_client.connect: host %S is not a numeric address"
+           host)
+  in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
-     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+     Unix.connect fd (Unix.ADDR_INET (addr, port));
      Unix.setsockopt fd Unix.TCP_NODELAY true
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -126,21 +124,14 @@ let request t req =
 
 let err = function
   | Wire.Err m -> raise (Protocol_error ("server error: " ^ m))
-  | Wire.Err_wrong_shard epoch -> raise (Wrong_shard epoch)
-  | Wire.Err_read_only -> raise Read_only
   | r -> raise (Protocol_error ("unexpected reply shape: " ^
                                 (match r with
                                  | Wire.Value _ -> "value"
                                  | Wire.Applied _ -> "applied"
                                  | Wire.Scanned _ -> "scanned"
-                                 | Wire.Scanned_to _ -> "scanned_to"
                                  | Wire.Batched _ -> "batched"
                                  | Wire.Stats_payload _ -> "stats"
-                                 | Wire.Repl_ok _ -> "repl_ok"
-                                 | Wire.Topology_payload _ -> "topology"
-                                 | Wire.Err _ -> "err"
-                                 | Wire.Err_wrong_shard _ -> "wrong_shard"
-                                 | Wire.Err_read_only -> "read_only")))
+                                 | Wire.Err _ -> "err")))
 
 let get t key =
   match request t (Wire.Get key) with Wire.Value v -> v | r -> err r
@@ -156,25 +147,6 @@ let delete t key =
 let scan t key ~n =
   match request t (Wire.Scan (key, n)) with
   | Wire.Scanned items -> items
-  | Wire.Scanned_to (items, _) -> items
-  | r -> err r
-
-(* A cluster member answers SCAN with its continuation point: the exact
-   key where its ownership (or the budget) ran out, [None] at the end of
-   the key space. A plain server's [Scanned] means "budget exhausted or
-   end of space" — recover the same contract from the item count. *)
-let scan_to t key ~n =
-  match request t (Wire.Scan (key, n)) with
-  | Wire.Scanned_to (items, next) -> (items, next)
-  | Wire.Scanned items ->
-      let next =
-        if n > 0 && List.length items >= n then
-          match List.rev items with
-          | (last, _) :: _ -> Some (last ^ "\000")
-          | [] -> None
-        else None
-      in
-      (items, next)
   | r -> err r
 
 let batch t reqs =
@@ -185,35 +157,6 @@ let batch t reqs =
 let stats t =
   match request t Wire.Stats with
   | Wire.Stats_payload s -> s
-  | r -> err r
-
-(* Replication frames: the WAL shipper is just a client that sends
-   [Wire.Repl] requests; each returns the standby's ack. *)
-let repl t r =
-  match request t (Wire.Repl r) with Wire.Repl_ok n -> n | r -> err r
-
-let promote ?data_dir t = repl t (Wire.R_promote { data_dir })
-
-(* Cluster frames (members only — a plain server answers [Err]). *)
-
-let topology t =
-  match request t (Wire.Topology None) with
-  | Wire.Topology_payload s -> s
-  | r -> err r
-
-let offer_topology t encoded =
-  match request t (Wire.Topology (Some encoded)) with
-  | Wire.Applied b -> b
-  | r -> err r
-
-let migrate t ~lo ~hi ~dst =
-  match request t (Wire.Migrate { m_lo = lo; m_hi = hi; m_dst = dst }) with
-  | Wire.Applied b -> b
-  | r -> err r
-
-let ingest t items =
-  match request t (Wire.Ingest items) with
-  | Wire.Applied b -> b
   | r -> err r
 
 (* Integer-key conveniences (the common case: int-keyed trees behind the
@@ -227,68 +170,4 @@ module Int_key = struct
 
   let scan t k ~n =
     List.map (fun (bk, v) -> (Bw_util.Key_codec.to_int bk, v)) (scan t (enc k) ~n)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Replica-aware read fan-out                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** One primary plus any number of following replicas. Writes (and any
-    BATCH containing a write) go to the primary; reads — GET, SCAN,
-    STATS, read-only BATCHes — round-robin across the replicas, falling
-    back to the primary when there are none. A follower applies the WAL
-    stream asynchronously, so replica reads are eventually consistent:
-    bounded-staleness, monotone per replica connection (the stream
-    applies in commit order), but a read fanned out right after an
-    acknowledged write may miss it. Callers needing read-your-writes go
-    to the primary directly. *)
-module Fanout = struct
-  type fanout = {
-    primary : t;
-    replicas : t array;
-    mutable next : int;  (* round-robin position *)
-  }
-
-  let make ~primary ~replicas = { primary; replicas; next = 0 }
-
-  let connect ?host ~port ~replica_ports () =
-    let primary = connect ?host ~port () in
-    let replicas =
-      try Array.of_list (List.map (fun p -> connect ?host ~port:p ()) replica_ports)
-      with e ->
-        close primary;
-        raise e
-    in
-    make ~primary ~replicas
-
-  let close_all f =
-    close f.primary;
-    Array.iter close f.replicas
-
-  let reader f =
-    if Array.length f.replicas = 0 then f.primary
-    else begin
-      let r = f.replicas.(f.next mod Array.length f.replicas) in
-      f.next <- f.next + 1;
-      r
-    end
-
-  let rec is_write = function
-    | Wire.Put _ | Wire.Delete _ | Wire.Repl _ | Wire.Topology _
-    | Wire.Migrate _ | Wire.Ingest _ ->
-        true
-    | Wire.Batch reqs -> List.exists is_write reqs
-    | Wire.Get _ | Wire.Scan _ | Wire.Stats -> false
-
-  let get f key = get (reader f) key
-  let scan f key ~n = scan (reader f) key ~n
-  let stats f = stats (reader f)
-  let put f ?mode key value = put f.primary ?mode key value
-  let delete f key = delete f.primary key
-
-  let batch f reqs =
-    batch (if List.exists is_write reqs then f.primary else reader f) reqs
-
-  (* Route one request by kind — for callers holding raw [Wire.req]s. *)
-  let request f req = request (if is_write req then f.primary else reader f) req
 end

@@ -13,11 +13,6 @@ module type KEYED = sig
   include Pagestore.Codec.CODEC with type t := t
   (** The checkpoint-page and WAL codec. *)
 
-  val tag : string
-  (** ["int"] or ["str"]: the [--key-type] name, and the key type a
-      replication SUBSCRIBE names so a follower refuses a stream of the
-      other type. *)
-
   val part : ?lo:t -> ?hi:t -> int -> Bw_shard.Part.t
   (** [part ?lo ?hi n] splits [[lo, hi]] into [n] shards. The default
       range is where keys of this type live: the non-negative ints
@@ -45,15 +40,12 @@ end
    selects full rotation vs an in-place incremental manifest),
    [dur_close] fsyncs and releases the WAL without checkpointing (a
    clean close still recovers through WAL replay), [dur_stats] reports
-   what boot-time recovery found. [dur_sources] exposes one replication
-   source per shard (index = shard number; a single store is one-shard)
-   for the WAL shipper. *)
+   what boot-time recovery found. *)
 type 'k durable = {
   dur_driver : 'k driver;
   dur_checkpoint : ?tid:int -> ?mode:[ `Full | `Incremental ] -> unit -> unit;
   dur_close : unit -> unit;
   dur_stats : Pagestore.Store.recovery_stats;
-  dur_sources : Pagestore.Store.repl_source array;
 }
 
 module type S = sig
@@ -152,9 +144,8 @@ module Make (K : KEYED) = struct
         | Bw.R_values vs -> Bres_value (hd_opt vs))
       (Bw.execute_batch tree ?tid bops)
 
-  (* The common core of the create-and-wrap constructor below, the
-     durable (recovered-tree) constructor further down and the
-     replication follower. *)
+  (* The common core of the create-and-wrap constructor below and the
+     durable (recovered-tree) constructor further down. *)
   let driver_of_tree ?(name = "OpenBw-Tree") tree : key driver =
     (* The tree's ops take an optional [?tid]: passing [~tid] would box a
        fresh [Some tid] on every call, so each closure passes the
@@ -297,7 +288,6 @@ module Make (K : KEYED) = struct
           (fun acc (_, s) -> Pagestore.Store.merge_stats acc s)
           (snd stores.(0))
           (Array.sub stores 1 (shards - 1));
-      dur_sources = Array.map (fun (st, _) -> Durable.repl_source st) stores;
     }
 end
 
@@ -305,7 +295,6 @@ module Int = Make (struct
   include Int_key
   include (Pagestore.Codec.Int : Pagestore.Codec.CODEC with type t := int)
 
-  let tag = "int"
   let part ?(lo = 0) ?hi n = Bw_shard.Part.make_int ~lo ?hi n
   let shard_of = Bw_shard.Part.shard_of_int
   let route = Bw_shard.route_int
@@ -317,7 +306,6 @@ module Str = Make (struct
   include String_key
   include (Pagestore.Codec.String : Pagestore.Codec.CODEC with type t := string)
 
-  let tag = "str"
   let part ?lo ?hi n = Bw_shard.Part.make ?lo ?hi n
   let shard_of = Bw_shard.Part.shard_of_binary
   let route = Bw_shard.route_binary

@@ -130,11 +130,6 @@ exception Bad_key of string
 (** A syntactically invalid binary key reached a backend — a caller
     (protocol) error, not an index fault. *)
 
-exception Read_only
-(** A write reached an index that only serves reads — a following
-    replica that has not been promoted. The server answers ERR; the
-    index is untouched. *)
-
 let backend_of_driver ?decode_scan_key ~(decode_key : string -> 'k)
     ~(encode_key : 'k -> string) (d : 'k driver) : backend =
   let key s =

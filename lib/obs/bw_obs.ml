@@ -29,7 +29,6 @@ type series =
   | Lat_req_scan
   | Lat_req_batch
   | Lat_req_stats
-  | Lat_req_repl
   | Val_op_restarts
   | Val_chain_depth
   | Val_reclaim_batch
@@ -53,7 +52,6 @@ let series_index = function
   | Val_chain_depth -> 14
   | Val_reclaim_batch -> 15
   | Val_batch_size -> 16
-  | Lat_req_repl -> 17
 
 let all_series =
   [
@@ -74,7 +72,6 @@ let all_series =
     Val_chain_depth;
     Val_reclaim_batch;
     Val_batch_size;
-    Lat_req_repl;
   ]
 
 let n_series = List.length all_series
@@ -93,7 +90,6 @@ let series_name = function
   | Lat_req_scan -> "req_scan"
   | Lat_req_batch -> "req_batch"
   | Lat_req_stats -> "req_stats"
-  | Lat_req_repl -> "req_repl"
   | Val_op_restarts -> "op_restarts"
   | Val_chain_depth -> "chain_depth"
   | Val_reclaim_batch -> "reclaim_batch_size"
@@ -102,8 +98,7 @@ let series_name = function
 let series_unit = function
   | Lat_insert | Lat_delete | Lat_update | Lat_lookup | Lat_scan
   | Lat_consolidate | Lat_reclaim | Lat_req_get | Lat_req_put
-  | Lat_req_delete | Lat_req_scan | Lat_req_batch | Lat_req_stats
-  | Lat_req_repl ->
+  | Lat_req_delete | Lat_req_scan | Lat_req_batch | Lat_req_stats ->
       "ns"
   | Val_op_restarts | Val_chain_depth | Val_reclaim_batch | Val_batch_size ->
       "count"
@@ -127,18 +122,6 @@ type counter =
   | C_recovered_wal_records
   | C_leaf_gap_reuses
   | C_leaf_probe_cmps
-  | C_repl_records_shipped
-  | C_repl_bytes_shipped
-  | C_repl_records_applied
-  | C_repl_bytes_applied
-  | C_repl_ops_applied
-  | C_repl_snapshot_pages
-  | C_repl_promotions
-  | C_router_redirects
-  | C_wrongshard_replies
-  | C_migrations
-  | C_mig_items_copied
-  | C_mig_ops_replayed
   | C_ckpt_gc_runs
   | C_ckpt_gc_bytes
   | C_read_consolidations
@@ -177,36 +160,24 @@ let counter_index = function
   | C_recovered_wal_records -> 15
   | C_leaf_gap_reuses -> 16
   | C_leaf_probe_cmps -> 17
-  | C_repl_records_shipped -> 18
-  | C_repl_bytes_shipped -> 19
-  | C_repl_records_applied -> 20
-  | C_repl_bytes_applied -> 21
-  | C_repl_ops_applied -> 22
-  | C_repl_snapshot_pages -> 23
-  | C_repl_promotions -> 24
-  | C_router_redirects -> 25
-  | C_wrongshard_replies -> 26
-  | C_migrations -> 27
-  | C_mig_items_copied -> 28
-  | C_mig_ops_replayed -> 29
-  | C_ckpt_gc_runs -> 30
-  | C_ckpt_gc_bytes -> 31
-  | C_read_consolidations -> 32
-  | C_ptr_derefs -> 33
-  | C_key_compares -> 34
-  | C_allocations -> 35
-  | C_cas_attempts -> 36
-  | C_cas_failures -> 37
-  | C_restarts -> 38
-  | C_node_visits -> 39
-  | C_epoch_enters -> 40
-  | C_inserts -> 41
-  | C_deletes -> 42
-  | C_updates -> 43
-  | C_lookups -> 44
-  | C_delta_cas_failures -> 45
-  | C_smo_helps -> 46
-  | C_prealloc_overflows -> 47
+  | C_ckpt_gc_runs -> 18
+  | C_ckpt_gc_bytes -> 19
+  | C_read_consolidations -> 20
+  | C_ptr_derefs -> 21
+  | C_key_compares -> 22
+  | C_allocations -> 23
+  | C_cas_attempts -> 24
+  | C_cas_failures -> 25
+  | C_restarts -> 26
+  | C_node_visits -> 27
+  | C_epoch_enters -> 28
+  | C_inserts -> 29
+  | C_deletes -> 30
+  | C_updates -> 31
+  | C_lookups -> 32
+  | C_delta_cas_failures -> 33
+  | C_smo_helps -> 34
+  | C_prealloc_overflows -> 35
 
 let all_counters =
   [
@@ -228,18 +199,6 @@ let all_counters =
     C_recovered_wal_records;
     C_leaf_gap_reuses;
     C_leaf_probe_cmps;
-    C_repl_records_shipped;
-    C_repl_bytes_shipped;
-    C_repl_records_applied;
-    C_repl_bytes_applied;
-    C_repl_ops_applied;
-    C_repl_snapshot_pages;
-    C_repl_promotions;
-    C_router_redirects;
-    C_wrongshard_replies;
-    C_migrations;
-    C_mig_items_copied;
-    C_mig_ops_replayed;
     C_ckpt_gc_runs;
     C_ckpt_gc_bytes;
     C_read_consolidations;
@@ -281,18 +240,6 @@ let counter_name = function
   | C_recovered_wal_records -> "recovered_wal_records"
   | C_leaf_gap_reuses -> "leaf_gap_reuses"
   | C_leaf_probe_cmps -> "leaf_probe_cmps"
-  | C_repl_records_shipped -> "repl_records_shipped"
-  | C_repl_bytes_shipped -> "repl_bytes_shipped"
-  | C_repl_records_applied -> "repl_records_applied"
-  | C_repl_bytes_applied -> "repl_bytes_applied"
-  | C_repl_ops_applied -> "repl_ops_applied"
-  | C_repl_snapshot_pages -> "repl_snapshot_pages"
-  | C_repl_promotions -> "repl_promotions"
-  | C_router_redirects -> "router_redirects"
-  | C_wrongshard_replies -> "wrongshard_replies"
-  | C_migrations -> "migrations"
-  | C_mig_items_copied -> "mig_items_copied"
-  | C_mig_ops_replayed -> "mig_ops_replayed"
   | C_ckpt_gc_runs -> "ckpt_gc_runs"
   | C_ckpt_gc_bytes -> "ckpt_gc_bytes"
   | C_read_consolidations -> "read_consolidations"
@@ -319,9 +266,6 @@ type gauge =
   | G_mt_chunks
   | G_net_active_conns
   | G_net_queued_bytes
-  | G_repl_lag_records
-  | G_repl_lag_bytes
-  | G_cluster_epoch
 
 let gauge_name = function
   | G_epoch_pending -> "epoch_pending"
@@ -330,9 +274,6 @@ let gauge_name = function
   | G_mt_chunks -> "mt_chunks"
   | G_net_active_conns -> "net_active_conns"
   | G_net_queued_bytes -> "net_queued_bytes"
-  | G_repl_lag_records -> "repl_lag_records"
-  | G_repl_lag_bytes -> "repl_lag_bytes"
-  | G_cluster_epoch -> "cluster_epoch"
 
 type event_kind =
   | Ev_split

@@ -37,7 +37,6 @@ type series =
   | Lat_req_scan
   | Lat_req_batch
   | Lat_req_stats
-  | Lat_req_repl  (** replication frames (SUBSCRIBE/SNAPSHOT/WALCHUNK/PROMOTE) *)
   | Val_op_restarts  (** root-restarts taken by one point operation *)
   | Val_chain_depth  (** delta-chain depth met by a lookup *)
   | Val_reclaim_batch  (** objects freed by one collection batch *)
@@ -72,18 +71,6 @@ type counter =
   | C_leaf_probe_cmps
       (** key comparisons charged to in-leaf base searches (also counted
           in [C_key_compares]) *)
-  | C_repl_records_shipped  (** WAL commit records pushed to a standby *)
-  | C_repl_bytes_shipped  (** WAL payload bytes pushed to a standby *)
-  | C_repl_records_applied  (** WAL commit records applied by a follower *)
-  | C_repl_bytes_applied  (** WAL payload bytes applied by a follower *)
-  | C_repl_ops_applied  (** individual ops applied from the stream *)
-  | C_repl_snapshot_pages  (** bootstrap checkpoint pages loaded by a follower *)
-  | C_repl_promotions  (** follower promotions to read-write *)
-  | C_router_redirects  (** router ops answered EWRONGSHARD and retried *)
-  | C_wrongshard_replies  (** ownership-gate rejections served by this node *)
-  | C_migrations  (** online range migrations completed by this node *)
-  | C_mig_items_copied  (** items batch-extracted to a migration destination *)
-  | C_mig_ops_replayed  (** capture-WAL ops drained to a migration destination *)
   | C_ckpt_gc_runs  (** incremental checkpoints escalated to full for pages-log GC *)
   | C_ckpt_gc_bytes  (** pages-log bytes reclaimed by those escalations *)
   | C_read_consolidations
@@ -121,9 +108,6 @@ type gauge =
   | G_mt_chunks  (** mapping-table chunks faulted in *)
   | G_net_active_conns  (** open client connections across all workers *)
   | G_net_queued_bytes  (** response bytes buffered awaiting socket writes *)
-  | G_repl_lag_records  (** WAL commit records the standby is behind *)
-  | G_repl_lag_bytes  (** WAL payload bytes the standby is behind *)
-  | G_cluster_epoch  (** this node's current partition-table epoch *)
 
 val gauge_name : gauge -> string
 

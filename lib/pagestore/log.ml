@@ -207,41 +207,6 @@ let iter t f =
     done
   done
 
-(* Resumable scan: offer records in log order starting at address [off]
-   (0, or a cursor returned by a previous call). [f] answers whether to
-   consume the offered record and keep going — answering [false] stops
-   the walk with the cursor parked *before* that record. The return
-   value is the resume cursor: one past the last record consumed. A
-   cursor parked at a sealed segment's tail hops to the successor
-   segment on the next call, so cursors stay valid across appends and
-   segment seals; {!compact} relocates records and invalidates every
-   outstanding cursor. *)
-let iter_from t off f =
-  let seg_idx = ref (off / t.segment_bytes)
-  and pos = ref (off mod t.segment_bytes) in
-  if !seg_idx >= segment_count t then begin
-    (* address past the image (stale cursor): park at the end *)
-    seg_idx := segment_count t - 1;
-    pos := (seg t !seg_idx).used
-  end;
-  let cont = ref true in
-  while !cont do
-    let s = seg t !seg_idx in
-    if !pos + header_bytes <= s.used && Bytes.get s.buf !pos = magic then begin
-      let addr = (!seg_idx * t.segment_bytes) + !pos in
-      let payload = decode_at t addr in
-      if f addr payload then
-        pos := !pos + header_bytes + String.length payload
-      else cont := false
-    end
-    else if !seg_idx < segment_count t - 1 then begin
-      incr seg_idx;
-      pos := 0
-    end
-    else cont := false
-  done;
-  (!seg_idx * t.segment_bytes) + !pos
-
 (* ---- compaction ---- *)
 
 let reset_segments t =

@@ -62,8 +62,8 @@ val open_dir :
     sweeps, no file descriptor held open. The stats still report what a
     writable open {e would} cut. The resulting log behaves like an
     in-memory one ({!dir} is [None]); appends land only in memory. Safe
-    to point at a live store's directory from another process — e.g. the
-    promotion-time WAL tail replay and [bwt_inspect --data-dir]. *)
+    to point at a live store's directory from another process — e.g.
+    [bwt_inspect --data-dir]. *)
 
 val dir : t -> string option
 (** The backing directory, or [None] for an in-memory log. *)
@@ -83,18 +83,6 @@ val read : t -> offset -> string
 
 val iter : t -> (offset -> string -> unit) -> unit
 (** Visit every record (live and dead) in log order. *)
-
-val iter_from : t -> offset -> (offset -> string -> bool) -> offset
-(** [iter_from t off f] offers records in log order starting at address
-    [off] — 0 for the log's start, or a cursor returned by a previous
-    call. [f] answers whether to consume the offered record and keep
-    going; answering [false] stops the walk parked {e before} that
-    record. The return value is the resume cursor: one past the last
-    record consumed (equal to [off] when nothing was). Cursors stay
-    valid across appends and segment seals — a cursor parked at a sealed
-    segment's tail hops to the successor on the next call — but
-    {!compact} relocates records and invalidates every outstanding
-    cursor. The WAL tail reader is built on this. *)
 
 (** Accounting. *)
 

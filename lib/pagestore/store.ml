@@ -142,49 +142,6 @@ let write_current dir g =
   Sys.rename tmp path;
   fsync_dir dir
 
-(* ---- replication source (primary side) ----
-
-   Monomorphic view of a store for the WAL shipper: the per-shard WAL is
-   exactly a replication stream, so the source hands out raw bytes —
-   encoded checkpoint page records and encoded commit-record payloads —
-   that a standby running the same codecs applies verbatim. Keeping the
-   types outside the functor lets [Bw_replica]'s shipper drive a
-   heterogeneous array of shard sources without functor plumbing. *)
-
-(* One poll against a source. *)
-type repl_poll =
-  | Rp_records of string list
-      (** committed record-group payloads past the cursor, in commit
-          order; [[]] means caught up *)
-  | Rp_handoff of int
-      (** the polled generation is fully drained and retired; restart
-          the cursor at record 0 of this (checkpoint-complete) one *)
-  | Rp_gone
-      (** the polled generation is unknown — the standby lost the race
-          with compaction of history and must re-bootstrap *)
-
-(* A bootstrap snapshot: the newest checkpoint plus where its WAL
-   suffix starts. [snap_cursor] is already seeked past the ops the
-   pages fold in, so polling with it streams exactly the suffix. *)
-type repl_snapshot = {
-  snap_gen : int;
-  snap_pages : string list;  (** raw encoded page records, in key order *)
-  snap_items : int;  (** manifest item count, for standby verification *)
-  snap_start_rec : int;  (** commit records folded into the pages *)
-  snap_start_ops : int;  (** ops folded into the pages (= [wal_pos]) *)
-  snap_cursor : Wal.cursor;
-}
-
-type repl_source = {
-  src_dir : string;  (** the shard's data directory (promotion replay) *)
-  src_gen : unit -> int;
-  src_snapshot : unit -> repl_snapshot;
-  src_poll : gen:int -> cursor:Wal.cursor -> limit:int -> repl_poll;
-  src_totals : gen:int -> (int * int) option;
-      (** (records, payload bytes) committed so far in a generation —
-          the minuend of the standby-lag gauges *)
-}
-
 (* Generation numbers present on disk (from either kind of dir), newest
    first. *)
 let gens_on_disk dir =
@@ -213,11 +170,6 @@ struct
     tree : T.t;
     mutable wal : W.t;
     mutable gen : int;
-    mutable prev_wal : (int * W.t) option;
-        (* the WAL retired by the last full checkpoint, kept as a closed
-           in-memory image so a replication cursor still tailing the old
-           generation can drain it before handing off; replaced (and the
-           older image dropped) at the next full checkpoint *)
     fsync : bool;
     segment_bytes : int option;
     page_items : int;
@@ -325,7 +277,6 @@ struct
               tree;
               wal;
               gen = g;
-              prev_wal = None;
               fsync;
               segment_bytes;
               page_items;
@@ -370,7 +321,6 @@ struct
               tree;
               wal;
               gen = 0;
-              prev_wal = None;
               fsync;
               segment_bytes;
               page_items;
@@ -418,8 +368,7 @@ struct
 
      [`Full] (the default) writes the *next* generation from scratch —
      snapshot pages, empty successor WAL — flips CURRENT, and deletes
-     the old generation's files (its WAL survives in memory as
-     [prev_wal] for replication drain). [`Incremental] stays inside the
+     the old generation's files. [`Incremental] stays inside the
      current generation: it appends only the leaf pages that changed
      since the previous manifest (plus a fresh manifest pointing at the
      mix of old and new page records) into the same pages log, and
@@ -457,13 +406,11 @@ struct
           in
           write_current st.dir g';
           (* the flip is committed: everything before [g'] is garbage
-             on disk; the old WAL's memory image is kept for any
-             replication cursor still draining it *)
+             on disk *)
           let old_gen = st.gen and old_wal = st.wal in
           st.gen <- g';
           st.wal <- wal';
           W.close old_wal;
-          st.prev_wal <- Some (old_gen, old_wal);
           rm_rf (pages_dir st.dir old_gen);
           rm_rf (wal_dir st.dir old_gen);
           fsync_dir st.dir;
@@ -574,8 +521,7 @@ struct
      fresh tree — without mutating the directory in any way (no CURRENT
      rewrite, no sweeps, no truncation, no fresh-store bootstrap). Safe
      to point at a live store owned by another process ([bwt_inspect
-     --data-dir], promotion-time forensics). [None] when the directory
-     holds nothing loadable. *)
+     --data-dir]). [None] when the directory holds nothing loadable. *)
   let inspect_dir ?config ?(obs = Bw_obs.Null) ?segment_bytes ~dir () =
     if not (Sys.file_exists dir) then None
     else begin
@@ -620,77 +566,4 @@ struct
                   + wstats.Log.os_dropped_segments;
               } )
     end
-
-  (* A replication view of this store for the WAL shipper. All closures
-     synchronize on [st.mu], so a concurrent checkpoint can't flip
-     generations mid-read; tails additionally hold the WAL's own
-     group-commit mutex. The old generation's WAL survives a full
-     checkpoint as an in-memory image ([prev_wal]), so a cursor still
-     draining it keeps streaming until it is exhausted and only then
-     gets the handoff to the new generation — whose checkpoint folds
-     exactly the drained prefix, so the standby's state is continuous
-     across the switch. *)
-  let repl_source st =
-    let with_mu f =
-      Mutex.lock st.mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock st.mu) f
-    in
-    let src_gen () = with_mu (fun () -> st.gen) in
-    let src_snapshot () =
-      with_mu (fun () ->
-          let plog, _ =
-            Log.open_dir ?segment_bytes:st.segment_bytes ~readonly:true
-              ~dir:(pages_dir st.dir st.gen) ()
-          in
-          let moff =
-            match newest_manifest plog with
-            | Some off -> off
-            | None -> failwith "Store.repl_source: generation has no manifest"
-          in
-          let m = CP.manifest plog moff in
-          let pages =
-            Array.to_list
-              (Array.map (fun off -> Log.read plog off) m.CP.pages)
-          in
-          let cur = Wal.fresh_cursor () in
-          W.seek st.wal cur ~ops:m.CP.wal_pos;
-          {
-            snap_gen = st.gen;
-            snap_pages = pages;
-            snap_items = m.CP.item_count;
-            snap_start_rec = cur.Wal.c_rec;
-            snap_start_ops = m.CP.wal_pos;
-            snap_cursor = cur;
-          })
-    in
-    let src_poll ~gen ~cursor ~limit =
-      with_mu (fun () ->
-          let tail_of w =
-            let recs = ref [] in
-            let n = W.tail w ~limit cursor (fun p -> recs := p :: !recs) in
-            (n, List.rev !recs)
-          in
-          if gen = st.gen then begin
-            let _, recs = tail_of st.wal in
-            Rp_records recs
-          end
-          else
-            match st.prev_wal with
-            | Some (g, w) when g = gen ->
-                let n, recs = tail_of w in
-                (* hand off only once the retired WAL is fully drained:
-                   its records are the prefix the new generation's
-                   checkpoint folded in *)
-                if n > 0 then Rp_records recs else Rp_handoff st.gen
-            | _ -> Rp_gone)
-    in
-    let src_totals ~gen =
-      with_mu (fun () ->
-          if gen = st.gen then Some (W.records st.wal, W.bytes st.wal)
-          else
-            match st.prev_wal with
-            | Some (g, w) when g = gen -> Some (W.records w, W.bytes w)
-            | _ -> None)
-    in
-    { src_dir = st.dir; src_gen; src_snapshot; src_poll; src_totals }
 end

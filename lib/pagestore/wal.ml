@@ -15,25 +15,7 @@
     crash can only lose a suffix of whole commit groups, never tear one.
 
     Replay positions ([pos], [replay ~from]) count *ops*, not records —
-    group sizes vary run to run, op counts do not. The tail reader
-    ({!Make.tail}) additionally tracks whole commit records: a
-    replication stream ships records, so standby acknowledgements are
-    record-granular even though checkpoint positions are op-granular. *)
-
-(* A tail-reader position, outside the functor so replication plumbing
-   can stay monomorphic. Tracks the same point three ways: commit
-   records consumed, ops consumed, and the underlying [Log] resume
-   address (which makes steady-state polls O(new records) instead of
-   O(log)). Only valid for the WAL generation it was created against —
-   and invalidated by [Log.compact], which the durable store never runs
-   on a WAL. *)
-type cursor = {
-  mutable c_rec : int;  (** commit records consumed *)
-  mutable c_ops : int;  (** ops consumed *)
-  mutable c_off : int;  (** [Log] resume address *)
-}
-
-let fresh_cursor () = { c_rec = 0; c_ops = 0; c_off = 0 }
+    group sizes vary run to run, op counts do not. *)
 
 module Make (KC : Codec.CODEC) (VC : Codec.CODEC) = struct
   type op =
@@ -74,8 +56,7 @@ module Make (KC : Codec.CODEC) (VC : Codec.CODEC) = struct
       ops;
     Buffer.contents buf
 
-  (* A payload arrives from disk, from a WALCHUNK frame or from a
-     migration's capture log, so a malformed one raises [Failure] only:
+  (* A payload arrives from disk, so a malformed one raises [Failure] only:
      the count is checked against the bytes before anything is built,
      and trailing bytes are refused. *)
   let decode_ops payload =
@@ -128,7 +109,6 @@ module Make (KC : Codec.CODEC) (VC : Codec.CODEC) = struct
 
   let pos t = t.nops
   let records t = Log.records t.log
-  let bytes t = Log.bytes_used t.log
 
   (* One group commit: one record, at most one fsync. Returns once the
      group is durable (fsync enabled) or at least logged (disabled). *)
@@ -164,59 +144,6 @@ module Make (KC : Codec.CODEC) (VC : Codec.CODEC) = struct
             incr seen)
           (decode_ops payload));
     !fed
-
-  (* Hand [f] up to [limit] committed record groups (raw encoded
-     payloads, shippable verbatim) past [cur], advancing the cursor past
-     each one fed; returns how many were fed. Runs under the
-     group-commit mutex: a record is either fully committed and visible
-     or not yet started, and the segment image is quiescent while we
-     read it — the publication the OCaml memory model needs between an
-     appending domain and a tailing one. *)
-  let tail t ?(limit = max_int) cur f =
-    Mutex.lock t.mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mu)
-      (fun () ->
-        let fed = ref 0 in
-        let off =
-          Log.iter_from t.log cur.c_off (fun _ payload ->
-              if !fed >= limit then false
-              else begin
-                f payload;
-                incr fed;
-                cur.c_rec <- cur.c_rec + 1;
-                cur.c_ops <- cur.c_ops + record_ops payload;
-                true
-              end)
-        in
-        cur.c_off <- off;
-        !fed)
-
-  (* Advance [cur] over whole records until [ops] ops have been
-     consumed, without handing them out — aligns a fresh cursor with a
-     checkpoint manifest's [wal_pos]. Checkpoints quiesce writers before
-     reading [pos], so a manifest's [wal_pos] always lands on a record
-     boundary; raises if this one doesn't (cursor/generation mixup). *)
-  let seek t cur ~ops =
-    Mutex.lock t.mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mu)
-      (fun () ->
-        let off =
-          Log.iter_from t.log cur.c_off (fun _ payload ->
-              if cur.c_ops >= ops then false
-              else begin
-                cur.c_rec <- cur.c_rec + 1;
-                cur.c_ops <- cur.c_ops + record_ops payload;
-                true
-              end)
-        in
-        cur.c_off <- off;
-        if cur.c_ops <> ops then
-          failwith
-            (Printf.sprintf
-               "Wal.seek: position %d is not a record boundary (reached %d)"
-               ops cur.c_ops))
 
   let sync t = Log.sync t.log
   let close t = Log.close t.log

@@ -36,21 +36,6 @@ type config = {
   stats_json : (unit -> string) option;
       (** what a STATS frame answers; [None] snapshots [obs]. A sharded
           server plugs in the merged-plus-per-shard snapshot here. *)
-  repl_handler : (tid:int -> Wire.repl_req -> Wire.resp) option;
-      (** evaluates replication frames; [None] (every server that is not
-          a follower) answers them with ERR. Runs on the worker that owns
-          the shipper's connection — FIFO per connection is the stream's
-          ordering guarantee. *)
-  gate : Cluster_gate.t option;
-      (** cluster membership: when set, every data request is validated
-          against this node's partition table (wrong owner answers
-          {!Wire.Err_wrong_shard}), scans clip to the owned range and
-          carry a continuation, and TOPOLOGY frames read/install the
-          table. [None] = a standalone server, gate-free fast paths. *)
-  migrate_handler :
-    (tid:int -> lo:string -> hi:string option -> dst:int -> Wire.resp) option;
-      (** admits a MIGRATE frame (the engine lives above this library,
-          next to the client it needs); [None] answers ERR. *)
 }
 
 let default_config =
@@ -63,9 +48,6 @@ let default_config =
     drain_timeout_s = 5.0;
     obs = Bw_obs.Null;
     stats_json = None;
-    repl_handler = None;
-    gate = None;
-    migrate_handler = None;
   }
 
 type conn = {
@@ -115,121 +97,30 @@ let series_of_req : Wire.req -> Bw_obs.series = function
   | Wire.Put _ -> Bw_obs.Lat_req_put
   | Wire.Delete _ -> Bw_obs.Lat_req_delete
   | Wire.Scan _ -> Bw_obs.Lat_req_scan
-  | Wire.Batch _ | Wire.Ingest _ -> Bw_obs.Lat_req_batch
-  | Wire.Stats | Wire.Topology _ -> Bw_obs.Lat_req_stats
-  | Wire.Repl _ | Wire.Migrate _ -> Bw_obs.Lat_req_repl
+  | Wire.Batch _ -> Bw_obs.Lat_req_batch
+  | Wire.Stats -> Bw_obs.Lat_req_stats
 
 (* Evaluate one request, appending the encoded response body to [body].
    SCAN streams visits straight into the encode buffer — items never
    materialize as a list. Point ops compute their result before any byte
    is written, so a raising sub-request leaves [body] untouched and
-   BATCH slot isolation only needs a scratch buffer around scans.
-
-   With a cluster gate, point ops validate ownership first (raising
-   {!Wire.Wrong_shard} on a miss), writes run through the gate's
-   capture path, and scans clip to the owned range, answering
-   [Scanned_to] with the exact continuation key. *)
+   BATCH slot isolation only needs a scratch buffer around scans. *)
 let rec eval_into t ~tid body (req : Wire.req) : unit =
   let b = t.backend in
-  let gated_write k op apply =
-    match t.cfg.gate with
-    | None -> apply ()
-    | Some g ->
-        Cluster_gate.write g ~tid (Bw_cluster.Slice.of_binary k) op apply
-  in
   match req with
-  | Wire.Get k ->
-      (match t.cfg.gate with
-      | None -> ()
-      | Some g -> Cluster_gate.check_read g ~tid (Bw_cluster.Slice.of_binary k));
-      Wire.encode_resp body (Wire.Value (b.read ~tid k))
+  | Wire.Get k -> Wire.encode_resp body (Wire.Value (b.read ~tid k))
   | Wire.Put (Wire.Insert, k, v) ->
-      Wire.encode_resp body
-        (Wire.Applied
-           (gated_write k (Cluster_gate.Wop_put (k, v)) (fun () ->
-                b.insert ~tid k v)))
+      Wire.encode_resp body (Wire.Applied (b.insert ~tid k v))
   | Wire.Put (Wire.Update, k, v) ->
-      Wire.encode_resp body
-        (Wire.Applied
-           (gated_write k (Cluster_gate.Wop_put (k, v)) (fun () ->
-                b.update ~tid k v)))
+      Wire.encode_resp body (Wire.Applied (b.update ~tid k v))
   | Wire.Put (Wire.Upsert, k, v) ->
-      Wire.encode_resp body
-        (Wire.Applied
-           (gated_write k (Cluster_gate.Wop_put (k, v)) (fun () ->
-                upsert b ~tid k v)))
-  | Wire.Delete k ->
-      Wire.encode_resp body
-        (Wire.Applied
-           (gated_write k (Cluster_gate.Wop_remove k) (fun () ->
-                b.remove ~tid k)))
-  | Wire.Scan (k, n) -> (
-      match t.cfg.gate with
-      | None ->
-          Wire.encode_scanned_into body (fun visit -> b.scan ~tid k ~n visit)
-      | Some g ->
-          let hi =
-            Cluster_gate.scan_range g ~tid (Bw_cluster.Slice.of_binary k)
-          in
-          let in_range key =
-            match hi with
-            | None -> true
-            | Some h ->
-                Int64.unsigned_compare (Bw_cluster.Slice.of_binary key) h < 0
-          in
-          (* The clip filter is exact even over stale leftovers of a
-             migrated-away range: owned keys all sort before the
-             boundary, so if the budget is met the first [n] raw visits
-             were all owned, and if it is not the owned range is
-             exhausted — which is exactly what the continuation key
-             tells the router. *)
-          Wire.encode_scanned_to_into body
-            (fun visit ->
-              b.scan ~tid k ~n (fun key v ->
-                  if in_range key then visit key v))
-            (fun ~count ~last ->
-              if n <= 0 then Some k
-              else if count >= n then
-                match last with Some lk -> Some (lk ^ "\000") | None -> None
-              else Option.map Bw_cluster.Slice.floor_binary hi))
+      Wire.encode_resp body (Wire.Applied (upsert b ~tid k v))
+  | Wire.Delete k -> Wire.encode_resp body (Wire.Applied (b.remove ~tid k))
+  | Wire.Scan (k, n) ->
+      Wire.encode_scanned_into body (fun visit -> b.scan ~tid k ~n visit)
   | Wire.Batch reqs ->
       Wire.encode_batched_header body (List.length reqs);
       eval_batch t ~tid body reqs
-  | Wire.Ingest items ->
-      (* migration transfer: the engine applies extracted items and
-         drained capture ops through the ordinary batch path (group
-         commit on a durable backend), bypassing the ownership gate —
-         the sender is moving keys this node does not own *yet*. *)
-      let op_of (k, v) =
-        match v with
-        | Some v -> Index_iface.Bop_upsert (k, v)
-        | None -> Index_iface.Bop_remove k
-      in
-      let ops = Bw_util.Arr.of_list (List.map op_of items) in
-      if Array.length ops > 0 then
-        ignore (Index_iface.exec_batch b ~tid ops : Index_iface.batch_result array);
-      Wire.encode_resp body (Wire.Applied true)
-  | Wire.Topology arg -> (
-      match t.cfg.gate with
-      | None -> Wire.encode_resp body (Wire.Err "not a cluster member")
-      | Some g -> (
-          match arg with
-          | None ->
-              Wire.encode_resp body
-                (Wire.Topology_payload
-                   (Bw_cluster.Table.encode (Cluster_gate.table g)))
-          | Some enc ->
-              let tbl =
-                try Bw_cluster.Table.decode enc
-                with Failure m -> raise (Wire.Malformed ("bad table: " ^ m))
-              in
-              ignore (Cluster_gate.install g tbl : bool);
-              Wire.encode_resp body (Wire.Applied true)))
-  | Wire.Migrate { m_lo; m_hi; m_dst } ->
-      Wire.encode_resp body
-        (match t.cfg.migrate_handler with
-        | None -> Wire.Err "migration not supported on this node"
-        | Some h -> h ~tid ~lo:m_lo ~hi:m_hi ~dst:m_dst)
   | Wire.Stats ->
       let json =
         match t.cfg.stats_json with
@@ -241,11 +132,6 @@ let rec eval_into t ~tid body (req : Wire.req) : unit =
                 Bw_obs.snapshot_to_string (Bw_obs.snapshot reg))
       in
       Wire.encode_resp body (Wire.Stats_payload json)
-  | Wire.Repl r ->
-      Wire.encode_resp body
-        (match t.cfg.repl_handler with
-        | None -> Wire.Err "replication not enabled"
-        | Some h -> h ~tid r)
 
 (* A decoded BATCH frame: point ops run through the backend's amortized
    batch path in one call (undecodable keys answer ERR in their slot via
@@ -264,20 +150,17 @@ and eval_batch t ~tid body (reqs : Wire.req list) : unit =
     | () -> Buffer.add_buffer body slot
     | exception Wire.Malformed m -> Wire.encode_resp body (Wire.Err m)
     | exception Bad_key _ -> Wire.encode_resp body (Wire.Err "undecodable key")
-    | exception Wire.Wrong_shard e ->
-        Wire.encode_resp body (Wire.Err_wrong_shard e)
-    | exception Read_only -> Wire.encode_resp body Wire.Err_read_only
   in
-  let fast () =
+  match b.batch with
+  | None -> List.iter per_slot reqs
+  | Some _ ->
       let op_of = function
         | Wire.Get k -> Some (Index_iface.Bop_read k)
         | Wire.Put (Wire.Insert, k, v) -> Some (Index_iface.Bop_insert (k, v))
         | Wire.Put (Wire.Update, k, v) -> Some (Index_iface.Bop_update (k, v))
         | Wire.Put (Wire.Upsert, k, v) -> Some (Index_iface.Bop_upsert (k, v))
         | Wire.Delete k -> Some (Index_iface.Bop_remove k)
-        | Wire.Scan _ | Wire.Batch _ | Wire.Stats | Wire.Repl _
-        | Wire.Topology _ | Wire.Migrate _ | Wire.Ingest _ ->
-            None
+        | Wire.Scan _ | Wire.Batch _ | Wire.Stats -> None
       in
       (* Bw_util.Arr: batch frames carry up to [Wire.max_batch] slots,
          and a stdlib of_list that size forces a minor GC per frame. *)
@@ -302,31 +185,6 @@ and eval_batch t ~tid body (reqs : Wire.req list) : unit =
                   Wire.encode_resp body (Wire.Err "undecodable key"))
           | None -> per_slot r)
         reqs
-  in
-  match (b.batch, t.cfg.gate) with
-  | None, _ -> List.iter per_slot reqs
-  | Some _, None -> fast ()
-  | Some _, Some g ->
-      (* The amortized path bypasses per-op gating, so it may run only
-         when no migration is active (nothing to capture) and every
-         point-op key is owned — validated, then executed, as one
-         published-writer section so a migration starting mid-frame
-         waits for the whole batch before extracting. Otherwise each
-         slot evaluates through the gate individually (redirects and
-         captures land per slot). *)
-      Cluster_gate.with_pub g (fun () ->
-          let tbl = Cluster_gate.table g in
-          let owned r =
-            match r with
-            | Wire.Get k | Wire.Put (_, k, _) | Wire.Delete k ->
-                Bw_cluster.Table.owner_binary tbl k = Cluster_gate.self g
-            | Wire.Scan _ | Wire.Batch _ | Wire.Stats | Wire.Repl _
-            | Wire.Topology _ | Wire.Migrate _ | Wire.Ingest _ ->
-                true (* per-slot anyway, or gated inside eval_into *)
-          in
-          if Cluster_gate.migration_active g || not (List.for_all owned reqs)
-          then List.iter per_slot reqs
-          else fast ())
 
 (* Decode + evaluate one frame, appending the framed reply to [out];
    never raises. Returns whether the connection must be put into
@@ -358,14 +216,6 @@ let handle_frame t ~tid ~body out payload : bool =
       | exception Wire.Malformed m -> err m t.cfg.close_on_malformed
       | exception Bad_key _ ->
           err "undecodable key" t.cfg.close_on_malformed
-      | exception Wire.Wrong_shard e ->
-          (* expected redirect, not a protocol error: the gate already
-             counted it, and the client retries after a table refetch *)
-          Buffer.add_string out (Wire.frame_resp (Wire.Err_wrong_shard e));
-          false
-      | exception Read_only ->
-          Buffer.add_string out (Wire.frame_resp Wire.Err_read_only);
-          false
       | exception exn ->
           (* an operation failure must not take the worker down *)
           err ("internal error: " ^ Printexc.to_string exn) false)
@@ -575,17 +425,25 @@ let acceptor_loop t =
 
 let start ?(config = default_config) (backend : Backend.t) : t =
   if config.workers < 1 then invalid_arg "Server.start: workers < 1";
+  (* parsed before any fd exists, so a bad host leaks nothing *)
+  let addr =
+    try Unix.inet_addr_of_string config.host
+    with Failure _ ->
+      invalid_arg
+        (Printf.sprintf "Server.start: host %S is not a numeric address"
+           config.host)
+  in
   (* a peer closing mid-write must surface as EPIPE, not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  let addr = Unix.inet_addr_of_string config.host in
-  (try Unix.bind listen_fd (Unix.ADDR_INET (addr, config.port))
+  (try
+     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
+     Unix.bind listen_fd (Unix.ADDR_INET (addr, config.port));
+     Unix.listen listen_fd 128
    with e ->
      Unix.close listen_fd;
      raise e);
-  Unix.listen listen_fd 128;
   let bound_port =
     match Unix.getsockname listen_fd with
     | Unix.ADDR_INET (_, p) -> p

@@ -41,45 +41,6 @@ let max_batch = 4_096
 
 type put_mode = Insert | Update | Upsert
 
-(** Replication stream frames, primary → standby. They ride the ordinary
-    request/response protocol — the shipper is just another client of the
-    standby — so FIFO-per-connection ordering and per-frame
-    acknowledgement come for free. All payload byte strings (checkpoint
-    page records, WAL commit-record groups) are opaque here: both ends
-    run the same {!Pagestore} codecs and apply them verbatim. *)
-type repl_req =
-  | R_subscribe of { key_type : string; shards : int }
-      (** opens (or resets) a replication session; the standby checks
-          the topology matches its own and clears any partial state *)
-  | R_snapshot of {
-      shard : int;
-      gen : int;
-      start_rec : int;  (** WAL commit records folded into the pages *)
-      start_ops : int;  (** WAL ops folded into the pages *)
-      pages : string list;  (** raw checkpoint page records *)
-      last : bool;  (** final chunk: standby verifies [items] and arms *)
-      items : int;  (** manifest item count (meaningful when [last]) *)
-    }
-  | R_walchunk of {
-      shard : int;
-      gen : int;
-      from_rec : int;  (** absolute record index of [groups]' head *)
-      groups : string list;  (** raw commit-record payloads, in order *)
-      p_recs : int;  (** primary's committed record count in [gen] *)
-      p_bytes : int;
-          (** primary's unshipped WAL-byte backlog after this chunk.
-              Records travel as absolute totals ([p_recs]) because record
-              indexes mean the same thing on both ends; byte positions do
-              not (the standby never sees the primary's [Log] addresses,
-              and a snapshot bootstrap folds a prefix of unknown framed
-              size), so the byte lag is computed where it is exact — at
-              the shipper's cursor — and shipped as a ready-made gauge
-              value. *)
-    }
-  | R_promote of { data_dir : string option }
-      (** seal the stream and flip read-write; [data_dir] points at the
-          dead primary's store for the durable-tail replay *)
-
 type req =
   | Get of string
   | Put of put_mode * string * int
@@ -87,48 +48,14 @@ type req =
   | Scan of string * int  (** start key (binary), item budget *)
   | Batch of req list  (** point ops and scans only — no nesting *)
   | Stats
-  | Repl of repl_req  (** replication stream (never inside BATCH) *)
-  | Topology of string option
-      (** cluster partition table: [None] fetches the server's current
-          table (encoded, opaque here); [Some t] offers one — the
-          server installs it if its epoch is newer *)
-  | Migrate of { m_lo : string; m_hi : string option; m_dst : int }
-      (** start migrating the key range [[m_lo, m_hi)] ([None] = end of
-          key space) to endpoint index [m_dst]; acknowledged when the
-          migration is admitted, completion observed via TOPOLOGY *)
-  | Ingest of (string * int option) list
-      (** migration transfer: apply (key, [Some v] = upsert / [None] =
-          delete) pairs through the ordinary batch path, bypassing the
-          ownership gate — only a migration engine sends this *)
 
 type resp =
   | Value of int option  (** GET *)
   | Applied of bool  (** PUT / DELETE *)
   | Scanned of (string * int) list  (** SCAN: binary key, value *)
-  | Scanned_to of (string * int) list * string option
-      (** SCAN answered by a cluster node: the items plus the exact
-          continuation key — [Some k] when the node's owned range ended
-          before the budget (resume at [k], possibly on another node),
-          [None] when the key space is exhausted. The owner names the
-          resume point so a router with a stale table never skips a
-          sub-range that migrated away mid-scan. *)
   | Batched of resp list  (** BATCH: one reply per sub-request, in order *)
   | Stats_payload of string  (** STATS: JSON metrics snapshot *)
-  | Repl_ok of int
-      (** replication ack: records applied so far in the current
-          generation (ops replayed, for PROMOTE) *)
-  | Topology_payload of string  (** TOPOLOGY: the encoded table *)
   | Err of string
-  | Err_wrong_shard of int64
-      (** this node does not own the request's key under its current
-          table (whose epoch rides along): refetch and retry *)
-  | Err_read_only
-      (** an un-promoted standby refused a write: retry on the
-          primary *)
-
-exception Wrong_shard of int64
-(** Raised by the server's ownership gate; encoded as
-    {!Err_wrong_shard}. *)
 
 (* opcode bytes *)
 let op_get = 1
@@ -137,24 +64,10 @@ let op_delete = 3
 let op_scan = 4
 let op_batch = 5
 let op_stats = 6
-let op_subscribe = 7
-let op_snapshot = 8
-let op_walchunk = 9
-let op_promote = 10
-let op_topology = 11
-let op_migrate = 12
-let op_ingest = 13
 
+(* status bytes *)
 let st_ok = 0
 let st_err = 1
-
-let st_err_code = 2
-(** Typed errors: [st_err_code], one code byte, then code-specific
-    fields — machine-actionable failures the router dispatches on
-    without parsing message strings. *)
-
-let ec_wrong_shard = 1
-let ec_read_only = 2
 
 (* ------------------------------------------------------------------ *)
 (* Payload encode/decode (Pagestore.Codec primitives)                  *)
@@ -207,65 +120,6 @@ let rec encode_req buf = function
       C.encode_int buf (List.length reqs);
       List.iter (encode_req buf) reqs
   | Stats -> add_byte buf op_stats
-  | Repl (R_subscribe { key_type; shards }) ->
-      add_byte buf op_subscribe;
-      C.encode_string buf key_type;
-      C.encode_int buf shards
-  | Repl (R_snapshot { shard; gen; start_rec; start_ops; pages; last; items })
-    ->
-      add_byte buf op_snapshot;
-      C.encode_int buf shard;
-      C.encode_int buf gen;
-      C.encode_int buf start_rec;
-      C.encode_int buf start_ops;
-      C.encode_int buf items;
-      add_byte buf (if last then 1 else 0);
-      C.encode_int buf (List.length pages);
-      List.iter (C.encode_string buf) pages
-  | Repl (R_walchunk { shard; gen; from_rec; groups; p_recs; p_bytes }) ->
-      add_byte buf op_walchunk;
-      C.encode_int buf shard;
-      C.encode_int buf gen;
-      C.encode_int buf from_rec;
-      C.encode_int buf p_recs;
-      C.encode_int buf p_bytes;
-      C.encode_int buf (List.length groups);
-      List.iter (C.encode_string buf) groups
-  | Repl (R_promote { data_dir }) -> (
-      add_byte buf op_promote;
-      match data_dir with
-      | None -> add_byte buf 0
-      | Some d ->
-          add_byte buf 1;
-          C.encode_string buf d)
-  | Topology t -> (
-      add_byte buf op_topology;
-      match t with
-      | None -> add_byte buf 0
-      | Some s ->
-          add_byte buf 1;
-          C.encode_string buf s)
-  | Migrate { m_lo; m_hi; m_dst } ->
-      add_byte buf op_migrate;
-      C.encode_string buf m_lo;
-      (match m_hi with
-      | None -> add_byte buf 0
-      | Some h ->
-          add_byte buf 1;
-          C.encode_string buf h);
-      C.encode_int buf m_dst
-  | Ingest items ->
-      add_byte buf op_ingest;
-      C.encode_int buf (List.length items);
-      List.iter
-        (fun (k, v) ->
-          C.encode_string buf k;
-          match v with
-          | None -> add_byte buf 0
-          | Some v ->
-              add_byte buf 1;
-              C.encode_int buf v)
-        items
 
 let rec decode_req_at s ~pos ~depth =
   match decode_byte s ~pos with
@@ -290,80 +144,6 @@ let rec decode_req_at s ~pos ~depth =
       Batch (List.init n (fun _ -> decode_req_at s ~pos ~depth:(depth + 1)))
   | b when b = op_stats ->
       if depth > 0 then bad "STATS inside BATCH" else Stats
-  | b when b = op_subscribe ->
-      if depth > 0 then bad "replication frame inside BATCH";
-      let key_type = decode_string s ~pos in
-      let shards = decode_int s ~pos in
-      if shards < 1 then bad "SUBSCRIBE with shard count %d" shards;
-      Repl (R_subscribe { key_type; shards })
-  | b when b = op_snapshot ->
-      if depth > 0 then bad "replication frame inside BATCH";
-      let shard = decode_int s ~pos in
-      let gen = decode_int s ~pos in
-      let start_rec = decode_int s ~pos in
-      let start_ops = decode_int s ~pos in
-      let items = decode_int s ~pos in
-      if shard < 0 || gen < 0 || start_rec < 0 || start_ops < 0 || items < 0
-      then bad "SNAPSHOT with negative field";
-      let last =
-        match decode_byte s ~pos with
-        | 0 -> false
-        | 1 -> true
-        | b -> bad "bad SNAPSHOT last byte %d" b
-      in
-      let n = decode_int s ~pos in
-      if n < 0 || n > max_batch then bad "bad SNAPSHOT page count %d" n;
-      let pages = List.init n (fun _ -> decode_string s ~pos) in
-      Repl (R_snapshot { shard; gen; start_rec; start_ops; pages; last; items })
-  | b when b = op_walchunk ->
-      if depth > 0 then bad "replication frame inside BATCH";
-      let shard = decode_int s ~pos in
-      let gen = decode_int s ~pos in
-      let from_rec = decode_int s ~pos in
-      let p_recs = decode_int s ~pos in
-      let p_bytes = decode_int s ~pos in
-      if shard < 0 || gen < 0 || from_rec < 0 || p_recs < 0 || p_bytes < 0 then
-        bad "WALCHUNK with negative field";
-      let n = decode_int s ~pos in
-      if n < 0 || n > max_batch then bad "bad WALCHUNK group count %d" n;
-      let groups = List.init n (fun _ -> decode_string s ~pos) in
-      Repl (R_walchunk { shard; gen; from_rec; groups; p_recs; p_bytes })
-  | b when b = op_promote -> (
-      if depth > 0 then bad "replication frame inside BATCH";
-      match decode_byte s ~pos with
-      | 0 -> Repl (R_promote { data_dir = None })
-      | 1 -> Repl (R_promote { data_dir = Some (decode_string s ~pos) })
-      | b -> bad "bad PROMOTE presence byte %d" b)
-  | b when b = op_topology -> (
-      if depth > 0 then bad "TOPOLOGY inside BATCH";
-      match decode_byte s ~pos with
-      | 0 -> Topology None
-      | 1 -> Topology (Some (decode_string s ~pos))
-      | b -> bad "bad TOPOLOGY presence byte %d" b)
-  | b when b = op_migrate ->
-      if depth > 0 then bad "MIGRATE inside BATCH";
-      let m_lo = decode_string s ~pos in
-      let m_hi =
-        match decode_byte s ~pos with
-        | 0 -> None
-        | 1 -> Some (decode_string s ~pos)
-        | b -> bad "bad MIGRATE presence byte %d" b
-      in
-      let m_dst = decode_int s ~pos in
-      if m_dst < 0 then bad "MIGRATE with negative destination %d" m_dst;
-      Migrate { m_lo; m_hi; m_dst }
-  | b when b = op_ingest ->
-      if depth > 0 then bad "INGEST inside BATCH";
-      let n = decode_int s ~pos in
-      if n < 0 then bad "INGEST with negative count %d" n;
-      if n > max_batch then bad "INGEST count %d exceeds cap %d" n max_batch;
-      Ingest
-        (List.init n (fun _ ->
-             let k = decode_string s ~pos in
-             match decode_byte s ~pos with
-             | 0 -> (k, None)
-             | 1 -> (k, Some (decode_int s ~pos))
-             | b -> bad "bad INGEST presence byte %d" b))
   | b -> bad "unknown opcode %d" b
 
 let decode_req s =
@@ -381,30 +161,11 @@ let tag_applied = 1
 let tag_scanned = 2
 let tag_batched = 3
 let tag_stats = 4
-let tag_repl = 5
-let tag_topology = 6
-let tag_scanned_to = 7
-
-let encode_i64 buf (x : int64) =
-  Buffer.add_int64_le buf x
-
-let decode_i64 s ~pos =
-  if !pos + 8 > String.length s then bad "truncated frame: missing int64";
-  let v = String.get_int64_le s !pos in
-  pos := !pos + 8;
-  v
 
 let rec encode_resp buf = function
   | Err msg ->
       add_byte buf st_err;
       C.encode_string buf msg
-  | Err_wrong_shard epoch ->
-      add_byte buf st_err_code;
-      add_byte buf ec_wrong_shard;
-      encode_i64 buf epoch
-  | Err_read_only ->
-      add_byte buf st_err_code;
-      add_byte buf ec_read_only
   | ok ->
       add_byte buf st_ok;
       (match ok with
@@ -433,26 +194,7 @@ let rec encode_resp buf = function
       | Stats_payload s ->
           add_byte buf tag_stats;
           C.encode_string buf s
-      | Repl_ok n ->
-          add_byte buf tag_repl;
-          C.encode_int buf n
-      | Topology_payload s ->
-          add_byte buf tag_topology;
-          C.encode_string buf s
-      | Scanned_to (items, next) ->
-          add_byte buf tag_scanned_to;
-          C.encode_int buf (List.length items);
-          List.iter
-            (fun (k, v) ->
-              C.encode_string buf k;
-              C.encode_int buf v)
-            items;
-          (match next with
-          | None -> add_byte buf 0
-          | Some k ->
-              add_byte buf 1;
-              C.encode_string buf k)
-      | Err _ | Err_wrong_shard _ | Err_read_only -> assert false)
+      | Err _ -> assert false)
 
 (* BATCH reply prologue for callers that encode sub-replies
    incrementally (the server streams each slot as it evaluates). *)
@@ -477,13 +219,9 @@ let release_scratch b =
 
 let scan_items = Domain.DLS.new_key (fun () -> Buffer.create 256)
 
-let take_scan_items () =
+let encode_scanned_into body (scan : (string -> int -> unit) -> int) =
   let items = Domain.DLS.get scan_items in
   Buffer.clear items;
-  items
-
-let encode_scanned_into body (scan : (string -> int -> unit) -> int) =
-  let items = take_scan_items () in
   let count = ref 0 in
   ignore
     (scan (fun k v ->
@@ -496,32 +234,6 @@ let encode_scanned_into body (scan : (string -> int -> unit) -> int) =
   C.encode_int body !count;
   Buffer.add_buffer body items;
   release_scratch items
-
-(* Streaming variant of the cluster scan reply: same scratch-buffer
-   scheme, but the continuation key is decided after the walk, from the
-   emitted count and the last key visited. *)
-let encode_scanned_to_into body (scan : (string -> int -> unit) -> int)
-    (next_of : count:int -> last:string option -> string option) =
-  let items = take_scan_items () in
-  let count = ref 0 in
-  let last = ref None in
-  ignore
-    (scan (fun k v ->
-         incr count;
-         last := Some k;
-         C.encode_string items k;
-         C.encode_int items v)
-      : int);
-  add_byte body st_ok;
-  add_byte body tag_scanned_to;
-  C.encode_int body !count;
-  Buffer.add_buffer body items;
-  release_scratch items;
-  match next_of ~count:!count ~last:!last with
-  | None -> add_byte body 0
-  | Some k ->
-      add_byte body 1;
-      C.encode_string body k
 
 let rec decode_resp_at s ~pos ~depth =
   match decode_byte s ~pos with
@@ -553,30 +265,7 @@ let rec decode_resp_at s ~pos ~depth =
           Batched
             (List.init n (fun _ -> decode_resp_at s ~pos ~depth:(depth + 1)))
       | t when t = tag_stats -> Stats_payload (decode_string s ~pos)
-      | t when t = tag_repl -> Repl_ok (decode_int s ~pos)
-      | t when t = tag_topology -> Topology_payload (decode_string s ~pos)
-      | t when t = tag_scanned_to ->
-          let n = decode_int s ~pos in
-          if n < 0 || n > max_scan then bad "bad SCAN reply count %d" n;
-          let items =
-            List.init n (fun _ ->
-                let k = decode_string s ~pos in
-                let v = decode_int s ~pos in
-                (k, v))
-          in
-          let next =
-            match decode_byte s ~pos with
-            | 0 -> None
-            | 1 -> Some (decode_string s ~pos)
-            | b -> bad "bad SCAN continuation byte %d" b
-          in
-          Scanned_to (items, next)
       | t -> bad "unknown response tag %d" t)
-  | b when b = st_err_code -> (
-      match decode_byte s ~pos with
-      | c when c = ec_wrong_shard -> Err_wrong_shard (decode_i64 s ~pos)
-      | c when c = ec_read_only -> Err_read_only
-      | c -> bad "unknown error code %d" c)
   | b -> bad "unknown status byte %d" b
 
 let decode_resp s =

@@ -1,32 +1,108 @@
 open Index_iface
 
-(* The slice coordinates and stride arithmetic live in {!Bw_cluster}
-   now — the cluster partition table speaks the same coordinate system,
-   so a process-local forest and a multi-node fleet route keys
-   identically. [Part] keeps its original API as a thin veneer. *)
+(* A key's slice is its position in the unsigned 64-bit coordinate
+   space: the first 8 bytes of its binary-comparable encoding, read
+   big-endian and zero-padded past the end. Lexicographic key order and
+   unsigned slice order agree on the first 8 bytes, so ranges of slices
+   are ranges of keys, total over all keys and order-consistent. *)
 module Part = struct
-  module U = Bw_cluster.Uniform
-  module Slice = Bw_cluster.Slice
+  (* The partitioned slice interval starts at [lo]; [stride] is
+     ceil(range / n) so that lo + n * stride covers the whole interval:
+     every in-range slice value minus [lo], divided by the stride, lands
+     in [0, n). Slices below [lo] belong to shard 0 and slices at or
+     past the end to shard n-1, so out-of-range keys still route
+     consistently with key order. Unused (and 0) when n = 1. *)
+  type t = { n : int; lo : int64; stride : int64 }
 
-  type t = U.t
+  let slice_of_binary s = Bw_util.Key_codec.slice64 s 0
 
-  let make ?lo ?hi n =
+  (* Key_codec.of_int writes the 8-byte big-endian form of
+     [k lxor min_int64]; its first slice read back unsigned is exactly
+     that value, so int keys route without encoding. *)
+  let slice_of_int k = Int64.logxor (Int64.of_int k) Int64.min_int
+
+  (* [range] is the interval width as an unsigned 64-bit count, with 0
+     meaning the full 2^64 slice space (which wraps to 0). *)
+  let of_range n lo range =
+    let stride =
+      if n = 1 then 0L
+      else if range = 0L then
+        Int64.add (Int64.unsigned_div Int64.minus_one (Int64.of_int n)) 1L
+      else
+        (* floor((range-1)/n) + 1 = ceil(range/n) without overflow *)
+        Int64.add
+          (Int64.unsigned_div (Int64.sub range 1L) (Int64.of_int n))
+          1L
+    in
+    { n; lo; stride }
+
+  let make ?(lo = "") ?hi n =
     if n < 1 then invalid_arg "Bw_shard.Part.make: shard count < 1";
-    try U.make ?lo ?hi n
-    with Invalid_argument _ -> invalid_arg "Bw_shard.Part.make: hi must be > lo"
+    let lo_s = slice_of_binary lo in
+    let range =
+      match hi with
+      | None -> Int64.neg lo_s (* 2^64 - lo; wraps to 0 when lo = "" *)
+      | Some hi ->
+          let hi_s = slice_of_binary hi in
+          if Int64.unsigned_compare hi_s lo_s <= 0 then
+            invalid_arg "Bw_shard.Part.make: hi must be > lo";
+          Int64.sub hi_s lo_s
+    in
+    of_range n lo_s range
 
-  let make_int ?lo ?hi n =
+  (* OCaml's 63-bit ints occupy only the middle half of the slice
+     space, so a full-space partition would leave half the shards
+     empty; partition the inclusive [lo, hi] int range instead (the
+     default covers every int; its width 2^63 is the bit pattern of
+     Int64.min_int). *)
+  let make_int ?(lo = min_int) ?(hi = max_int) n =
     if n < 1 then invalid_arg "Bw_shard.Part.make_int: shard count < 1";
-    try U.make_int ?lo ?hi n
-    with Invalid_argument _ ->
-      invalid_arg "Bw_shard.Part.make_int: hi must be > lo"
+    if lo >= hi then invalid_arg "Bw_shard.Part.make_int: hi must be > lo";
+    of_range n (slice_of_int lo)
+      (Int64.add (Int64.sub (slice_of_int hi) (slice_of_int lo)) 1L)
 
-  let count = U.count
-  let uniform (t : t) : U.t = t
-  let shard_of_binary t s = U.of_slice t (Slice.of_binary s)
-  let shard_of_int t k = U.of_slice t (Slice.of_int k)
-  let floor_binary t i = if i <= 0 then "" else Slice.floor_binary (U.floor_slice t i)
-  let floor_int t i = if i <= 0 then min_int else Slice.floor_int (U.floor_slice t i)
+  let count t = t.n
+
+  let of_slice t (u : int64) =
+    if t.n = 1 then 0
+    else if Int64.unsigned_compare u t.lo < 0 then 0
+    else
+      let s = Int64.to_int (Int64.unsigned_div (Int64.sub u t.lo) t.stride) in
+      if s >= t.n then t.n - 1 else s
+
+  let floor_slice t i = Int64.add t.lo (Int64.mul (Int64.of_int i) t.stride)
+  let shard_of_binary t s = of_slice t (slice_of_binary s)
+  let shard_of_int t k = of_slice t (slice_of_int k)
+
+  (* The smallest binary key at or above shard [i]'s floor slice: its
+     8-byte big-endian image with trailing zero bytes stripped, so short
+     keys above the boundary still compare >= it. Every key below the
+     floor has a smaller slice and vice versa — the floor exactly
+     partitions the key space, which is what scan continuation needs. *)
+  let floor_binary t i =
+    if i <= 0 then ""
+    else
+      let u = floor_slice t i in
+      if u = 0L then ""
+      else begin
+        let b = Bytes.create 8 in
+        Bytes.set_int64_be b 0 u;
+        let len = ref 8 in
+        while !len > 0 && Bytes.get b (!len - 1) = '\000' do
+          decr len
+        done;
+        Bytes.sub_string b 0 !len
+      end
+
+  (* The smallest int key at or above shard [i]'s floor slice, clamped
+     to the int range. *)
+  let floor_int t i =
+    if i <= 0 then min_int
+    else
+      let k64 = Int64.logxor (floor_slice t i) Int64.min_int in
+      if Int64.compare k64 (Int64.of_int min_int) < 0 then min_int
+      else if Int64.compare k64 (Int64.of_int max_int) > 0 then max_int
+      else Int64.to_int k64
 end
 
 let route ?name ~(shard_of : 'k -> int) ~(floor_of : int -> 'k)

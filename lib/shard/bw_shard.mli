@@ -44,12 +44,6 @@ module Part : sig
 
   val count : t -> int
 
-  val uniform : t -> Bw_cluster.Uniform.t
-  (** The underlying uniform slice partition — what
-      {!Bw_cluster.Table.of_uniform} turns into a cluster bootstrap
-      table, so a fleet and an in-process forest split keys at the same
-      boundaries. *)
-
   val shard_of_binary : t -> string -> int
   (** Shard owning a binary-comparable key: its first 8-byte slice
       (zero-padded past the end) divided by the stride. Always in

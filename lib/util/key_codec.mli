@@ -21,8 +21,8 @@ val int_at_least : string -> int option
     arbitrary binary string [s] — [Some min_int] when [s] sorts below
     every encoded int, [None] when it sorts above every encoded int
     (clamped exactly like [Bw_shard.Part.floor_int]). Scan start keys
-    are lower bounds, not keys: cluster range boundaries and scan
-    continuation cursors need not be exactly 8 bytes. *)
+    are lower bounds, not keys: a client's scan start or continuation
+    cursor ([last ^ "\000"]) need not be exactly 8 bytes. *)
 
 val of_string : string -> string
 (** Identity: raw strings already compare byte-wise. *)

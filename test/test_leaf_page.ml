@@ -239,7 +239,7 @@ let prop_codec_roundtrip_str =
 
 (* Encodings written by the packed-arena page representation, which this
    one replaced: the on-disk format must not move, so existing data
-   directories, WAL snapshots and replica snapshot pages stay readable. *)
+   directories and checkpoint pages stay readable. *)
 let golden_int =
   "\x04\x00\x00\x00\x00\x00\x00\x00\x01\x7f\xff\xff\xff\xff\xff\xff\xfb\x80\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x07\x80\x00\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00"
 

@@ -703,7 +703,7 @@ let prop_forest_recovery_oracle =
     QCheck.(pair gen_ops (int_bound 200))
     (run_store_oracle ~shards:3)
 
-(* --- WAL tail reader: the replication shipper's cursor --- *)
+(* --- WAL replay across sealed segments --- *)
 
 module Wal = Pagestore.Wal
 
@@ -718,95 +718,40 @@ let mk_groups lo n =
           let k = lo + (i * 4) + j in
           Store_int.W.W_insert (k, k * 2)))
 
-let test_wal_tail_order () =
+let replay_ops ?from w =
+  let got = ref [] in
+  let fed = Store_int.W.replay ?from w (fun op -> got := op :: !got) in
+  (fed, List.rev !got)
+
+let test_wal_replay_order () =
   let w = Store_int.W.in_memory ~segment_bytes:192 () in
   let groups = mk_groups 0 12 in
   commit_groups w groups;
   Alcotest.(check bool) "spans several sealed segments" true
     (Log.segment_count w.Store_int.W.log > 1);
-  let cur = Wal.fresh_cursor () in
-  let got = ref [] in
-  let fed =
-    Store_int.W.tail w cur (fun p -> got := Store_int.W.decode_ops p :: !got)
-  in
-  Alcotest.(check int) "every record fed" 12 fed;
-  Alcotest.(check bool) "payloads decode to the committed groups, in order"
-    true
-    (List.rev !got = groups);
-  Alcotest.(check int) "cursor records" 12 cur.Wal.c_rec;
-  Alcotest.(check int) "cursor ops"
-    (List.length (List.concat groups))
-    cur.Wal.c_ops;
-  Alcotest.(check int) "drained" 0 (Store_int.W.tail w cur (fun _ -> ()))
+  Alcotest.(check int) "every record committed" 12 (Store_int.W.records w);
+  let fed, ops = replay_ops w in
+  Alcotest.(check int) "every op fed" (List.length (List.concat groups)) fed;
+  Alcotest.(check bool) "ops decode to the committed groups, in order" true
+    (ops = List.concat groups)
 
-let test_wal_tail_limit_and_resume () =
+let test_wal_replay_from () =
   let w = Store_int.W.in_memory ~segment_bytes:192 () in
   let groups = mk_groups 0 10 in
   commit_groups w groups;
-  let cur = Wal.fresh_cursor () in
-  let got = ref [] in
-  let feed n = Store_int.W.tail w ~limit:n cur (fun p -> got := p :: !got) in
-  Alcotest.(check int) "limit honored" 3 (feed 3);
-  Alcotest.(check int) "resumes where it stopped" 4 (feed 4);
-  Alcotest.(check int) "remainder" 3 (feed 100);
-  Alcotest.(check bool) "exactly once, in order" true
-    (List.rev_map Store_int.W.decode_ops !got = groups);
-  (* a cursor parked at the sealed tail hops to later commits *)
+  (* resume at the boundary after the first three groups *)
+  let prefix = List.concat (List.filteri (fun i _ -> i < 3) groups) in
+  let fed, ops = replay_ops ~from:(List.length prefix) w in
+  Alcotest.(check bool) "resumes where the prefix ends, exactly once" true
+    (prefix @ ops = List.concat groups);
+  Alcotest.(check int) "remainder" (List.length ops) fed;
+  (* a position at the sealed tail picks up later commits only *)
+  let tail = Store_int.W.pos w in
   let more = mk_groups 1000 4 in
   commit_groups w more;
-  got := [];
-  Alcotest.(check int) "new records only" 4 (feed 10);
-  Alcotest.(check bool) "the fresh suffix" true
-    (List.rev_map Store_int.W.decode_ops !got = more)
-
-let test_wal_seek_alignment () =
-  let w = Store_int.W.in_memory () in
-  let sizes = [ 3; 1; 4; 2 ] in
-  let groups =
-    List.mapi
-      (fun i sz ->
-        List.init sz (fun j -> Store_int.W.W_insert ((i * 10) + j, 0)))
-      sizes
-  in
-  commit_groups w groups;
-  (* op position 4 is the boundary after records 0 and 1 *)
-  let cur = Wal.fresh_cursor () in
-  Store_int.W.seek w cur ~ops:4;
-  Alcotest.(check int) "aligned to a record boundary" 2 cur.Wal.c_rec;
-  let got = ref [] in
-  ignore (Store_int.W.tail w cur (fun p -> got := p :: !got) : int);
-  Alcotest.(check bool) "tail resumes past the sought prefix" true
-    (List.rev_map Store_int.W.decode_ops !got
-    = [ List.nth groups 2; List.nth groups 3 ]);
-  (* a mid-record position is a cursor/generation mixup: refuse loudly *)
-  let cur = Wal.fresh_cursor () in
-  match Store_int.W.seek w cur ~ops:5 with
-  | () -> Alcotest.fail "seek to a mid-record position must fail"
-  | exception Failure _ -> ()
-
-(* [Log.compact] relocates records and invalidates outstanding cursors
-   (which is why the store never compacts a WAL in place — it writes
-   fresh generations). A re-established cursor must see exactly the
-   survivors, still in order. *)
-let test_wal_cursor_after_compaction () =
-  let w = Store_int.W.in_memory ~segment_bytes:192 () in
-  let groups = mk_groups 0 8 in
-  commit_groups w groups;
-  let offs = ref [] in
-  Log.iter w.Store_int.W.log (fun off _ -> offs := off :: !offs);
-  let doomed = List.filteri (fun i _ -> i < 4) (List.rev !offs) in
-  ignore
-    (Log.compact w.Store_int.W.log
-       ~live:(fun off -> not (List.mem off doomed))
-       ~relocate:(fun _ _ -> ())
-      : int);
-  let cur = Wal.fresh_cursor () in
-  let got = ref [] in
-  ignore (Store_int.W.tail w cur (fun p -> got := p :: !got) : int);
-  Alcotest.(check bool) "fresh cursor sees exactly the survivors" true
-    (List.rev_map Store_int.W.decode_ops !got
-    = List.filteri (fun i _ -> i >= 4) groups);
-  Alcotest.(check int) "survivor records" 4 cur.Wal.c_rec
+  let fed, ops = replay_ops ~from:tail w in
+  Alcotest.(check int) "new ops only" (List.length (List.concat more)) fed;
+  Alcotest.(check bool) "the fresh suffix" true (ops = List.concat more)
 
 (* --- incremental checkpoints: page reuse and crash safety --- *)
 
@@ -958,11 +903,9 @@ let test_inspect_dir_read_only () =
 
 (* --- decoders of untrusted payloads --- *)
 
-(* WAL op groups arrive from disk, from WALCHUNK frames and from a
-   migration's capture log (string keys); checkpoint manifests from a
-   pages log that may hold a torn or foreign record. Malformed input must
-   raise [Failure] only: [Store.newest_manifest] and the replication
-   error paths catch nothing else. *)
+(* WAL op groups and checkpoint manifests arrive from logs on disk that
+   may hold a torn or foreign record. Malformed input must raise
+   [Failure] only: [Store.newest_manifest] catches nothing else. *)
 module WI = Wal.Make (Pagestore.Codec.Int) (Pagestore.Codec.Int)
 module WS = Wal.Make (Pagestore.Codec.String) (Pagestore.Codec.Int)
 
@@ -1227,13 +1170,9 @@ let () =
       ( "wal tail",
         [
           Alcotest.test_case "feeds committed groups in order" `Quick
-            test_wal_tail_order;
+            test_wal_replay_order;
           Alcotest.test_case "limit and resume" `Quick
-            test_wal_tail_limit_and_resume;
-          Alcotest.test_case "seek aligns to record boundaries" `Quick
-            test_wal_seek_alignment;
-          Alcotest.test_case "compaction invalidates cursors" `Quick
-            test_wal_cursor_after_compaction;
+            test_wal_replay_from;
         ] );
       ( "checkpoint",
         [

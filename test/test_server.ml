@@ -41,12 +41,6 @@ let test_wire_roundtrip_unit () =
       Wire.Scan ("start", 48);
       Wire.Batch [ Wire.Get "x"; Wire.Put (Wire.Upsert, "y", 7); Wire.Scan ("z", 3) ];
       Wire.Stats;
-      Wire.Topology None;
-      Wire.Topology (Some "encoded-table");
-      Wire.Migrate { m_lo = ""; m_hi = None; m_dst = 0 };
-      Wire.Migrate { m_lo = "a"; m_hi = Some "b\000"; m_dst = 3 };
-      Wire.Ingest [];
-      Wire.Ingest [ ("k", Some 1); ("dead", None) ];
     ]
   in
   List.iter (fun r -> assert (roundtrip_req r = r)) reqs;
@@ -61,15 +55,56 @@ let test_wire_roundtrip_unit () =
       Wire.Batched [ Wire.Value (Some 1); Wire.Err "nope"; Wire.Applied true ];
       Wire.Stats_payload "{}";
       Wire.Err "bad";
-      Wire.Scanned_to ([], None);
-      Wire.Scanned_to ([ ("a", 1) ], Some "a\000");
-      Wire.Topology_payload "encoded-table";
-      Wire.Err_wrong_shard 7L;
-      Wire.Err_wrong_shard Int64.min_int;
-      Wire.Err_read_only;
     ]
   in
-  List.iter (fun r -> assert (roundtrip_resp r = r)) resps
+  List.iter (fun r -> assert (roundtrip_resp r = r)) resps;
+  (* Retired codes are unknown: opcodes 7–13 (replication, partition
+     table, migration and ingest frames), response tags 5–7 and status
+     byte 2 (typed errors). Each payload is well-formed for the frame
+     its code once named, so only the code itself is refused. *)
+  let enc f =
+    let b = Buffer.create 32 in
+    f b;
+    Buffer.contents b
+  in
+  let int n b = Pagestore.Codec.encode_int b n in
+  let str x b = Pagestore.Codec.encode_string b x in
+  let byte c b = Buffer.add_char b (Char.chr c) in
+  let seq fs b = List.iter (fun f -> f b) fs in
+  let zeros n = seq (List.init n (fun _ -> int 0)) in
+  let malformed name decode payload check =
+    match decode payload with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Wire.Malformed m -> check m
+  in
+  List.iter
+    (fun (op, body) ->
+      malformed (Printf.sprintf "opcode %d" op) Wire.decode_req
+        (enc (seq [ byte op; body ]))
+        (fun m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "opcode %d: %S is an unknown opcode" op m)
+            true
+            (String.starts_with ~prefix:"unknown opcode" m)))
+    [
+      (7, seq [ str "int"; int 1 ]);
+      (8, seq [ zeros 5; byte 1; int 0 ]);
+      (9, zeros 6);
+      (10, byte 0);
+      (11, byte 0);
+      (12, seq [ str ""; byte 0; int 0 ]);
+      (13, int 0);
+    ];
+  List.iter
+    (fun (name, payload) ->
+      malformed name Wire.decode_resp (enc payload) ignore)
+    [
+      ("tag 5", seq [ byte 0; byte 5; int 0 ]);
+      ("tag 6", seq [ byte 0; byte 6; str "" ]);
+      ("tag 7", seq [ byte 0; byte 7; int 0; byte 0 ]);
+      ("status 2, code 1", seq [ byte 2; byte 1; int 7 ]);
+      ("status 2, code 2", seq [ byte 2; byte 2 ]);
+    ]
 
 (* request generator: point ops, scans, one-level batches, over the
    key/string generator [str] *)
@@ -87,21 +122,6 @@ let gen_point_of str =
         map2 (fun k n -> Wire.Scan (k, n mod (Wire.max_scan + 1))) str small_nat;
       ])
 
-(* cluster frames: TOPOLOGY fetch/offer, MIGRATE, INGEST *)
-let gen_cluster_of str =
-  QCheck.Gen.(
-    oneof
-      [
-        map (fun t -> Wire.Topology t) (option str);
-        map3
-          (fun lo hi dst ->
-            Wire.Migrate { m_lo = lo; m_hi = hi; m_dst = dst })
-          str (option str) small_nat;
-        map
-          (fun items -> Wire.Ingest items)
-          (list_size (int_bound 8) (pair str (option int)));
-      ])
-
 let gen_req_of str =
   let gen_point = gen_point_of str in
   QCheck.Gen.(
@@ -110,7 +130,6 @@ let gen_req_of str =
         (6, gen_point);
         (1, return Wire.Stats);
         (2, map (fun l -> Wire.Batch l) (list_size (int_bound 8) gen_point));
-        (2, gen_cluster_of str);
       ])
 
 let gen_req = gen_req_of QCheck.Gen.string
@@ -129,15 +148,8 @@ let gen_resp_flat =
         map (fun v -> Wire.Value v) (option int);
         map (fun b -> Wire.Applied b) bool;
         map (fun l -> Wire.Scanned l) (list_size (int_bound 8) (pair string int));
-        map2
-          (fun l next -> Wire.Scanned_to (l, next))
-          (list_size (int_bound 8) (pair string int))
-          (option string);
         map (fun s -> Wire.Stats_payload s) string;
-        map (fun s -> Wire.Topology_payload s) string;
         map (fun s -> Wire.Err s) string;
-        map (fun e -> Wire.Err_wrong_shard (Int64.of_int e)) int;
-        return Wire.Err_read_only;
       ])
 
 let gen_resp =
@@ -979,6 +991,31 @@ let test_drain_answers_inflight () =
   Alcotest.(check int) "all in-flight answered" n !got;
   Bw_client.close c
 
+(* A host name that is not a numeric address is refused with a typed
+   error naming it, before any socket exists: five failed starts (and
+   connects) leave the process's open descriptors where they were. *)
+let test_bad_host_no_fd_leak () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let backend =
+    Harness.Drivers.Int.K.backend (Harness.Drivers.Int.bwtree ())
+  in
+  let config = { Server.default_config with host = "localhost" } in
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted host \"localhost\"" name
+    | exception Invalid_argument m ->
+        Alcotest.(check string) "names the host"
+          (name ^ ": host \"localhost\" is not a numeric address")
+          m
+  in
+  let before = open_fds () in
+  for _ = 1 to 5 do
+    refused "Server.start" (fun () -> ignore (Server.start ~config backend));
+    refused "Bw_client.connect" (fun () ->
+        ignore (Bw_client.connect ~host:"localhost" ~port:1 ()))
+  done;
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ())
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "server"
@@ -1030,5 +1067,7 @@ let () =
         [
           Alcotest.test_case "drain answers in-flight" `Quick
             test_drain_answers_inflight;
+          Alcotest.test_case "non-numeric host: typed error, no fd leak"
+            `Quick test_bad_host_no_fd_leak;
         ] );
     ]

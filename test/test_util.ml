@@ -341,9 +341,9 @@ let prop_codec_order =
 
 (* [int_at_least] must clamp to the 63-bit int range exactly like the
    shard partitioner's [floor_int]: a bound below every encoded int
-   (e.g. "", the first bootstrap range's floor) starts at [min_int],
-   one above enc(max_int) (e.g. a migration cursor past the last int
-   key) yields [None] — neither may wrap through [Int64.to_int]. *)
+   (e.g. "", shard 0's floor) starts at [min_int], one above
+   enc(max_int) (e.g. a continuation cursor past the last int key)
+   yields [None] — neither may wrap through [Int64.to_int]. *)
 let test_int_at_least () =
   let some = Alcotest.(check (option int)) in
   some "empty bound floors to min_int" (Some min_int)
