@@ -25,8 +25,10 @@ module Part : sig
   (** [make ?lo ?hi n] partitions the slice interval
       [[slice64 lo, slice64 hi)] into [n] equal ranges (default: the
       whole 64-bit slice space). Keys below [lo] route to shard 0 and
-      keys at or past [hi] to shard [n-1], so the partition stays
-      total and order-consistent over all keys. Pass [lo]/[hi] when
+      keys at or past [hi] to the shard owning the range's top, so the
+      partition stays total and order-consistent over all keys. That is
+      shard [n-1] unless the range holds fewer than [n*(n-1)] slices:
+      the stride rounds up, which can then leave the last shards empty. Pass [lo]/[hi] when
       the live keys occupy a known sub-range (e.g. lowercase email
       keys) — a full-space partition would then leave most shards
       empty. Raises [Invalid_argument] if [n < 1] or [hi <= lo]. *)
@@ -36,8 +38,8 @@ module Part : sig
       [[lo, hi]] (default [[min_int, max_int]] — the middle half of
       the full slice space, since OCaml ints are 63-bit) so [n] shards
       of an int-keyed forest each own an equal share. As with {!make},
-      keys outside the range route to the first/last shard, keeping
-      the partition total. Pass bounds when the live keys occupy a
+      keys outside the range route to the edge shards, keeping the
+      partition total. Pass bounds when the live keys occupy a
       known sub-range (benchmarks use non-negative keys). Use this
       (not {!make}) for {!route_int} forests. Raises
       [Invalid_argument] if [n < 1] or [hi <= lo]. *)

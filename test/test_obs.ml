@@ -191,6 +191,99 @@ let test_counters_and_gauges () =
     (O.snapshot reg).O.sn_counters;
   Alcotest.(check int) "count" 7 (O.count reg O.C_splits)
 
+(* The series, counter and gauge index tables are written out by hand:
+   a renumbering that gave two entries one slot would merge their
+   values. Every entry must keep its own slot and its own name. *)
+
+let all_series =
+  O.
+    [
+      Lat_insert; Lat_delete; Lat_update; Lat_lookup; Lat_scan;
+      Lat_consolidate; Lat_reclaim; Lat_req_get; Lat_req_put; Lat_req_delete;
+      Lat_req_scan; Lat_req_batch; Lat_req_stats; Val_op_restarts;
+      Val_chain_depth; Val_reclaim_batch; Val_batch_size;
+    ]
+
+let all_gauges =
+  O.
+    [
+      G_epoch_pending; G_epoch_watermark_lag; G_mt_free_ids; G_mt_chunks;
+      G_net_active_conns; G_net_queued_bytes;
+    ]
+
+let all_event_kinds =
+  O.[ Ev_split; Ev_merge; Ev_consolidate; Ev_mt_grow; Ev_reclaim; Ev_root_collapse ]
+
+let check_distinct what names =
+  Alcotest.(check int)
+    (what ^ " names distinct")
+    (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+let test_counter_slots_distinct () =
+  let reg = O.create ~stripes:2 () in
+  let s = O.sink reg in
+  let counters = List.map fst (O.snapshot reg).O.sn_counters in
+  List.iteri (fun i c -> O.add s ~tid:(i mod 3) c (i + 1)) counters;
+  List.iteri
+    (fun i c -> Alcotest.(check int) (O.counter_name c) (i + 1) (O.count reg c))
+    counters;
+  Alcotest.(check (list int))
+    "snapshot keeps each value"
+    (List.mapi (fun i _ -> i + 1) counters)
+    (List.map snd (O.snapshot reg).O.sn_counters);
+  check_distinct "counter" (List.map O.counter_name counters)
+
+let test_series_slots_distinct () =
+  let reg = O.create () in
+  let s = O.sink reg in
+  List.iteri (fun i se -> O.observe s ~tid:0 se (i + 1)) all_series;
+  let sn = O.snapshot reg in
+  Alcotest.(check int) "one histogram per series" (List.length all_series)
+    (List.length sn.O.sn_histos);
+  List.iteri
+    (fun i se ->
+      match List.find_opt (fun h -> h.O.hs_series = se) sn.O.sn_histos with
+      | None -> Alcotest.failf "%s: no histogram" (O.series_name se)
+      | Some h ->
+          Alcotest.(check (pair int int))
+            (O.series_name se) (1, i + 1) (h.O.hs_count, h.O.hs_sum);
+          Alcotest.(check string)
+            (O.series_name se ^ " unit")
+            (if i < 13 then "ns" else "count")
+            (O.series_unit se))
+    all_series;
+  check_distinct "series" (List.map O.series_name all_series)
+
+let test_gauge_slots_distinct () =
+  let reg = O.create () in
+  let s = O.sink reg in
+  List.iteri (fun i g -> O.register_gauge s g (fun () -> 100 + i)) all_gauges;
+  let sn = O.snapshot reg in
+  List.iteri
+    (fun i g ->
+      Alcotest.(check (option int)) (O.gauge_name g) (Some (100 + i))
+        (List.assoc_opt g sn.O.sn_gauges))
+    all_gauges;
+  check_distinct "gauge" (List.map O.gauge_name all_gauges)
+
+let test_event_totals_distinct () =
+  let reg = O.create () in
+  let s = O.sink reg in
+  List.iteri
+    (fun i k ->
+      for _ = 0 to i do
+        O.event s ~tid:0 k ~a:i ~b:0
+      done)
+    all_event_kinds;
+  let sn = O.snapshot reg in
+  List.iteri
+    (fun i k ->
+      Alcotest.(check (option int)) (O.event_kind_name k) (Some (i + 1))
+        (List.assoc_opt k sn.O.sn_event_totals))
+    all_event_kinds;
+  check_distinct "event kind" (List.map O.event_kind_name all_event_kinds)
+
 let test_histo_buckets () =
   let h = O.Histo.create () in
   List.iter (O.Histo.add h) [ 3; 3; 100; 101; 5000 ];
@@ -449,6 +542,14 @@ let () =
         [
           Alcotest.test_case "counters and gauges" `Quick
             test_counters_and_gauges;
+          Alcotest.test_case "every counter has its own slot" `Quick
+            test_counter_slots_distinct;
+          Alcotest.test_case "every series has its own histogram" `Quick
+            test_series_slots_distinct;
+          Alcotest.test_case "every gauge reports its own provider" `Quick
+            test_gauge_slots_distinct;
+          Alcotest.test_case "every event kind keeps its own total" `Quick
+            test_event_totals_distinct;
         ] );
       ( "json",
         [

@@ -413,6 +413,45 @@ let test_file_log_torn_tail () =
       Alcotest.(check int) "prefix plus repair append" 10 st.os_records;
       Log.close log)
 
+(* [?readonly] sees the same longest valid prefix as a writable open
+   but leaves the torn bytes, and everything else on disk, in place *)
+let test_file_log_readonly () =
+  with_tmp_dir (fun dir ->
+      let log, _ = Log.open_dir ~dir () in
+      for i = 0 to 9 do
+        ignore (Log.append log (Printf.sprintf "record-%d" i))
+      done;
+      Log.close log;
+      let path = Log.segment_path ~dir 0 in
+      let size = (Unix.stat path).Unix.st_size in
+      Unix.truncate path (size - 3);
+      let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      let files = listing () in
+      let ro, st = Log.open_dir ~readonly:true ~dir () in
+      Alcotest.(check int) "valid prefix" 9 st.os_records;
+      Alcotest.(check bool) "would-be cut reported" true
+        (st.os_truncated_bytes > 0);
+      Alcotest.(check (option string)) "behaves as in-memory" None (Log.dir ro);
+      let seen = ref [] in
+      Log.iter ro (fun _ p -> seen := p :: !seen);
+      Alcotest.(check (list string))
+        "records of the prefix"
+        (List.init 9 (Printf.sprintf "record-%d"))
+        (List.rev !seen);
+      let off = Log.append ro "memory-only" in
+      Alcotest.(check string) "append lands in memory" "memory-only"
+        (Log.read ro off);
+      Log.close ro;
+      Alcotest.(check int) "torn tail left in place" (size - 3)
+        (Unix.stat path).Unix.st_size;
+      Alcotest.(check (list string)) "no file created or removed" files
+        (listing ());
+      (* a writable open afterwards still finds, and cuts, the same tear *)
+      let log, st = Log.open_dir ~dir () in
+      Alcotest.(check int) "same prefix" 9 st.os_records;
+      Alcotest.(check bool) "tear still there" true (st.os_truncated_bytes > 0);
+      Log.close log)
+
 let test_file_log_flip_drops_later_segments () =
   with_tmp_dir (fun dir ->
       let log, _ = Log.open_dir ~segment_bytes:128 ~dir () in
@@ -643,7 +682,8 @@ let test_compact_keeping_drops_old_manifests () =
 
 (* qcheck: random ops with a checkpoint cut at a random point, then a
    clean close/reopen — recovery (snapshot + WAL replay) must match a
-   sequential oracle, on a single store and on a 3-shard forest *)
+   sequential oracle, on a single store, on a 3-shard forest and on a
+   string-keyed 2-shard forest *)
 
 let gen_ops =
   QCheck.(
@@ -656,21 +696,22 @@ let apply_oracle oracle (op, k, v) =
   | 1 -> if Hashtbl.mem oracle k then Hashtbl.replace oracle k v
   | _ -> Hashtbl.remove oracle k
 
-let scan_driver (d : int Index_iface.driver) keyspace =
+(* the bindings of keys [0, keyspace), each read through [key] *)
+let scan_keys ~key (d : _ Index_iface.driver) keyspace =
   List.filter_map
-    (fun k -> Option.map (fun v -> (k, v)) (d.Index_iface.read ~tid:0 k))
+    (fun k -> Option.map (fun v -> (k, v)) (d.Index_iface.read ~tid:0 (key k)))
     (List.init keyspace Fun.id)
+
+let scan_driver d keyspace = scan_keys ~key:Fun.id d keyspace
 
 let oracle_bindings oracle keyspace =
   List.filter_map
     (fun k -> Option.map (fun v -> (k, v)) (Hashtbl.find_opt oracle k))
     (List.init keyspace Fun.id)
 
-let run_store_oracle ~shards (ops, cut) =
+let run_store_oracle ~open_durable ~key (ops, cut) =
   with_tmp_dir (fun dir ->
-      let open_durable () =
-        Harness.Drivers.Int.durable ~fsync:false ~hi:63 ~shards ~dir ()
-      in
+      let open_durable () = open_durable ~dir in
       let oracle = Hashtbl.create 64 in
       let dur = open_durable () in
       let d = dur.Harness.Drivers.dur_driver in
@@ -678,30 +719,45 @@ let run_store_oracle ~shards (ops, cut) =
       List.iteri
         (fun i (op, k, v) ->
           (match op with
-          | 0 -> ignore (d.Index_iface.insert ~tid:0 k v)
-          | 1 -> ignore (d.Index_iface.update ~tid:0 k v)
-          | _ -> ignore (d.Index_iface.remove ~tid:0 k));
+          | 0 -> ignore (d.Index_iface.insert ~tid:0 (key k) v)
+          | 1 -> ignore (d.Index_iface.update ~tid:0 (key k) v)
+          | _ -> ignore (d.Index_iface.remove ~tid:0 (key k)));
           apply_oracle oracle (op, k, v);
           if i + 1 = cut then dur.Harness.Drivers.dur_checkpoint ~tid:0 ())
         ops;
       d.Index_iface.thread_done ~tid:0;
       dur.Harness.Drivers.dur_close ();
       let dur = open_durable () in
-      let got = scan_driver dur.Harness.Drivers.dur_driver 64 in
+      let got = scan_keys ~key dur.Harness.Drivers.dur_driver 64 in
       dur.Harness.Drivers.dur_close ();
       got = oracle_bindings oracle 64)
+
+let int_store ~shards ~dir =
+  Harness.Drivers.Int.durable ~fsync:false ~hi:63 ~shards ~dir ()
 
 let prop_store_recovery_oracle =
   QCheck.Test.make ~count:40
     ~name:"store: checkpoint + WAL replay matches sequential oracle"
     QCheck.(pair gen_ops (int_bound 200))
-    (run_store_oracle ~shards:1)
+    (run_store_oracle ~open_durable:(int_store ~shards:1) ~key:Fun.id)
 
 let prop_forest_recovery_oracle =
   QCheck.Test.make ~count:25
     ~name:"3-shard forest: per-shard recovery matches sequential oracle"
     QCheck.(pair gen_ops (int_bound 200))
-    (run_store_oracle ~shards:3)
+    (run_store_oracle ~open_durable:(int_store ~shards:3) ~key:Fun.id)
+
+(* string keys over a 2-shard forest whose partition splits the live
+   keys "user00".."user60" near "user32" *)
+let prop_str_store_recovery_oracle =
+  QCheck.Test.make ~count:25
+    ~name:"string-keyed 2-shard store: recovery matches sequential oracle"
+    QCheck.(pair gen_ops (int_bound 200))
+    (run_store_oracle
+       ~open_durable:(fun ~dir ->
+         Harness.Drivers.Str.durable ~fsync:false ~lo:"user00" ~hi:"user64"
+           ~shards:2 ~dir ())
+       ~key:(Printf.sprintf "user%02d"))
 
 (* --- WAL replay across sealed segments --- *)
 
@@ -752,6 +808,185 @@ let test_wal_replay_from () =
   let fed, ops = replay_ops ~from:tail w in
   Alcotest.(check int) "new ops only" (List.length (List.concat more)) fed;
   Alcotest.(check bool) "the fresh suffix" true (ops = List.concat more)
+
+let test_wal_replay_past_end () =
+  let w = Store_int.W.in_memory ~segment_bytes:192 () in
+  commit_groups w (mk_groups 0 6);
+  let n = Store_int.W.pos w in
+  Alcotest.(check int) "from 0 feeds every op" n (fst (replay_ops w));
+  Alcotest.(check int) "from the end feeds nothing" 0
+    (fst (replay_ops ~from:n w));
+  Alcotest.(check int) "from past the end feeds nothing" 0
+    (fst (replay_ops ~from:(n + 7) w))
+
+let test_wal_empty_group () =
+  let reg = Bw_obs.create () in
+  let w = Store_int.W.in_memory ~obs:(Bw_obs.To reg) () in
+  commit_groups w (mk_groups 0 3);
+  let records = Store_int.W.records w and pos = Store_int.W.pos w in
+  let bytes = Log.bytes_used w.Store_int.W.log in
+  Store_int.W.commit w ~tid:0 [];
+  Alcotest.(check int) "no record" records (Store_int.W.records w);
+  Alcotest.(check int) "position unchanged" pos (Store_int.W.pos w);
+  Alcotest.(check int) "no bytes" bytes (Log.bytes_used w.Store_int.W.log);
+  Alcotest.(check int) "appends count groups only" 3
+    (Bw_obs.count reg Bw_obs.C_wal_appends);
+  Alcotest.(check int) "no fsync without ~fsync" 0
+    (Bw_obs.count reg Bw_obs.C_wal_fsyncs)
+
+(* a file-backed WAL reopened over several sealed segments recounts its
+   op position from the records and replays them in commit order *)
+let test_wal_file_reopen () =
+  with_tmp_dir (fun dir ->
+      let w, _ = Store_int.W.open_dir ~segment_bytes:192 ~fsync:false ~dir () in
+      let groups = mk_groups 0 10 in
+      commit_groups w groups;
+      Alcotest.(check bool) "spans several segments" true
+        (Log.segment_count w.Store_int.W.log > 1);
+      let committed = Store_int.W.pos w in
+      Store_int.W.close w;
+      let w, st = Store_int.W.open_dir ~fsync:false ~dir () in
+      Alcotest.(check int) "every group recovered" 10 st.Log.os_records;
+      Alcotest.(check int) "op position restored" committed
+        (Store_int.W.pos w);
+      let _, ops = replay_ops w in
+      Alcotest.(check bool) "groups replay in commit order" true
+        (ops = List.concat groups);
+      let more = mk_groups 1000 3 in
+      commit_groups w more;
+      let fed, ops = replay_ops ~from:committed w in
+      Alcotest.(check int) "appends continue the position"
+        (List.length (List.concat more))
+        fed;
+      Alcotest.(check bool) "the appended groups" true
+        (ops = List.concat more);
+      Store_int.W.close w)
+
+(* --- group commit through a durable driver --- *)
+
+module DI = Harness.Drivers.Int
+
+let with_durable_int dir f =
+  let st, stats = DI.Durable.open_dir ~fsync:false ~dir () in
+  Fun.protect
+    ~finally:(fun () -> DI.Durable.close st)
+    (fun () ->
+      f st stats (DI.Durable.wrap_driver st (DI.driver_of_tree (DI.Durable.tree st))))
+
+let bop_of (op, k, v) =
+  match op with
+  | 0 -> Index_iface.Bop_insert (k, v)
+  | 1 -> Index_iface.Bop_update (k, v)
+  | _ -> Index_iface.Bop_remove k
+
+(* only applied writes reach the WAL: refused point ops and refused
+   batch slots leave no op behind, so replay cannot resurrect them *)
+let test_store_logs_applied_writes_only () =
+  with_tmp_dir (fun dir ->
+      with_durable_int dir (fun st _ d ->
+          let tid = 0 in
+          assert (d.Index_iface.insert ~tid 1 10);
+          Alcotest.(check bool) "duplicate insert refused" false
+            (d.Index_iface.insert ~tid 1 11);
+          Alcotest.(check bool) "update of an absent key refused" false
+            (d.Index_iface.update ~tid 2 20);
+          Alcotest.(check bool) "remove of an absent key refused" false
+            (d.Index_iface.remove ~tid 3);
+          let rs =
+            Index_iface.exec_batch d ~tid
+              Index_iface.
+                [|
+                  Bop_insert (1, 12); Bop_update (1, 13); Bop_remove 4;
+                  Bop_read 1; Bop_upsert (5, 50);
+                |]
+          in
+          Alcotest.(check bool) "batch results" true
+            (rs
+            = Index_iface.
+                [|
+                  Bres_applied false; Bres_applied true; Bres_applied false;
+                  Bres_value (Some 13); Bres_applied true;
+                |]);
+          Alcotest.(check int) "applied writes logged" 3
+            (DI.Durable.W.pos (DI.Durable.wal st)));
+      with_durable_int dir (fun _ stats d ->
+          Alcotest.(check int) "replayed ops" 3
+            stats.Pagestore.Store.rs_wal_ops;
+          Alcotest.(check (list (pair int int)))
+            "recovered bindings" [ (1, 13); (5, 50) ] (scan_driver d 8)))
+
+(* one batch call is one WAL record, however many writes it applies *)
+let test_store_batch_one_group () =
+  with_tmp_dir (fun dir ->
+      with_durable_int dir (fun st _ d ->
+          let w = DI.Durable.wal st in
+          let tid = 0 in
+          let records () = DI.Durable.W.records w in
+          let r0 = records () in
+          ignore
+            (Index_iface.exec_batch d ~tid
+               (Array.init 64 (fun k -> Index_iface.Bop_insert (k, k))));
+          Alcotest.(check int) "64 inserts, one record" (r0 + 1) (records ());
+          Alcotest.(check int) "64 ops" 64 (DI.Durable.W.pos w);
+          ignore
+            (Index_iface.exec_batch d ~tid
+               Index_iface.[| Bop_read 3; Bop_insert (3, 0); Bop_remove 99 |]);
+          Alcotest.(check int) "nothing applied, nothing written" (r0 + 1)
+            (records ());
+          assert (d.Index_iface.insert ~tid 64 64);
+          Alcotest.(check int) "a point write is its own group" (r0 + 2)
+            (records ()));
+      with_durable_int dir (fun _ stats d ->
+          Alcotest.(check int) "two groups replayed" 2
+            stats.Pagestore.Store.rs_wal_records;
+          Alcotest.(check int) "65 ops replayed" 65
+            stats.Pagestore.Store.rs_wal_ops;
+          Alcotest.(check (list (pair int int)))
+            "every key back" (List.init 65 (fun k -> (k, k))) (scan_driver d 65)))
+
+(* A crash tears the WAL at an arbitrary byte. Each batch is one group
+   commit, so recovery must land exactly on the state after the last
+   group whose record survived whole: never part of a group. *)
+let gen_groups =
+  QCheck.(
+    list_of_size (Gen.int_range 1 12)
+      (list_of_size (Gen.int_range 1 6)
+         (triple (int_bound 2) (int_bound 30) (int_bound 1000))))
+
+let prop_store_torn_wal =
+  QCheck.Test.make ~count:40
+    ~name:"store: a torn WAL recovers a prefix of whole groups"
+    QCheck.(pair gen_groups (int_bound 100_000))
+    (fun (groups, cut_seed) ->
+      with_tmp_dir (fun dir ->
+          let oracle = Hashtbl.create 32 in
+          (* per group: WAL end offset, ops logged so far, oracle image *)
+          let snaps =
+            with_durable_int dir (fun st _ d ->
+                let w = DI.Durable.wal st in
+                List.map
+                  (fun g ->
+                    ignore
+                      (Index_iface.exec_batch d ~tid:0
+                         (Array.of_list (List.map bop_of g)));
+                    List.iter (apply_oracle oracle) g;
+                    ( Log.bytes_used w.DI.Durable.W.log,
+                      DI.Durable.W.pos w,
+                      oracle_bindings oracle 32 ))
+                  groups)
+          in
+          let total = List.fold_left (fun m (e, _, _) -> max m e) 0 snaps in
+          let cut = cut_seed mod (total + 1) in
+          Unix.truncate
+            (Log.segment_path ~dir:(Pagestore.Store.wal_dir dir 0) 0)
+            cut;
+          let _, ops, image =
+            List.fold_left
+              (fun acc ((e, _, _) as snap) -> if e <= cut then snap else acc)
+              (0, 0, []) snaps
+          in
+          with_durable_int dir (fun _ stats d ->
+              stats.Pagestore.Store.rs_wal_ops = ops && scan_driver d 32 = image)))
 
 (* --- incremental checkpoints: page reuse and crash safety --- *)
 
@@ -1139,6 +1374,8 @@ let () =
             test_file_log_multi_segment_reopen;
           Alcotest.test_case "torn tail truncated" `Quick
             test_file_log_torn_tail;
+          Alcotest.test_case "readonly open mutates nothing" `Quick
+            test_file_log_readonly;
           Alcotest.test_case "bit flip drops later segments" `Quick
             test_file_log_flip_drops_later_segments;
           Alcotest.test_case "compaction persists" `Quick
@@ -1166,6 +1403,12 @@ let () =
             test_inspect_dir_read_only;
           q prop_store_recovery_oracle;
           q prop_forest_recovery_oracle;
+          q prop_str_store_recovery_oracle;
+          Alcotest.test_case "only applied writes are logged" `Quick
+            test_store_logs_applied_writes_only;
+          Alcotest.test_case "a batch is one WAL group" `Quick
+            test_store_batch_one_group;
+          q prop_store_torn_wal;
         ] );
       ( "wal tail",
         [
@@ -1173,6 +1416,11 @@ let () =
             test_wal_replay_order;
           Alcotest.test_case "limit and resume" `Quick
             test_wal_replay_from;
+          Alcotest.test_case "replay past the end" `Quick
+            test_wal_replay_past_end;
+          Alcotest.test_case "an empty group writes nothing" `Quick
+            test_wal_empty_group;
+          Alcotest.test_case "file WAL reopen" `Quick test_wal_file_reopen;
         ] );
       ( "checkpoint",
         [

@@ -831,6 +831,39 @@ let test_fuzz_malformed_frames () =
           Alcotest.(check bool) "net_errors counted" true (errors > 0)
       | Bw_obs.Null -> assert false)
 
+(* An old client that still speaks the retired replication, topology
+   and migration opcodes (7-13) gets one ERR per frame naming the
+   opcode; its connection, the store and other clients carry on. *)
+let test_retired_opcodes_refused () =
+  let reg = Bw_obs.create () in
+  with_server ~obs:(Bw_obs.To reg) (fun srv ->
+      let port = Server.port srv in
+      let c = Bw_client.connect ~port () in
+      ignore (Bw_client.Int_key.put c 7 70);
+      let old = raw_connect port in
+      for op = 7 to 13 do
+        raw_send old
+          (frame_of_payload (String.make 1 (Char.chr op) ^ Key.of_int 7 ^ "\000"));
+        match raw_recv_resp old with
+        | Some (Wire.Err m) ->
+            Alcotest.(check string)
+              (Printf.sprintf "opcode %d" op)
+              (Printf.sprintf "malformed request: unknown opcode %d" op)
+              m
+        | Some _ -> Alcotest.failf "opcode %d: expected ERR" op
+        | None -> Alcotest.failf "opcode %d: connection closed" op
+      done;
+      Alcotest.(check int) "one error per frame" 7
+        (Bw_obs.count reg Bw_obs.C_net_errors);
+      raw_send old (Wire.frame_req (Wire.Get (Key.of_int 7)));
+      (match raw_recv_resp old with
+      | Some (Wire.Value (Some 70)) -> ()
+      | _ -> Alcotest.fail "the same connection still serves GET");
+      Unix.close old;
+      Alcotest.(check (option int)) "other clients unaffected" (Some 70)
+        (Bw_client.Int_key.get c 7);
+      Bw_client.close c)
+
 let test_close_on_malformed () =
   with_server ~close_on_malformed:true (fun srv ->
       let fuzz = raw_connect (Server.port srv) in
@@ -1056,6 +1089,8 @@ let () =
         [
           Alcotest.test_case "malformed frames isolated" `Quick
             test_fuzz_malformed_frames;
+          Alcotest.test_case "retired opcodes refused" `Quick
+            test_retired_opcodes_refused;
           Alcotest.test_case "close-on-malformed" `Quick
             test_close_on_malformed;
           Alcotest.test_case "half frame then EOF" `Quick

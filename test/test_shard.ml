@@ -94,6 +94,217 @@ let prop_binary_monotone =
       0 <= sa && sa <= sb && sb < n
       && String.compare (P.floor_binary p sa) a <= 0)
 
+(* A plain-int model of [make_int] over ranges narrow enough that no
+   int arithmetic overflows: the stride is ceil(width / n), a key's
+   shard is its offset from [lo] divided by the stride, clamped to the
+   edge shards, and shard [i]'s floor is [lo + i * stride]. *)
+let prop_int_model =
+  QCheck.Test.make ~name:"make_int matches a plain-int model" ~count:1000
+    QCheck.(
+      quad (int_range 1 9)
+        (int_range (-(1 lsl 40)) (1 lsl 40))
+        (int_range 2 (1 lsl 20))
+        (int_range (-(1 lsl 21)) (1 lsl 21)))
+    (fun (n, lo, width, off) ->
+      let p = P.make_int ~lo ~hi:(lo + width - 1) n in
+      let stride = (width + n - 1) / n in
+      let k = lo + off in
+      let model =
+        if n = 1 || k < lo then 0 else min (n - 1) ((k - lo) / stride)
+      in
+      P.shard_of_int p k = model
+      && List.for_all
+           (fun i -> P.floor_int p i = lo + (i * stride))
+           (List.init (n - 1) (fun i -> i + 1)))
+
+(* [make] over the encodings of [lo] and [hi + 1] (its upper bound is
+   exclusive) is the same partition as [make_int ~lo ~hi]: every int key
+   routes identically through either coordinate. *)
+let prop_encoded_bounds =
+  QCheck.Test.make ~name:"make over encoded int bounds routes like make_int"
+    ~count:1000
+    QCheck.(quad (int_range 1 9) gen_key gen_key gen_key)
+    (fun (n, a, b, k) ->
+      let lo = min a b and hi = max a b in
+      QCheck.assume (lo < hi && hi < max_int);
+      let pi = P.make_int ~lo ~hi n in
+      let pb = P.make ~lo:(Key.of_int lo) ~hi:(Key.of_int (hi + 1)) n in
+      List.for_all
+        (fun k -> P.shard_of_binary pb (Key.of_int k) = P.shard_of_int pi k)
+        (k :: (lo - 1) :: lo :: hi :: (hi + 1) :: List.init n (P.floor_int pi)))
+
+(* Bounds inside [min_int/2, max_int/2], half of them narrow, so no
+   floor lands past [max_int] (that clamp has its own unit test). *)
+let arb_half_bounds =
+  let gen =
+    QCheck.Gen.(
+      let* lo = int_range (min_int / 2) ((max_int / 2) - (1 lsl 20)) in
+      let* hi =
+        oneof
+          [
+            map (fun w -> lo + w) (int_range 1 (1 lsl 20));
+            int_range (lo + 1) (max_int / 2);
+          ]
+      in
+      return (lo, hi))
+  in
+  QCheck.make ~print:QCheck.Print.(pair int int) gen
+
+let floors_and_neighbours floor n =
+  List.concat_map
+    (fun i ->
+      let f = floor i in
+      [ f - 1; f; f + 1 ])
+    (List.init (n - 1) (fun i -> i + 1))
+
+(* The scan-continuation contract: shard [i] and its successors own
+   exactly the keys at or above [floor_int i]. *)
+let prop_int_floor_split =
+  QCheck.Test.make ~name:"int floors split the keys exactly" ~count:1000
+    QCheck.(triple (int_range 2 9) arb_half_bounds gen_key)
+    (fun (n, (lo, hi), k) ->
+      let p = P.make_int ~lo ~hi n in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun i -> (P.shard_of_int p k >= i) = (k >= P.floor_int p i))
+            (List.init (n - 1) (fun i -> i + 1)))
+        (k :: lo :: hi :: floors_and_neighbours (P.floor_int p) n))
+
+let gen_binary_part =
+  QCheck.(
+    pair (int_range 2 9)
+      (option (pair (string_of_size (Gen.int_range 0 10)) string)))
+
+(* Same contract for binary keys under string comparison: the stripped
+   floor compares <= exactly the keys whose slice reaches it. *)
+let prop_binary_floor_split =
+  QCheck.Test.make ~name:"binary floors split the keys exactly" ~count:1000
+    QCheck.(pair gen_binary_part string)
+    (fun ((n, bounds), k) ->
+      let p =
+        match bounds with
+        | None -> P.make n
+        | Some (a, b) ->
+            let sa = Key.slice64 a 0 and sb = Key.slice64 b 0 in
+            QCheck.assume (sa <> sb);
+            if Int64.unsigned_compare sa sb < 0 then P.make ~lo:a ~hi:b n
+            else P.make ~lo:b ~hi:a n
+      in
+      let probes =
+        List.concat_map
+          (fun i ->
+            let f = P.floor_binary p i in
+            let len = String.length f in
+            [ f; f ^ "\000"; f ^ "x"; String.sub f 0 (max 0 (len - 1)) ])
+          (List.init (n - 1) (fun i -> i + 1))
+      in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun i ->
+              (P.shard_of_binary p k >= i)
+              = (String.compare k (P.floor_binary p i) >= 0))
+            (List.init (n - 1) (fun i -> i + 1)))
+        (k :: probes))
+
+(* Keys below [lo] go to shard 0 and keys above [hi] to the shard that
+   owns [hi]; once the range holds at least n*(n-1) keys rounding the
+   stride up leaves no shard empty, so that is shard [n-1]. *)
+let prop_int_out_of_range =
+  QCheck.Test.make ~name:"keys outside make_int's range follow key order"
+    ~count:1000
+    QCheck.(triple (int_range 1 9) arb_half_bounds gen_key)
+    (fun (n, (lo, hi), k) ->
+      let p = P.make_int ~lo ~hi n in
+      let top = P.shard_of_int p hi in
+      (k >= lo || P.shard_of_int p k = 0)
+      && (k <= hi || P.shard_of_int p k = top)
+      && (hi - lo + 1 < n * (n - 1) || top = n - 1))
+
+let test_full_space_binary () =
+  let p4 = P.make 4 in
+  Alcotest.(check (list string))
+    "quarter floors" [ ""; "\x40"; "\x80"; "\xc0" ]
+    (List.init 4 (P.floor_binary p4));
+  List.iter
+    (fun (k, s) ->
+      Alcotest.(check int) (Printf.sprintf "shard of %S" k) s
+        (P.shard_of_binary p4 k))
+    [
+      ("", 0); ("\x3f\xff", 0); ("\x40", 1); ("\x7f\xff\xff\xff\xff\xff\xff\xff\xff", 1);
+      ("\x80", 2); ("\xc0", 3); ("\xff\xff\xff\xff\xff\xff\xff\xff\xff", 3);
+    ];
+  (* 2^64 does not divide by 3: the stride rounds up to 0x5555555555555556 *)
+  let p3 = P.make 3 in
+  Alcotest.(check string) "third floor 1" "UUUUUUUV" (P.floor_binary p3 1);
+  Alcotest.(check string) "third floor 2" "\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xac"
+    (P.floor_binary p3 2);
+  Alcotest.(check int) "just below floor 1" 0
+    (P.shard_of_binary p3 "UUUUUUUU\xff")
+
+let test_default_int_split () =
+  let p2 = P.make_int 2 in
+  Alcotest.(check int) "halves meet at zero" 0 (P.floor_int p2 1);
+  Alcotest.(check int) "negative keys on shard 0" 0 (P.shard_of_int p2 (-1));
+  Alcotest.(check int) "non-negative keys on shard 1" 1 (P.shard_of_int p2 0);
+  let p4 = P.make_int 4 in
+  Alcotest.(check (list int))
+    "quarter floors"
+    [ min_int; min_int / 2; 0; (max_int / 2) + 1 ]
+    (List.init 4 (P.floor_int p4));
+  List.iter
+    (fun (k, s) ->
+      Alcotest.(check int) (Printf.sprintf "shard of %d" k) s
+        (P.shard_of_int p4 k))
+    [
+      (min_int, 0); ((min_int / 2) - 1, 0); (min_int / 2, 1); (-1, 1);
+      (0, 2); (max_int / 2, 2); ((max_int / 2) + 1, 3); (max_int, 3);
+    ]
+
+(* width 5 over 4 shards: stride 2, so shard 3's floor slice lies past
+   max_int's. Its int floor clamps to max_int and it owns no int key. *)
+let test_int_floor_clamp () =
+  let lo = max_int - 4 in
+  let p = P.make_int ~lo ~hi:max_int 4 in
+  Alcotest.(check (list int))
+    "floors" [ min_int; lo + 2; lo + 4; max_int ]
+    (List.init 4 (P.floor_int p));
+  Alcotest.(check (list int))
+    "owners of the range" [ 0; 0; 1; 1; 2 ]
+    (List.init 5 (fun i -> P.shard_of_int p (lo + i)))
+
+let test_bad_bounds () =
+  let empty_range = Invalid_argument "Bw_shard.Part.make: hi must be > lo" in
+  Alcotest.check_raises "inverted binary bounds" empty_range (fun () ->
+      ignore (P.make ~lo:"b" ~hi:"a" 2));
+  Alcotest.check_raises "bounds equal in their first 8 bytes" empty_range
+    (fun () -> ignore (P.make ~lo:"abcdefgh1" ~hi:"abcdefgh2" 2));
+  Alcotest.check_raises "zero padding is not a distinct slice" empty_range
+    (fun () -> ignore (P.make ~lo:"a" ~hi:"a\000" 2));
+  Alcotest.check_raises "int shard count < 1"
+    (Invalid_argument "Bw_shard.Part.make_int: shard count < 1") (fun () ->
+      ignore (P.make_int 0));
+  Alcotest.check_raises "descending int bounds"
+    (Invalid_argument "Bw_shard.Part.make_int: hi must be > lo") (fun () ->
+      ignore (P.make_int ~lo:3 ~hi:2 2))
+
+let test_single_shard () =
+  List.iter
+    (fun p ->
+      Alcotest.(check int) "count" 1 (P.count p);
+      List.iter
+        (fun k ->
+          Alcotest.(check int) (Printf.sprintf "shard of %S" k) 0
+            (P.shard_of_binary p k))
+        [ ""; "a"; "m"; "zzzz"; "\xff\xff\xff\xff\xff\xff\xff\xff\xff" ];
+      List.iter
+        (fun k -> Alcotest.(check int) "int shard" 0 (P.shard_of_int p k))
+        [ min_int; -1; 0; 42; max_int ];
+      Alcotest.(check string) "binary floor" "" (P.floor_binary p 0);
+      Alcotest.(check int) "int floor" min_int (P.floor_int p 0))
+    [ P.make 1; P.make ~lo:"a" ~hi:"b" 1; P.make_int 1; P.make_int ~lo:0 ~hi:9 1 ]
+
 (* ------------------------------------------------------------------ *)
 (* Router semantics                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -148,6 +359,71 @@ let test_router_misc () =
       ignore
         (Bw_shard.route_int (P.make_int 2)
            (Array.init 3 (fun _ -> D.Int.btree ()))))
+
+let test_router_rejects_empty () =
+  Alcotest.check_raises "empty forest"
+    (Invalid_argument "Bw_shard.route: empty forest") (fun () ->
+      ignore
+        (Bw_shard.route ~shard_of:(fun _ -> 0) ~floor_of:(fun _ -> 0)
+           ([||] : int I.driver array)));
+  Alcotest.check_raises "binary arity mismatch"
+    (Invalid_argument "Bw_shard.route: partition has 3 shards, got 1 drivers")
+    (fun () ->
+      ignore (Bw_shard.route_binary (P.make 3) [| D.Str.btree () |]))
+
+(* Two-letter lowercase keys over a 4-shard partition of ["a", "{"):
+   scans that start anywhere, on a floor or below every key, continue
+   across the string floors in key order and visit each key once. *)
+let test_binary_scan_continuation () =
+  let p = P.make ~lo:"a" ~hi:"{" 4 in
+  let d = Bw_shard.route_binary p (Array.init 4 (fun _ -> D.Str.btree ())) in
+  let letters = List.init 26 (fun i -> String.make 1 (Char.chr (97 + i))) in
+  let keys = List.concat_map (fun a -> List.map (fun b -> a ^ b) letters) letters in
+  List.iteri (fun i k -> assert (d.I.insert ~tid:0 k i)) keys;
+  let per_shard = Array.make 4 0 in
+  List.iter
+    (fun k ->
+      let s = P.shard_of_binary p k in
+      per_shard.(s) <- per_shard.(s) + 1)
+    keys;
+  Alcotest.(check bool) "every shard holds keys" true
+    (Array.for_all (fun c -> c > 0) per_shard);
+  let scan start n =
+    let seen = ref [] in
+    let m = d.I.scan ~tid:0 start ~n (fun k _ -> seen := k :: !seen) in
+    (m, List.rev !seen)
+  in
+  let expect start n =
+    List.filteri (fun i _ -> i < n)
+      (List.filter (fun k -> String.compare k start >= 0) keys)
+  in
+  List.iter
+    (fun start ->
+      let m, got = scan start 300 in
+      let want = expect start 300 in
+      Alcotest.(check int) (Printf.sprintf "count from %S" start)
+        (List.length want) m;
+      Alcotest.(check (list string)) (Printf.sprintf "keys from %S" start)
+        want got)
+    ([ ""; "a"; "fz"; "m"; "zz"; "zzz" ]
+    @ List.init 3 (fun i -> P.floor_binary p (i + 1)));
+  let m, got = scan "" 1000 in
+  Alcotest.(check int) "whole forest" 676 m;
+  Alcotest.(check (list string)) "whole forest in key order" keys got
+
+let test_router_empty_work () =
+  let d = D.Int.forest ~config:tiny ~lo:0 ~hi:99 ~shards:3 () in
+  for k = 0 to 99 do
+    assert (d.I.insert ~tid:0 k k)
+  done;
+  let visits = ref 0 in
+  Alcotest.(check int) "negative scan budget" 0
+    (d.I.scan ~tid:0 10 ~n:(-3) (fun _ _ -> incr visits));
+  Alcotest.(check int) "no visits" 0 !visits;
+  Alcotest.(check int) "empty batch, no results" 0
+    (Array.length (I.exec_batch d ~tid:0 [||]));
+  Alcotest.(check (option int)) "forest unchanged" (Some 42)
+    (d.I.read ~tid:0 42)
 
 (* ------------------------------------------------------------------ *)
 (* Forest == single tree (observational equivalence)                   *)
@@ -307,12 +583,32 @@ let () =
           q prop_int_monotone;
           q prop_codec_agreement;
           q prop_binary_monotone;
+          q prop_int_model;
+          q prop_encoded_bounds;
+          q prop_int_floor_split;
+          q prop_binary_floor_split;
+          q prop_int_out_of_range;
+          Alcotest.test_case "full-space binary floors" `Quick
+            test_full_space_binary;
+          Alcotest.test_case "default int partition splits at zero" `Quick
+            test_default_int_split;
+          Alcotest.test_case "int floor past max_int clamps" `Quick
+            test_int_floor_clamp;
+          Alcotest.test_case "empty ranges rejected" `Quick test_bad_bounds;
+          Alcotest.test_case "single shard owns every key" `Quick
+            test_single_shard;
         ] );
       ( "router",
         [
           Alcotest.test_case "cross-shard scan continuation" `Quick
             test_scan_boundaries;
           Alcotest.test_case "name, memory, arity" `Quick test_router_misc;
+          Alcotest.test_case "empty forest rejected" `Quick
+            test_router_rejects_empty;
+          Alcotest.test_case "string-keyed scan continuation" `Quick
+            test_binary_scan_continuation;
+          Alcotest.test_case "empty batch, negative budget" `Quick
+            test_router_empty_work;
         ] );
       ( "equivalence",
         [
