@@ -134,9 +134,12 @@ let () =
   let lg = run_loadgen ~port:a.b_port ~ops:5_000_000 ~wait:false in
   Unix.sleepf 2.0;
   Unix.kill a.b_pid Sys.sigkill;
+  (* the loadgen reports the lost server with its own exit code *)
   (match Unix.waitpid [] lg with
+  | _, Unix.WEXITED 4 -> ()
   | _, Unix.WEXITED 0 -> die "loadgen finished before the kill; raise --ops"
-  | _ -> ());
+  | _, Unix.WEXITED c -> die "loadgen exited %d after the kill, expected 4" c
+  | _ -> die "loadgen died after the kill");
   drain_and_reap "server (boot A)" a ~expect_clean:false;
 
   (* --- boot B: recover, serve, checkpoint on SIGTERM --- *)

@@ -15,6 +15,12 @@ module Wire = Bw_server.Wire
 let usage_mixes = "insert, c (read-only), a (read/update), e (scan/insert)"
 let usage_spaces = "mono, rand, email, hc"
 
+(* Exit codes besides 0 (see [exits] below for their help text). *)
+let exit_unreachable = 1
+let exit_bad_flag = 2
+let exit_err_replies = 3
+let exit_lost_server = 4
+
 (* ------------------------------------------------------------------ *)
 (* Pipelined op driving                                                *)
 (* ------------------------------------------------------------------ *)
@@ -87,7 +93,7 @@ let main host port clients depth batch mix keyspace keys ops theta
     | None ->
         Printf.eprintf "bwt_loadgen: unknown --mix %S (try: %s)\n" mix
           usage_mixes;
-        exit 2
+        exit exit_bad_flag
   in
   let space =
     match keyspace with
@@ -98,18 +104,18 @@ let main host port clients depth batch mix keyspace keys ops theta
     | s ->
         Printf.eprintf "bwt_loadgen: unknown --keyspace %S (try: %s)\n" s
           usage_spaces;
-        exit 2
+        exit exit_bad_flag
   in
   if clients < 1 || depth < 1 || keys < 1 || ops < 0 then begin
     Printf.eprintf
       "bwt_loadgen: --clients and --pipeline must be >= 1, --keys >= 1, \
        --ops >= 0\n";
-    exit 2
+    exit exit_bad_flag
   end;
   if batch < 1 || batch > Wire.max_batch then begin
     Printf.eprintf "bwt_loadgen: --batch must be in [1, %d] (got %d)\n"
       Wire.max_batch batch;
-    exit 2
+    exit exit_bad_flag
   end;
   (* keys travel in their binary-comparable form; the server decodes *)
   let conv : int -> string =
@@ -134,17 +140,39 @@ let main host port clients depth batch mix keyspace keys ops theta
     try Array.init clients (fun _ -> Bw_client.connect ~host ~port ()) with
     | Invalid_argument m ->
         Printf.eprintf "bwt_loadgen: %s\n" m;
-        exit 2
+        exit exit_bad_flag
     | Unix.Unix_error (e, _, _) ->
         Printf.eprintf "bwt_loadgen: cannot connect to %s:%d: %s\n" host port
           (Unix.error_message e);
-        exit 1
+        exit exit_unreachable
   in
   let errors = Atomic.make 0 in
+  (* A server that dies or breaks the protocol mid-run ends the run: each
+     client domain notes why it stopped, and the main domain reports the
+     first reason and exits. *)
+  let lost_because = function
+    | Bw_client.Server_closed -> Some "connection closed"
+    | Bw_client.Protocol_error m -> Some ("protocol error: " ^ m)
+    | _ -> None
+  in
+  let die_lost why =
+    Printf.eprintf "bwt_loadgen: lost the server at %s:%d: %s\n%!" host port
+      why;
+    exit exit_lost_server
+  in
+  let lost = Atomic.make None in
   let run_clients traces =
-    Harness.Runner.run_phase ~nthreads:clients (fun tid ->
-        let e = drive obs ~tid conns.(tid) traces.(tid) ~depth ~batch in
-        ignore (Atomic.fetch_and_add errors e))
+    let seconds =
+      Harness.Runner.run_phase ~nthreads:clients (fun tid ->
+          match drive obs ~tid conns.(tid) traces.(tid) ~depth ~batch with
+          | e -> ignore (Atomic.fetch_and_add errors e)
+          | exception ex -> (
+              match lost_because ex with
+              | Some why -> ignore (Atomic.compare_and_set lost None (Some why))
+              | None -> raise ex))
+    in
+    Option.iter die_lost (Atomic.get lost);
+    seconds
   in
   (* load phase: stripe the key set across client connections *)
   if not no_load then begin
@@ -178,7 +206,11 @@ let main host port clients depth batch mix keyspace keys ops theta
     Printf.printf "errors: %d ERR replies\n%!" (Atomic.get errors);
   Option.iter
     (fun file ->
-      let json = Bw_client.stats conns.(0) in
+      let json =
+        try Bw_client.stats conns.(0)
+        with ex -> (
+          match lost_because ex with Some why -> die_lost why | None -> raise ex)
+      in
       let oc = open_out file in
       output_string oc json;
       output_char oc '\n';
@@ -199,7 +231,7 @@ let main host port clients depth batch mix keyspace keys ops theta
           close_out oc;
           Printf.printf "metrics: wrote %s\n%!" file)
         metrics_json);
-  if Atomic.get errors > 0 then exit 3
+  if Atomic.get errors > 0 then exit exit_err_replies
 
 let cmd =
   let host =
@@ -286,7 +318,17 @@ let cmd =
              "Replays the paper's YCSB mixes against a running bwt_server \
               over TCP, one pipelined connection per client domain, and \
               reports throughput in the same format as bin/ycsb.exe.";
-         ])
+         ]
+       ~exits:
+         (Cmd.Exit.info 0 ~doc:"the run completed with no ERR reply."
+         :: Cmd.Exit.info exit_unreachable ~doc:"the server cannot be reached."
+         :: Cmd.Exit.info exit_bad_flag ~doc:"a flag has a bad value."
+         :: Cmd.Exit.info exit_err_replies
+              ~doc:"the run completed, but some request got an ERR reply."
+         :: Cmd.Exit.info exit_lost_server
+              ~doc:"the server closed a connection or broke the wire \
+                    protocol mid-run (a one-line message names which)."
+         :: List.filter (fun i -> Cmd.Exit.info_code i <> 0) Cmd.Exit.defaults))
     term
 
 let () = exit (Cmd.eval cmd)

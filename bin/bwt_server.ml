@@ -58,6 +58,13 @@ let main host port workers shards index key_type data_dir no_fsync
     Printf.eprintf "bwt_server: --shards must be >= 1\n";
     exit 2
   end;
+  (* checked before [backend_of] opens --data-dir, so a bad host leaves
+     the directory as it found it *)
+  (match Unix.inet_addr_of_string host with
+  | _ -> ()
+  | exception Failure _ ->
+      Printf.eprintf "bwt_server: host %S is not a numeric address\n" host;
+      exit 2);
   let reg = Bw_obs.create ~stripes:(workers + 1) () in
   let obs = Bw_obs.To reg in
   let shard_regs =

@@ -28,6 +28,7 @@ let crash_rounds = ref 3
 let crash_dir = ref ""
 let fsync = ref false
 let read_heavy = ref false
+let leaf_chain_max = ref None
 
 let speclist =
   [
@@ -57,6 +58,14 @@ let speclist =
       "N submit point ops through the subject's batch path in groups of N \
        (default 1 = per-op)" );
     ("--non-unique", Arg.Clear unique, " stress the non-unique key support");
+    ( "--leaf-chain-max",
+      Arg.Int
+        (fun n ->
+          if n < 1 then raise (Arg.Bad "--leaf-chain-max must be >= 1");
+          leaf_chain_max := Some n),
+      "N openbw/bw leaf delta-chain threshold (default: the index's own); \
+       a small N makes slot exhaustion, wasted slots and slab re-creation \
+       after consolidation frequent" );
     ( "--crash",
       Arg.Set crash,
       " crash-recovery mode: checkpoint a durable pagestore, crash it \
@@ -173,7 +182,15 @@ let () =
           if !index = "bw" then Bwtree.microsoft_config
           else Bwtree.default_config
         in
-        let config = { base with gc_scheme; unique_keys = !unique } in
+        let config =
+          {
+            base with
+            gc_scheme;
+            unique_keys = !unique;
+            leaf_chain_max =
+              Option.value !leaf_chain_max ~default:base.leaf_chain_max;
+          }
+        in
         if !shards = 1 then
           Bw_stress.bwtree_subject ~config ~obs
             ~domains:cfg.Bw_stress.domains ()

@@ -4,9 +4,11 @@
 
     Concurrency model: base nodes and delta records are immutable; the only
     mutable state is the mapping table's CaS-swung slots (plus per-node
-    allocation markers and the epoch system). Every state change is a
-    single CaS on a logical node's slot. A failed CaS aborts the operation,
-    which restarts from the root (§2.2).
+    allocation markers, the epoch system, and the slots of a leaf's delta
+    slab, each written once by the writer that claimed it before the CaS
+    that publishes it). Every state change is a single CaS on a logical
+    node's slot. A failed CaS aborts the operation, which restarts from
+    the root (§2.2).
 
     See {!Bwtree_intf} for the configuration knobs; every optimization from
     the paper is an independent switch. *)
@@ -84,11 +86,12 @@ module Make (K : KEY) (V : VALUE) :
      this one down to the base, this one included). A base derives them
      instead: its size is its item count, its depth 0.
 
-     [range] is the first field and [next] the second in every constructor
-     that has them, so [range_of] compiles to one load with no tag switch
-     and a chain step reads the same offset whatever the delta kind. *)
+     [range] is the first field in every constructor, so [range_of]
+     compiles to one load with no tag switch, and [next] the second in
+     every constructor that has one, so a chain step reads the same
+     offset whatever the delta kind. *)
   type elem =
-    | Leaf of { range : range; lb_page : P.t; lb_pre : prealloc option }
+    | Leaf of { range : range; lb_page : P.t }
     | Inner of {
         range : range;
         ib_seps : key array;
@@ -99,15 +102,24 @@ module Make (K : KEY) (V : VALUE) :
         ib_ids : int array;
         ib_pre : prealloc option;
       }
-    (* The data deltas: key, value(s) and the §4.3 base-node position of
-       the key ([offset], -1 when unknown) inline, 8 words (9 for an
-       update) per delta. *)
+    (* The heap data deltas of trees without pre-allocation: key,
+       value(s) and the §4.3 base-node position of the key ([offset], -1
+       when unknown) inline, 8 words (9 for an update) per delta. *)
     | LIns of { range : range; next : elem; size : int; depth : int;
                 offset : int; key : key; v : value }
     | LDel of { range : range; next : elem; size : int; depth : int;
                 offset : int; key : key; v : value (* the value removed *) }
     | LUpd of { range : range; next : elem; size : int; depth : int;
                 offset : int; key : key; vold : value; vnew : value }
+    (* With pre-allocation (§4.1) a leaf's data deltas live in its slab
+       instead, and the head names the newest: slot [slot] of [slab], whose
+       predecessor links walk the run of slots down to [below] (the base,
+       or the split or merge delta the run was appended on). Appends on an
+       [LSlab] head extend its run, so [below] is never another [LSlab];
+       data deltas above a split or merge delta claim slots from the slab
+       under it (see [spine_slab]). A head is 7 words whatever the kind. *)
+    | LSlab of { range : range; slab : slab; slot : int; size : int;
+                 depth : int; below : elem }
     (* Leaf SMO deltas and every inner delta are rare, so their op stays a
        separate block. *)
     | LSmo of { range : range; next : elem; size : int; depth : int; op : l_smo }
@@ -130,36 +142,50 @@ module Make (K : KEY) (V : VALUE) :
     | I_remove
     | I_abort  (* write-locks this node against appends (Appendix B) *)
 
-  (* §4.1 pre-allocated delta area: an atomic allocation marker over a
-     fixed number of slots. Claiming a slot is one atomic add; exhaustion
-     forces consolidation. (The paper places the records physically inside
-     the chunk; in OCaml the records are ordinary heap blocks, and the
-     marker reproduces the allocation discipline and its statistics.) *)
+  (* A leaf's §4.1 delta chunk ({!Leaf_page.slab}): keys, values, old
+     values and meta words in parallel arrays, one slot per data delta. *)
+  and slab = (key, value) Leaf_page.slab
+
+  (* An inner base's §4.1 allocation marker over a fixed number of slots.
+     Claiming a slot is one atomic add; exhaustion forces consolidation.
+     Inner deltas are rare and stay ordinary heap blocks, so the marker
+     reproduces only the allocation discipline and its statistics; leaf
+     deltas live in a real chunk, the [slab]. *)
   and prealloc = { cap : int; used : int Atomic.t; wasted : int Atomic.t }
 
   (* The node attributes, read off any element without allocating. *)
   let range_of = function
     | Leaf { range; _ } | Inner { range; _ } | LIns { range; _ }
-    | LDel { range; _ } | LUpd { range; _ } | LSmo { range; _ }
-    | ID { range; _ } ->
+    | LDel { range; _ } | LUpd { range; _ } | LSlab { range; _ }
+    | LSmo { range; _ } | ID { range; _ } ->
         range
 
   let size_of = function
     | Leaf b -> P.length b.lb_page
     | Inner b -> Array.length b.ib_ids
-    | LIns { size; _ } | LDel { size; _ } | LUpd { size; _ } | LSmo { size; _ }
-    | ID { size; _ } ->
+    | LIns { size; _ } | LDel { size; _ } | LUpd { size; _ }
+    | LSlab { size; _ } | LSmo { size; _ } | ID { size; _ } ->
         size
 
   let depth_of = function
     | Leaf _ | Inner _ -> 0
     | LIns { depth; _ } | LDel { depth; _ } | LUpd { depth; _ }
-    | LSmo { depth; _ } | ID { depth; _ } ->
+    | LSlab { depth; _ } | LSmo { depth; _ } | ID { depth; _ } ->
         depth
 
   let is_leaf_elem = function
-    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSmo _ -> true
+    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSlab _ | LSmo _ -> true
     | Inner _ | ID _ -> false
+
+  (* The slab a data delta appended on [head] claims its slot from: the
+     one under the head's run, reached through any split or merge deltas
+     above it; [no_slab] when the chain has none yet. *)
+  let no_slab : slab = Leaf_page.new_slab ~cap:0 ~unique:true
+
+  let rec spine_slab = function
+    | LSlab d -> d.slab
+    | LSmo { next; _ } -> spine_slab next
+    | Leaf _ | Inner _ | LIns _ | LDel _ | LUpd _ | ID _ -> no_slab
 
   (* the unbounded range of a tree's first leaf and of every new root *)
   let whole = { lo = Neg_inf; hi = Pos_inf; right = nil_id }
@@ -211,27 +237,30 @@ module Make (K : KEY) (V : VALUE) :
     cnt t.o tid Bw_obs.C_restarts;
     Domain.cpu_relax ()
 
-  let new_prealloc cfg ~leaf =
+  (* Slots per pre-allocated chunk: one more than the chain-length
+     trigger, which normally fires first, so exhaustion is the backstop,
+     not the common case. *)
+  let leaf_slab_cap cfg = cfg.leaf_chain_max + 1
+
+  let new_prealloc cfg =
     if not cfg.preallocate then None
     else
-      let cap = if leaf then cfg.leaf_chain_max else cfg.inner_chain_max in
-      (* one extra slot: the chain-length trigger normally fires first, so
-         marker exhaustion is the backstop, not the common case *)
-      Some { cap = cap + 1; used = Atomic.make 0; wasted = Atomic.make 0 }
+      Some
+        { cap = cfg.inner_chain_max + 1; used = Atomic.make 0;
+          wasted = Atomic.make 0 }
 
-  let empty_leaf cfg =
-    Leaf { range = whole; lb_page = P.empty; lb_pre = new_prealloc cfg ~leaf:true }
+  let empty_leaf () = Leaf { range = whole; lb_page = P.empty }
 
   (* Sentinel element: "no element" where a function returns a head
      (no in-place rewrite, no cached batch leaf yet). Only ever compared
      physically. *)
-  let no_leaf = empty_leaf { default_config with preallocate = false }
+  let no_leaf = empty_leaf ()
 
   let create ?(config = default_config) ?(obs = Bw_obs.Null) () =
     Config.validate config;
-    let dummy = empty_leaf { config with preallocate = false } in
+    let dummy = empty_leaf () in
     let table = Mapping_table.create ~obs ~dummy () in
-    let leaf = empty_leaf config in
+    let leaf = empty_leaf () in
     let leaf_id = Mapping_table.allocate table leaf in
     let root =
       Inner
@@ -239,7 +268,7 @@ module Make (K : KEY) (V : VALUE) :
           range = whole;
           ib_seps = [||];
           ib_ids = [| leaf_id |];
-          ib_pre = new_prealloc config ~leaf:false;
+          ib_pre = new_prealloc config;
         }
     in
     let root_id = Mapping_table.allocate table root in
@@ -320,60 +349,88 @@ module Make (K : KEY) (V : VALUE) :
   (* Rebuilds a leaf logical node's sorted (key, value) items by applying
      the chain oldest-first. Correct for every delta kind, including SMO
      records; used by consolidation (baseline mode), splits, iterators and
-     the invariant checker. *)
-  let rec gather_leaf o ~tid (e : elem) : (key * value) Growable.t =
+     the invariant checker. On a unique-key tree a delete or an update
+     removes whatever its key holds (unique-key slabs keep no old
+     values); otherwise it removes the exact (key, value) pair. *)
+  let rec gather_leaf t ~tid (e : elem) : (key * value) Growable.t =
+    let o = t.o in
     match e with
     | Leaf b ->
         let g = Growable.create ~capacity:(P.length b.lb_page + 8) () in
         P.iter_from b.lb_page 0 (fun k v -> Growable.push g (k, v));
         g
+    | LSlab d ->
+        cnt o tid Bw_obs.C_ptr_derefs;
+        let items = gather_leaf t ~tid d.below in
+        let s = d.slab in
+        (* the run oldest first: predecessors before their successors *)
+        let rec replay i =
+          if i >= 0 then begin
+            let m = s.Leaf_page.smeta.(i) in
+            replay (Leaf_page.meta_pred m);
+            replay_delta t ~tid items (Leaf_page.meta_kind m)
+              s.Leaf_page.skeys.(i) s.Leaf_page.svals.(i)
+              (Leaf_page.slot_old s i)
+          end
+        in
+        replay d.slot;
+        items
     | LIns { next; _ } | LDel { next; _ } | LUpd { next; _ } | LSmo { next; _ }
       -> (
         cnt o tid Bw_obs.C_ptr_derefs;
-        let items = gather_leaf o ~tid next in
-        let find_pair k v =
-          (* position of the exact (k, v) pair, or -1 *)
-          let n = Growable.length items in
-          let i = ref (lower_bound_g o ~tid items k) in
-          let found = ref (-1) in
-          while
-            !found < 0 && !i < n
-            && K.compare (fst (Growable.get items !i)) k = 0
-          do
-            if V.equal (snd (Growable.get items !i)) v then found := !i;
-            incr i
-          done;
-          !found
-        in
-        let do_insert k v =
-          let pos = upper_bound_g o ~tid items k in
-          Growable.insert_at items pos (k, v)
-        in
-        let do_delete k v =
-          let pos = find_pair k v in
-          if pos >= 0 then Growable.remove_at items pos
-        in
+        let items = gather_leaf t ~tid next in
         match e with
         | LIns d ->
-            do_insert d.key d.v;
+            replay_delta t ~tid items Leaf_page.kind_ins d.key d.v d.v;
             items
         | LDel d ->
-            do_delete d.key d.v;
+            replay_delta t ~tid items Leaf_page.kind_del d.key d.v d.v;
             items
         | LUpd d ->
-            do_delete d.key d.vold;
-            do_insert d.key d.vnew;
+            replay_delta t ~tid items Leaf_page.kind_upd d.key d.vnew d.vold;
             items
         | LSmo { op = L_split (ks, _, _); _ } ->
             let cut = lower_bound_g o ~tid items ks in
             Growable.truncate items cut;
             items
         | LSmo { op = L_merge (_, right, _); _ } ->
-            let r = gather_leaf o ~tid right in
+            let r = gather_leaf t ~tid right in
             Growable.iter (fun it -> Growable.push items it) r;
             items
-        | LSmo { op = L_remove; _ } | Leaf _ | Inner _ | ID _ -> items)
+        | LSmo { op = L_remove; _ } | Leaf _ | Inner _ | LSlab _ | ID _ ->
+            items)
     | Inner _ | ID _ -> assert false
+
+  (* Apply one data delta of [kind] to the sorted [items]: an insert adds
+     (k, v), a delete removes (k, v), an update replaces (k, vold) by
+     (k, v). *)
+  and replay_delta t ~tid items kind k v vold =
+    let o = t.o in
+    let find_pair k v =
+      (* position of the exact (k, v) pair (any value of [k] on a
+         unique-key tree), or -1 *)
+      let n = Growable.length items in
+      let i = ref (lower_bound_g o ~tid items k) in
+      let found = ref (-1) in
+      while
+        !found < 0 && !i < n
+        && K.compare (fst (Growable.get items !i)) k = 0
+      do
+        if t.cfg.unique_keys || V.equal (snd (Growable.get items !i)) v then
+          found := !i;
+        incr i
+      done;
+      !found
+    in
+    let remove k v =
+      let pos = find_pair k v in
+      if pos >= 0 then Growable.remove_at items pos
+    in
+    if kind = Leaf_page.kind_del then remove k v
+    else begin
+      if kind = Leaf_page.kind_upd then remove k vold;
+      Growable.insert_at items (upper_bound_g o ~tid items k) (k, v)
+    end
 
   and lower_bound_g o ~tid items k =
     let lo = ref 0 and hi = ref (Growable.length items) in
@@ -443,48 +500,62 @@ module Make (K : KEY) (V : VALUE) :
             Growable.iter (fun it -> Growable.push items it) r;
             items
         | I_remove | I_abort -> items)
-    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSmo _ -> assert false
+    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSlab _ | LSmo _ -> assert false
 
   (* ---------------------------------------------------------------- *)
   (* Fast consolidation (§4.3)                                         *)
   (* ---------------------------------------------------------------- *)
 
-  (* Applicable when the chain is only data deltas over a leaf base:
-     convert the chain (newest first) into {!P.delta} records and let
-     the page module resolve visibility and emit the new page with a
-     single two-way merge — no full sort. [None] on SMO-bearing chains;
-     the caller falls back to the general replay. *)
-  let consolidate_leaf_chain o ~tid (head : elem) : P.t option =
-    let exception Fallback in
-    try
-      let rec walk e =
-        match e with
-        | Leaf b -> (b.lb_page, [])
-        | LIns d -> push (P.Ins (d.key, d.v)) d.next
-        | LDel d -> push (P.Del (d.key, d.v)) d.next
-        | LUpd d -> push (P.Upd (d.key, d.vold, d.vnew)) d.next
-        | LSmo _ | Inner _ | ID _ -> raise Fallback
-      and push dd next =
-        cnt o tid Bw_obs.C_ptr_derefs;
-        let b, ds = walk next in
-        (b, dd :: ds)
-      in
-      let base, deltas = walk head in
-      let page, searches = P.merge_with_deltas base deltas in
-      (match o with
+  (* Applicable when the chain is only data deltas over a leaf base: a
+     slab run is merged straight out of the slab's arrays; a chain of
+     heap deltas (no pre-allocation) is converted into {!P.delta} records.
+     Either way the page module resolves visibility and emits the new
+     page with a single two-way merge — no full sort. [None] on
+     SMO-bearing chains; the caller falls back to the general replay. *)
+  let consolidate_leaf_chain t ~tid (head : elem) : P.t option =
+    let o = t.o in
+    let charge base searches =
+      match o with
       | Bw_obs.Null -> ()
       | Bw_obs.To _ ->
           Bw_obs.add o ~tid Bw_obs.C_key_compares
-            (searches * P.search_cost base));
-      Some page
-    with Fallback -> None
+            (searches * P.search_cost base)
+    in
+    match head with
+    | LSlab { slab; slot; below = Leaf b; _ } ->
+        cnt o tid Bw_obs.C_ptr_derefs;
+        let page, searches =
+          P.merge_with_slab b.lb_page slab ~top:slot
+            ~unique:t.cfg.unique_keys
+        in
+        charge b.lb_page searches;
+        Some page
+    | _ -> (
+        let exception Fallback in
+        try
+          let rec walk e =
+            match e with
+            | Leaf b -> (b.lb_page, [])
+            | LIns d -> push (P.Ins (d.key, d.v)) d.next
+            | LDel d -> push (P.Del (d.key, d.v)) d.next
+            | LUpd d -> push (P.Upd (d.key, d.vold, d.vnew)) d.next
+            | LSlab _ | LSmo _ | Inner _ | ID _ -> raise Fallback
+          and push dd next =
+            cnt o tid Bw_obs.C_ptr_derefs;
+            let b, ds = walk next in
+            (b, dd :: ds)
+          in
+          let base, deltas = walk head in
+          let page, searches = P.merge_with_deltas base deltas in
+          charge base searches;
+          Some page
+        with Fallback -> None)
 
   (* ---------------------------------------------------------------- *)
   (* Building base nodes                                               *)
   (* ---------------------------------------------------------------- *)
 
-  let leaf_base_of_page t page ~range =
-    Leaf { range; lb_page = page; lb_pre = new_prealloc t.cfg ~leaf:true }
+  let leaf_base_of_page page ~range = Leaf { range; lb_page = page }
 
   let inner_base_of_items t items ~range =
     let n = Array.length items in
@@ -500,7 +571,7 @@ module Make (K : KEY) (V : VALUE) :
         range;
         ib_seps = seps;
         ib_ids = Array.map snd items;
-        ib_pre = new_prealloc t.cfg ~leaf:false;
+        ib_pre = new_prealloc t.cfg;
       }
 
   (* ---------------------------------------------------------------- *)
@@ -511,6 +582,7 @@ module Make (K : KEY) (V : VALUE) :
     let rec go = function
       | Leaf _ | Inner _ -> false
       | LIns { next; _ } | LDel { next; _ } | LUpd { next; _ }
+      | LSlab { below = next; _ }
       | ID { op = I_ins _ | I_del _; next; _ } ->
           go next
       | LSmo _ | ID { op = I_split _ | I_merge _ | I_remove | I_abort; _ } ->
@@ -552,7 +624,8 @@ module Make (K : KEY) (V : VALUE) :
      the chain to collect the logical node's items, then sort. Applies to
      chains of plain data deltas (like the fast path); SMO-bearing chains
      fall back to the general gather. *)
-  let sort_consolidate_leaf o ~tid (head : elem) : (key * value) array option =
+  let sort_consolidate_leaf t ~tid (head : elem) : (key * value) array option =
+    let o = t.o in
     let exception Fallback in
     try
       let pres : (key * value) Growable.t = Growable.create () in
@@ -563,7 +636,8 @@ module Make (K : KEY) (V : VALUE) :
           if i >= n then false
           else
             let k', v' = Growable.get dels i in
-            if K.compare k' k = 0 && V.equal v' v then begin
+            if K.compare k' k = 0 && (t.cfg.unique_keys || V.equal v' v)
+            then begin
               Growable.remove_at dels i;
               true
             end
@@ -571,21 +645,38 @@ module Make (K : KEY) (V : VALUE) :
         in
         go 0
       in
+      (* one data delta, newest first *)
+      let visit kind k v vold =
+        if kind = Leaf_page.kind_del then Growable.push dels (k, v)
+        else begin
+          if not (take_pending k v) then Growable.push pres (k, v);
+          if kind = Leaf_page.kind_upd then Growable.push dels (k, vold)
+        end
+      in
       let rec walk e =
         match e with
         | Leaf b -> b.lb_page
+        | LSlab { slab = s; slot; below; _ } ->
+            cnt o tid Bw_obs.C_ptr_derefs;
+            let i = ref slot in
+            while !i >= 0 do
+              let m = s.Leaf_page.smeta.(!i) in
+              visit (Leaf_page.meta_kind m) s.Leaf_page.skeys.(!i)
+                s.Leaf_page.svals.(!i) (Leaf_page.slot_old s !i);
+              i := Leaf_page.meta_pred m
+            done;
+            walk below
         | LIns { key = k; v; next; _ } ->
             cnt o tid Bw_obs.C_ptr_derefs;
-            if not (take_pending k v) then Growable.push pres (k, v);
+            visit Leaf_page.kind_ins k v v;
             walk next
         | LDel { key = k; v; next; _ } ->
             cnt o tid Bw_obs.C_ptr_derefs;
-            Growable.push dels (k, v);
+            visit Leaf_page.kind_del k v v;
             walk next
         | LUpd { key = k; vold; vnew; next; _ } ->
             cnt o tid Bw_obs.C_ptr_derefs;
-            if not (take_pending k vnew) then Growable.push pres (k, vnew);
-            Growable.push dels (k, vold);
+            visit Leaf_page.kind_upd k vnew vold;
             walk next
         | LSmo _ | Inner _ | ID _ -> raise Fallback
       in
@@ -630,18 +721,17 @@ module Make (K : KEY) (V : VALUE) :
             if is_leaf_elem head then begin
               let page =
                 if t.cfg.fast_consolidation then
-                  consolidate_leaf_chain t.o ~tid head
+                  consolidate_leaf_chain t ~tid head
                 else
                   (* the paper's baseline pays the full sort *)
-                  Option.map P.build (sort_consolidate_leaf t.o ~tid head)
+                  Option.map P.build (sort_consolidate_leaf t ~tid head)
               in
               let page =
                 match page with
                 | Some p -> p
-                | None ->
-                    P.build (Growable.to_array (gather_leaf t.o ~tid head))
+                | None -> P.build (Growable.to_array (gather_leaf t ~tid head))
               in
-              leaf_base_of_page t page ~range:(range_of head)
+              leaf_base_of_page page ~range:(range_of head)
             end
             else
               let items = Growable.to_array (gather_inner t.o ~tid head) in
@@ -675,37 +765,80 @@ module Make (K : KEY) (V : VALUE) :
   (* Delta append plumbing                                             *)
   (* ---------------------------------------------------------------- *)
 
-  (* find the (left) base node of a chain, for its prealloc marker *)
+  (* find the (left) base node of an inner chain, for its prealloc
+     marker *)
   let rec chain_base (e : elem) =
     match e with
-    | Leaf _ | Inner _ -> e
-    | LIns { next; _ } | LDel { next; _ } | LUpd { next; _ } | LSmo { next; _ }
-    | ID { next; _ } ->
-        chain_base next
+    | Inner _ -> e
+    | ID { next; _ } -> chain_base next
+    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSlab _ | LSmo _ -> assert false
 
   let prealloc_of e =
-    match chain_base e with
-    | Leaf b -> b.lb_pre
-    | Inner b -> b.ib_pre
-    | _ -> assert false
+    match chain_base e with Inner b -> b.ib_pre | _ -> assert false
 
-  (* §4.1: claim one pre-allocated slot; on exhaustion force consolidation
-     and make the caller retry. *)
+  (* The §4.1 overflow path shared by both node kinds: exhaustion forces
+     consolidation and makes the caller retry. *)
+  let overflow t ~tid id head =
+    cnt t.o tid Bw_obs.C_prealloc_overflows;
+    consolidate t ~tid id head;
+    raise Restart
+
+  (* §4.1 on an inner node: claim one slot of its marker. *)
   let claim_slot t ~tid id head =
     match prealloc_of head with
     | None -> ()
     | Some pre ->
-        let i = Atomic.fetch_and_add pre.used 1 in
-        if i >= pre.cap then begin
-          cnt t.o tid Bw_obs.C_prealloc_overflows;
-          consolidate t ~tid id head;
-          raise Restart
-        end
+        if Atomic.fetch_and_add pre.used 1 >= pre.cap then
+          overflow t ~tid id head
 
   let slot_wasted head =
     match prealloc_of head with
     | None -> ()
     | Some pre -> ignore (Atomic.fetch_and_add pre.wasted 1)
+
+  (* §4.1 on a leaf: the data delta for an append on [head], written into
+     a claimed slot of the chain's slab. The claim is one fetch-and-add;
+     the chain's first append allocates the slab with its slot 0 already
+     claimed, so a racer that loses the publishing CaS just drops it. The
+     slot is filled with plain stores; the mapping-table CaS that
+     installs the returned head publishes them (DESIGN.md, "Immutable
+     elements"). A head built on an [LSlab] extends its run; on a base or
+     an SMO delta it starts a new run over it. *)
+  let slab_delta t ~tid id head ~kind ~step ~offset k v vold =
+    let old = spine_slab head in
+    let slab =
+      if old == no_slab then
+        Leaf_page.new_slab ~cap:(leaf_slab_cap t.cfg) ~unique:t.cfg.unique_keys
+      else old
+    in
+    let slot =
+      if old == no_slab then 0
+      else
+        let i = Atomic.fetch_and_add slab.Leaf_page.used 1 in
+        if i >= Leaf_page.slab_cap slab then overflow t ~tid id head else i
+    in
+    let range = range_of head
+    and size = size_of head + step
+    and depth = depth_of head + 1 in
+    match head with
+    | LSlab h ->
+        Leaf_page.fill_slot slab slot ~kind ~pred:h.slot ~offset k v vold;
+        LSlab { range; slab; slot; size; depth; below = h.below }
+    | _ ->
+        Leaf_page.fill_slot slab slot ~kind ~pred:(-1) ~offset k v vold;
+        LSlab { range; slab; slot; size; depth; below = head }
+
+  (* The same delta as a heap record, for trees without pre-allocation. *)
+  let heap_delta head ~kind ~step ~offset key v vold =
+    let range = range_of head
+    and next = head
+    and size = size_of head + step
+    and depth = depth_of head + 1 in
+    if kind = Leaf_page.kind_ins then
+      LIns { range; next; size; depth; offset; key; v }
+    else if kind = Leaf_page.kind_del then
+      LDel { range; next; size; depth; offset; key; v }
+    else LUpd { range; next; size; depth; offset; key; vold; vnew = v }
 
   let head_is_append_blocked = function
     | LSmo { op = L_remove; _ } | ID { op = I_remove | I_abort; _ } -> true
@@ -747,7 +880,7 @@ module Make (K : KEY) (V : VALUE) :
         let r = b.range in
         if kb k r.hi >= 0 && r.right <> nil_id then go_right r.right
         else Array.unsafe_get b.ib_ids (sep_index o ~tid b.ib_seps k)
-    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSmo _ -> assert false
+    | Leaf _ | LIns _ | LDel _ | LUpd _ | LSlab _ | LSmo _ -> assert false
 
   (* Exact routing context from the consolidated view: the separator
      governing [k], its child, and the tight next bound. Used when posting
@@ -791,7 +924,7 @@ module Make (K : KEY) (V : VALUE) :
               range = whole;
               ib_seps = [| ks |];
               ib_ids = [| left_id; rid |];
-              ib_pre = new_prealloc t.cfg ~leaf:false;
+              ib_pre = new_prealloc t.cfg;
             }
         in
         let root_id = Mapping_table.allocate t.table root in
@@ -856,7 +989,7 @@ module Make (K : KEY) (V : VALUE) :
       (* the split key and the new right sibling's base, or no split *)
       let cut =
         if leaf then begin
-          let items = Growable.to_array (gather_leaf t.o ~tid head) in
+          let items = Growable.to_array (gather_leaf t ~tid head) in
           let n = Array.length items in
           if n <= t.cfg.leaf_max then None
           else begin
@@ -873,7 +1006,7 @@ module Make (K : KEY) (V : VALUE) :
               Some
                 ( ks,
                   !pos,
-                  leaf_base_of_page t
+                  leaf_base_of_page
                     (P.build_sub items ~pos:!pos ~len:(n - !pos))
                     ~range:{ lo = B ks; hi = r.hi; right = r.right } )
           end
@@ -1233,7 +1366,9 @@ module Make (K : KEY) (V : VALUE) :
      thread's cursor: the §4.3 base offset for a delta the caller may
      append, and how many delta records the walk crossed (the read-side
      consolidation budget). The comparison that tests each delta's key
-     also narrows the §4.4 shortcut range over the base. *)
+     also narrows the §4.4 shortcut range over the base. A slab run is
+     walked through its predecessor links inside the slab's arrays: one
+     dependent load to reach the slab, then index steps. *)
   let leaf_find_unique t ~tid (head : elem) k : value option =
     let e = ref head in
     let res = ref None in
@@ -1278,6 +1413,31 @@ module Make (K : KEY) (V : VALUE) :
           cnt t.o tid Bw_obs.C_key_compares;
           poisoned := true;
           e := if K.compare k km >= 0 then right else next
+      | LSlab { slab; slot; below; _ } ->
+          cnt t.o tid Bw_obs.C_ptr_derefs;
+          let keys = slab.Leaf_page.skeys and meta = slab.Leaf_page.smeta in
+          let i = ref slot in
+          while !i >= 0 do
+            let m = meta.(!i) in
+            incr walked;
+            cnt t.o tid Bw_obs.C_key_compares;
+            let c = K.compare k keys.(!i) in
+            let o = Leaf_page.meta_offset m in
+            if c = 0 then begin
+              if Leaf_page.meta_kind m <> Leaf_page.kind_del then
+                res := Some slab.Leaf_page.svals.(!i);
+              off := if !poisoned then -1 else o;
+              fin := true;
+              i := -1
+            end
+            else begin
+              (if t.cfg.search_shortcuts && o >= 0 then
+                 if c > 0 then (if o > !smin then smin := o)
+                 else if o < !smax then smax := o);
+              i := Leaf_page.meta_pred m
+            end
+          done;
+          if not !fin then e := below
       | Leaf b ->
           let pg = b.lb_page in
           let pos = base_search t ~tid pg k ~smin:!smin ~smax:!smax in
@@ -1331,26 +1491,43 @@ module Make (K : KEY) (V : VALUE) :
        narrow the shortcut range, and on a match record [o] *)
     let probe k' o =
       let c = K.compare k k' in
-      cnt t.o tid Bw_obs.C_ptr_derefs;
       cnt t.o tid Bw_obs.C_key_compares;
       narrow o c;
       if c = 0 then note_offset o;
       c = 0
     in
+    (* a data delta of [k], newest first *)
+    let visit kind v vold =
+      if kind = Leaf_page.kind_del then Growable.push dels v
+      else begin
+        if not (take_pending v) then Growable.push pres v;
+        if kind = Leaf_page.kind_upd then Growable.push dels vold
+      end
+    in
     let rec walk e =
       match e with
+      | LSlab { slab = s; slot; below; _ } ->
+          cnt t.o tid Bw_obs.C_ptr_derefs;
+          let i = ref slot in
+          while !i >= 0 do
+            let m = s.Leaf_page.smeta.(!i) in
+            if probe s.Leaf_page.skeys.(!i) (Leaf_page.meta_offset m) then
+              visit (Leaf_page.meta_kind m) s.Leaf_page.svals.(!i)
+                (Leaf_page.slot_old s !i);
+            i := Leaf_page.meta_pred m
+          done;
+          walk below
       | LIns d ->
-          if probe d.key d.offset && not (take_pending d.v) then
-            Growable.push pres d.v;
+          cnt t.o tid Bw_obs.C_ptr_derefs;
+          if probe d.key d.offset then visit Leaf_page.kind_ins d.v d.v;
           walk d.next
       | LDel d ->
-          if probe d.key d.offset then Growable.push dels d.v;
+          cnt t.o tid Bw_obs.C_ptr_derefs;
+          if probe d.key d.offset then visit Leaf_page.kind_del d.v d.v;
           walk d.next
       | LUpd d ->
-          if probe d.key d.offset then begin
-            if not (take_pending d.vnew) then Growable.push pres d.vnew;
-            Growable.push dels d.vold
-          end;
+          cnt t.o tid Bw_obs.C_ptr_derefs;
+          if probe d.key d.offset then visit Leaf_page.kind_upd d.vnew d.vold;
           walk d.next
       | LSmo { op = L_split _ | L_remove; next; _ } ->
           cnt t.o tid Bw_obs.C_ptr_derefs;
@@ -1465,15 +1642,26 @@ module Make (K : KEY) (V : VALUE) :
         post_append_leaf t ~tid id repl parent_path ~check_underflow:false
     | _ -> no_leaf
 
-  (* Append the data delta [d], built on [head] (leaf [id]): it shares
-     [head]'s range record and extends its depth by one. *)
-  let append_data t ~tid id head parent_path d ~check_underflow =
+  (* Append a data delta of [kind] on [head] (leaf [id]): key [k], value
+     [v] (the new value, or the one a delete removes), [vold] the value an
+     update replaces, [step] its change to the node's size. The delta
+     shares [head]'s range record and extends its depth by one; its §4.3
+     offset is the one the probe left in the cursor. *)
+  let append_data t ~tid id head parent_path ~kind ~step k v vold
+      ~check_underflow =
     if head_is_append_blocked head then raise Restart;
-    claim_slot t ~tid id head;
+    let offset = t.cur.(tid).c_offset in
+    let d =
+      if t.cfg.preallocate then
+        slab_delta t ~tid id head ~kind ~step ~offset k v vold
+      else heap_delta head ~kind ~step ~offset k v vold
+    in
     cnt t.o tid Bw_obs.C_allocations;
     if not (mt_cas t ~tid id ~expect:head ~repl:d) then begin
       cnt t.o tid Bw_obs.C_delta_cas_failures;
-      slot_wasted head;
+      (match d with
+      | LSlab { slab; _ } -> ignore (Atomic.fetch_and_add slab.Leaf_page.wasted 1)
+      | _ -> ());
       raise Restart
     end;
     let h = post_append_leaf t ~tid id d parent_path ~check_underflow in
@@ -1502,7 +1690,6 @@ module Make (K : KEY) (V : VALUE) :
     in
     if duplicate then no_op c head
     else
-      let offset = c.c_offset in
       let repl =
         if t.cfg.inplace_leaf_update then
           try_inplace_insert t ~tid id head path k v
@@ -1513,9 +1700,7 @@ module Make (K : KEY) (V : VALUE) :
         repl
       end
       else
-        append_data t ~tid id head path
-          (LIns { range = range_of head; next = head; size = size_of head + 1;
-                  depth = depth_of head + 1; offset; key = k; v })
+        append_data t ~tid id head path ~kind:Leaf_page.kind_ins ~step:1 k v v
           ~check_underflow:false
 
   let delete_core t ~tid head k v =
@@ -1530,11 +1715,8 @@ module Make (K : KEY) (V : VALUE) :
     match victim with
     | None -> no_op c head
     | Some victim ->
-        append_data t ~tid id head path
-          (LDel { range = range_of head; next = head; size = size_of head - 1;
-                  depth = depth_of head + 1; offset = c.c_offset; key = k;
-                  v = victim })
-          ~check_underflow:true
+        append_data t ~tid id head path ~kind:Leaf_page.kind_del ~step:(-1) k
+          victim victim ~check_underflow:true
 
   let update_core t ~tid head k v =
     let c = t.cur.(tid) in
@@ -1547,11 +1729,8 @@ module Make (K : KEY) (V : VALUE) :
     match current with
     | None -> no_op c head
     | Some vold ->
-        append_data t ~tid id head path
-          (LUpd { range = range_of head; next = head; size = size_of head;
-                  depth = depth_of head + 1; offset = c.c_offset; key = k;
-                  vold; vnew = v })
-          ~check_underflow:false
+        append_data t ~tid id head path ~kind:Leaf_page.kind_upd ~step:0 k v
+          vold ~check_underflow:false
 
   (* ---------------------------------------------------------------- *)
   (* Point operations                                                  *)
@@ -1909,12 +2088,11 @@ module Make (K : KEY) (V : VALUE) :
         match
           (* the §4.3 segment merge is much cheaper than the general
              replay and applies to any chain of plain data deltas *)
-          if t.cfg.fast_consolidation then
-            consolidate_leaf_chain t.o ~tid head
+          if t.cfg.fast_consolidation then consolidate_leaf_chain t ~tid head
           else None
         with
         | Some page -> page
-        | None -> P.build (Growable.to_array (gather_leaf t.o ~tid head)))
+        | None -> P.build (Growable.to_array (gather_leaf t ~tid head)))
 
   (* A scan's page for the leaf [id] whose head it read. A chained leaf
      costs a full merge either way; with [read_consolidation] on, the
@@ -2174,10 +2352,9 @@ module Make (K : KEY) (V : VALUE) :
       match head with
       | Leaf b -> b.lb_page
       | _ -> (
-          match consolidate_leaf_chain t.o ~tid head with
+          match consolidate_leaf_chain t ~tid head with
           | Some page -> page
-          | None ->
-              P.build (Growable.to_array (gather_leaf t.o ~tid head)))
+          | None -> P.build (Growable.to_array (gather_leaf t ~tid head)))
     in
     let first =
       with_epoch t ~tid @@ fun () ->
@@ -2249,12 +2426,20 @@ module Make (K : KEY) (V : VALUE) :
       read_consolidations = c Bw_obs.C_read_consolidations;
     }
 
+  let util ~cap ~used ~wasted =
+    let used = min used cap in
+    float_of_int (used - min wasted used) /. float_of_int cap
+
   let prealloc_util = function
     | None -> None
     | Some pre ->
-        let used = min (Atomic.get pre.used) pre.cap in
-        let wasted = min (Atomic.get pre.wasted) used in
-        Some (float_of_int (used - wasted) /. float_of_int pre.cap)
+        Some
+          (util ~cap:pre.cap ~used:(Atomic.get pre.used)
+             ~wasted:(Atomic.get pre.wasted))
+
+  let slab_util s =
+    util ~cap:(Leaf_page.slab_cap s) ~used:(Atomic.get s.Leaf_page.used)
+      ~wasted:(Atomic.get s.Leaf_page.wasted)
 
   let structure_stats t =
     let tid = 0 in
@@ -2267,18 +2452,22 @@ module Make (K : KEY) (V : VALUE) :
     and iutil = ref 0.0
     and iutil_n = ref 0
     and lutil = ref 0.0
-    and lutil_n = ref 0 in
+    and lutil_n = ref 0
+    and wasted = ref 0 in
     let rec walk id depth max_depth =
       let head = mt_get t ~tid id in
       if is_leaf_elem head then begin
         incr leaf_nodes;
         leaf_chain := !leaf_chain + depth_of head;
         leaf_size := !leaf_size + size_of head;
-        (match prealloc_util (prealloc_of head) with
-        | Some u ->
-            lutil := !lutil +. u;
-            incr lutil_n
-        | None -> ());
+        (* a leaf without a slab (no data delta since its last
+           consolidation, or no pre-allocation) has nothing to utilize *)
+        let s = spine_slab head in
+        if s != no_slab then begin
+          lutil := !lutil +. slab_util s;
+          incr lutil_n;
+          wasted := !wasted + Atomic.get s.Leaf_page.wasted
+        end;
         max !max_depth (depth + 1) |> fun d -> max_depth := d
       end
       else begin
@@ -2308,6 +2497,7 @@ module Make (K : KEY) (V : VALUE) :
         (if !iutil_n = 0 then 0.0 else !iutil /. float_of_int !iutil_n);
       leaf_prealloc_util =
         (if !lutil_n = 0 then 0.0 else !lutil /. float_of_int !lutil_n);
+      leaf_slots_wasted = !wasted;
       depth = !max_depth;
     }
 
@@ -2378,15 +2568,70 @@ module Make (K : KEY) (V : VALUE) :
     let tid = 0 in
     let leaves : (bound * bound * int * int) Growable.t = Growable.create () in
     (* (lo, hi, right, id) in key order *)
+    (* the slabs met in the chain being checked, each with the slots its
+       runs publish *)
+    let slabs : (slab * int ref) list ref = ref [] in
+    let published s =
+      match List.find_opt (fun (s', _) -> s' == s) !slabs with
+      | Some (_, n) -> n
+      | None ->
+          let n = ref 0 in
+          slabs := (s, n) :: !slabs;
+          n
+    in
     (* Every element of node [id]'s chain against the one below it: a
        delta's depth is one more than its next's; a data delta moves the
        size by its step and shares its next's range record physically (the
        sharing that keeps a data delta one block); a split delta's range
        ends at its split key and points right at the new sibling. A merge
-       delta's absorbed chain is checked too. *)
+       delta's absorbed chain is checked too. A slab run is checked slot
+       by slot — each predecessor below its slot, inside the claimed
+       slots, a known kind — and its head against the element under the
+       run, as a heap chain would be; it sits on the slab of the chain
+       below it, if that has one, and never directly on another run. *)
     let rec check_chain id e =
       match e with
       | Leaf _ | Inner _ -> ()
+      | LSlab { slab = s; slot; below; size; depth; range } ->
+          let claimed =
+            min (Atomic.get s.Leaf_page.used) (Leaf_page.slab_cap s)
+          in
+          let len = ref 0 and step = ref 0 and i = ref slot in
+          while !i >= 0 do
+            if !i >= claimed then
+              fail_inv "node %d: slot %d outside the %d claimed" id !i claimed;
+            let m = s.Leaf_page.smeta.(!i) in
+            let kind = Leaf_page.meta_kind m and p = Leaf_page.meta_pred m in
+            if kind = Leaf_page.kind_ins then incr step
+            else if kind = Leaf_page.kind_del then decr step
+            else if kind <> Leaf_page.kind_upd then
+              fail_inv "node %d: slot %d has kind %d" id !i kind
+            else if
+              (not t.cfg.unique_keys) && Array.length s.Leaf_page.solds = 0
+            then fail_inv "node %d: update slot %d keeps no old value" id !i;
+            if p >= !i then
+              fail_inv "node %d: slot %d's predecessor %d is not below it" id
+                !i p;
+            incr len;
+            i := p
+          done;
+          let n = published s in
+          n := !n + !len;
+          if depth <> depth_of below + !len then
+            fail_inv "node %d: run of %d slots over depth %d has depth %d" id
+              !len (depth_of below) depth;
+          if size <> size_of below + !step then
+            fail_inv "node %d: run size %d over size %d (step %d)" id size
+              (size_of below) !step;
+          if range != range_of below then
+            fail_inv "node %d: slab run does not share its range" id;
+          (match below with
+          | LSlab _ -> fail_inv "node %d: slab run directly over a run" id
+          | _ -> ());
+          let under = spine_slab below in
+          if under != no_slab && under != s then
+            fail_inv "node %d: slab run over another slab's chain" id;
+          check_chain id below
       | LIns { next; _ } | LDel { next; _ } | LUpd { next; _ } | LSmo { next; _ }
       | ID { next; _ } ->
           if depth_of e <> depth_of next + 1 then
@@ -2419,16 +2664,31 @@ module Make (K : KEY) (V : VALUE) :
           | _ -> ());
           check_chain id next
     in
+    (* every claimed slot of a slab is published in the chain or counted
+       wasted (a quiesced tree has no claim in flight) *)
+    let check_slabs id =
+      List.iter
+        (fun (s, n) ->
+          let claimed =
+            min (Atomic.get s.Leaf_page.used) (Leaf_page.slab_cap s)
+          and wasted = Atomic.get s.Leaf_page.wasted in
+          if claimed <> !n + wasted then
+            fail_inv "node %d: slab claimed %d slots, %d published, %d wasted"
+              id claimed !n wasted)
+        !slabs;
+      slabs := []
+    in
     let rec walk id ~lo ~hi =
       let head = mt_get t ~tid id in
       check_chain id head;
+      check_slabs id;
       let r = range_of head and size = size_of head in
       if cmp_bound r.lo lo <> 0 then
         fail_inv "node %d: lo %a expected %a" id pp_bound r.lo pp_bound lo;
       if cmp_bound r.hi hi > 0 then
         fail_inv "node %d: hi %a beyond expected %a" id pp_bound r.hi pp_bound hi;
       if is_leaf_elem head then begin
-        let items = Growable.to_array (gather_leaf t.o ~tid head) in
+        let items = Growable.to_array (gather_leaf t ~tid head) in
         if Array.length items <> size then
           fail_inv "leaf %d: size %d but %d items" id size (Array.length items);
         Array.iteri
@@ -2530,6 +2790,20 @@ module Make (K : KEY) (V : VALUE) :
       | LIns d -> Format.fprintf ppf "ins(%a) :: %a" K.pp d.key pp_chain d.next
       | LDel d -> Format.fprintf ppf "del(%a) :: %a" K.pp d.key pp_chain d.next
       | LUpd d -> Format.fprintf ppf "upd(%a) :: %a" K.pp d.key pp_chain d.next
+      | LSlab d ->
+          let s = d.slab in
+          let i = ref d.slot in
+          while !i >= 0 do
+            let m = s.Leaf_page.smeta.(!i) in
+            Format.fprintf ppf "%s(%a)@%d :: "
+              (let kind = Leaf_page.meta_kind m in
+               if kind = Leaf_page.kind_ins then "ins"
+               else if kind = Leaf_page.kind_del then "del"
+               else "upd")
+              K.pp s.Leaf_page.skeys.(!i) !i;
+            i := Leaf_page.meta_pred m
+          done;
+          pp_chain ppf d.below
       | LSmo d -> Format.fprintf ppf "%a :: %a" pp_smo d.op pp_chain d.next
       | ID d -> Format.fprintf ppf "%a :: %a" pp_iop d.op pp_chain d.next
     in
@@ -2564,7 +2838,7 @@ module Make (K : KEY) (V : VALUE) :
       match mt_get t ~tid id with
       | Leaf b -> F_leaf b.lb_page
       | Inner b -> F_inner (b.ib_seps, Array.map conv b.ib_ids)
-      | LIns _ | LDel _ | LUpd _ | LSmo _ | ID _ ->
+      | LIns _ | LDel _ | LUpd _ | LSlab _ | LSmo _ | ID _ ->
           (* consolidate_all left a delta behind (concurrent writer):
              freezing is a single-threaded operation *)
           invalid_arg "Bwtree.freeze: tree is being mutated"

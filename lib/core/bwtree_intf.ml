@@ -52,7 +52,14 @@ type config = {
   inner_min : int;  (** inner underflow threshold *)
   unique_keys : bool;
       (** enforce unique keys; [false] enables the §3.1 non-unique support *)
-  preallocate : bool;  (** §4.1 delta-record pre-allocation *)
+  preallocate : bool;
+      (** §4.1 delta-record pre-allocation: a leaf's data deltas live in
+          one chunk (a slab of [leaf_chain_max + 1] slots, allocated on
+          the base's first append and dropped when it is consolidated),
+          claimed by one fetch-and-add each and walked as index steps
+          through its arrays; running out of slots forces consolidation.
+          Inner nodes keep only the allocation marker. [false] makes every
+          delta its own heap block (the Fig. 8 baseline) *)
   fast_consolidation : bool;  (** §4.3 segment-based consolidation *)
   search_shortcuts : bool;  (** §4.4 offset-guided micro-indexing *)
   use_atomic_cas : bool;
@@ -223,6 +230,11 @@ type structure_stats = {
   avg_leaf_size : float;
   inner_prealloc_util : float;  (** fraction of pre-allocated slots used *)
   leaf_prealloc_util : float;
+      (** the same over the leaves that hold a delta slab (a leaf
+          allocates one on its first data append after a consolidation) *)
+  leaf_slots_wasted : int;
+      (** slab slots claimed by an append whose CaS then failed, summed
+          over the leaves' current slabs *)
   depth : int;  (** tree height: root to leaf, in logical nodes *)
 }
 

@@ -47,6 +47,67 @@ module type VALUE = sig
   val equal : t -> t -> bool
 end
 
+(* ---------------------------------------------------------------- *)
+(* Delta slabs (§4.1)                                                *)
+(* ---------------------------------------------------------------- *)
+
+(* A leaf base's pre-allocated delta records: [cap] slots held in
+   parallel arrays, allocated on the base's first data append and
+   dropped with the base at consolidation. A writer claims a slot with
+   one fetch-and-add on [used], fills it with plain stores and publishes
+   it by swinging the mapping-table head to a record naming the slot; a
+   lost CaS leaves the slot unpublished and counts it in [wasted]
+   (Table 2's LPU subtracts those). Slots are written once, before the
+   CaS that publishes them, and never again.
+
+   A slot's meta word packs its kind (2 bits), its predecessor in the
+   chain (the slot below it in the same run, -1 at the run's bottom;
+   30 bits) and the §4.3 base offset of its key (-1 when unknown; the
+   remaining 31 bits). Predecessors always sit at lower slots, so a run
+   is a strictly descending walk through the arrays. *)
+type ('k, 'v) slab = {
+  skeys : 'k array;
+  svals : 'v array;  (* the new value, or the value a delete removed *)
+  solds : 'v array;
+      (* an update's old value; [||] on unique-key trees, whose updates
+         replace whatever the key holds *)
+  smeta : int array;
+  used : int Atomic.t;  (* slots claimed, overflowing claims included *)
+  wasted : int Atomic.t;  (* claimed slots whose publishing CaS failed *)
+}
+
+let kind_ins = 0
+let kind_del = 1
+let kind_upd = 2
+let meta ~kind ~pred ~offset = kind lor ((pred + 1) lsl 2) lor ((offset + 1) lsl 32)
+let meta_kind m = m land 3
+let meta_pred m = ((m lsr 2) land 0x3FFF_FFFF) - 1
+let meta_offset m = (m lsr 32) - 1
+
+(* A slab whose slot 0 is already claimed by its allocating writer. *)
+let new_slab ~cap ~unique =
+  {
+    skeys = Arr.alloc cap;
+    svals = Arr.alloc cap;
+    solds = (if unique then [||] else Arr.alloc cap);
+    smeta = Array.make cap 0;
+    used = Atomic.make 1;
+    wasted = Atomic.make 0;
+  }
+
+let slab_cap s = Array.length s.smeta
+
+(* Plain stores into a claimed, not yet published slot. *)
+let fill_slot s i ~kind ~pred ~offset k v vold =
+  s.skeys.(i) <- k;
+  s.svals.(i) <- v;
+  if kind = kind_upd && Array.length s.solds > 0 then s.solds.(i) <- vold;
+  s.smeta.(i) <- meta ~kind ~pred ~offset
+
+(* The value an update at slot [i] replaced. A unique-key slab keeps no
+   old values; its deletes match by key alone, so any value serves. *)
+let slot_old s i = if Array.length s.solds > 0 then s.solds.(i) else s.svals.(i)
+
 (** The read/serialize surface re-exported as [Bwtree.S.Page]: everything
     a consumer outside the tree core (checkpointing, inspection, tests)
     needs. Construction and merging stay internal to the core. *)
@@ -114,14 +175,23 @@ module type FULL = sig
     | Del of key * value
     | Upd of key * value * value  (* key, old value, new value *)
 
+  val merge_with_slab :
+    t -> (key, value) slab -> top:int -> unique:bool -> t * int
+  (** Apply the slab run that ends at slot [top] (walked newest first
+      through the predecessor links, -1 for an empty run) to a base page
+      with the multiset pending-delete semantics of §3.1 and a single
+      two-way merge — no full sort; only the run's items get sorted
+      (chain-bounded, insertion sort). With [unique] a delete or an
+      update's old value matches its key whatever the value, as a
+      unique-key slab keeps no old values. The base and the slab are
+      left untouched, so the same call serves live consolidations and
+      side-effect-free snapshots. Also returns how many base searches
+      resolving deletes it ran, each costing at most [search_cost] of
+      the base. *)
+
   val merge_with_deltas : t -> delta list -> t * int
-  (** Apply a data-delta chain (newest first) to a base page with the
-      multiset pending-delete semantics of §3.1 and a single two-way
-      merge — no full sort; only the chain's items get sorted
-      (chain-bounded, insertion sort). The base is left untouched, so the
-      same call serves live consolidations and side-effect-free
-      snapshots. Also returns how many base searches resolving deletes
-      it ran, each costing at most [search_cost] of the base. *)
+  (** {!merge_with_slab} over a chain of heap delta records given newest
+      first, with exact (key, value) matching. *)
 
   val search_cost_n : int -> int
   (** {!search_cost} for an [n]-item range. *)
@@ -219,7 +289,7 @@ module Make (K : KEY) (V : VALUE) :
     | Del of key * value
     | Upd of key * value * value
 
-  let merge_with_deltas base deltas =
+  let merge_with_slab base s ~top ~unique =
     (* 1. newest-to-oldest walk with multiset pending-delete semantics: a
        delete is *pending* and is consumed by the next-older insert of
        the same pair, or failing that by a base occurrence (§3.1 — the
@@ -227,13 +297,14 @@ module Make (K : KEY) (V : VALUE) :
        equal makes pairs repeat across chain and base). *)
     let pres : (key * value) Growable.t = Growable.create () in
     let dels : (key * value) Growable.t = Growable.create () in
+    let same v' v = unique || V.equal v' v in
     let take_pending k v =
       let nd = Growable.length dels in
       let rec go i =
         if i >= nd then false
         else
           let k', v' = Growable.get dels i in
-          if K.compare k' k = 0 && V.equal v' v then begin
+          if K.compare k' k = 0 && same v' v then begin
             Growable.remove_at dels i;
             true
           end
@@ -241,15 +312,18 @@ module Make (K : KEY) (V : VALUE) :
       in
       go 0
     in
-    List.iter
-      (fun d ->
-        match d with
-        | Ins (k, v) -> if not (take_pending k v) then Growable.push pres (k, v)
-        | Del (k, v) -> Growable.push dels (k, v)
-        | Upd (k, vold, vnew) ->
-            if not (take_pending k vnew) then Growable.push pres (k, vnew);
-            Growable.push dels (k, vold))
-      deltas;
+    let i = ref top in
+    while !i >= 0 do
+      let m = s.smeta.(!i) in
+      let k = s.skeys.(!i) and v = s.svals.(!i) in
+      let kind = meta_kind m in
+      if kind = kind_del then Growable.push dels (k, v)
+      else begin
+        if not (take_pending k v) then Growable.push pres (k, v);
+        if kind = kind_upd then Growable.push dels (k, slot_old s !i)
+      end;
+      i := meta_pred m
+    done;
     let nb = base.n in
     (* 2. resolve surviving deletes against base occurrences; deletes
        that resolve nowhere refer to delta-only items already absorbed
@@ -263,7 +337,7 @@ module Make (K : KEY) (V : VALUE) :
         while
           (not !stop) && !i < nb && K.compare base.kcache.(!i) k = 0
         do
-          if (not consumed.(!i)) && V.equal base.vals.(!i) v then begin
+          if (not consumed.(!i)) && same base.vals.(!i) v then begin
             consumed.(!i) <- true;
             incr n_dead;
             stop := true
@@ -318,6 +392,24 @@ module Make (K : KEY) (V : VALUE) :
       assert (!oi = nout);
       ({ n = nout; kcache = okc; vals = ov }, Growable.length dels)
     end
+
+  (* A heap chain becomes a private slab: the newest record in the top
+     slot, each slot's predecessor the one below it. *)
+  let merge_with_deltas base deltas =
+    let n = List.length deltas in
+    let s = new_slab ~cap:(max 1 n) ~unique:false in
+    List.iteri
+      (fun j d ->
+        let i = n - 1 - j in
+        let fill ~kind k v vold =
+          fill_slot s i ~kind ~pred:(i - 1) ~offset:(-1) k v vold
+        in
+        match d with
+        | Ins (k, v) -> fill ~kind:kind_ins k v v
+        | Del (k, v) -> fill ~kind:kind_del k v v
+        | Upd (k, vold, vnew) -> fill ~kind:kind_upd k vnew vold)
+      deltas;
+    merge_with_slab base s ~top:(n - 1) ~unique:false
 
   (* ---------------------------------------------------------------- *)
   (* Serialization: the on-disk page format                            *)

@@ -686,38 +686,81 @@ let test_update_allocation () =
       per_op
 
 (* Pay-per-use footprint: an empty tree holds no pre-faulted mapping-table
-   chunk, only its per-thread rows (4 232 words at 64 threads), and each
-   data delta is one block that shares its node's range record: 9 words
-   for an update (header, range, next, size, depth, offset, key, old and
-   new value), 8 for an insert or delete. Garbage retired by
+   chunk, only its per-thread rows (4 232 words at 64 threads). Without
+   pre-allocation each data delta is one block that shares its node's
+   range record: 9 words for an update (header, range, next, size, depth,
+   offset, key, old and new value), 8 for an insert or delete. With it
+   (the default), a consolidated leaf's first append allocates its slab —
+   key, value and meta arrays of leaf_chain_max + 1 slots (a unique-key
+   tree keeps no old values), the slab record and its two markers — plus
+   the 7-word head; every later append writes into the slab and replaces
+   the head, so the reachable heap does not grow. Garbage retired by
    consolidation is flushed first, as the benchmark's heap figure does. *)
 let test_memory_footprint () =
   let empty = T.memory_words (T.create ()) in
   if empty > 8 * 1024 then
     Alcotest.failf "empty tree holds %d words (limit %d)" empty (8 * 1024);
-  let t = T.create () in
-  for k = 0 to 15 do
-    assert (T.insert t (2 * k) k)
+  let footprint config ~first steps =
+    let t = T.create ~config () in
+    for k = 0 to 15 do
+      assert (T.insert t (2 * k) k)
+    done;
+    T.consolidate_all t;
+    let words () =
+      Epoch.flush (T.epoch t);
+      T.memory_words t
+    in
+    let step name limit op =
+      let w0 = words () in
+      assert (op ());
+      let grew = words () - w0 in
+      if grew > limit then
+        Alcotest.failf "%s adds %d reachable words (limit %d)" name grew limit
+    in
+    Option.iter
+      (fun limit -> step "first append" limit (fun () -> T.update t 6 3))
+      first;
+    let u, i, d = steps in
+    step "update" u (fun () -> T.update t 4 100);
+    step "insert" i (fun () -> T.insert t 5 5);
+    step "delete" d (fun () -> T.delete t 8 4);
+    Alcotest.(check (option int)) "update visible" (Some 100) (T.find t 4);
+    Alcotest.(check (option int)) "insert visible" (Some 5) (T.find t 5);
+    Alcotest.(check (option int)) "delete visible" None (T.find t 8);
+    T.verify_invariants t
+  in
+  footprint (Bwtree.Config.make ~preallocate:false ()) ~first:None (9, 8, 8);
+  let slots = Bwtree.default_config.leaf_chain_max + 1 in
+  footprint Bwtree.default_config
+    ~first:(Some ((3 * (slots + 1)) + 7 + 4 + 7))
+    (0, 0, 0)
+
+(* Steady-state updates on one chained leaf allocate only the new head
+   (7 words), the probe's [Some] (2) and the write descent's one-level
+   ancestor path (a 3-word cons): the delta itself lives in the leaf's
+   slab. Heap deltas allocated a 9-word [LUpd] block in the head's
+   place, 14 words per update. The slab is allocated before measuring,
+   and the chain threshold is high enough that no update consolidates. *)
+let test_slab_update_allocation () =
+  let t =
+    T.create ~config:(Bwtree.Config.make ~leaf_chain_max:200 ()) ()
+  in
+  for k = 0 to 63 do
+    assert (T.insert t k k)
   done;
   T.consolidate_all t;
-  let words () =
-    Epoch.flush (T.epoch t);
-    T.memory_words t
-  in
-  let step name limit op =
-    let w0 = words () in
-    assert (op ());
-    let grew = words () - w0 in
-    if grew > limit then
-      Alcotest.failf "%s adds %d reachable words (limit %d)" name grew limit
-  in
-  step "update" 9 (fun () -> T.update t 4 100);
-  step "insert" 8 (fun () -> T.insert t 5 5);
-  step "delete" 8 (fun () -> T.delete t 8 4);
-  Alcotest.(check (option int)) "update visible" (Some 100) (T.find t 4);
-  Alcotest.(check (option int)) "insert visible" (Some 5) (T.find t 5);
-  Alcotest.(check (option int)) "delete visible" None (T.find t 8);
-  T.verify_invariants t
+  assert (T.update t 0 0);
+  let n = 150 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (T.update t (i mod 64) i))
+  done;
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "one leaf, one run" (n + 1) (fst (T.max_chains t));
+  T.verify_invariants t;
+  if per_op > 12.0 then
+    Alcotest.failf "update allocates %.2f minor words per call (limit 12)"
+      per_op
 
 (* A unique-key batch of reads allocates per op only its answer
    ([R_values] of a one-element list, from the walk's [Some]); the op
@@ -995,6 +1038,8 @@ let () =
         [
           Alcotest.test_case "stats" `Quick test_stats_sanity;
           Alcotest.test_case "memory footprint" `Quick test_memory_footprint;
+          Alcotest.test_case "slab update allocation" `Quick
+            test_slab_update_allocation;
           Alcotest.test_case "gc integration" `Quick test_gc_integration;
         ] );
       ("strings", [ Alcotest.test_case "email keys" `Quick test_string_keys ]);

@@ -224,6 +224,63 @@ let test_gc_schemes_under_concurrency () =
       Alcotest.(check int) "drained" 0 (Epoch.pending (T.epoch t)))
     [ Epoch.Centralized; Epoch.Decentralized ]
 
+(* Two domains appending to one leaf, so their §4.1 slot claims race:
+   every acknowledged write is visible afterwards, and with
+   pre-allocation every failed delta CaS wasted exactly one slot of the
+   leaf's slab. The chain threshold is high enough that nothing
+   consolidates, so the slab outlives the race, and it exists before the
+   race starts (a first append that loses its CaS drops its fresh slab
+   rather than wasting a slot). Without pre-allocation there is no slab
+   and nothing is wasted. *)
+let test_slab_race () =
+  let per = 100 in
+  List.iter
+    (fun preallocate ->
+      let config =
+        Bwtree.Config.make ~leaf_max:1_000 ~leaf_min:1 ~leaf_chain_max:1_000
+          ~read_consolidation:false ~preallocate ()
+      in
+      let t = counted ~config () in
+      for k = 0 to 63 do
+        assert (T.insert t k k)
+      done;
+      T.consolidate_all t;
+      assert (T.update t 0 0);
+      let expect = Array.init 64 (fun k -> k) in
+      expect.(0) <- 0;
+      for tid = 0 to 1 do
+        for i = 1 to per do
+          expect.(((2 * i) + tid) mod 64) <- (tid * 10_000) + i
+        done
+      done;
+      let ready = Atomic.make 0 in
+      spawn_workers 2 (fun tid ->
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
+          for i = 1 to per do
+            assert (T.insert t ~tid (1000 + (2 * i) + tid) i);
+            assert (T.update t ~tid (((2 * i) + tid) mod 64) ((tid * 10_000) + i))
+          done;
+          T.quiesce t ~tid);
+      let ss = T.structure_stats t and st = T.op_stats t in
+      Alcotest.(check int) "one leaf" 1 ss.leaf_nodes;
+      Alcotest.(check int) "wasted slots = failed delta CaS"
+        (if preallocate then st.failed_cas else 0)
+        ss.leaf_slots_wasted;
+      T.verify_invariants t;
+      for tid = 0 to 1 do
+        for i = 1 to per do
+          Alcotest.(check (option int)) "acknowledged insert" (Some i)
+            (T.find t (1000 + (2 * i) + tid))
+        done
+      done;
+      Array.iteri
+        (fun k v -> Alcotest.(check (option int)) "acknowledged update" (Some v) (T.find t k))
+        expect)
+    [ true; false ]
+
 let () =
   Alcotest.run "bwtree-concurrent"
     [
@@ -241,6 +298,7 @@ let () =
         ] );
       ( "contention",
         [
+          Alcotest.test_case "slab slot race" `Quick test_slab_race;
           Alcotest.test_case "right-edge storm" `Slow
             test_high_contention_right_edge;
         ] );

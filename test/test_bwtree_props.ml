@@ -345,6 +345,114 @@ let prop_non_unique_multiset =
       T.verify_invariants t;
       List.sort compare (T.scan_all t ()) = PS.elements model)
 
+(* Delta slabs (§4.1) on trees small enough that every path runs: a
+   2-4 delta chain threshold exhausts slabs and consolidates them away
+   constantly, 4-8 item leaves split and merge, and the chains carry
+   split and merge deltas with runs above them. Each drawn shape runs
+   with pre-allocation on and off; every op's answer is checked against
+   the oracle as it runs, and the invariant checker (which walks each
+   slab run and accounts for its claimed slots) runs at the end. *)
+let slab_shape_gen =
+  QCheck.Gen.(triple (int_range 2 4) (int_range 4 8) (int_range 1 2))
+
+let slab_config ~unique ~preallocate (chain, leaf_max, leaf_min) =
+  Bwtree.Config.make ~leaf_max ~inner_max:4 ~leaf_chain_max:chain
+    ~inner_chain_max:2 ~leaf_min ~inner_min:1 ~unique_keys:unique
+    ~preallocate ()
+
+let slab_ops_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 400)
+      (triple (int_bound 3) (int_bound 40) (int_bound 4)))
+
+let slab_arb =
+  QCheck.make
+    ~print:(fun ((c, l, m), ops) ->
+      Printf.sprintf "chain %d, leaf_max %d, leaf_min %d, %d ops" c l m
+        (List.length ops))
+    QCheck.Gen.(pair slab_shape_gen slab_ops_gen)
+
+let prop_slab_unique =
+  QCheck.Test.make ~name:"slab trees == map oracle (unique keys)" ~count:150
+    slab_arb (fun (shape, ops) ->
+      List.for_all
+        (fun preallocate ->
+          let t = T.create ~config:(slab_config ~unique:true ~preallocate shape) () in
+          let m =
+            List.fold_left
+              (fun m (op, k, v) ->
+                match op with
+                | 0 ->
+                    let fresh = not (IntMap.mem k m) in
+                    assert (T.insert t k v = fresh);
+                    if fresh then IntMap.add k v m else m
+                | 1 ->
+                    assert (T.delete t k 0 = IntMap.mem k m);
+                    IntMap.remove k m
+                | 2 ->
+                    let present = IntMap.mem k m in
+                    assert (T.update t k v = present);
+                    if present then IntMap.add k v m else m
+                | _ ->
+                    assert (T.find t k = IntMap.find_opt k m);
+                    m)
+              IntMap.empty ops
+          in
+          T.verify_invariants t;
+          T.scan_all t () = IntMap.bindings m)
+        [ true; false ])
+
+(* Non-unique keys: the tree holds a set of (key, value) pairs; an update
+   replaces one of its key's values, so the oracle only predicts it on a
+   key holding at most one value (the op is skipped otherwise). *)
+let prop_slab_non_unique =
+  let module PS = Set.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end) in
+  QCheck.Test.make ~name:"slab trees == pair-set oracle (non-unique keys)"
+    ~count:150 slab_arb (fun (shape, ops) ->
+      List.for_all
+        (fun preallocate ->
+          let t =
+            T.create ~config:(slab_config ~unique:false ~preallocate shape) ()
+          in
+          let values k m =
+            List.sort compare
+              (List.filter_map
+                 (fun (k', v) -> if k' = k then Some v else None)
+                 (PS.elements m))
+          in
+          let m =
+            List.fold_left
+              (fun m (op, k, v) ->
+                match op with
+                | 0 ->
+                    let fresh = not (PS.mem (k, v) m) in
+                    assert (T.insert t k v = fresh);
+                    PS.add (k, v) m
+                | 1 ->
+                    assert (T.delete t k v = PS.mem (k, v) m);
+                    PS.remove (k, v) m
+                | 2 -> (
+                    match values k m with
+                    | [] ->
+                        assert (not (T.update t k v));
+                        m
+                    | [ u ] ->
+                        assert (T.update t k v);
+                        PS.add (k, v) (PS.remove (k, u) m)
+                    | _ -> m)
+                | _ ->
+                    assert (List.sort compare (T.lookup t k) = values k m);
+                    m)
+              PS.empty ops
+          in
+          T.verify_invariants t;
+          List.sort compare (T.scan_all t ()) = PS.elements m)
+        [ true; false ])
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "bwtree-props"
@@ -356,6 +464,7 @@ let () =
           q prop_delete_is_inverse;
           q prop_non_unique_multiset;
         ] );
+      ("slab", [ q prop_slab_unique; q prop_slab_non_unique ]);
       ( "batch",
         [
           q prop_batch_equals_sequential;

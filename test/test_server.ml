@@ -1024,6 +1024,32 @@ let test_drain_answers_inflight () =
   Alcotest.(check int) "all in-flight answered" n !got;
   Bw_client.close c
 
+(* bwt_server refuses a non-numeric --host before it opens --data-dir:
+   the flag error exits 2 and leaves an empty directory empty, with no
+   store generation, WAL or CURRENT file created. *)
+let test_server_bad_host_keeps_data_dir () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bwt-test-server-host-%d" (Unix.getpid ()))
+  in
+  Pagestore.Store.rm_rf dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> Pagestore.Store.rm_rf dir) @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process "../bin/bwt_server.exe"
+      [| "bwt_server.exe"; "--host"; "localhost"; "--port"; "0";
+         "--data-dir"; dir |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 2 -> ()
+  | _, Unix.WEXITED c -> Alcotest.failf "bwt_server exited %d, expected 2" c
+  | _ -> Alcotest.fail "bwt_server killed by a signal");
+  Alcotest.(check (array string)) "data dir untouched" [||] (Sys.readdir dir)
+
 (* A host name that is not a numeric address is refused with a typed
    error naming it, before any socket exists: five failed starts (and
    connects) leave the process's open descriptors where they were. *)
@@ -1104,5 +1130,7 @@ let () =
             test_drain_answers_inflight;
           Alcotest.test_case "non-numeric host: typed error, no fd leak"
             `Quick test_bad_host_no_fd_leak;
+          Alcotest.test_case "bwt_server: bad host leaves data dir empty"
+            `Quick test_server_bad_host_keeps_data_dir;
         ] );
     ]
