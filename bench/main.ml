@@ -6,7 +6,7 @@
 
     Experiments: fig8 fig9 fig10 fig11 fig12 tab2 fig13 fig14 fig15 tab3
     fig16 fig17 fig18 bech, and beyond the paper abl store shards batch
-    wal (default: all).
+    wal domains (default: all).
 
     Options: [--keys N] [--ops N] [--threads N] [--repeats N] [--full]
 
@@ -888,6 +888,50 @@ let wal_bench scale =
   Pagestore.Store.rm_rf dir
 
 (* ------------------------------------------------------------------ *)
+(* Per-read cost at 1 and 2 domains on one shared index                *)
+(* ------------------------------------------------------------------ *)
+
+(* Read-only Rand-Int on one shared index: the cost of a read in each
+   domain when one domain reads and when two do, and the 2-over-1 ratio.
+   With two free cores the ratio stays near 1.0 unless the domains write
+   shared cache lines on every read; the B+Tree, whose readers write
+   nothing shared, is the control. Each index is loaded once, then the
+   1- and 2-domain read phases alternate for [max 3 repeats] rounds; the
+   row reports the median costs and the median of the per-round ratios,
+   which share the host's drift and so move less than either cost. Each
+   phase runs at least 2 M reads, so it outlasts domain start-up. *)
+let domains scale =
+  print_header
+    "Per-read cost at 1 and 2 domains (read-only Rand-Int, one shared \
+     index)";
+  let module D = Drivers.Int in
+  let cfg = wl_cfg { scale with ops = max scale.ops 2_000_000 } in
+  let conv = D.K.of_workload W.Rand_int in
+  let traces nthreads =
+    Array.init nthreads (fun tid ->
+        W.ops_trace cfg W.Rand_int W.Read_only ~tid ~nthreads conv)
+  in
+  let one_domain = traces 1 and two_domains = traces 2 in
+  List.iter
+    (fun (name, mk) ->
+      let d : int Runner.driver = mk () in
+      ignore (Runner.load d ~nthreads:1 (W.load_trace cfg W.Rand_int conv));
+      let ns_per_read traces =
+        float_of_int (Array.length traces) *. 1000.0 /. (Runner.run d traces).mops
+      in
+      let rounds =
+        Array.init (max 3 scale.repeats) (fun _ ->
+            let one = ns_per_read one_domain in
+            (one, ns_per_read two_domains))
+      in
+      d.stop_aux ();
+      let med f = Bw_util.Stats.median (Array.map f rounds) in
+      print_row ~unit_:"ns/read; ratio" name
+        [ ("1 domain", med fst); ("2 domains", med snd);
+          ("2/1", med (fun (one, two) -> two /. one)) ])
+    [ ("OpenBw-Tree", fun () -> D.bwtree ()); ("B+Tree", fun () -> D.btree ()) ]
+
+(* ------------------------------------------------------------------ *)
 (* CLI                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -898,7 +942,7 @@ let experiments =
     ("fig15", fig15); ("tab3", tab3); ("fig16", fig16); ("fig17", fig17);
     ("fig18", fig18); ("bech", bech); ("abl", abl); ("store", store);
     ("shards", shards_bench); ("batch", batch_bench);
-    ("wal", wal_bench);
+    ("wal", wal_bench); ("domains", domains);
   ]
 
 let () =

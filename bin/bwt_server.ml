@@ -25,8 +25,11 @@ let config_of_index index =
       Printf.eprintf "bwt_server: unknown index %S (try: openbw, bw)\n" s;
       exit 2
 
-(* The served backend, plus the durable shutdown hook (checkpoint + WAL
-   close) when serving out of a data directory. *)
+(* The served backend, plus the durable store's hooks when serving out of
+   a data directory: [checkpoint] after the shutdown drain, then [close]
+   (fsync and release the WAL). A start-up failure only closes. *)
+type store = { checkpoint : unit -> unit; close : unit -> unit }
+
 let backend_of (module D : Harness.Drivers.S) ~index ~shards ~obs_of
     ~data_dir ~fsync =
   let config = config_of_index index in
@@ -36,11 +39,12 @@ let backend_of (module D : Harness.Drivers.S) ~index ~shards ~obs_of
       let dur = D.durable ?config ~obs_of ~fsync ~shards ~dir () in
       Format.printf "bwt_server: recovered %a@." Pagestore.Store.pp_stats
         dur.dur_stats;
-      let shutdown () =
-        dur.dur_checkpoint ();
-        dur.dur_close ()
-      in
-      (D.K.backend dur.dur_driver, Some shutdown)
+      ( D.K.backend dur.dur_driver,
+        Some
+          {
+            checkpoint = (fun () -> dur.dur_checkpoint ());
+            close = dur.dur_close;
+          } )
 
 let main host port workers shards index key_type data_dir no_fsync
     close_on_malformed metrics metrics_json =
@@ -73,7 +77,7 @@ let main host port workers shards index key_type data_dir no_fsync
   in
   (* a single tree feeds the main registry, a forest per-shard ones *)
   let obs_of i = if shards = 1 then obs else Bw_obs.To shard_regs.(i) in
-  let backend, on_shutdown =
+  let backend, store =
     backend_of keyed ~index ~shards ~obs_of ~data_dir ~fsync:(not no_fsync)
   in
   let snapshot_merged () =
@@ -108,10 +112,18 @@ let main host port workers shards index key_type data_dir no_fsync
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   let server =
-    try Server.start ~config backend
-    with Invalid_argument m ->
+    let fail m =
+      Option.iter (fun st -> st.close ()) store;
       Printf.eprintf "bwt_server: %s\n" m;
       exit 2
+    in
+    try Server.start ~config backend with
+    | Invalid_argument m -> fail m
+    | Unix.Unix_error (e, fn, _) ->
+        (* the port is taken, or the address is not ours to bind *)
+        fail
+          (Printf.sprintf "cannot listen on %s:%d: %s (%s)" host port
+             (Unix.error_message e) fn)
   in
   Printf.printf "bwt_server: serving %s (%s keys) on %s:%d with %d workers\n%!"
     backend.Index_iface.name key_type host (Server.port server) workers;
@@ -121,12 +133,13 @@ let main host port workers shards index key_type data_dir no_fsync
   Printf.printf "bwt_server: draining...\n%!";
   Server.stop server;
   Option.iter
-    (fun shutdown ->
+    (fun st ->
       (* drained: every acknowledged op is in the tree, so the snapshot
          is consistent and the next boot replays an empty WAL *)
       Printf.printf "bwt_server: checkpointing...\n%!";
-      shutdown ())
-    on_shutdown;
+      st.checkpoint ();
+      st.close ())
+    store;
   if metrics then Format.printf "%a@." Bw_obs.pp_snapshot (snapshot_merged ());
   Option.iter
     (fun file ->
@@ -219,7 +232,15 @@ let cmd =
              "Starts one acceptor and N worker domains; all workers drive \
               the same lock-free tree. SIGTERM/SIGINT drain in-flight \
               requests, flush, and shut down cleanly.";
-         ])
+         ]
+       ~exits:
+         (Cmd.Exit.info 0 ~doc:"the server drained and shut down cleanly."
+         :: Cmd.Exit.info 2
+              ~doc:"it could not start: a flag has a bad value, or it \
+                    cannot listen on the address (the port is in use). A \
+                    one-line message names which; a --data-dir store \
+                    opened before the failure is closed again."
+         :: List.filter (fun i -> Cmd.Exit.info_code i <> 0) Cmd.Exit.defaults))
     term
 
 let () = exit (Cmd.eval cmd)

@@ -197,8 +197,16 @@ module Make (K : KEY) (V : VALUE) :
   (* Per-thread side results of the descent, the leaf walk and the write
      cores, so none of them has to return a tuple or a record: the point
      paths allocate nothing here. Also the thread's working state that
-     outlives one op: the read-consolidation budget. *)
+     outlives one op: the read-consolidation budget.
+
+     A point read stores to [c_id], [c_offset], [c_walked] and
+     [c_read_walk], so two domains' cursors must not share a cache line.
+     The allocator may place the cursors side by side, so a line of
+     never-written padding fields ([Bw_util.Padded.line_words] of them)
+     sits before and after the hot fields, inside the block. *)
   type cursor = {
+    _a0 : int; _a1 : int; _a2 : int; _a3 : int;
+    _a4 : int; _a5 : int; _a6 : int; _a7 : int;
     mutable c_id : int;  (* leaf the last descent found *)
     mutable c_path : int list;
         (* its ancestors' ids, nearest first; written only by tracking
@@ -210,6 +218,8 @@ module Make (K : KEY) (V : VALUE) :
     mutable c_read_walk : int;
         (* delta records walked by point reads since the last read-side
            consolidation *)
+    _z0 : int; _z1 : int; _z2 : int; _z3 : int;
+    _z4 : int; _z5 : int; _z6 : int; _z7 : int;
   }
 
   type t = {
@@ -220,9 +230,10 @@ module Make (K : KEY) (V : VALUE) :
     o : Bw_obs.sink;
     cur : cursor array;  (* [tid], owner-written *)
     bperm : int array array;
-        (* per-tid batch-permutation scratch, owner-written; each row is
-           grown to the batch size once and then reused, so steady-state
-           fixed-size batches sort without allocating *)
+        (* per-tid batch-permutation scratch, owner-written; each row
+           only grows, to the largest batch seen, and a batch of [n] ops
+           uses its first [n] slots, so batches of varying size (a
+           forest's shard sub-batches) sort without allocating *)
   }
 
   (* Counter probes: on the null sink one branch and nothing else. They
@@ -283,6 +294,8 @@ module Make (K : KEY) (V : VALUE) :
       cur =
         Array.init config.max_threads (fun _ ->
             {
+              _a0 = 0; _a1 = 0; _a2 = 0; _a3 = 0;
+              _a4 = 0; _a5 = 0; _a6 = 0; _a7 = 0;
               c_id = nil_id;
               c_path = [];
               c_offset = -1;
@@ -290,6 +303,8 @@ module Make (K : KEY) (V : VALUE) :
               c_ok = false;
               c_restarts = 0;
               c_read_walk = 0;
+              _z0 = 0; _z1 = 0; _z2 = 0; _z3 = 0;
+              _z4 = 0; _z5 = 0; _z6 = 0; _z7 = 0;
             });
       bperm = Array.make config.max_threads [||];
     }
@@ -1903,7 +1918,7 @@ module Make (K : KEY) (V : VALUE) :
      dispatch is inline, so a batched op allocates only what it
      publishes or returns. Returns how many descents beyond the first
      the batch needed. *)
-  let exec_batch_body t ~tid (ops : (key * batch_op) array) perm
+  let exec_batch_body t ~tid (ops : (key * batch_op) array) perm n
       (results : batch_result array) =
     let c = t.cur.(tid) in
     (* the cached traversal: leaf [id] at [head] ([no_leaf]: none), its
@@ -1917,7 +1932,7 @@ module Make (K : KEY) (V : VALUE) :
     and get_key = ref (fst ops.(perm.(0)))
     and get_r = ref r_absent in
     let locates = ref 0 in
-    for j = 0 to Array.length perm - 1 do
+    for j = 0 to n - 1 do
       let i = perm.(j) in
       let k, op = ops.(i) in
       let pending = ref true in
@@ -2043,7 +2058,7 @@ module Make (K : KEY) (V : VALUE) :
             ops);
       let perm =
         let p = t.bperm.(tid) in
-        if Array.length p = n then p
+        if Array.length p >= n then p
         else begin
           let p = Array.make n 0 in
           t.bperm.(tid) <- p;
@@ -2058,7 +2073,7 @@ module Make (K : KEY) (V : VALUE) :
       cnt t.o tid Bw_obs.C_epoch_enters;
       Epoch.op_begin t.epoch ~tid;
       let redescents =
-        match exec_batch_body t ~tid ops perm results with
+        match exec_batch_body t ~tid ops perm n results with
         | r ->
             Epoch.op_end t.epoch ~tid;
             r
@@ -2521,6 +2536,7 @@ module Make (K : KEY) (V : VALUE) :
     (!leaf_max, !inner_max)
 
   let memory_words t = Obj.reachable_words (Obj.repr t)
+  let cursor_block t ~tid = Obj.repr t.cur.(tid)
 
   let mapping_table_stats t =
     {

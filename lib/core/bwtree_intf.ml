@@ -416,6 +416,10 @@ module type S = sig
   val iter_nodes : t -> (leaf:bool -> chain:int -> size:int -> unit) -> unit
   val memory_words : t -> int
 
+  val cursor_block : t -> tid:int -> Obj.t
+  (** Thread [tid]'s cursor, the per-thread record every point operation
+      writes, as a raw block: for layout tests. *)
+
   val max_chains : t -> int * int
   (** (longest leaf Delta Chain, longest inner Delta Chain) right now — a
       cheap probe for harnesses that bound chain growth. Exact when the

@@ -1,5 +1,7 @@
 type scheme = Centralized | Decentralized | Disabled
 
+module Pd = Bw_util.Padded
+
 (* ------------------------------------------------------------------ *)
 (* Centralized scheme (Fig. 5a)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -14,7 +16,9 @@ type cepoch = {
 type centralized = {
   current : cepoch Atomic.t;
   head : cepoch Atomic.t;  (* oldest epoch still chained *)
-  entered : cepoch option array;  (* slot [tid] written only by thread tid *)
+  entered : cepoch option array;
+      (* a {!Pd} array: cell [tid] is written by thread tid on every
+         entry and exit *)
   (* Epochs unchained from [head] but whose counters had not yet drained
      when the collector passed; oldest first. Only touched under
      [advance_lock]. *)
@@ -37,12 +41,19 @@ let make_cepoch id =
 (* Sentinel for "thread is not holding the watermark back". *)
 let idle = max_int
 
+(* The published epochs, and the global one they are read from, live in
+   {!Pd} arrays accessed with its sequentially consistent get/set: each
+   op stores to its [local] cell twice and loads [global] once, and no
+   cell shares a cache line with another. As 2-word blocks side by side,
+   two tids' cells shared a line whenever the allocator placed them so.
+   With the tree cursors already padded, padding the cells won 4 of 6
+   ycsb-c-point pairs (median per-pair ratio 1.03, medians 1.18 M ->
+   1.32 M ops/s) and removed a run-to-run swing of 1.08-1.43 M ops/s;
+   it costs ~6 ns per op_begin/op_end pair on one domain (EXPERIMENTS.md,
+   "Per-domain cache lines"). *)
 type decentralized = {
-  global : int Atomic.t;
-  local : int Atomic.t array;
-      (* published epochs, one cell per tid: each an unpadded 2-word
-         block (header + value), so neighbouring tids' cells can share a
-         cache line; padding them measured no gain here *)
+  global : int array;  (* one cell: the epoch counter *)
+  local : int array;  (* cell [tid]: its published epoch, or [idle] *)
   bags : (int * Obj.t) Bw_util.Growable.t array;  (* owner-only garbage *)
   gc_threshold : int;
   (* bag length at which thread tid next attempts collection; raised after
@@ -60,15 +71,14 @@ type t = {
   impl : impl;
   obs : Bw_obs.sink;
   max_threads : int;
-  (* Per-thread statistic rows; summed on read so hot paths never write to
-     shared memory. *)
-  s_retired : int array array;
-  s_reclaimed : int array array;
+  (* Per-thread statistics, one {!Pd} cell per tid (words
+     [w_enters], [w_retired], [w_reclaimed]); summed on read so hot paths
+     never write to shared memory. *)
+  counts : int array;
   (* Reclamations performed by collectors that have no thread identity of
      their own (the background advancer, foreground [flush]/[advance]
      callers). Kept atomic because any number of them may race. *)
   s_reclaimed_shared : int Atomic.t;
-  s_enters : int array array;
   advanced : int Atomic.t;
   mutable background : unit Domain.t option;
   bg_stop : bool Atomic.t;
@@ -87,17 +97,41 @@ type stats = {
    window deterministically. *)
 let test_retire_window : (unit -> unit) ref = ref (fun () -> ())
 
-let bump row tid = row.(tid).(0) <- row.(tid).(0) + 1
-let bumpn row tid n = row.(tid).(0) <- row.(tid).(0) + n
-let sum row = Array.fold_left (fun acc r -> acc + r.(0)) 0 row
+let w_enters = 0
+let w_retired = 1
+let w_reclaimed = 2
+
+(* The first word of [tid]'s cell in the padded per-tid arrays:
+   [Pd.index tid], spelled out so that the per-op paths make no call into
+   another library (such calls are not inlined in the default build).
+   Checked, as the atomic accessors are not, and a tid past the last cell
+   would land in the trailing padding. *)
+let[@inline] cell t tid =
+  if tid < 0 || tid >= t.max_threads then invalid_arg "Epoch: tid out of range";
+  Pd.first + (Pd.stride * tid)
+
+(* the global epoch: the one cell of [d.global] *)
+let[@inline] global d = Pd.get d.global Pd.first
+
+let bumpn t tid w n =
+  let i = cell t tid + w in
+  t.counts.(i) <- t.counts.(i) + n
+
+let bump t tid w = bumpn t tid w 1
+
+let sum t w =
+  let acc = ref 0 in
+  for tid = 0 to t.max_threads - 1 do
+    acc := !acc + t.counts.(Pd.index tid + w)
+  done;
+  !acc
 
 let d_watermark d =
   let w = ref idle in
-  Array.iter
-    (fun cell ->
-      let v = Atomic.get cell in
-      if v < !w then w := v)
-    d.local;
+  for tid = 0 to Pd.cells d.local - 1 do
+    let v = Pd.get d.local (Pd.index tid) in
+    if v < !w then w := v
+  done;
   !w
 
 let create ~scheme ~max_threads ?(gc_threshold = 1024) ?(obs = Bw_obs.Null) ()
@@ -111,43 +145,40 @@ let create ~scheme ~max_threads ?(gc_threshold = 1024) ?(obs = Bw_obs.Null) ()
           {
             current = Atomic.make e0;
             head = Atomic.make e0;
-            entered = Array.make max_threads None;
+            entered = Pd.make max_threads None;
             deferred = [];
             advance_lock = Mutex.create ();
           }
     | Decentralized ->
         D
           {
-            global = Atomic.make 0;
-            local = Array.init max_threads (fun _ -> Atomic.make idle);
+            global = Pd.make 1 0;
+            local = Pd.make max_threads idle;
             bags =
               Array.init max_threads (fun _ -> Bw_util.Growable.create ());
             gc_threshold;
             next_collect = Array.make max_threads gc_threshold;
           }
   in
-  let row () = Array.init max_threads (fun _ -> Array.make 8 0) in
   let t =
     {
       impl;
       obs;
       max_threads;
-      s_retired = row ();
-      s_reclaimed = row ();
+      counts = Pd.make max_threads 0;
       s_reclaimed_shared = Atomic.make 0;
-      s_enters = row ();
       advanced = Atomic.make 0;
       background = None;
       bg_stop = Atomic.make false;
     }
   in
   Bw_obs.register_gauge obs Bw_obs.G_epoch_pending (fun () ->
-      sum t.s_retired - (sum t.s_reclaimed + Atomic.get t.s_reclaimed_shared));
+      sum t w_retired - (sum t w_reclaimed + Atomic.get t.s_reclaimed_shared));
   Bw_obs.register_gauge obs Bw_obs.G_epoch_watermark_lag (fun () ->
       match t.impl with
       | D d ->
           let w = d_watermark d in
-          if w = idle then 0 else Atomic.get d.global - w
+          if w = idle then 0 else global d - w
       | C c -> (Atomic.get c.current).id - (Atomic.get c.head).id
       | Off -> 0);
   t
@@ -158,6 +189,7 @@ let scheme t =
 (* --- centralized operations --- *)
 
 let c_enter t c ~tid =
+  let i = cell t tid in
   let rec go () =
     let e = Atomic.get c.current in
     ignore (Atomic.fetch_and_add e.counter 1);
@@ -166,20 +198,21 @@ let c_enter t c ~tid =
        real current epoch. The collector reads the counter only after
        moving [head], so whenever it observes zero every late joiner is
        guaranteed to fail this check and retry. *)
-    if e.id >= (Atomic.get c.head).id then c.entered.(tid) <- Some e
+    if e.id >= (Atomic.get c.head).id then c.entered.(i) <- Some e
     else begin
       ignore (Atomic.fetch_and_add e.counter (-1));
       go ()
     end
   in
   go ();
-  bump t.s_enters tid
+  t.counts.(i + w_enters) <- t.counts.(i + w_enters) + 1
 
-let c_exit c ~tid =
-  match c.entered.(tid) with
+let c_exit t c ~tid =
+  let i = cell t tid in
+  match c.entered.(i) with
   | None -> ()
   | Some e ->
-      c.entered.(tid) <- None;
+      c.entered.(i) <- None;
       ignore (Atomic.fetch_and_add e.counter (-1))
 
 let c_retire t c ~tid obj =
@@ -206,7 +239,7 @@ let c_retire t c ~tid obj =
       | stolen -> park stolen
   in
   park [ obj ];
-  bump t.s_retired tid
+  bump t tid w_retired
 
 let c_reclaim_epoch t e =
   let g = Atomic.exchange e.garbage [] in
@@ -256,8 +289,9 @@ let c_advance t c =
 (* --- decentralized operations --- *)
 
 let d_begin t d ~tid =
-  Atomic.set d.local.(tid) (Atomic.get d.global);
-  bump t.s_enters tid
+  let i = cell t tid in
+  Pd.set d.local i (global d);
+  t.counts.(i + w_enters) <- t.counts.(i + w_enters) + 1
 
 let d_collect t d ~tid =
   let bag = d.bags.(tid) in
@@ -273,7 +307,7 @@ let d_collect t d ~tid =
     if !freed > 0 then begin
       Bw_util.Growable.clear bag;
       Bw_util.Growable.iter (fun item -> Bw_util.Growable.push bag item) keep;
-      bumpn t.s_reclaimed tid !freed;
+      bumpn t tid w_reclaimed !freed;
       if Bw_obs.enabled t.obs then begin
         Bw_obs.observe t.obs ~tid Bw_obs.Lat_reclaim (Bw_obs.now_ns () - t0);
         Bw_obs.observe t.obs ~tid Bw_obs.Val_reclaim_batch !freed;
@@ -287,7 +321,7 @@ let d_collect t d ~tid =
          advancing the global epoch, or it is too slow for our retirement
          rate. Bump the epoch ourselves — a rare cold-path write that
          keeps the scheme's hot path contention-free. *)
-      ignore (Atomic.fetch_and_add d.global 1)
+      ignore (Pd.fetch_and_add d.global Pd.first 1)
   end;
   (* re-arm so the next attempt happens after Θ(threshold) more
      retirements, keeping collection amortized O(1) per retire even when
@@ -302,16 +336,16 @@ let d_end t d ~tid =
      operation, leaking every other thread's bags until an explicit
      [quiesce]. Publishing before collecting also lets this thread's own
      stale epoch stop holding back its own bag. *)
-  Atomic.set d.local.(tid) idle;
+  Pd.set d.local (cell t tid) idle;
   if Bw_util.Growable.length d.bags.(tid) >= d.next_collect.(tid) then
     d_collect t d ~tid
 
 let d_retire t d ~tid obj =
-  Bw_util.Growable.push d.bags.(tid) (Atomic.get d.global, obj);
-  bump t.s_retired tid
+  Bw_util.Growable.push d.bags.(tid) (global d, obj);
+  bump t tid w_retired
 
 let d_advance t d =
-  ignore (Atomic.fetch_and_add d.global 1);
+  ignore (Pd.fetch_and_add d.global Pd.first 1);
   ignore (Atomic.fetch_and_add t.advanced 1)
 
 (* --- dispatch --- *)
@@ -324,7 +358,7 @@ let op_begin t ~tid =
 
 let op_end t ~tid =
   match t.impl with
-  | C c -> c_exit c ~tid
+  | C c -> c_exit t c ~tid
   | D d -> d_end t d ~tid
   | Off -> ()
 
@@ -334,8 +368,8 @@ let retire t ~tid obj =
   | D d -> d_retire t d ~tid obj
   | Off ->
       (* nothing holds the object; the runtime GC frees it immediately *)
-      bump t.s_retired tid;
-      bump t.s_reclaimed tid
+      bump t tid w_retired;
+      bump t tid w_reclaimed
 
 let advance t =
   match t.impl with
@@ -345,8 +379,8 @@ let advance t =
 
 let quiesce t ~tid =
   match t.impl with
-  | C c -> c_exit c ~tid
-  | D d -> Atomic.set d.local.(tid) idle
+  | C c -> c_exit t c ~tid
+  | D d -> Pd.set d.local (cell t tid) idle
   | Off -> ()
 
 let flush t =
@@ -387,11 +421,19 @@ let stop_background t =
 
 let stats t =
   {
-    retired = sum t.s_retired;
-    reclaimed = sum t.s_reclaimed + Atomic.get t.s_reclaimed_shared;
+    retired = sum t w_retired;
+    reclaimed = sum t w_reclaimed + Atomic.get t.s_reclaimed_shared;
     epochs_advanced = Atomic.get t.advanced;
-    enters = sum t.s_enters;
+    enters = sum t w_enters;
   }
+
+let padded_blocks t =
+  ("counts", Obj.repr t.counts)
+  ::
+  (match t.impl with
+  | C c -> [ ("entered", Obj.repr c.entered) ]
+  | D d -> [ ("global", Obj.repr d.global); ("local", Obj.repr d.local) ]
+  | Off -> [])
 
 let pending t =
   let s = stats t in

@@ -14,8 +14,9 @@
 
     - {b Decentralized} (OpenBw-Tree / Fig. 5b, after Silo and
       Deuteronomy): a global epoch counter that threads only read, a
-      per-thread local epoch they publish to a private (unpadded) slot, and
-      per-thread garbage lists tagged with the global epoch at retirement.
+      per-thread local epoch they publish to a slot on a cache line of
+      its own, and per-thread garbage lists tagged with the global epoch
+      at retirement.
       A thread reclaims its own garbage older than the minimum of all
       published local epochs.
 
@@ -95,6 +96,12 @@ val pending : t -> int
 (** retired − reclaimed. *)
 
 (**/**)
+
+val padded_blocks : t -> (string * Obj.t) list
+(** The {!Bw_util.Padded} arrays that hold the words an operation writes
+    for its tid (the statistics, the centralized entry slot, the
+    decentralized published epoch) and the decentralized global epoch,
+    by name. For layout tests. *)
 
 val test_retire_window : (unit -> unit) ref
 (** Test-only scheduling hook: invoked by the centralized retire path

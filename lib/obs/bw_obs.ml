@@ -2,9 +2,13 @@
 
    - Histograms, counters and event rings live in per-stripe rows that
      only the owning tid writes, so enabled-path probes cost a few plain
-     stores and no interlocked instructions. Rows are separate heap
-     blocks, which keeps different stripes off each other's cache lines
-     without explicit padding.
+     stores and no interlocked instructions. Separate blocks are no
+     guarantee against false sharing: the allocator may place two
+     stripes' rows side by side, on one cache line. So each histogram
+     (scalars and buckets) and each counter row is one block with a line
+     of never-written padding ([Bw_util.Padded.line_words] words) at each
+     end. Event rings are left unpadded: events are structural, not
+     per-op.
    - Gauges are pull-only: emitters register a closure, the snapshot
      calls it. Nothing on an operation path ever publishes a gauge.
    - Emitters with no worker identity (the epoch background domain, a
@@ -380,69 +384,70 @@ module Histo = struct
       let shift = (b / n_sub) - 1 in
       bucket_lo b + (1 lsl shift) - 1
 
-  type h = {
-    buckets : int array;
-    mutable h_count : int;
-    mutable h_sum : int;
-    mutable h_min : int;
-    mutable h_max : int;
-  }
+  (* One block per histogram: a line of padding, count, sum, min, max,
+     the buckets, a line of padding. *)
+  type h = int array
+
+  let pad = Bw_util.Padded.line_words
+  let i_count = pad
+  let i_sum = pad + 1
+  let i_min = pad + 2
+  let i_max = pad + 3
+  let i_bucket b = pad + 4 + b
 
   let create () =
-    {
-      buckets = Array.make n_buckets 0;
-      h_count = 0;
-      h_sum = 0;
-      h_min = max_int;
-      h_max = 0;
-    }
+    let h = Array.make (i_bucket n_buckets + pad) 0 in
+    h.(i_min) <- max_int;
+    h
 
   let add h v =
     let v = if v < 0 then 0 else v in
-    let b = bucket_of_value v in
-    h.buckets.(b) <- h.buckets.(b) + 1;
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum + v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v
+    let b = i_bucket (bucket_of_value v) in
+    h.(b) <- h.(b) + 1;
+    h.(i_count) <- h.(i_count) + 1;
+    h.(i_sum) <- h.(i_sum) + v;
+    if v < h.(i_min) then h.(i_min) <- v;
+    if v > h.(i_max) then h.(i_max) <- v
 
   let merge_into ~dst src =
-    for b = 0 to n_buckets - 1 do
-      dst.buckets.(b) <- dst.buckets.(b) + src.buckets.(b)
+    for i = i_count to i_sum do
+      dst.(i) <- dst.(i) + src.(i)
     done;
-    dst.h_count <- dst.h_count + src.h_count;
-    dst.h_sum <- dst.h_sum + src.h_sum;
-    if src.h_min < dst.h_min then dst.h_min <- src.h_min;
-    if src.h_max > dst.h_max then dst.h_max <- src.h_max
+    if src.(i_min) < dst.(i_min) then dst.(i_min) <- src.(i_min);
+    if src.(i_max) > dst.(i_max) then dst.(i_max) <- src.(i_max);
+    for b = i_bucket 0 to i_bucket (n_buckets - 1) do
+      dst.(b) <- dst.(b) + src.(b)
+    done
 
-  let count h = h.h_count
-  let sum h = h.h_sum
+  let count h = h.(i_count)
+  let sum h = h.(i_sum)
+  let bucket h b = h.(i_bucket b)
 
   let buckets h =
     let out = ref [] in
     for b = n_buckets - 1 downto 0 do
-      let n = h.buckets.(b) in
+      let n = bucket h b in
       if n > 0 then out := (bucket_lo b, bucket_hi b, n) :: !out
     done;
     !out
 
-  let min_value h = if h.h_count = 0 then 0 else h.h_min
-  let max_value h = h.h_max
+  let min_value h = if count h = 0 then 0 else h.(i_min)
+  let max_value h = h.(i_max)
 
   let quantile h q =
-    if h.h_count = 0 then 0
+    if count h = 0 then 0
     else begin
       let q = if q < 0.0 then 0.0 else if q > 1.0 then 1.0 else q in
       (* nearest rank: the smallest bucket whose cumulative count covers
          ceil(q * count), at least 1 *)
       let rank =
-        let r = int_of_float (ceil (q *. float_of_int h.h_count)) in
+        let r = int_of_float (ceil (q *. float_of_int (count h))) in
         if r < 1 then 1 else r
       in
       let acc = ref 0 and b = ref 0 and found = ref (n_buckets - 1) in
       (try
          while !b < n_buckets do
-           acc := !acc + h.buckets.(!b);
+           acc := !acc + bucket h !b;
            if !acc >= rank then begin
              found := !b;
              raise Exit
@@ -453,7 +458,7 @@ module Histo = struct
       (* the covering bucket's upper bound can overshoot the largest
          recorded value (e.g. a single sample); never report a quantile
          above the exact max *)
-      min (bucket_hi !found) h.h_max
+      min (bucket_hi !found) (max_value h)
     end
 end
 
@@ -470,7 +475,7 @@ type ring = {
 
 type stripe = {
   histos : Histo.h array; (* one per series *)
-  counters : int array;
+  counters : int array; (* padded at both ends: see [counter_slot] *)
   ring : ring;
 }
 
@@ -490,13 +495,17 @@ type sink = Null | To of t
    differences, so no consumer needs wall-clock time. *)
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
+(* A counter's word in a stripe's counter row, past the leading line of
+   padding. *)
+let counter_slot c = Bw_util.Padded.line_words + counter_index c
+
 let dummy_event =
   { ev_ns = 0; ev_tid = 0; ev_kind = Ev_split; ev_a = 0; ev_b = 0 }
 
 let make_stripe ring_capacity =
   {
     histos = Array.init n_series (fun _ -> Histo.create ());
-    counters = Array.make n_counters 0;
+    counters = Array.make (n_counters + (2 * Bw_util.Padded.line_words)) 0;
     ring =
       {
         slots = Array.make ring_capacity dummy_event;
@@ -534,13 +543,13 @@ let add s ~tid c n =
   | Null -> ()
   | To r ->
       let row = (stripe_of r tid).counters in
-      let i = counter_index c in
+      let i = counter_slot c in
       row.(i) <- row.(i) + n
 
 let incr s ~tid c = add s ~tid c 1
 
 let count r c =
-  let i = counter_index c in
+  let i = counter_slot c in
   Array.fold_left (fun acc st -> acc + st.counters.(i)) 0 r.stripes
 
 let push_ring r ring kind ~tid ~a ~b =
@@ -564,7 +573,7 @@ let incr_anon s c =
   | To r ->
       Mutex.lock r.anon_lock;
       let row = (anon_stripe r).counters in
-      let i = counter_index c in
+      let i = counter_slot c in
       row.(i) <- row.(i) + 1;
       Mutex.unlock r.anon_lock
 
@@ -643,7 +652,7 @@ let snapshot_all rs =
   let counters =
     List.map
       (fun c ->
-        let i = counter_index c in
+        let i = counter_slot c in
         let total = ref 0 in
         iter_stripes (fun st -> total := !total + st.counters.(i));
         (c, !total))

@@ -686,7 +686,8 @@ let test_update_allocation () =
       per_op
 
 (* Pay-per-use footprint: an empty tree holds no pre-faulted mapping-table
-   chunk, only its per-thread rows (4 232 words at 64 threads). Without
+   chunk, only its per-thread state (5 210 words at 64 threads, most of
+   it the cache-line padding of the cursors and epoch cells). Without
    pre-allocation each data delta is one block that shares its node's
    range record: 9 words for an update (header, range, next, size, depth,
    offset, key, old and new value), 8 for an insert or delete. With it
@@ -734,6 +735,49 @@ let test_memory_footprint () =
   footprint Bwtree.default_config
     ~first:(Some ((3 * (slots + 1)) + 7 + 4 + 7))
     (0, 0, 0)
+
+(* A thread's cursor, which every point operation writes, keeps a line of
+   padding fields before and after its hot fields inside the block: after
+   inserts, reads, updates, deletes, a batch and a scan on tid 1, the
+   fields that changed all lie at least a line from either end, and tid
+   0's cursor is untouched. *)
+let test_cursor_padding () =
+  let line = Bw_util.Padded.line_words in
+  let t = T.create () in
+  let fields tid =
+    let c = T.cursor_block t ~tid in
+    Array.init (Obj.size c) (Obj.field c)
+  in
+  let before0 = fields 0 and before1 = fields 1 in
+  let size = Array.length before1 in
+  if size < 7 + (2 * line) then
+    Alcotest.failf "cursor has %d fields, fewer than its 7 hot fields and                     two lines of padding" size;
+  for k = 0 to 599 do
+    assert (T.insert t ~tid:1 k k)
+  done;
+  for k = 0 to 599 do
+    ignore (T.find t ~tid:1 k : int option);
+    if k mod 3 = 0 then assert (T.update t ~tid:1 k (k + 1));
+    if k mod 3 = 1 then assert (T.delete t ~tid:1 k k)
+  done;
+  ignore (T.execute_batch t ~tid:1 (Array.init 32 (fun i -> (i * 9, T.B_get))));
+  ignore (T.scan t ~tid:1 ~n:10 100);
+  let after1 = fields 1 in
+  let changed = ref 0 in
+  Array.iteri
+    (fun i w ->
+      if after1.(i) != w then begin
+        incr changed;
+        if i < line || i >= size - line then
+          Alcotest.failf "cursor field %d, within a line of the block's end,                           was written" i
+      end)
+    before1;
+  Alcotest.(check bool) "the ops wrote the cursor" true (!changed > 0);
+  Array.iteri
+    (fun i w ->
+      if (fields 0).(i) != w then
+        Alcotest.failf "tid 0's cursor field %d was written" i)
+    before0
 
 (* Steady-state updates on one chained leaf allocate only the new head
    (7 words), the probe's [Some] (2) and the write descent's one-level
@@ -796,6 +840,35 @@ let test_batch_get_allocation () =
       "batched get allocates %.2f minor words per op beyond its results \
        array (limit 8)"
       per_op
+
+(* The per-tid permutation row only grows: after a batch of 16, batches
+   of 7, 12 and 9 reuse it. Each such batch of misses on a one-leaf tree
+   allocates its results array (n slots and a header) and its one
+   descent's ancestor path (one 3-word cons); a fresh row would add
+   another n + 1 words, 31 over the three. *)
+let test_batch_perm_row_reused () =
+  let t = T.create () in
+  for k = 0 to 99 do
+    assert (T.insert t k k)
+  done;
+  T.consolidate_all t;
+  let batch n = Array.init n (fun i -> (1000 + ((i * 5) mod n), T.B_get)) in
+  ignore (T.execute_batch t ~tid:0 (batch 16));
+  let batches = [| batch 7; batch 12; batch 9 |] in
+  let results = Array.make 3 [||] in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 2 do
+    results.(i) <- T.execute_batch t ~tid:0 batches.(i)
+  done;
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  Array.iter
+    (Array.iter (fun r ->
+         if r <> T.R_values [] then Alcotest.fail "batched miss hit"))
+    results;
+  let expected =
+    Array.fold_left (fun acc ops -> acc + Array.length ops + 1 + 3) 0 batches
+  in
+  Alcotest.(check int) "results arrays and paths only" expected words
 
 (* A batch must carry on from the heads its own housekeeping installs:
    a single thread updating one leaf 100 times consolidates it several
@@ -1038,6 +1111,7 @@ let () =
         [
           Alcotest.test_case "stats" `Quick test_stats_sanity;
           Alcotest.test_case "memory footprint" `Quick test_memory_footprint;
+          Alcotest.test_case "cursor padding" `Quick test_cursor_padding;
           Alcotest.test_case "slab update allocation" `Quick
             test_slab_update_allocation;
           Alcotest.test_case "gc integration" `Quick test_gc_integration;
@@ -1064,6 +1138,8 @@ let () =
             test_update_allocation;
           Alcotest.test_case "batched get allocates <= 8 words per op" `Quick
             test_batch_get_allocation;
+          Alcotest.test_case "smaller batches reuse the permutation row"
+            `Quick test_batch_perm_row_reused;
           Alcotest.test_case "batch continues on its own consolidations"
             `Quick test_batch_own_consolidations;
           Alcotest.test_case "reads consolidate a chained leaf" `Quick

@@ -269,6 +269,69 @@ let concurrent_stress scheme () =
   Alcotest.(check bool) "reclaimed <= retired" true (s.reclaimed <= s.retired);
   Alcotest.(check int) "fully drained at quiescence" 0 (Epoch.pending e)
 
+(* --- per-domain layout --- *)
+
+let fields o = Array.init (Obj.size o) (Obj.field o)
+
+(* Every word that each tid's operations write (the statistics, the
+   centralized entry slot, the decentralized published epoch) and the
+   global epoch sit in {!Bw_util.Padded} blocks: each block is exactly a
+   padded array of its cells, and the words that an op, a retirement, an
+   advance or a collection changed all lie on cell lines, never in the
+   padding between or around them. *)
+let test_padded_layout scheme () =
+  let module Pd = Bw_util.Padded in
+  let n = 3 in
+  let e = Epoch.create ~scheme ~max_threads:n ~gc_threshold:2 () in
+  let blocks = Epoch.padded_blocks e in
+  let names = List.map fst blocks in
+  let expect =
+    match scheme with
+    | Epoch.Centralized -> [ "counts"; "entered" ]
+    | Epoch.Decentralized -> [ "counts"; "global"; "local" ]
+    | Epoch.Disabled -> [ "counts" ]
+  in
+  Alcotest.(check (list string)) "padded blocks" expect names;
+  let before = List.map (fun (_, b) -> fields b) blocks in
+  for round = 1 to 3 do
+    for tid = 0 to n - 1 do
+      Epoch.op_begin e ~tid;
+      Epoch.retire e ~tid (obj ());
+      Epoch.retire e ~tid (obj ());
+      Epoch.op_end e ~tid
+    done;
+    if round = 2 then Epoch.advance e
+  done;
+  (* leave each tid inside an op, so its published state is live *)
+  for tid = 0 to n - 1 do
+    Epoch.op_begin e ~tid
+  done;
+  List.iter2
+    (fun (name, b) old ->
+      let cells = if name = "global" then 1 else n in
+      Alcotest.(check int) (name ^ ": a padded array") (Pd.length cells)
+        (Obj.size b);
+      let on_a_line i =
+        List.exists
+          (fun c -> i >= Pd.index c && i < Pd.index c + Pd.line_words)
+          (List.init cells Fun.id)
+      in
+      let changed = ref 0 in
+      Array.iteri
+        (fun i w ->
+          if Obj.field b i != w then begin
+            incr changed;
+            if not (on_a_line i) then
+              Alcotest.failf "%s: word %d, in the padding, was written" name
+                i
+          end)
+        old;
+      if !changed = 0 then Alcotest.failf "%s: no word was written" name)
+    blocks before;
+  for tid = 0 to n - 1 do
+    Epoch.op_end e ~tid
+  done
+
 let () =
   Alcotest.run "epoch"
     [
@@ -299,6 +362,15 @@ let () =
             test_d_end_releases_watermark;
         ] );
       ("disabled", [ Alcotest.test_case "noop" `Quick test_disabled ]);
+      ( "layout",
+        [
+          Alcotest.test_case "centralized per-tid words padded" `Quick
+            (test_padded_layout Epoch.Centralized);
+          Alcotest.test_case "decentralized per-tid words padded" `Quick
+            (test_padded_layout Epoch.Decentralized);
+          Alcotest.test_case "disabled per-tid words padded" `Quick
+            (test_padded_layout Epoch.Disabled);
+        ] );
       ( "background",
         [ Alcotest.test_case "advances and reclaims" `Quick test_background_thread ]
       );

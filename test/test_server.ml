@@ -1050,6 +1050,67 @@ let test_server_bad_host_keeps_data_dir () =
   | _ -> Alcotest.fail "bwt_server killed by a signal");
   Alcotest.(check (array string)) "data dir untouched" [||] (Sys.readdir dir)
 
+(* bwt_server on a port another socket holds: the bind failure exits 2
+   with one line naming the address, and the store it had already opened
+   in --data-dir is closed, so the directory reopens as a clean
+   generation-0 store. *)
+let test_server_port_in_use () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bwt-test-server-port-%d" (Unix.getpid ()))
+  in
+  Pagestore.Store.rm_rf dir;
+  let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close holder;
+      Pagestore.Store.rm_rf dir)
+  @@ fun () ->
+  Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen holder 1;
+  let port =
+    match Unix.getsockname holder with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process "../bin/bwt_server.exe"
+      [| "bwt_server.exe"; "--port"; string_of_int port; "--workers"; "1";
+         "--data-dir"; dir |]
+      Unix.stdin null err_w
+  in
+  Unix.close null;
+  Unix.close err_w;
+  let err = In_channel.input_all (Unix.in_channel_of_descr err_r) in
+  Unix.close err_r;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 2 -> ()
+  | _, Unix.WEXITED c ->
+      Alcotest.failf "bwt_server exited %d, expected 2 (stderr: %s)" c err
+  | _ -> Alcotest.fail "bwt_server killed by a signal");
+  (match String.split_on_char '\n' (String.trim err) with
+  | [ line ] ->
+      let needle = Printf.sprintf ":%d:" port in
+      let m = String.length needle in
+      let rec has i =
+        i + m <= String.length line
+        && (String.sub line i m = needle || has (i + 1))
+      in
+      if not (has 0) then
+        Alcotest.failf "stderr %S does not name port %d" line port
+  | _ -> Alcotest.failf "expected one line on stderr, got %S" err);
+  let dur = Harness.Drivers.Int.durable ~shards:1 ~dir () in
+  dur.dur_close ();
+  let st = dur.dur_stats in
+  Alcotest.(check bool) "store recovered, not recreated" false
+    st.Pagestore.Store.rs_fresh;
+  Alcotest.(check int) "generation 0" 0 st.rs_gen;
+  Alcotest.(check int) "no torn bytes" 0 st.rs_truncated_bytes;
+  Alcotest.(check int) "no dropped segments" 0 st.rs_dropped_segments
+
 (* A host name that is not a numeric address is refused with a typed
    error naming it, before any socket exists: five failed starts (and
    connects) leave the process's open descriptors where they were. *)
@@ -1132,5 +1193,7 @@ let () =
             `Quick test_bad_host_no_fd_leak;
           Alcotest.test_case "bwt_server: bad host leaves data dir empty"
             `Quick test_server_bad_host_keeps_data_dir;
+          Alcotest.test_case "bwt_server: port in use exits 2, store closed"
+            `Quick test_server_port_in_use;
         ] );
     ]

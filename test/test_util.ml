@@ -403,6 +403,51 @@ let test_stats_summary () =
   checkf "max" 3.0 s.max;
   check "n" 3 s.n
 
+(* --- Padded --- *)
+
+module Pd = Bw_util.Padded
+
+(* Every cell's line has a full line of padding before it and after it,
+   inside the array: at least 64 bytes between any two cells' words and
+   between a cell and either end of the block. *)
+let test_padded_layout () =
+  check "a 64-byte line" 8 Pd.line_words;
+  for n = 1 to 6 do
+    let a = Pd.make n 0 in
+    check "cells" n (Pd.cells a);
+    check "length" (Pd.length n) (Array.length a);
+    Alcotest.(check bool) "padding before the first cell" true
+      (Pd.index 0 >= Pd.line_words);
+    for c = 0 to n - 2 do
+      Alcotest.(check bool) "a line between two cells" true
+        (Pd.index (c + 1) - (Pd.index c + Pd.line_words) >= Pd.line_words)
+    done;
+    Alcotest.(check bool) "padding after the last cell" true
+      (Array.length a - (Pd.index (n - 1) + Pd.line_words) >= Pd.line_words)
+  done
+
+(* The atomic accessors touch the word they name and nothing else. *)
+let test_padded_atomics () =
+  let n = 4 in
+  let a = Pd.make n 7 in
+  for c = 0 to n - 1 do
+    check "index" (Pd.first + (Pd.stride * c)) (Pd.index c);
+    Pd.set a (Pd.index c) (100 + c);
+    check "fetch_and_add returns the old value" (100 + c)
+      (Pd.fetch_and_add a (Pd.index c) 5)
+  done;
+  Array.iteri
+    (fun i v ->
+      let expect = ref 7 in
+      for c = 0 to n - 1 do
+        if i = Pd.index c then expect := 105 + c
+      done;
+      check (Printf.sprintf "word %d" i) !expect v)
+    a;
+  for c = 0 to n - 1 do
+    check "get" (105 + c) (Pd.get a (Pd.index c))
+  done
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -435,6 +480,11 @@ let () =
           Alcotest.test_case "no forced minor GC" `Quick
             test_growable_no_forced_minor;
           q prop_growable_model;
+        ] );
+      ( "padded",
+        [
+          Alcotest.test_case "layout" `Quick test_padded_layout;
+          Alcotest.test_case "atomics" `Quick test_padded_atomics;
         ] );
       ( "arr",
         [
