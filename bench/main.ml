@@ -741,15 +741,15 @@ let abl scale =
     [ W.Insert_only; W.Read_only; W.Read_update ]
 
 (* ------------------------------------------------------------------ *)
-(* Page-store substrate: checkpoint / recovery / compaction rates      *)
+(* Page-store substrate: checkpoint and recovery rates                 *)
 (* ------------------------------------------------------------------ *)
 
 module Cp = Drivers.Int.Durable.CP
 
 let store scale =
   print_header
-    "Page store: checkpoint, recovery and segment-GC rates (LLAMA-style \
-     substrate, DESIGN.md)";
+    "Page store: checkpoint and recovery rates (LLAMA-style substrate, \
+     DESIGN.md)";
   let t = Drivers.Int.Bw.create () in
   let n = scale.keys in
   for i = 0 to n - 1 do
@@ -761,29 +761,16 @@ let store scale =
     let x = f () in
     (x, Unix.gettimeofday () -. t0)
   in
-  let root1, save_s = time (fun () -> Cp.save ~page_items:128 t log) in
-  let _, save2_s = time (fun () -> Cp.save ~page_items:128 t log) in
-  let root2 = Cp.save ~page_items:128 t log in
-  let tree', load_s = time (fun () -> Cp.load log root2) in
-  let reclaimed, compact_s =
-    time (fun () -> fst (Cp.compact_keeping log [ root2 ]))
-  in
-  ignore root1;
+  let _, save_s = time (fun () -> Cp.save t log) in
+  let saved, save2_s = time (fun () -> Cp.save t log) in
+  let tree', load_s = time (fun () -> Cp.load log saved.Cp.sv_manifest) in
   Printf.printf
     "checkpoint : %7.3f M items/s (first) | %7.3f M items/s (steady)\n"
     (Bw_util.Stats.throughput_mops ~ops:n ~seconds:save_s)
     (Bw_util.Stats.throughput_mops ~ops:n ~seconds:save2_s);
   Printf.printf "recovery   : %7.3f M items/s (%d keys rebuilt)\n"
     (Bw_util.Stats.throughput_mops ~ops:n ~seconds:load_s)
-    (Drivers.Int.Bw.cardinal tree');
-  Printf.printf
-    "segment GC : %7.2f MB reclaimed in %.3fs (%.1f MB/s); log now %.2f MB \
-     in %d segments\n"
-    (float_of_int reclaimed /. 1048576.)
-    compact_s
-    (float_of_int reclaimed /. 1048576. /. compact_s)
-    (float_of_int (Pagestore.Log.bytes_used log) /. 1048576.)
-    (Pagestore.Log.segment_count log)
+    (Drivers.Int.Bw.cardinal tree')
 
 (* ------------------------------------------------------------------ *)
 (* Bw-forest: shard-count scaling over the lib/shard router            *)

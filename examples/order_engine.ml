@@ -191,7 +191,7 @@ let () =
     e.rows;
   let roots =
     List.map
-      (fun idx -> Cp.save ~page_items:128 idx log)
+      (fun idx -> (Cp.save idx log).Cp.sv_manifest)
       [ e.primary; e.customers; e.clock; rows_idx ]
   in
   Printf.printf "checkpointed 4 indexes: %.2f MB in %d segments\n"

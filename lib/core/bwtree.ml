@@ -2130,6 +2130,20 @@ module Make (K : KEY) (V : VALUE) :
         | _ -> snapshot_leaf_page t ~tid head
         | exception Restart -> snapshot_leaf_page t ~tid head)
 
+  (* The leftmost leaf, as (id, head): down the leftmost spine,
+     restarting on a remove delta. Call inside [with_epoch] and
+     [retry_loop]. *)
+  let leftmost_leaf t ~tid =
+    let rec down id =
+      let head = mt_get t ~tid id in
+      (match head with
+      | LSmo { op = L_remove; _ } | ID { op = I_remove; _ } -> raise Restart
+      | _ -> ());
+      if is_leaf_elem head then (id, head)
+      else down (snd (Growable.get (gather_inner t.o ~tid head) 0))
+    in
+    down (Atomic.get t.root)
+
   module Iterator = struct
     (* An iterator holds a consolidated page of one logical leaf node
        ([scan_leaf_page]: the installed base, or a private copy); no
@@ -2273,18 +2287,7 @@ module Make (K : KEY) (V : VALUE) :
       in
       (with_epoch t ~tid @@ fun () ->
        retry_loop t ~tid @@ fun () ->
-       (* descend along the leftmost spine *)
-       let rec down id =
-         let head = mt_get t ~tid id in
-         (match head with
-         | LSmo { op = L_remove; _ } | ID { op = I_remove; _ } -> raise Restart
-         | _ -> ());
-         if is_leaf_elem head then (id, head)
-         else
-           let items = gather_inner t.o ~tid head in
-           down (snd (Growable.get items 0))
-       in
-       let id, head = down (Atomic.get t.root) in
+       let id, head = leftmost_leaf t ~tid in
        let r = range_of head in
        it.items <- scan_leaf_page t ~tid id head;
        it.lo <- r.lo;
@@ -2374,17 +2377,7 @@ module Make (K : KEY) (V : VALUE) :
     let first =
       with_epoch t ~tid @@ fun () ->
       retry_loop t ~tid @@ fun () ->
-      let rec down id =
-        let head = mt_get t ~tid id in
-        (match head with
-        | LSmo { op = L_remove; _ } | ID { op = I_remove; _ } -> raise Restart
-        | _ -> ());
-        if is_leaf_elem head then head
-        else
-          let items = gather_inner t.o ~tid head in
-          down (snd (Growable.get items 0))
-      in
-      let head = down (Atomic.get t.root) in
+      let _, head = leftmost_leaf t ~tid in
       (materialize head, (range_of head).hi)
     in
     let rec go (page, hi) =

@@ -36,14 +36,13 @@ module type KEYED = sig
 end
 
 (* A durable driver plus its lifecycle: [dur_checkpoint] cuts a new
-   generation (call it quiesced — drained server, phase barrier; [mode]
-   selects full rotation vs an in-place incremental manifest),
+   generation (call it quiesced — drained server, phase barrier),
    [dur_close] fsyncs and releases the WAL without checkpointing (a
    clean close still recovers through WAL replay), [dur_stats] reports
    what boot-time recovery found. *)
 type 'k durable = {
   dur_driver : 'k driver;
-  dur_checkpoint : ?tid:int -> ?mode:[ `Full | `Incremental ] -> unit -> unit;
+  dur_checkpoint : ?tid:int -> unit -> unit;
   dur_close : unit -> unit;
   dur_stats : Pagestore.Store.recovery_stats;
 }
@@ -95,7 +94,7 @@ module type S = sig
 
   val durable :
     ?config:Bwtree.config -> ?obs_of:(int -> Bw_obs.sink) -> ?lo:key ->
-    ?hi:key -> ?segment_bytes:int -> ?page_items:int -> ?fsync:bool ->
+    ?hi:key -> ?segment_bytes:int -> ?fsync:bool ->
     ?on_replay:(int -> Durable.W.op -> unit) -> shards:int -> dir:string ->
     unit -> key durable
   (** Pagestore-backed recovery plus a group-commit WAL, as a single
@@ -265,11 +264,10 @@ module Make (K : KEYED) = struct
   (* --- durable Bw-Trees: pagestore-backed recovery + group-commit WAL --- *)
 
   let durable ?config ?(obs_of = fun _ -> Bw_obs.Null) ?lo ?hi ?segment_bytes
-      ?page_items ?(fsync = true) ?on_replay ~shards ~dir () : key durable =
+      ?(fsync = true) ?on_replay ~shards ~dir () : key durable =
     let stores =
       Array.init shards (fun i ->
-          Durable.open_dir ?config ~obs:(obs_of i) ?segment_bytes ?page_items
-            ~fsync
+          Durable.open_dir ?config ~obs:(obs_of i) ?segment_bytes ~fsync
             ?on_replay:(Option.map (fun f -> f i) on_replay)
             ~dir:(Pagestore.Store.shard_dir dir ~shards i) ())
     in
@@ -280,8 +278,8 @@ module Make (K : KEYED) = struct
             let st = fst stores.(i) in
             Durable.wrap_driver st (driver_of_tree (Durable.tree st)));
       dur_checkpoint =
-        (fun ?tid ?mode () ->
-          each (fun st -> ignore (Durable.checkpoint ?tid ?mode st : int * int)));
+        (fun ?tid () ->
+          each (fun st -> ignore (Durable.checkpoint ?tid st : int * int)));
       dur_close = (fun () -> each Durable.close);
       dur_stats =
         Array.fold_left

@@ -38,43 +38,10 @@ type 'k driver = 'k Index_iface.driver = {
 (* Wrap a driver so every operation records its latency into [obs]. The
    Bw-Tree drivers measure inside the tree instead (closer to the op,
    and they also see restarts/chain depths) — this wrapper is for the
-   competitor indexes, which know nothing about Bw_obs.
-
-   Idempotent: instrumenting an already-instrumented driver returns it
-   unchanged, so a call site that both asks for --metrics and routes
-   through a stats probe (which instruments on its own) doesn't record
-   every latency twice. Wrapper identity is tracked physically — the
-   closures are unique to each wrap — and the registry is scrubbed of
-   dead entries as it is consulted, so it never grows past the handful
-   of drivers a process instruments. *)
-let instrumented : Obj.t Weak.t ref = ref (Weak.create 8)
-
-let is_instrumented d =
-  let w = !instrumented in
-  let found = ref false in
-  for i = 0 to Weak.length w - 1 do
-    match Weak.get w i with
-    | Some o when o == Obj.repr d -> found := true
-    | _ -> ()
-  done;
-  !found
-
-let remember_instrumented d =
-  let w = !instrumented in
-  let slot = ref (-1) in
-  for i = Weak.length w - 1 downto 0 do
-    if not (Weak.check w i) then slot := i
-  done;
-  if !slot >= 0 then Weak.set w !slot (Some (Obj.repr d))
-  else begin
-    let w' = Weak.create (2 * Weak.length w) in
-    Weak.blit w 0 w' 0 (Weak.length w);
-    Weak.set w' (Weak.length w) (Some (Obj.repr d));
-    instrumented := w'
-  end
-
+   competitor indexes, which know nothing about Bw_obs. On the null sink
+   the driver comes back unchanged. *)
 let instrument obs (d : 'k driver) : 'k driver =
-  if (not (Bw_obs.enabled obs)) || is_instrumented d then d
+  if not (Bw_obs.enabled obs) then d
   else
     let timed ~tid series f =
       let t0 = Bw_obs.now_ns () in
@@ -82,28 +49,24 @@ let instrument obs (d : 'k driver) : 'k driver =
       Bw_obs.observe obs ~tid series (Bw_obs.now_ns () - t0);
       r
     in
-    let w =
-      {
-        d with
-        insert =
-          (fun ~tid k v ->
-            timed ~tid Bw_obs.Lat_insert (fun () -> d.insert ~tid k v));
-        read =
-          (fun ~tid k ->
-            timed ~tid Bw_obs.Lat_lookup (fun () -> d.read ~tid k));
-        update =
-          (fun ~tid k v ->
-            timed ~tid Bw_obs.Lat_update (fun () -> d.update ~tid k v));
-        remove =
-          (fun ~tid k ->
-            timed ~tid Bw_obs.Lat_delete (fun () -> d.remove ~tid k));
-        scan =
-          (fun ~tid k ~n visit ->
-            timed ~tid Bw_obs.Lat_scan (fun () -> d.scan ~tid k ~n visit));
-      }
-    in
-    remember_instrumented w;
-    w
+    {
+      d with
+      insert =
+        (fun ~tid k v ->
+          timed ~tid Bw_obs.Lat_insert (fun () -> d.insert ~tid k v));
+      read =
+        (fun ~tid k ->
+          timed ~tid Bw_obs.Lat_lookup (fun () -> d.read ~tid k));
+      update =
+        (fun ~tid k v ->
+          timed ~tid Bw_obs.Lat_update (fun () -> d.update ~tid k v));
+      remove =
+        (fun ~tid k ->
+          timed ~tid Bw_obs.Lat_delete (fun () -> d.remove ~tid k));
+      scan =
+        (fun ~tid k ~n visit ->
+          timed ~tid Bw_obs.Lat_scan (fun () -> d.scan ~tid k ~n visit));
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Start barrier                                                       *)

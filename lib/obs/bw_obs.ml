@@ -126,8 +126,6 @@ type counter =
   | C_recovered_wal_records
   | C_leaf_gap_reuses
   | C_leaf_probe_cmps
-  | C_ckpt_gc_runs
-  | C_ckpt_gc_bytes
   | C_read_consolidations
   | C_ptr_derefs
   | C_key_compares
@@ -164,24 +162,22 @@ let counter_index = function
   | C_recovered_wal_records -> 15
   | C_leaf_gap_reuses -> 16
   | C_leaf_probe_cmps -> 17
-  | C_ckpt_gc_runs -> 18
-  | C_ckpt_gc_bytes -> 19
-  | C_read_consolidations -> 20
-  | C_ptr_derefs -> 21
-  | C_key_compares -> 22
-  | C_allocations -> 23
-  | C_cas_attempts -> 24
-  | C_cas_failures -> 25
-  | C_restarts -> 26
-  | C_node_visits -> 27
-  | C_epoch_enters -> 28
-  | C_inserts -> 29
-  | C_deletes -> 30
-  | C_updates -> 31
-  | C_lookups -> 32
-  | C_delta_cas_failures -> 33
-  | C_smo_helps -> 34
-  | C_prealloc_overflows -> 35
+  | C_read_consolidations -> 18
+  | C_ptr_derefs -> 19
+  | C_key_compares -> 20
+  | C_allocations -> 21
+  | C_cas_attempts -> 22
+  | C_cas_failures -> 23
+  | C_restarts -> 24
+  | C_node_visits -> 25
+  | C_epoch_enters -> 26
+  | C_inserts -> 27
+  | C_deletes -> 28
+  | C_updates -> 29
+  | C_lookups -> 30
+  | C_delta_cas_failures -> 31
+  | C_smo_helps -> 32
+  | C_prealloc_overflows -> 33
 
 let all_counters =
   [
@@ -203,8 +199,6 @@ let all_counters =
     C_recovered_wal_records;
     C_leaf_gap_reuses;
     C_leaf_probe_cmps;
-    C_ckpt_gc_runs;
-    C_ckpt_gc_bytes;
     C_read_consolidations;
     C_ptr_derefs;
     C_key_compares;
@@ -244,8 +238,6 @@ let counter_name = function
   | C_recovered_wal_records -> "recovered_wal_records"
   | C_leaf_gap_reuses -> "leaf_gap_reuses"
   | C_leaf_probe_cmps -> "leaf_probe_cmps"
-  | C_ckpt_gc_runs -> "ckpt_gc_runs"
-  | C_ckpt_gc_bytes -> "ckpt_gc_bytes"
   | C_read_consolidations -> "read_consolidations"
   | C_ptr_derefs -> "ptr_derefs"
   | C_key_compares -> "key_compares"

@@ -71,8 +71,6 @@ type counter =
   | C_leaf_probe_cmps
       (** key comparisons charged to in-leaf base searches (also counted
           in [C_key_compares]) *)
-  | C_ckpt_gc_runs  (** incremental checkpoints escalated to full for pages-log GC *)
-  | C_ckpt_gc_bytes  (** pages-log bytes reclaimed by those escalations *)
   | C_read_consolidations
       (** leaf consolidations performed by point reads (also counted in
           [C_consolidations]) *)

@@ -10,8 +10,9 @@
     manifest record indexes the page records, and recovery rebuilds a
     fresh tree from the decoded pages. The substitution preserves the
     behaviours the substrate exists for — out-of-place page writes,
-    address indirection through a manifest, CRC-validated reads, and
-    segment garbage collection reclaiming superseded checkpoints. *)
+    address indirection through a manifest and CRC-validated reads.
+    Superseded checkpoints are reclaimed a whole log at a time: [Store]
+    writes each one into a fresh generation and deletes the old. *)
 
 module Make (VC : Codec.CODEC) (T : Bwtree.S with type value = VC.t) = struct
   type manifest = {
@@ -67,76 +68,34 @@ module Make (VC : Codec.CODEC) (T : Bwtree.S with type value = VC.t) = struct
     if !pos <> len then failwith "Checkpoint: trailing manifest bytes";
     { pages; item_count; wal_gen; wal_pos }
 
-  type save_report = {
-    sr_manifest : Log.offset;  (* the fresh manifest's address *)
-    sr_pages : int;  (* page records newly appended *)
-    sr_reused : int;  (* page addresses inherited from [prev] *)
-    sr_live_bytes : int;
-        (* total payload bytes of the new manifest's page records
-           (written + reused) — lets [Store] track the pages log's dead
-           share across an incremental chain without re-reading live
-           pages *)
+  type saved = {
+    sv_manifest : Log.offset;  (* the fresh manifest's address *)
+    sv_pages : int;  (* page records appended *)
+    sv_bytes : int;  (* their payload bytes *)
   }
 
-  (* Write a checkpoint of [tree] into [log]; returns where the manifest
-     landed plus how much page writing it avoided.
-
-     One page record per non-empty leaf, in key order, each written by
-     [T.iter_leaf_pages] — so record granularity follows the tree's own
-     leaf size, not a caller knob. [page_items] is accepted for
-     compatibility and ignored. The snapshot walks the live tree, so it
-     is only point-in-time if the caller quiesces writers first —
-     [Store] cuts its checkpoints at epoch barriers for exactly this
-     reason. [wal_gen] and [wal_pos] name the delta-WAL suffix that
-     continues this snapshot; a standalone checkpoint leaves them zero.
-
-     [prev] is an earlier manifest whose page records live in this same
-     [log]: any leaf whose encoding is byte-identical to one of [prev]'s
-     pages is indexed by its existing address instead of being written
-     again — an incremental checkpoint in the LLAMA sense (only changed
-     pages are flushed; the manifest is the mapping-table fix-up).
-     Comparison is by full payload, so a reused address is always
-     correct, never merely probably so. *)
-  let save_report ?page_items:_ ?(wal_gen = 0) ?(wal_pos = 0) ?prev tree log =
-    let known = Hashtbl.create 256 in
-    (match prev with
-    | None -> ()
-    | Some m ->
-        Array.iter
-          (fun off -> Hashtbl.replace known (Log.read log off) off)
-          m.pages);
+  (* Write a checkpoint of [tree] into [log]: one page record per
+     non-empty leaf, in key order, each written by [T.iter_leaf_pages] —
+     so record granularity follows the tree's own leaf size — then a
+     manifest indexing them. The snapshot walks the live tree, so it is
+     only point-in-time if the caller quiesces writers first — [Store]
+     cuts its checkpoints at epoch barriers for exactly this reason.
+     [wal_gen] and [wal_pos] name the delta-WAL suffix that continues
+     this snapshot; a standalone checkpoint leaves them zero. *)
+  let save ?(wal_gen = 0) ?(wal_pos = 0) tree log =
     let pages = ref [] in
-    let total = ref 0 in
-    let written = ref 0 and reused = ref 0 in
-    let live_bytes = ref 0 in
+    let total = ref 0 and bytes = ref 0 in
     T.iter_leaf_pages tree (fun page ->
         total := !total + T.Page.length page;
         let payload = encode_page page in
-        live_bytes := !live_bytes + String.length payload;
-        let off =
-          match Hashtbl.find_opt known payload with
-          | Some off ->
-              incr reused;
-              off
-          | None ->
-              incr written;
-              Log.append log payload
-        in
-        pages := off :: !pages);
+        bytes := !bytes + String.length payload;
+        pages := Log.append log payload :: !pages);
     let pages = Array.of_list (List.rev !pages) in
     let moff =
       Log.append log
         (encode_manifest ~wal_gen ~wal_pos ~pages ~item_count:!total)
     in
-    {
-      sr_manifest = moff;
-      sr_pages = !written;
-      sr_reused = !reused;
-      sr_live_bytes = !live_bytes;
-    }
-
-  let save ?page_items ?wal_gen ?wal_pos ?prev tree log =
-    (save_report ?page_items ?wal_gen ?wal_pos ?prev tree log).sr_manifest
+    { sv_manifest = moff; sv_pages = Array.length pages; sv_bytes = !bytes }
 
   let manifest log off = decode_manifest (Log.read log off)
 
@@ -158,51 +117,4 @@ module Make (VC : Codec.CODEC) (T : Bwtree.S with type value = VC.t) = struct
     if !loaded <> m.item_count then
       failwith "Checkpoint.load: manifest item count mismatch";
     tree
-
-  (* Liveness oracle for {!Log.compact}: only the *pages* reachable from
-     the given manifests survive. The manifest records themselves are
-     deliberately dead — they hold page addresses by value, so after
-     relocation their payloads would dangle into pre-compaction space;
-     {!compact_keeping} re-appends fresh manifests instead. (Marking the
-     old manifests live, as an earlier version did, left both copies in
-     the compacted log: readers that landed on a stale one chased
-     pre-compaction offsets, and the reported reclamation was overstated
-     by the pages those stale roots appeared to retain.)
-
-     The manifests are decoded *before* compaction destroys them; the
-     captured contents, a liveness predicate, the relocation callback and
-     the old->new address translation are returned together. *)
-  let gc_roots log manifest_offs =
-    let captured =
-      List.map (fun moff -> (moff, manifest log moff)) manifest_offs
-    in
-    let live = Hashtbl.create 64 in
-    List.iter
-      (fun (_, m) -> Array.iter (fun p -> Hashtbl.replace live p ()) m.pages)
-      captured;
-    let moved = Hashtbl.create 64 in
-    let is_live off = Hashtbl.mem live off in
-    let relocate old_off new_off = Hashtbl.replace moved old_off new_off in
-    let translate off = Option.value ~default:off (Hashtbl.find_opt moved off) in
-    (captured, is_live, relocate, translate)
-
-  (* Compact the log keeping only the given checkpoints; returns the bytes
-     reclaimed and the fresh manifest addresses (in the same order as
-     [manifest_offs] — the old addresses are gone). Page offsets inside
-     each re-appended manifest are translated to their post-compaction
-     homes, the same fix-up LLAMA's incremental flush applies to its
-     mapping table. *)
-  let compact_keeping log manifest_offs =
-    let captured, is_live, relocate, translate = gc_roots log manifest_offs in
-    let reclaimed = Log.compact log ~live:is_live ~relocate in
-    let fresh =
-      List.map
-        (fun (_, m) ->
-          let pages = Array.map translate m.pages in
-          Log.append log
-            (encode_manifest ~wal_gen:m.wal_gen ~wal_pos:m.wal_pos ~pages
-               ~item_count:m.item_count))
-        captured
-    in
-    (reclaimed, fresh)
 end

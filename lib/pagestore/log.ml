@@ -207,64 +207,6 @@ let iter t f =
     done
   done
 
-(* ---- compaction ---- *)
-
-let reset_segments t =
-  Bw_util.Growable.clear t.segments;
-  Bw_util.Growable.push t.segments (fresh_seg t.segment_bytes);
-  t.nrecords <- 0
-
-(* Replace the segment files with the rebuilt in-memory image, each via
-   temp-and-rename. The multi-file swap is not crash-atomic (see .mli);
-   durable callers checkpoint into fresh generations instead. *)
-let rewrite_files t b =
-  Unix.close b.b_fd;
-  let n = segment_count t in
-  for i = 0 to n - 1 do
-    let final = segment_path ~dir:b.b_dir i in
-    let tmp = final ^ ".tmp" in
-    let fd =
-      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let s = seg t i in
-        write_fully fd s.buf 0 s.used;
-        if i < n - 1 then write_fully fd (Bytes.make 1 seal) 0 1;
-        Unix.fsync fd);
-    Sys.rename tmp final
-  done;
-  let stale = ref n in
-  while Sys.file_exists (segment_path ~dir:b.b_dir !stale) do
-    Sys.remove (segment_path ~dir:b.b_dir !stale);
-    incr stale
-  done;
-  fsync_dir b.b_dir;
-  b.b_fd <-
-    Unix.openfile
-      (segment_path ~dir:b.b_dir (n - 1))
-      [ Unix.O_WRONLY; Unix.O_APPEND ]
-      0o644;
-  b.b_dirty <- false
-
-let compact t ~live ~relocate =
-  let before = bytes_used t in
-  let survivors = ref [] in
-  iter t (fun off payload ->
-      if live off then survivors := (off, payload) :: !survivors);
-  let survivors = List.rev !survivors in
-  reset_segments t;
-  List.iter
-    (fun (old_off, payload) ->
-      let new_off = append_mem t payload in
-      relocate old_off new_off)
-    survivors;
-  (match t.backing with
-  | Some b when not b.b_closed -> rewrite_files t b
-  | _ -> ());
-  before - bytes_used t
-
 (* ---- open / recovery ---- *)
 
 let read_meta dirpath =
@@ -343,21 +285,18 @@ let open_dir ?(segment_bytes = 256 * 1024) ?(readonly = false) ~dir:dirpath ()
   while Sys.file_exists (segment_path ~dir:dirpath !nfiles) do
     incr nfiles
   done;
-  (* Sweep leftovers: compaction temp files, and segment files past a gap
-     in the numbering (they can't be part of the contiguous log and would
-     splice stale data into a future recovery once the gap refills).
-     Read-only opens report what the scan would do without touching the
-     directory, so a live store can be inspected from another process. *)
+  (* Sweep segment files past a gap in the numbering (they can't be part
+     of the contiguous log and would splice stale data into a future
+     recovery once the gap refills). Read-only opens report what the scan
+     would do without touching the directory, so a live store can be
+     inspected from another process. *)
   if not readonly then
     Array.iter
       (fun name ->
-        let path = Filename.concat dirpath name in
-        if Filename.check_suffix name ".tmp" then Sys.remove path
-        else
-          match Scanf.sscanf name "seg-%d.log%!" (fun i -> i) with
-          | i when i >= !nfiles -> Sys.remove path
-          | _ -> ()
-          | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ())
+        match Scanf.sscanf name "seg-%d.log%!" (fun i -> i) with
+        | i when i >= !nfiles -> Sys.remove (Filename.concat dirpath name)
+        | _ -> ()
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ())
       (Sys.readdir dirpath);
   let segments = Bw_util.Growable.create () in
   let nrecords = ref 0 in

@@ -25,9 +25,9 @@
     shortened one and recovery would no longer be prefix-shaped.
 
     Offsets are stable logical addresses (segment index ⋅ segment size +
-    position) until {!compact} relocates live records and invalidates the
-    old addresses via the caller's [relocate] callback — exactly how
-    LLAMA fixes up the mapping table. *)
+    position) for the life of the log: records are never moved. Space is
+    reclaimed a whole log at a time — [Store] writes each checkpoint into
+    a fresh log and deletes the superseded one. *)
 
 type t
 
@@ -92,16 +92,6 @@ val bytes_used : t -> int
 
 val segment_count : t -> int
 val segment_bytes : t -> int
-
-val compact : t -> live:(offset -> bool) -> relocate:(offset -> offset -> unit) -> int
-(** [compact t ~live ~relocate] rewrites the log keeping only records for
-    which [live] answers true, calling [relocate old_off new_off] for each
-    survivor, and returns the number of bytes reclaimed. Single-threaded
-    (the simulated device has one GC context, like a flash FTL).
-    File-backed logs rewrite their segment files via temp-and-rename;
-    the multi-file swap is not crash-atomic, so callers needing
-    crash-safe space reclamation should write a fresh log generation
-    instead (see [Store]). *)
 
 val close : t -> unit
 (** Release the active file descriptor (after an fsync). In-memory: no-op.

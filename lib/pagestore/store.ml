@@ -172,24 +172,6 @@ struct
     mutable gen : int;
     fsync : bool;
     segment_bytes : int option;
-    page_items : int;
-    gc_dead_bytes : int;
-        (* incremental checkpoints append changed pages in place, so a
-           long chain accumulates dead page records; once the dead share
-           of the pages log passes this threshold the next incremental
-           escalates to a full checkpoint, which rewrites only live
-           pages into a fresh generation — GC without any in-place
-           rewrite, so every crash window stays covered by the
-           CURRENT-flip argument *)
-    mutable gc_runs : int;
-    mutable gc_bytes : int;  (* total bytes reclaimed by escalations *)
-    mutable live_page_bytes : int option;
-        (* payload bytes of the newest manifest's live page records,
-           maintained from each checkpoint's save report so the
-           incremental dead-share test needs no re-read of the live
-           dataset; [None] until the first checkpoint after recovery
-           (that one checkpoint measures the recovered manifest by
-           reading it — a one-time cost, not per-incremental) *)
     obs : Bw_obs.sink;
     mu : Mutex.t;  (* serializes checkpoint against close *)
   }
@@ -198,7 +180,6 @@ struct
   let gen t = t.gen
   let wal t = t.wal
   let wal_ops t = W.pos t.wal
-  let gc_stats t = (t.gc_runs, t.gc_bytes)
 
   let apply_op ?on_replay tree op =
     (match on_replay with Some f -> f op | None -> ());
@@ -208,9 +189,10 @@ struct
     | W.W_upsert (k, v) -> T.upsert tree k v
     | W.W_remove k -> ignore (T.delete tree k 0 : bool)
 
-  (* Newest decodable manifest in a pages log. Incremental checkpoints
-     append manifests in place, so "newest decodable" is the committed
-     one — a torn incremental append simply never becomes newest. *)
+  (* Newest decodable manifest in a pages log. A checkpoint writes one
+     manifest into a fresh log, but a log may hold several (older
+     versions appended incremental manifests in place); the newest
+     decodable one is the committed one — a torn append never decodes. *)
   let newest_manifest plog =
     let newest = ref None in
     Log.iter plog (fun off _ ->
@@ -221,84 +203,77 @@ struct
 
   (* Try to load generation [g]'s snapshot; None when its pages log has
      no decodable manifest (an unfinished checkpoint). *)
-  let try_load_gen ?config ?obs ?segment_bytes ?readonly dir g =
+  let try_load_gen ?config ~obs ?segment_bytes ~readonly dir g =
     if not (Sys.file_exists (pages_dir dir g)) then None
     else begin
       let plog, pstats =
-        Log.open_dir ?segment_bytes ?readonly ~dir:(pages_dir dir g) ()
+        Log.open_dir ?segment_bytes ~readonly ~dir:(pages_dir dir g) ()
       in
-      match newest_manifest plog with
-      | None ->
-          Log.close plog;
-          None
-      | Some moff -> (
-          match
-            let m = CP.manifest plog moff in
-            (CP.load ?config ?obs plog moff, m)
-          with
-          | tree, m ->
-              Log.close plog;
-              Some (tree, m, pstats)
-          | exception Failure _ ->
-              Log.close plog;
-              None)
+      Fun.protect
+        ~finally:(fun () -> Log.close plog)
+        (fun () ->
+          match newest_manifest plog with
+          | None -> None
+          | Some moff -> (
+              match
+                let m = CP.manifest plog moff in
+                (CP.load ?config ~obs plog moff, m)
+              with
+              | tree, m -> Some (tree, m, pstats)
+              | exception Failure _ -> None))
     end
 
-  let open_dir ?config ?(obs = Bw_obs.Null) ?segment_bytes ?(page_items = 128)
-      ?(gc_dead_bytes = 32 * 1024 * 1024) ?(fsync = true) ?on_replay ~dir () =
-    mkdir_p dir;
-    (* CURRENT names the committed generation; fall back to the newest
-       loadable one when it is missing or lies (first-open crash). *)
+  (* Recover the committed state: the generation [CURRENT] names, or the
+     first loadable one when it is missing or lies (first-open crash);
+     its newest manifest, bulk-loaded; then the WAL suffix from the
+     manifest's [wal_pos]. [readonly] mutates nothing on disk (no
+     truncation, no sweeps — see {!Log.open_dir}). [None] when no
+     generation loads. *)
+  let recover ?config ~obs ?segment_bytes ~fsync ?on_replay ~readonly dir =
     let candidates =
       match read_current dir with
       | Some g -> g :: List.filter (fun g' -> g' <> g) (gens_on_disk dir)
       | None -> gens_on_disk dir
     in
-    let loaded =
-      List.fold_left
-        (fun acc g ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              Option.map
-                (fun (tree, m, pstats) -> (g, tree, m, pstats))
-                (try_load_gen ?config ~obs ?segment_bytes dir g))
-        None candidates
-    in
-    let st, stats =
-      match loaded with
-      | Some (g, tree, m, pstats) ->
-          let wal, wstats =
-            W.open_dir ?segment_bytes ~fsync ~obs ~dir:(wal_dir dir g) ()
-          in
-          let wal_ops = W.replay ~from:m.CP.wal_pos wal (apply_op ?on_replay tree) in
-          ( {
-              dir;
-              tree;
-              wal;
-              gen = g;
-              fsync;
-              segment_bytes;
-              page_items;
-              gc_dead_bytes;
-              gc_runs = 0;
-              gc_bytes = 0;
-              live_page_bytes = None;
-              obs;
-              mu = Mutex.create ();
-            },
-            {
-              rs_gen = g;
-              rs_fresh = false;
-              rs_snapshot_items = m.CP.item_count;
-              rs_pages = Array.length m.CP.pages;
-              rs_wal_ops = wal_ops;
-              rs_wal_records = W.records wal;
-              rs_truncated_bytes =
-                pstats.Log.os_truncated_bytes + wstats.Log.os_truncated_bytes;
-              rs_dropped_segments =
-                pstats.Log.os_dropped_segments + wstats.Log.os_dropped_segments;
-            } )
+    List.find_map
+      (fun g ->
+        Option.map
+          (fun lg -> (g, lg))
+          (try_load_gen ?config ~obs ?segment_bytes ~readonly dir g))
+      candidates
+    |> Option.map (fun (g, (tree, m, pstats)) ->
+           let wal, wstats =
+             W.open_dir ?segment_bytes ~readonly ~fsync ~obs
+               ~dir:(wal_dir dir g) ()
+           in
+           let wal_ops =
+             W.replay ~from:m.CP.wal_pos wal (apply_op ?on_replay tree)
+           in
+           ( tree,
+             wal,
+             {
+               rs_gen = g;
+               rs_fresh = false;
+               rs_snapshot_items = m.CP.item_count;
+               rs_pages = Array.length m.CP.pages;
+               rs_wal_ops = wal_ops;
+               rs_wal_records = W.records wal;
+               rs_truncated_bytes =
+                 pstats.Log.os_truncated_bytes + wstats.Log.os_truncated_bytes;
+               rs_dropped_segments =
+                 pstats.Log.os_dropped_segments
+                 + wstats.Log.os_dropped_segments;
+             } ))
+
+  let open_dir ?config ?(obs = Bw_obs.Null) ?segment_bytes ?(fsync = true)
+      ?on_replay ~dir () =
+    mkdir_p dir;
+    let tree, wal, stats =
+      match
+        recover ?config ~obs ?segment_bytes ~fsync ?on_replay ~readonly:false
+          dir
+      with
+      | Some r -> r
       | None ->
           (* Fresh store (or nothing usable survived): start generation 0
              from scratch so every generation on disk is uniform —
@@ -310,27 +285,14 @@ struct
             (gens_on_disk dir);
           let tree = T.create ?config ~obs () in
           let plog, _ = Log.open_dir ?segment_bytes ~dir:(pages_dir dir 0) () in
-          ignore (CP.save ~page_items ~wal_gen:0 ~wal_pos:0 tree plog : Log.offset);
+          ignore (CP.save tree plog : CP.saved);
           Log.sync plog;
           Log.close plog;
           let wal, _ =
             W.open_dir ?segment_bytes ~fsync ~obs ~dir:(wal_dir dir 0) ()
           in
-          ( {
-              dir;
-              tree;
-              wal;
-              gen = 0;
-              fsync;
-              segment_bytes;
-              page_items;
-              gc_dead_bytes;
-              gc_runs = 0;
-              gc_bytes = 0;
-              live_page_bytes = Some 0;  (* empty tree: no page records *)
-              obs;
-              mu = Mutex.create ();
-            },
+          ( tree,
+            wal,
             {
               rs_gen = 0;
               rs_fresh = true;
@@ -341,6 +303,18 @@ struct
               rs_truncated_bytes = 0;
               rs_dropped_segments = 0;
             } )
+    in
+    let st =
+      {
+        dir;
+        tree;
+        wal;
+        gen = stats.rs_gen;
+        fsync;
+        segment_bytes;
+        obs;
+        mu = Mutex.create ();
+      }
     in
     (* Re-point CURRENT (it may have been missing or stale) and sweep
        every other generation — crashed checkpoints, superseded state. *)
@@ -366,106 +340,41 @@ struct
      be deleted with it. [tid] identifies the checkpointing thread to the
      epoch manager.
 
-     [`Full] (the default) writes the *next* generation from scratch —
-     snapshot pages, empty successor WAL — flips CURRENT, and deletes
-     the old generation's files. [`Incremental] stays inside the
-     current generation: it appends only the leaf pages that changed
-     since the previous manifest (plus a fresh manifest pointing at the
-     mix of old and new page records) into the same pages log, and
-     advances the manifest's [wal_pos] so recovery replays a shorter
-     suffix. No WAL swap, no CURRENT flip, nothing deleted — crash-safe
-     because recovery takes the newest *decodable* manifest, and a torn
-     incremental append never decodes. *)
-  let checkpoint ?(tid = 0) ?(mode = `Full) st =
+     Writes the *next* generation from scratch — snapshot pages, empty
+     successor WAL — flips CURRENT, and deletes the old generation's
+     files: the one way the store reclaims space. Returns the page
+     records written and their payload bytes. *)
+  let checkpoint ?(tid = 0) st =
     Mutex.lock st.mu;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock st.mu)
       (fun () ->
         T.quiesce st.tree ~tid;
-        (* The full branch also returns the new pages log's size so the
-           GC escalation can report exact reclaimed bytes. *)
-        let full () =
-          let g' = st.gen + 1 in
-          rm_rf (pages_dir st.dir g');
-          rm_rf (wal_dir st.dir g');
-          let plog, _ =
-            Log.open_dir ?segment_bytes:st.segment_bytes
-              ~dir:(pages_dir st.dir g') ()
-          in
-          let report =
-            CP.save_report ~page_items:st.page_items ~wal_gen:g'
-              ~wal_pos:0 st.tree plog
-          in
-          Log.sync plog;
-          let new_bytes = Log.bytes_used plog in
-          Log.close plog;
-          st.live_page_bytes <- Some report.CP.sr_live_bytes;
-          let wal', _ =
-            W.open_dir ?segment_bytes:st.segment_bytes ~fsync:st.fsync
-              ~obs:st.obs ~dir:(wal_dir st.dir g') ()
-          in
-          write_current st.dir g';
-          (* the flip is committed: everything before [g'] is garbage
-             on disk *)
-          let old_gen = st.gen and old_wal = st.wal in
-          st.gen <- g';
-          st.wal <- wal';
-          W.close old_wal;
-          rm_rf (pages_dir st.dir old_gen);
-          rm_rf (wal_dir st.dir old_gen);
-          fsync_dir st.dir;
-          ((report.CP.sr_pages, report.CP.sr_reused), new_bytes)
+        let g' = st.gen + 1 in
+        rm_rf (pages_dir st.dir g');
+        rm_rf (wal_dir st.dir g');
+        let plog, _ =
+          Log.open_dir ?segment_bytes:st.segment_bytes
+            ~dir:(pages_dir st.dir g') ()
         in
-        match mode with
-        | `Incremental -> (
-            let plog, _ =
-              Log.open_dir ?segment_bytes:st.segment_bytes
-                ~dir:(pages_dir st.dir st.gen) ()
-            in
-            let prev =
-              Option.map (CP.manifest plog) (newest_manifest plog)
-            in
-            (* Dead share of the pages log: everything but the newest
-               manifest's live page payloads. (Record headers of live
-               records are counted as dead — a constant few bytes per
-               page, noise against the threshold.) The live total is
-               carried forward from the last checkpoint's save report;
-               only the first checkpoint after recovery measures the
-               recovered manifest by reading its pages. *)
-            let used = Log.bytes_used plog in
-            let live =
-              match st.live_page_bytes with
-              | Some lb -> lb
-              | None -> (
-                  match prev with
-                  | None -> used
-                  | Some m ->
-                      Array.fold_left
-                        (fun acc off ->
-                          acc + String.length (Log.read plog off))
-                        0 m.CP.pages)
-            in
-            if used - live > st.gc_dead_bytes then begin
-              Log.close plog;
-              let res, new_bytes = full () in
-              let reclaimed = max 0 (used - new_bytes) in
-              st.gc_runs <- st.gc_runs + 1;
-              st.gc_bytes <- st.gc_bytes + reclaimed;
-              Bw_obs.incr st.obs ~tid Bw_obs.C_ckpt_gc_runs;
-              Bw_obs.add st.obs ~tid Bw_obs.C_ckpt_gc_bytes reclaimed;
-              res
-            end
-            else begin
-              let report =
-                CP.save_report ~page_items:st.page_items ~wal_gen:st.gen
-                  ~wal_pos:(W.pos st.wal) ?prev st.tree plog
-              in
-              Log.sync plog;
-              Log.close plog;
-              st.live_page_bytes <- Some report.CP.sr_live_bytes;
-              (report.CP.sr_pages, report.CP.sr_reused)
-            end)
-        | `Full -> fst (full ()))
+        let saved = CP.save ~wal_gen:g' ~wal_pos:0 st.tree plog in
+        Log.sync plog;
+        Log.close plog;
+        let wal', _ =
+          W.open_dir ?segment_bytes:st.segment_bytes ~fsync:st.fsync
+            ~obs:st.obs ~dir:(wal_dir st.dir g') ()
+        in
+        write_current st.dir g';
+        (* the flip is committed: everything before [g'] is garbage on
+           disk *)
+        let old_gen = st.gen and old_wal = st.wal in
+        st.gen <- g';
+        st.wal <- wal';
+        W.close old_wal;
+        rm_rf (pages_dir st.dir old_gen);
+        rm_rf (wal_dir st.dir old_gen);
+        fsync_dir st.dir;
+        (saved.CP.sv_pages, saved.CP.sv_bytes))
 
   let close st =
     Mutex.lock st.mu;
@@ -517,53 +426,14 @@ struct
     }
 
   (* Read-only recovery: load the committed state exactly as [open_dir]
-     would — newest loadable generation, WAL suffix replayed into a
-     fresh tree — without mutating the directory in any way (no CURRENT
+     would, without mutating the directory in any way (no CURRENT
      rewrite, no sweeps, no truncation, no fresh-store bootstrap). Safe
      to point at a live store owned by another process ([bwt_inspect
      --data-dir]). [None] when the directory holds nothing loadable. *)
   let inspect_dir ?config ?(obs = Bw_obs.Null) ?segment_bytes ~dir () =
     if not (Sys.file_exists dir) then None
-    else begin
-      let candidates =
-        match read_current dir with
-        | Some g -> g :: List.filter (fun g' -> g' <> g) (gens_on_disk dir)
-        | None -> gens_on_disk dir
-      in
-      let loaded =
-        List.fold_left
-          (fun acc g ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                Option.map
-                  (fun (tree, m, pstats) -> (g, tree, m, pstats))
-                  (try_load_gen ?config ~obs ?segment_bytes ~readonly:true dir
-                     g))
-          None candidates
-      in
-      match loaded with
-      | None -> None
-      | Some (g, tree, m, pstats) ->
-          let wal, wstats =
-            W.open_dir ?segment_bytes ~readonly:true ~fsync:false ~obs
-              ~dir:(wal_dir dir g) ()
-          in
-          let wal_ops = W.replay ~from:m.CP.wal_pos wal (apply_op tree) in
-          Some
-            ( tree,
-              {
-                rs_gen = g;
-                rs_fresh = false;
-                rs_snapshot_items = m.CP.item_count;
-                rs_pages = Array.length m.CP.pages;
-                rs_wal_ops = wal_ops;
-                rs_wal_records = W.records wal;
-                rs_truncated_bytes =
-                  pstats.Log.os_truncated_bytes + wstats.Log.os_truncated_bytes;
-                rs_dropped_segments =
-                  pstats.Log.os_dropped_segments
-                  + wstats.Log.os_dropped_segments;
-              } )
-    end
+    else
+      Option.map
+        (fun (tree, _, stats) -> (tree, stats))
+        (recover ?config ~obs ?segment_bytes ~fsync:false ~readonly:true dir)
 end

@@ -272,6 +272,29 @@ let test_iterator_forward () =
   go ();
   Alcotest.(check int) "walked all" 501 !count
 
+(* [seek_first] and [iter_leaf_pages] both start at the leftmost leaf;
+   deleting the low nine tenths of the keys merges the leaves along the
+   leftmost spine, which both descents must follow *)
+let test_leftmost_spine_after_merges () =
+  let t = T.create ~config:tiny () in
+  for k = 0 to 999 do
+    ignore (T.insert t k k)
+  done;
+  for k = 0 to 899 do
+    ignore (T.delete t k k)
+  done;
+  T.verify_invariants t;
+  Alcotest.(check (option (pair int int))) "seek_first" (Some (900, 900))
+    (T.Iterator.current (T.Iterator.seek_first t ()));
+  let paged = ref [] and pages = ref 0 in
+  T.iter_leaf_pages t (fun page ->
+      incr pages;
+      T.Page.iter_from page 0 (fun k v -> paged := (k, v) :: !paged));
+  Alcotest.(check bool) "several leaves" true (!pages > 1);
+  Alcotest.(check (list (pair int int))) "leaf pages cover the tree in order"
+    (List.init 100 (fun i -> (900 + i, 900 + i)))
+    (List.rev !paged)
+
 let test_iterator_backward () =
   let t = T.create ~config:tiny () in
   for k = 0 to 500 do
@@ -1098,6 +1121,8 @@ let () =
           Alcotest.test_case "backward" `Quick test_iterator_backward;
           Alcotest.test_case "bidirectional" `Quick test_iterator_bidirectional;
           Alcotest.test_case "bounded scan" `Quick test_scan_bounded;
+          Alcotest.test_case "leftmost spine after merges" `Quick
+            test_leftmost_spine_after_merges;
         ] );
       ( "ablation",
         [

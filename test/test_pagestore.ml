@@ -1,5 +1,5 @@
 (* Tests for the log-structured page store: the record log (CRC, segment
-   boundaries, compaction) and Bw-Tree checkpoint/recovery on top. *)
+   boundaries, torn tails) and Bw-Tree checkpoint/recovery on top. *)
 
 module T = Bwtree.Make (Index_iface.Int_key) (Index_iface.Int_value)
 module TS = Bwtree.Make (Index_iface.String_key) (Index_iface.Int_value)
@@ -72,27 +72,6 @@ let test_log_iter_order () =
   let seen = ref [] in
   Log.iter log (fun _ p -> seen := p :: !seen);
   Alcotest.(check (list string)) "log order" expected (List.rev !seen)
-
-let test_log_compact () =
-  let log = Log.create ~segment_bytes:128 () in
-  let offs = Array.init 50 (fun i -> Log.append log (Printf.sprintf "%02d" i)) in
-  (* keep even records only *)
-  let keep = Hashtbl.create 32 in
-  Array.iteri (fun i off -> if i mod 2 = 0 then Hashtbl.replace keep off i) offs;
-  let moves = Hashtbl.create 32 in
-  let reclaimed =
-    Log.compact log
-      ~live:(fun off -> Hashtbl.mem keep off)
-      ~relocate:(fun o n -> Hashtbl.replace moves o n)
-  in
-  Alcotest.(check bool) "reclaimed bytes" true (reclaimed > 0);
-  Alcotest.(check int) "survivors" 25 (Log.records log);
-  Hashtbl.iter
-    (fun old i ->
-      let fresh = Hashtbl.find moves old in
-      Alcotest.(check string) "moved record intact"
-        (Printf.sprintf "%02d" i) (Log.read log fresh))
-    keep
 
 (* --- codecs --- *)
 
@@ -230,7 +209,7 @@ let test_checkpoint_roundtrip () =
     ignore (T.insert t k (k * 3))
   done;
   let log = Log.create () in
-  let root = CP.save t log in
+  let root = (CP.save t log).CP.sv_manifest in
   let t' = CP.load log root in
   Alcotest.(check int) "cardinality preserved" (T.cardinal t) (T.cardinal t');
   Alcotest.(check bool) "contents preserved" true
@@ -240,7 +219,7 @@ let test_checkpoint_roundtrip () =
 let test_checkpoint_empty_tree () =
   let t = T.create () in
   let log = Log.create () in
-  let root = CP.save t log in
+  let root = (CP.save t log).CP.sv_manifest in
   let t' = CP.load log root in
   Alcotest.(check int) "empty" 0 (T.cardinal t')
 
@@ -250,7 +229,7 @@ let test_checkpoint_page_granularity () =
     ignore (T.insert t k k)
   done;
   let log = Log.create () in
-  let root = CP.save t log in
+  let root = (CP.save t log).CP.sv_manifest in
   let m = CP.manifest log root in
   (* record granularity follows the tree's own leaves: one page record
      per non-empty leaf, in key order *)
@@ -266,7 +245,7 @@ let test_checkpoint_string_keys () =
     ignore (TS.insert t (Workload.email_key_of i) i)
   done;
   let log = Log.create () in
-  let root = CPS.save t log in
+  let root = (CPS.save t log).CPS.sv_manifest in
   let t' = CPS.load log root in
   Alcotest.(check bool) "emails preserved" true
     (TS.scan_all t () = TS.scan_all t' ())
@@ -277,35 +256,12 @@ let test_checkpoint_corruption_fails_load () =
     ignore (T.insert t k k)
   done;
   let log = Log.create () in
-  let root = CP.save ~page_items:64 t log in
+  let root = (CP.save t log).CP.sv_manifest in
   let m = CP.manifest log root in
   Log.corrupt_for_testing log m.pages.(3);
   Alcotest.check_raises "detected"
     (Failure "Log.read: corrupted record (crc mismatch)") (fun () ->
       ignore (CP.load log root))
-
-let test_checkpoint_gc () =
-  (* take several checkpoints, retire all but the newest, compact, and
-     recover from the translated root *)
-  let t = T.create () in
-  let log = Log.create ~segment_bytes:4096 () in
-  let roots = ref [] in
-  for round = 1 to 5 do
-    for k = (round - 1) * 1_000 to (round * 1_000) - 1 do
-      ignore (T.insert t k k)
-    done;
-    roots := CP.save ~page_items:64 t log :: !roots
-  done;
-  let newest = List.hd !roots in
-  let before = Log.bytes_used log in
-  let reclaimed, fresh_roots = CP.compact_keeping log [ newest ] in
-  Alcotest.(check bool) "space reclaimed" true (reclaimed > 0);
-  Alcotest.(check bool) "log shrank" true (Log.bytes_used log < before);
-  let root' = List.hd fresh_roots in
-  let t' = CP.load log root' in
-  Alcotest.(check int) "latest state recovered" 5_000 (T.cardinal t');
-  Alcotest.(check bool) "contents equal" true
-    (T.scan_all t () = T.scan_all t' ())
 
 let test_checkpoint_non_unique () =
   (* a checkpoint of a non-unique index restores faithfully when loaded
@@ -319,7 +275,7 @@ let test_checkpoint_non_unique () =
     done
   done;
   let log = Log.create () in
-  let root = CP.save ~page_items:64 t log in
+  let root = (CP.save t log).CP.sv_manifest in
   let t' = CP.load ~config:nuniq log root in
   Alcotest.(check bool) "duplicates preserved" true
     (List.sort compare (T.scan_all t ())
@@ -335,7 +291,7 @@ let prop_checkpoint_roundtrip =
       let t = T.create () in
       List.iter (fun (k, v) -> ignore (T.insert t k v)) kvs;
       let log = Log.create () in
-      let root = CP.save ~page_items:32 t log in
+      let root = (CP.save t log).CP.sv_manifest in
       let t' = CP.load log root in
       T.scan_all t () = T.scan_all t' ())
 
@@ -479,27 +435,33 @@ let test_file_log_flip_drops_later_segments () =
       done;
       Log.close log)
 
-let test_file_log_compact_persists () =
+(* segment files past a gap in the numbering cannot belong to the
+   contiguous log: a writable open deletes them, a read-only one only
+   leaves them out *)
+let test_file_log_gap_sweep () =
   with_tmp_dir (fun dir ->
-      let log, _ = Log.open_dir ~segment_bytes:256 ~dir () in
-      let offs = Array.init 50 (fun i -> Log.append log (Printf.sprintf "%03d" i)) in
-      let keep = Hashtbl.create 32 in
-      Array.iteri (fun i off -> if i mod 3 = 0 then Hashtbl.replace keep off i) offs;
-      let moves = Hashtbl.create 32 in
-      ignore
-        (Log.compact log
-           ~live:(fun off -> Hashtbl.mem keep off)
-           ~relocate:(fun o n -> Hashtbl.replace moves o n));
+      let log, _ = Log.open_dir ~segment_bytes:64 ~dir () in
+      for i = 0 to 19 do
+        ignore (Log.append log (Printf.sprintf "%020d" i))
+      done;
       Log.close log;
-      let log, st = Log.open_dir ~segment_bytes:256 ~dir () in
-      Alcotest.(check int) "survivors persisted" (Hashtbl.length keep)
-        st.os_records;
-      Hashtbl.iter
-        (fun old i ->
-          Alcotest.(check string) "moved record readable after reopen"
-            (Printf.sprintf "%03d" i)
-            (Log.read log (Hashtbl.find moves old)))
-        keep;
+      let nsegs = Log.segment_count log in
+      Alcotest.(check bool) "several segments" true (nsegs > 3);
+      let seg i = Log.segment_path ~dir i in
+      Sys.remove (seg 1);
+      let ro, _ = Log.open_dir ~readonly:true ~dir () in
+      Alcotest.(check int) "read-only: only segment 0" 1 (Log.segment_count ro);
+      Alcotest.(check bool) "read-only: later files kept" true
+        (Sys.file_exists (seg 2));
+      let log, _ = Log.open_dir ~dir () in
+      Alcotest.(check int) "only segment 0's records survive"
+        (Log.records ro) (Log.records log);
+      for i = 2 to nsegs - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "segment %d swept" i)
+          false
+          (Sys.file_exists (seg i))
+      done;
       Log.close log)
 
 (* regression: corrupting a zero-length record must damage that record,
@@ -622,7 +584,7 @@ let test_store_wal_replay () =
 
 let test_store_checkpoint_rotation () =
   with_tmp_dir (fun dir ->
-      let st, _ = Store_int.open_dir ~fsync:false ~page_items:32 ~dir () in
+      let st, _ = Store_int.open_dir ~fsync:false ~dir () in
       let t = Store_int.tree st in
       for k = 0 to 499 do
         ignore (T.insert t k k);
@@ -637,7 +599,7 @@ let test_store_checkpoint_rotation () =
           [ Store_int.W.W_insert (k, k) ]
       done;
       Store_int.close st;
-      let st, stats = Store_int.open_dir ~fsync:false ~page_items:32 ~dir () in
+      let st, stats = Store_int.open_dir ~fsync:false ~dir () in
       Alcotest.(check int) "recovered into gen 1" 1 stats.rs_gen;
       Alcotest.(check int) "snapshot items" 500 stats.rs_snapshot_items;
       Alcotest.(check int) "wal suffix only" 100 stats.rs_wal_ops;
@@ -654,31 +616,160 @@ let test_store_checkpoint_rotation () =
       in
       Alcotest.(check int) "old generations swept" 2 (List.length gens))
 
-(* regression: [compact_keeping log [newest]] must drop the retired
-   manifests themselves — the old gc_roots marked every manifest record
-   live, so stale manifests with pre-compaction page offsets survived
-   forever *)
-let test_compact_keeping_drops_old_manifests () =
-  let t = T.create () in
-  let log = Log.create ~segment_bytes:4096 () in
-  let roots = ref [] in
-  for round = 1 to 4 do
-    for k = (round - 1) * 500 to (round * 500) - 1 do
-      ignore (T.insert t k k)
-    done;
-    roots := CP.save ~page_items:64 t log :: !roots
-  done;
-  let newest = List.hd !roots in
-  let _, fresh_roots = CP.compact_keeping log [ newest ] in
-  let root' = List.hd fresh_roots in
-  let m = CP.manifest log root' in
-  (* survivors: the kept manifest's pages plus the manifest record itself *)
-  Alcotest.(check int) "only live pages and one manifest remain"
-    (Array.length m.pages + 1)
-    (Log.records log);
-  let t' = CP.load log root' in
-  Alcotest.(check bool) "kept checkpoint still loads" true
-    (T.scan_all t () = T.scan_all t' ())
+(* A directory written by an older version, whose incremental
+   checkpoints appended a second manifest to the live pages log:
+   recovery takes the newest decodable manifest and replays only the WAL
+   ops logged after its [wal_pos]; with that manifest torn it falls back
+   to the older one and replays the longer suffix, to the same state.
+   Also pins what [checkpoint] returns: the page records it wrote and
+   their payload bytes. *)
+let test_recover_appended_manifest () =
+  let last_record plog =
+    let last = ref None in
+    Log.iter plog (fun off _ -> last := Some off);
+    Option.get !last
+  in
+  with_tmp_dir (fun dir ->
+      let st, _ = Store_int.open_dir ~fsync:false ~dir () in
+      let t = Store_int.tree st in
+      let put k =
+        ignore (T.insert t k (k * 3));
+        Store_int.W.commit (Store_int.wal st) ~tid:0
+          [ Store_int.W.W_insert (k, k * 3) ]
+      in
+      for k = 0 to 1999 do put k done;
+      let pages, bytes = Store_int.checkpoint st in
+      Alcotest.(check int) "full checkpoint rotated" 1 (Store_int.gen st);
+      let pages_dir = Pagestore.Store.pages_dir dir 1 in
+      let plog, _ = Log.open_dir ~readonly:true ~dir:pages_dir () in
+      let m = CP.manifest plog (last_record plog) in
+      Alcotest.(check bool) "several pages" true (pages > 1);
+      Alcotest.(check int) "pages written = manifest entries"
+        (Array.length m.CP.pages) pages;
+      Alcotest.(check int) "one record per page, then the manifest"
+        (pages + 1) (Log.records plog);
+      Alcotest.(check int) "bytes = the page records' payloads"
+        (Array.fold_left
+           (fun acc off -> acc + String.length (Log.read plog off))
+           0 m.CP.pages)
+        bytes;
+      for k = 2000 to 2009 do put k done;
+      (* the older format's incremental cut: a second manifest in the
+         same pages log, folding in the first 10 ops of wal-1 *)
+      let plog, _ = Log.open_dir ~dir:pages_dir () in
+      ignore
+        (CP.save ~wal_gen:1 ~wal_pos:(Store_int.wal_ops st) t plog : CP.saved);
+      Log.sync plog;
+      Log.close plog;
+      for k = 2010 to 2014 do put k done;
+      Store_int.close st;
+      let st, rs = Store_int.open_dir ~fsync:false ~dir () in
+      Alcotest.(check int) "generation unchanged" 1 rs.rs_gen;
+      Alcotest.(check int) "snapshot from the newer manifest" 2010
+        rs.rs_snapshot_items;
+      Alcotest.(check int) "only the ops after its wal_pos" 5 rs.rs_wal_ops;
+      let expected = T.scan_all (Store_int.tree st) () in
+      Alcotest.(check int) "full state" 2015 (List.length expected);
+      Store_int.close st;
+      let plog, _ = Log.open_dir ~dir:pages_dir () in
+      Log.corrupt_for_testing plog (last_record plog);
+      Log.close plog;
+      let st, rs = Store_int.open_dir ~fsync:false ~dir () in
+      Alcotest.(check int) "fell back to the older manifest" 2000
+        rs.rs_snapshot_items;
+      Alcotest.(check int) "the longer suffix replayed" 15 rs.rs_wal_ops;
+      Alcotest.(check bool) "same final contents" true
+        (T.scan_all (Store_int.tree st) () = expected);
+      Store_int.close st)
+
+(* a store with 100 checkpointed keys in generation 1 and a 20-op WAL
+   suffix, closed *)
+let seed_store dir =
+  let st, _ = Store_int.open_dir ~fsync:false ~dir () in
+  let t = Store_int.tree st in
+  let put k =
+    ignore (T.insert t k (k + 1));
+    Store_int.W.commit (Store_int.wal st) ~tid:0
+      [ Store_int.W.W_insert (k, k + 1) ]
+  in
+  for k = 0 to 99 do put k done;
+  ignore (Store_int.checkpoint st : int * int);
+  for k = 100 to 119 do put k done;
+  Store_int.close st
+
+(* CURRENT naming a generation with no loadable manifest (a checkpoint
+   torn before its manifest landed) falls back to the loadable one, and
+   the open re-points CURRENT and sweeps the torn generation *)
+let test_store_current_fallback () =
+  with_tmp_dir (fun dir ->
+      seed_store dir;
+      let torn, _ = Log.open_dir ~dir:(Pagestore.Store.pages_dir dir 2) () in
+      Log.close torn;
+      Out_channel.with_open_bin (Filename.concat dir "CURRENT") (fun oc ->
+          output_string oc "gen=2\n");
+      let st, rs = Store_int.open_dir ~fsync:false ~dir () in
+      Alcotest.(check int) "recovered the loadable generation" 1 rs.rs_gen;
+      Alcotest.(check int) "its WAL suffix" 20 rs.rs_wal_ops;
+      Alcotest.(check int) "contents" 120 (T.cardinal (Store_int.tree st));
+      Store_int.close st;
+      Alcotest.(check string) "CURRENT re-pointed" "gen=1"
+        (String.trim
+           (In_channel.with_open_bin (Filename.concat dir "CURRENT")
+              In_channel.input_all));
+      Alcotest.(check bool) "torn generation swept" false
+        (Sys.file_exists (Pagestore.Store.pages_dir dir 2)))
+
+(* no CURRENT at all (a crash during the very first open): the newest
+   loadable generation is recovered and CURRENT written *)
+let test_store_missing_current () =
+  with_tmp_dir (fun dir ->
+      seed_store dir;
+      Sys.remove (Filename.concat dir "CURRENT");
+      let st, rs = Store_int.open_dir ~fsync:false ~dir () in
+      Alcotest.(check int) "generation" 1 rs.rs_gen;
+      Alcotest.(check int) "contents" 120 (T.cardinal (Store_int.tree st));
+      Store_int.close st;
+      Alcotest.(check bool) "CURRENT written" true
+        (Sys.file_exists (Filename.concat dir "CURRENT")))
+
+(* read-only and writable recovery report the same stats and rebuild the
+   same tree *)
+let test_inspect_matches_open () =
+  with_tmp_dir (fun dir ->
+      seed_store dir;
+      match Store_int.inspect_dir ~dir () with
+      | None -> Alcotest.fail "inspect_dir could not load the store"
+      | Some (ti, rsi) ->
+          let st, rs = Store_int.open_dir ~fsync:false ~dir () in
+          Alcotest.(check bool) "same recovery stats" true (rsi = rs);
+          Alcotest.(check bool) "same contents" true
+            (T.scan_all ti () = T.scan_all (Store_int.tree st) ());
+          Store_int.close st)
+
+(* nothing loadable: [inspect_dir] answers None and, unlike [open_dir],
+   bootstraps no fresh store *)
+let test_inspect_dir_nothing_loadable () =
+  with_tmp_dir (fun dir ->
+      Alcotest.(check bool) "missing directory" true
+        (Store_int.inspect_dir ~dir () = None);
+      Unix.mkdir dir 0o755;
+      Alcotest.(check bool) "empty directory" true
+        (Store_int.inspect_dir ~dir () = None);
+      Alcotest.(check int) "still empty" 0 (Array.length (Sys.readdir dir)))
+
+(* a checkpoint of an empty tree writes no page records, only the
+   manifest *)
+let test_store_empty_checkpoint () =
+  with_tmp_dir (fun dir ->
+      let st, _ = Store_int.open_dir ~fsync:false ~dir () in
+      Alcotest.(check (pair int int)) "no pages, no bytes" (0, 0)
+        (Store_int.checkpoint st);
+      Alcotest.(check int) "rotated" 1 (Store_int.gen st);
+      Store_int.close st;
+      let st, rs = Store_int.open_dir ~fsync:false ~dir () in
+      Alcotest.(check bool) "a recovered, not a fresh, store" false rs.rs_fresh;
+      Alcotest.(check int) "empty" 0 (T.cardinal (Store_int.tree st));
+      Store_int.close st)
 
 (* qcheck: random ops with a checkpoint cut at a random point, then a
    clean close/reopen — recovery (snapshot + WAL replay) must match a
@@ -988,115 +1079,6 @@ let prop_store_torn_wal =
           with_durable_int dir (fun _ stats d ->
               stats.Pagestore.Store.rs_wal_ops = ops && scan_driver d 32 = image)))
 
-(* --- incremental checkpoints: page reuse and crash safety --- *)
-
-(* regression: a long overwrite-heavy incremental chain accretes dead
-   page versions in the pages log without bound; once the dead share
-   crosses [gc_dead_bytes] the next incremental must escalate to a full
-   rotation and actually reclaim the bytes *)
-let test_incremental_gc_escalation () =
-  with_tmp_dir (fun dir ->
-      let st, _ =
-        Store_int.open_dir ~fsync:false ~page_items:32 ~gc_dead_bytes:8192
-          ~dir ()
-      in
-      let t = Store_int.tree st in
-      let put k v =
-        ignore (T.insert t k v);
-        Store_int.W.commit (Store_int.wal st) ~tid:0
-          [ Store_int.W.W_insert (k, v) ]
-      in
-      let del k v =
-        ignore (T.delete t k v);
-        Store_int.W.commit (Store_int.wal st) ~tid:0 [ Store_int.W.W_remove k ]
-      in
-      for k = 0 to 499 do put k k done;
-      ignore (Store_int.checkpoint st : int * int);
-      Alcotest.(check int) "seeded in generation 1" 1 (Store_int.gen st);
-      Alcotest.(check (pair int int)) "no gc yet" (0, 0) (Store_int.gc_stats st);
-      (* churn: every round rewrites every key (so every page), retiring
-         the previous round's page copies in the log *)
-      let value r k = (r * 1000) + k in
-      let rounds = ref 0 in
-      while fst (Store_int.gc_stats st) = 0 && !rounds < 32 do
-        incr rounds;
-        for k = 0 to 499 do
-          del k (value (!rounds - 1) k);
-          put k (value !rounds k)
-        done;
-        ignore (Store_int.checkpoint ~mode:`Incremental st : int * int)
-      done;
-      let runs, reclaimed = Store_int.gc_stats st in
-      Alcotest.(check bool) "chain escalated within bound" true (!rounds < 32);
-      Alcotest.(check int) "one escalation" 1 runs;
-      Alcotest.(check bool)
-        (Printf.sprintf "reclaimed bytes pinned positive (got %d)" reclaimed)
-        true (reclaimed > 0);
-      Alcotest.(check int) "escalation rotated the generation" 2
-        (Store_int.gen st);
-      (* the escalated checkpoint is a real one: recovery restores the
-         newest values with an empty-to-short WAL suffix *)
-      put 500 42;
-      Store_int.close st;
-      let st, rs = Store_int.open_dir ~fsync:false ~page_items:32 ~dir () in
-      Alcotest.(check int) "recovered into the gc generation" 2 rs.rs_gen;
-      Alcotest.(check int) "replay suffix is the post-gc tail" 1 rs.rs_wal_ops;
-      let t = Store_int.tree st in
-      Alcotest.(check int) "cardinality" 501 (T.cardinal t);
-      Alcotest.(check (list int)) "newest round's value survived"
-        [ value !rounds 7 ]
-        (T.lookup t 7);
-      Store_int.close st)
-
-let test_incremental_checkpoint () =
-  with_tmp_dir (fun dir ->
-      let st, _ = Store_int.open_dir ~fsync:false ~dir () in
-      let t = Store_int.tree st in
-      let put k =
-        ignore (T.insert t k (k * 3));
-        Store_int.W.commit (Store_int.wal st) ~tid:0
-          [ Store_int.W.W_insert (k, k * 3) ]
-      in
-      for k = 0 to 1999 do put k done;
-      ignore (Store_int.checkpoint st : int * int);
-      Alcotest.(check int) "full checkpoint rotated" 1 (Store_int.gen st);
-      for k = 2000 to 2009 do put k done;
-      let written, reused = Store_int.checkpoint ~mode:`Incremental st in
-      Alcotest.(check int) "no rotation" 1 (Store_int.gen st);
-      Alcotest.(check bool) "unchanged leaves reused by address" true
-        (reused > written);
-      Alcotest.(check bool) "changed leaves written" true (written >= 1);
-      for k = 2010 to 2014 do put k done;
-      Store_int.close st;
-      (* recovery takes the newest decodable manifest: the incremental
-         one folds 2010 items and leaves a 5-op replay suffix *)
-      let st, rs = Store_int.open_dir ~fsync:false ~dir () in
-      Alcotest.(check int) "generation unchanged" 1 rs.rs_gen;
-      Alcotest.(check int) "snapshot items from the incremental manifest"
-        2010 rs.rs_snapshot_items;
-      Alcotest.(check int) "short replay suffix" 5 rs.rs_wal_ops;
-      Alcotest.(check int) "full state" 2015 (T.cardinal (Store_int.tree st));
-      Store_int.close st;
-      (* torn incremental append: corrupt the pages-log tail (the fresh
-         manifest); recovery must fall back to the full manifest and
-         replay the longer WAL suffix — same final state *)
-      let plog, _ =
-        Log.open_dir ~dir:(Pagestore.Store.pages_dir dir 1) ()
-      in
-      let last = ref None in
-      Log.iter plog (fun off _ -> last := Some off);
-      (match !last with
-      | Some off -> Log.corrupt_for_testing plog off
-      | None -> Alcotest.fail "pages log is empty");
-      Log.close plog;
-      let st, rs = Store_int.open_dir ~fsync:false ~dir () in
-      Alcotest.(check int) "fell back to the full manifest" 2000
-        rs.rs_snapshot_items;
-      Alcotest.(check int) "full suffix replayed" 15 rs.rs_wal_ops;
-      Alcotest.(check int) "state intact" 2015
-        (T.cardinal (Store_int.tree st));
-      Store_int.close st)
-
 (* --- read-only inspection must not move a byte --- *)
 
 let digest_dir root =
@@ -1351,7 +1333,6 @@ let () =
             test_log_corruption_detected;
           Alcotest.test_case "bad address" `Quick test_log_bad_address;
           Alcotest.test_case "iteration order" `Quick test_log_iter_order;
-          Alcotest.test_case "compaction" `Quick test_log_compact;
         ] );
       ( "codec",
         [
@@ -1378,8 +1359,8 @@ let () =
             test_file_log_readonly;
           Alcotest.test_case "bit flip drops later segments" `Quick
             test_file_log_flip_drops_later_segments;
-          Alcotest.test_case "compaction persists" `Quick
-            test_file_log_compact_persists;
+          Alcotest.test_case "gap in segment numbering swept" `Quick
+            test_file_log_gap_sweep;
           Alcotest.test_case "corrupt empty payload (regression)" `Quick
             test_corrupt_empty_payload;
           Alcotest.test_case "corruption is write-through" `Quick
@@ -1392,15 +1373,19 @@ let () =
           Alcotest.test_case "WAL replay" `Quick test_store_wal_replay;
           Alcotest.test_case "checkpoint rotation" `Quick
             test_store_checkpoint_rotation;
-          Alcotest.test_case "compact_keeping drops old manifests \
-                              (regression)" `Quick
-            test_compact_keeping_drops_old_manifests;
-          Alcotest.test_case "incremental checkpoint" `Quick
-            test_incremental_checkpoint;
-          Alcotest.test_case "incremental gc escalation (regression)" `Quick
-            test_incremental_gc_escalation;
+          Alcotest.test_case "recovers an appended manifest" `Quick
+            test_recover_appended_manifest;
+          Alcotest.test_case "CURRENT naming a torn generation" `Quick
+            test_store_current_fallback;
+          Alcotest.test_case "missing CURRENT" `Quick test_store_missing_current;
+          Alcotest.test_case "empty checkpoint" `Quick
+            test_store_empty_checkpoint;
           Alcotest.test_case "inspect_dir is read-only" `Quick
             test_inspect_dir_read_only;
+          Alcotest.test_case "inspect_dir matches open_dir" `Quick
+            test_inspect_matches_open;
+          Alcotest.test_case "inspect_dir with nothing loadable" `Quick
+            test_inspect_dir_nothing_loadable;
           q prop_store_recovery_oracle;
           q prop_forest_recovery_oracle;
           q prop_str_store_recovery_oracle;
@@ -1431,7 +1416,6 @@ let () =
           Alcotest.test_case "string keys" `Quick test_checkpoint_string_keys;
           Alcotest.test_case "corruption fails load" `Quick
             test_checkpoint_corruption_fails_load;
-          Alcotest.test_case "gc keeps newest" `Quick test_checkpoint_gc;
           Alcotest.test_case "non-unique config" `Quick
             test_checkpoint_non_unique;
           q prop_checkpoint_roundtrip;
