@@ -119,12 +119,7 @@ end
 (* Measured runs                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  ops : int;
-  seconds : float;
-  mops : float;
-  mem_words : int;
-}
+type result = { ops : int; seconds : float; mops : float }
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -178,7 +173,6 @@ let load (d : 'k driver) ~nthreads (trace : ('k * int) array) =
     ops = n;
     seconds;
     mops = Bw_util.Stats.throughput_mops ~ops:n ~seconds;
-    mem_words = 0;
   }
 
 (* Measured phase over pre-generated per-thread traces. *)
@@ -198,7 +192,6 @@ let run (d : 'k driver) (traces : 'k Workload.op array array) =
     ops;
     seconds;
     mops = Bw_util.Stats.throughput_mops ~ops ~seconds;
-    mem_words = 0;
   }
 
 (* Measured phase in batches of [batch] point ops: each worker fills a
@@ -259,19 +252,59 @@ let run_batched (d : 'k driver) ~batch (traces : 'k Workload.op array array) =
       ops;
       seconds;
       mops = Bw_util.Stats.throughput_mops ~ops ~seconds;
-      mem_words = 0;
     }
   end
 
-let with_memory (d : _ driver) (r : result) =
-  { r with mem_words = d.memory_words () }
+(* ------------------------------------------------------------------ *)
+(* Interleaved rounds                                                  *)
+(* ------------------------------------------------------------------ *)
 
-(* Median over [repeats] measured runs (fresh traces are the caller's
-   concern; reusing the same trace arrays is fine for read-dominated
-   mixes). *)
-let median_of ~repeats f =
-  let xs = Array.init (max 1 repeats) (fun _ -> (f ()).mops) in
-  Bw_util.Stats.median xs
+(* [rounds ~repeats cells] runs every cell once per round for [repeats]
+   rounds, in order in even rounds and reversed in odd ones, so a drift
+   of the host lands on every cell of a row alike rather than on the one
+   that always runs last. [(rounds ~repeats cells).(i).(r)] is cell [i]'s
+   value in round [r]. *)
+let rounds ~repeats (cells : (unit -> float) array) =
+  if repeats < 1 then invalid_arg "Runner.rounds: repeats < 1";
+  let n = Array.length cells in
+  let v = Array.make_matrix n repeats 0.0 in
+  for r = 0 to repeats - 1 do
+    for j = 0 to n - 1 do
+      let i = if r mod 2 = 0 then j else n - 1 - j in
+      v.(i).(r) <- cells.(i) ()
+    done
+  done;
+  v
+
+type spread = { median : float; q1 : float; q3 : float }
+
+let spread xs =
+  let p = Bw_util.Stats.percentile xs in
+  { median = Bw_util.Stats.median xs; q1 = p 25.0; q3 = p 75.0 }
+
+(* A ratio of two cells is taken per round, where both share the round's
+   drift, and the row reports their median: not a ratio of the two
+   medians. *)
+let ratio_spread num den = spread (Array.map2 ( /. ) num den)
+
+(* Time one row through [rounds] and format it: each cell as its median,
+   its quartiles and [unit_]; then, with [~ratio:(name, i, j)], the
+   unitless ratio of cell [i] to cell [j]. *)
+let timed_row ?(unit_ = "Mops/s") ?ratio ~repeats label cells =
+  let v = rounds ~repeats (Array.of_list (List.map snd cells)) in
+  let b = Buffer.create 160 in
+  let column name s unit_ =
+    Printf.bprintf b " | %s %8.3f [%.3f, %.3f]%s" name s.median s.q1 s.q3
+      unit_
+  in
+  Printf.bprintf b "%-34s" label;
+  List.iteri
+    (fun i (name, _) -> column name (spread v.(i)) (" " ^ unit_))
+    cells;
+  Option.iter
+    (fun (name, i, j) -> column name (ratio_spread v.(i) v.(j)) "")
+    ratio;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Table output                                                        *)
@@ -284,6 +317,3 @@ let print_row ?(unit_ = "Mops/s") label cells =
   Printf.printf "%-34s" label;
   List.iter (fun (name, v) -> Printf.printf " | %s %8.3f" name v) cells;
   Printf.printf " (%s)\n%!" unit_
-
-let print_text_row label text =
-  Printf.printf "%-34s | %s\n%!" label text

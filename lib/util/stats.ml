@@ -1,16 +1,3 @@
-let mean xs =
-  if Array.length xs = 0 then 0.0
-  else Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
-
-let stddev xs =
-  let n = Array.length xs in
-  if n <= 1 then 0.0
-  else begin
-    let m = mean xs in
-    let sq = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-    sqrt (sq /. float_of_int (n - 1))
-  end
-
 let sorted_copy xs =
   let a = Array.copy xs in
   Array.sort compare a;
@@ -33,21 +20,3 @@ let percentile xs p =
 
 let throughput_mops ~ops ~seconds =
   if seconds <= 0.0 then 0.0 else float_of_int ops /. seconds /. 1e6
-
-type summary = { n : int; mean : float; stddev : float; min : float; max : float }
-
-let summarize xs =
-  let n = Array.length xs in
-  if n = 0 then { n = 0; mean = 0.0; stddev = 0.0; min = 0.0; max = 0.0 }
-  else
-    {
-      n;
-      mean = mean xs;
-      stddev = stddev xs;
-      min = Array.fold_left min xs.(0) xs;
-      max = Array.fold_left max xs.(0) xs;
-    }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f" s.n s.mean
-    s.stddev s.min s.max

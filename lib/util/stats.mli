@@ -1,7 +1,5 @@
 (** Small numerical helpers for reporting results. *)
 
-val mean : float array -> float
-val stddev : float array -> float
 val median : float array -> float
 (** Median of a copy of the input (input is not modified). Raises
     [Invalid_argument] on an empty array. *)
@@ -12,8 +10,3 @@ val percentile : float array -> float -> float
 
 val throughput_mops : ops:int -> seconds:float -> float
 (** Million operations per second. *)
-
-type summary = { n : int; mean : float; stddev : float; min : float; max : float }
-
-val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit

@@ -320,6 +320,51 @@ let test_instrument_idempotent () =
   Alcotest.(check (option int)) "read through wrapper" (Some 10)
     (w.Runner.read ~tid:0 1)
 
+(* The bench's runner: cells alternate their order between rounds, each
+   cell reports its median and quartiles, and a ratio column is
+   the median of per-round ratios, not a ratio of medians. Fake cells
+   record their calls and return canned values, one per round. *)
+let test_rounds () =
+  let calls = ref [] in
+  let fake name values =
+    let round = ref 0 in
+    fun () ->
+      calls := name :: !calls;
+      incr round;
+      values.(!round - 1)
+  in
+  let v =
+    Runner.rounds ~repeats:3
+      [| fake "a" [| 1.0; 2.0; 3.0 |]; fake "b" [| 4.0; 8.0; 6.0 |];
+         fake "c" [| 5.0; 5.0; 5.0 |] |]
+  in
+  Alcotest.(check (list string))
+    "forward, reversed, forward"
+    [ "a"; "b"; "c"; "c"; "b"; "a"; "a"; "b"; "c" ]
+    (List.rev !calls);
+  Alcotest.(check (array (float 0.0))) "b per round" [| 4.0; 8.0; 6.0 |] v.(1);
+  let check_spread what (median, q1, q3) (s : Runner.spread) =
+    Alcotest.(check (float 1e-9)) (what ^ " median") median s.median;
+    Alcotest.(check (float 1e-9)) (what ^ " q1") q1 s.q1;
+    Alcotest.(check (float 1e-9)) (what ^ " q3") q3 s.q3
+  in
+  check_spread "a" (2.0, 1.0, 3.0) (Runner.spread v.(0));
+  check_spread "b" (6.0, 4.0, 8.0) (Runner.spread v.(1));
+  check_spread "c" (5.0, 5.0, 5.0) (Runner.spread v.(2));
+  (* b/a per round is 4, 4, 2: median 4, where the medians' ratio is 3 *)
+  check_spread "b/a" (4.0, 2.0, 4.0) (Runner.ratio_spread v.(1) v.(0));
+  Alcotest.check_raises "no rounds"
+    (Invalid_argument "Runner.rounds: repeats < 1") (fun () ->
+      ignore (Runner.rounds ~repeats:0 [| (fun () -> 1.0) |]));
+  (* one round still prints a row; only timed cells carry the unit *)
+  Alcotest.(check string)
+    "one-round row"
+    (Printf.sprintf "%-34s" "label"
+    ^ " | x    2.000 [2.000, 2.000] Mops/s | y    3.000 [3.000, 3.000] \
+       Mops/s | y/x    1.500 [1.500, 1.500]")
+    (Runner.timed_row ~repeats:1 ~ratio:("y/x", 1, 0) "label"
+       [ ("x", fun () -> 2.0); ("y", fun () -> 3.0) ])
+
 let () =
   Alcotest.run "integration"
     [
@@ -340,6 +385,7 @@ let () =
           Alcotest.test_case "all mixes all indexes" `Slow
             test_harness_hc_and_all_mixes;
           Alcotest.test_case "barrier" `Quick test_barrier;
+          Alcotest.test_case "interleaved rounds" `Quick test_rounds;
           Alcotest.test_case "instrument idempotent" `Quick
             test_instrument_idempotent;
         ] );

@@ -391,17 +391,10 @@ let test_slice64 () =
 (* --- Stats --- *)
 
 let test_stats_basics () =
-  checkf "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |]);
   checkf "median odd" 2.0 (Stats.median [| 3.0; 1.0; 2.0 |]);
   checkf "median even" 2.5 (Stats.median [| 4.0; 1.0; 2.0; 3.0 |]);
   checkf "p100" 4.0 (Stats.percentile [| 4.0; 1.0; 2.0; 3.0 |] 100.0);
   checkf "throughput" 2.0 (Stats.throughput_mops ~ops:2_000_000 ~seconds:1.0)
-
-let test_stats_summary () =
-  let s = Stats.summarize [| 1.0; 2.0; 3.0 |] in
-  checkf "min" 1.0 s.min;
-  checkf "max" 3.0 s.max;
-  check "n" 3 s.n
 
 (* --- Padded --- *)
 
@@ -507,6 +500,5 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "basics" `Quick test_stats_basics;
-          Alcotest.test_case "summary" `Quick test_stats_summary;
         ] );
     ]
