@@ -273,6 +273,13 @@ let () =
     (esum (fun e -> e.Epoch.retired))
     (esum (fun e -> e.Epoch.reclaimed))
     (esum (fun e -> e.Epoch.epochs_advanced));
+  (* named as the server's STATS gauges name them *)
+  let gc = Gc.quick_stat () in
+  Printf.printf "runtime: %s %d | %s %d\n"
+    (Bw_obs.gauge_name Bw_obs.G_gc_minor_collections)
+    gc.minor_collections
+    (Bw_obs.gauge_name Bw_obs.G_gc_major_collections)
+    gc.major_collections;
   if !dump then
     Array.iteri
       (fun i t ->

@@ -229,8 +229,9 @@ let cmd =
          [
            `S Manpage.s_description;
            `P
-             "Starts one acceptor and N worker domains; all workers drive \
-              the same lock-free tree. SIGTERM/SIGINT drain in-flight \
+             "Starts N worker domains; worker 0 also accepts connections \
+              and deals them round-robin, and all workers drive the same \
+              lock-free tree. SIGTERM/SIGINT drain in-flight \
               requests, flush, and shut down cleanly.";
          ]
        ~exits:

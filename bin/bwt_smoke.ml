@@ -3,13 +3,16 @@
    it, SIGTERMs the server and asserts a clean drain plus a metrics
    snapshot on disk (validated by json_check in the @ci rule).
 
-   Two passes: a single-tree server (--shards 1, YCSB-A traffic) and a
+   Three passes: a single-tree server (--shards 1, YCSB-A traffic), a
    4-shard forest server (--shards 4, YCSB-E traffic batched 8 ops per
    BATCH frame, whose SCAN frames cross shard boundaries, whose batches
    split across shards, and whose snapshot carries the shard<i>_ series
-   merged over the per-shard registries).
+   merged over the per-shard registries), and a 1-worker single-tree
+   server under YCSB-E, where worker 0 accepts every connection for
+   itself. The 2-worker passes cover the round-robin handoff.
 
-   Usage: bwt_smoke METRICS_JSON_OUT SHARDED_METRICS_JSON_OUT *)
+   Usage: bwt_smoke METRICS_JSON_OUT SHARDED_METRICS_JSON_OUT
+                    ONE_WORKER_METRICS_JSON_OUT *)
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("bwt_smoke: " ^ m); exit 1) fmt
 
@@ -20,12 +23,12 @@ let wait_exit name pid =
   | _, Unix.WSIGNALED s -> die "%s killed by signal %d" name s
   | _, Unix.WSTOPPED s -> die "%s stopped by signal %d" name s
 
-let run_pass ~shards ~mix ~batch ~out_file =
+let run_pass ~workers ~shards ~mix ~batch ~out_file =
   let srv_out_r, srv_out_w = Unix.pipe () in
   let server_pid =
     Unix.create_process "./bwt_server.exe"
       [|
-        "./bwt_server.exe"; "--port"; "0"; "--workers"; "2";
+        "./bwt_server.exe"; "--port"; "0"; "--workers"; string_of_int workers;
         "--shards"; string_of_int shards; "--metrics-json"; out_file;
       |]
       Unix.stdin srv_out_w Unix.stderr
@@ -64,19 +67,25 @@ let run_pass ~shards ~mix ~batch ~out_file =
   wait_exit "bwt_server" server_pid;
   if not (Sys.file_exists out_file) then
     die "server did not write %s" out_file;
-  Printf.printf "bwt_smoke: pass ok (%d shard(s), mix %s, port %d, snapshot %s)\n%!"
-    shards mix port out_file
+  Printf.printf
+    "bwt_smoke: pass ok (%d worker(s), %d shard(s), mix %s, port %d, snapshot \
+     %s)\n%!"
+    workers shards mix port out_file
 
 let () =
-  let single_out, sharded_out =
+  let single_out, sharded_out, one_worker_out =
     match Sys.argv with
-    | [| _; a; b |] -> (a, b)
+    | [| _; a; b; c |] -> (a, b, c)
     | _ ->
-        prerr_endline "usage: bwt_smoke METRICS_JSON_OUT SHARDED_METRICS_JSON_OUT";
+        prerr_endline
+          "usage: bwt_smoke METRICS_JSON_OUT SHARDED_METRICS_JSON_OUT \
+           ONE_WORKER_METRICS_JSON_OUT";
         exit 2
   in
   (* hard backstop: a hung server must fail CI, not wedge it *)
   ignore (Unix.alarm 240);
-  run_pass ~shards:1 ~mix:"a" ~batch:1 ~out_file:single_out;
-  run_pass ~shards:4 ~mix:"e" ~batch:8 ~out_file:sharded_out;
-  Printf.printf "bwt_smoke: ok (%s, %s)\n" single_out sharded_out
+  run_pass ~workers:2 ~shards:1 ~mix:"a" ~batch:1 ~out_file:single_out;
+  run_pass ~workers:2 ~shards:4 ~mix:"e" ~batch:8 ~out_file:sharded_out;
+  run_pass ~workers:1 ~shards:1 ~mix:"e" ~batch:1 ~out_file:one_worker_out;
+  Printf.printf "bwt_smoke: ok (%s, %s, %s)\n" single_out sharded_out
+    one_worker_out

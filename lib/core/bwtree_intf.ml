@@ -375,8 +375,11 @@ module type S = sig
       background thread). *)
 
   val start_gc_thread : t -> ?interval_s:float -> unit -> unit
-  (** Start the epoch-advancing domain (default 40 ms, the paper's
-      interval). *)
+  (** Start the epoch-advancing thread (default 40 ms, the paper's
+      interval): a systhread of the calling domain, not a domain of its
+      own ({!Epoch.start_background}). Call {!stop_gc_thread} before the
+      calling domain returns: a domain cannot terminate while a thread it
+      started still runs. *)
 
   val stop_gc_thread : t -> unit
 

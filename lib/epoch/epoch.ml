@@ -80,8 +80,9 @@ type t = {
      callers). Kept atomic because any number of them may race. *)
   s_reclaimed_shared : int Atomic.t;
   advanced : int Atomic.t;
-  mutable background : unit Domain.t option;
+  mutable background : Thread.t option;
   bg_stop : bool Atomic.t;
+  bg_domain : int Atomic.t;  (* [Domain.self] of the advancer; -1 before *)
 }
 
 type stats = {
@@ -170,6 +171,7 @@ let create ~scheme ~max_threads ?(gc_threshold = 1024) ?(obs = Bw_obs.Null) ()
       advanced = Atomic.make 0;
       background = None;
       bg_stop = Atomic.make false;
+      bg_domain = Atomic.make (-1);
     }
   in
   Bw_obs.register_gauge obs Bw_obs.G_epoch_pending (fun () ->
@@ -243,7 +245,7 @@ let c_retire t c ~tid obj =
 
 let c_reclaim_epoch t e =
   let g = Atomic.exchange e.garbage [] in
-  (* [c_advance] runs from the background domain and from any foreground
+  (* [c_advance] runs from the background thread and from any foreground
      [flush]/[advance] caller, so this count cannot go into a per-thread
      row without breaking the "written only by thread tid" contract. *)
   let n = List.length g in
@@ -397,26 +399,35 @@ let flush t =
         d_collect t d ~tid
       done
 
+(* A systhread of the calling domain, not a domain of its own: every
+   minor collection stops all domains, and a domain that only sleeps
+   still has to be scheduled to take part, so each one taxes every
+   collection (DESIGN.md, "Background loops run on systhreads"). The
+   thread runs whenever its host blocks (joins, sleeps, waits on a
+   socket) and otherwise at the runtime's tick. *)
 let start_background t ~interval_s =
   match (t.impl, t.background) with
   | Off, _ | _, Some _ -> ()
   | (C _ | D _), None ->
       Atomic.set t.bg_stop false;
-      let dom =
-        Domain.spawn (fun () ->
+      let th =
+        Thread.create
+          (fun () ->
+            Atomic.set t.bg_domain (Domain.self () :> int);
             while not (Atomic.get t.bg_stop) do
               Unix.sleepf interval_s;
               advance t
             done)
+          ()
       in
-      t.background <- Some dom
+      t.background <- Some th
 
 let stop_background t =
   match t.background with
   | None -> ()
-  | Some dom ->
+  | Some th ->
       Atomic.set t.bg_stop true;
-      Domain.join dom;
+      Thread.join th;
       t.background <- None
 
 let stats t =
@@ -434,6 +445,9 @@ let padded_blocks t =
   | C c -> [ ("entered", Obj.repr c.entered) ]
   | D d -> [ ("global", Obj.repr d.global); ("local", Obj.repr d.local) ]
   | Off -> [])
+
+let background_domain t =
+  match Atomic.get t.bg_domain with -1 -> None | id -> Some id
 
 let pending t =
   let s = stats t in

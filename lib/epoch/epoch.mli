@@ -69,12 +69,19 @@ val advance : t -> unit
     centralized epochs. *)
 
 val start_background : t -> interval_s:float -> unit
-(** Spawn a domain that calls {!advance} every [interval_s] seconds (the
-    paper uses 40 ms). No-op if one is already running or scheme is
-    [Disabled]. *)
+(** Start a systhread of the calling domain that calls {!advance} every
+    [interval_s] seconds (the paper uses 40 ms). It spawns no domain, so
+    it adds no participant to stop-the-world collections; it runs
+    whenever the calling domain blocks and otherwise at the runtime's
+    tick (~50 ms). No-op if one is already running or scheme is
+    [Disabled].
+
+    Lifetime: a domain cannot terminate while a systhread it started
+    still runs, so call {!stop_background} before the starting domain
+    returns; a [Domain.join] on it would otherwise never return. *)
 
 val stop_background : t -> unit
-(** Stop and join the background domain, if any. Safe to call anytime. *)
+(** Stop and join the background thread, if any. Safe to call anytime. *)
 
 val quiesce : t -> tid:int -> unit
 (** Declare that thread [tid] will not touch the index until its next
@@ -102,6 +109,11 @@ val padded_blocks : t -> (string * Obj.t) list
     for its tid (the statistics, the centralized entry slot, the
     decentralized published epoch) and the decentralized global epoch,
     by name. For layout tests. *)
+
+val background_domain : t -> int option
+(** [Domain.self] of the domain the background thread runs on, once one
+    has started; it stays set after {!stop_background}. For tests that
+    pin that the advancer spawns no domain. *)
 
 val test_retire_window : (unit -> unit) ref
 (** Test-only scheduling hook: invoked by the centralized retire path

@@ -62,7 +62,10 @@ type 'k driver = {
           case per index. *)
   start_aux : unit -> unit;
       (** Start any auxiliary threads the design needs (epoch advancer,
-          skip-list tower builder). Idempotent. *)
+          skip-list tower builder). Idempotent. The epoch advancer is a
+          systhread of the calling domain, so call [stop_aux] before that
+          domain returns: a domain cannot terminate while a thread it
+          started still runs. *)
   stop_aux : unit -> unit;
   thread_done : tid:int -> unit;
       (** Worker [tid] will issue no more operations (releases its

@@ -11,7 +11,7 @@
      per-op.
    - Gauges are pull-only: emitters register a closure, the snapshot
      calls it. Nothing on an operation path ever publishes a gauge.
-   - Emitters with no worker identity (the epoch background domain, a
+   - Emitters with no worker identity (the epoch background thread, a
      mapping-table chunk fault on whatever thread touched the id first)
      go through one shared stripe behind a mutex; such events are rare
      by construction (structural, not per-op).
@@ -262,6 +262,8 @@ type gauge =
   | G_mt_chunks
   | G_net_active_conns
   | G_net_queued_bytes
+  | G_gc_minor_collections
+  | G_gc_major_collections
 
 let gauge_name = function
   | G_epoch_pending -> "epoch_pending"
@@ -270,6 +272,8 @@ let gauge_name = function
   | G_mt_chunks -> "mt_chunks"
   | G_net_active_conns -> "net_active_conns"
   | G_net_queued_bytes -> "net_queued_bytes"
+  | G_gc_minor_collections -> "gc_minor_collections"
+  | G_gc_major_collections -> "gc_major_collections"
 
 type event_kind =
   | Ev_split

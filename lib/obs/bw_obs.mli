@@ -106,6 +106,10 @@ type gauge =
   | G_mt_chunks  (** mapping-table chunks faulted in *)
   | G_net_active_conns  (** open client connections across all workers *)
   | G_net_queued_bytes  (** response bytes buffered awaiting socket writes *)
+  | G_gc_minor_collections
+      (** runtime minor collections so far, process-wide; each one stops
+          every domain *)
+  | G_gc_major_collections  (** runtime major cycles completed so far *)
 
 val gauge_name : gauge -> string
 
@@ -175,7 +179,7 @@ val event : sink -> tid:int -> event_kind -> a:int -> b:int -> unit
 
 val incr_anon : sink -> counter -> unit
 (** Like {!incr}/{!event} for emitters with no worker identity (epoch
-    background domain, mapping-table chunk faults): serialized through a
+    background thread, mapping-table chunk faults): serialized through a
     shared stripe, so they must stay off per-operation paths. *)
 
 val event_anon : sink -> event_kind -> a:int -> b:int -> unit

@@ -1,7 +1,10 @@
 (** Multi-domain TCP server for the Bw-Tree serving layer.
 
-    One acceptor domain listens and hands accepted sockets to [workers]
-    worker domains round-robin. Each worker runs a nonblocking
+    [workers] worker domains, and no other: worker 0 also selects on the
+    nonblocking listening socket and hands accepted sockets to the
+    workers round-robin (itself included). A separate acceptor domain
+    would only sleep in [select], yet every minor collection stops all
+    domains and waits for it too. Each worker runs a nonblocking
     [Unix.select] event loop over its own connection set — connection
     state is shared-nothing between workers; the only shared object is
     the index itself, reached through its lock-free API with the worker's
@@ -19,9 +22,9 @@
     always closes the connection since the stream cannot be resynced.
     Other connections are unaffected either way.
 
-    {!stop} drains gracefully: the acceptor stops, workers answer every
-    request already received, flush within [drain_timeout_s], close, and
-    release their epoch slots. *)
+    {!stop} drains gracefully: worker 0 stops accepting, workers answer
+    every request already received, flush within [drain_timeout_s],
+    close, and release their epoch slots. *)
 
 open Index_iface
 
@@ -61,7 +64,7 @@ type conn = {
 type worker = {
   w_index : int;
   mutable conns : conn list;
-  pending : Unix.file_descr Queue.t;  (** handoffs from the acceptor *)
+  pending : Unix.file_descr Queue.t;  (** handoffs from worker 0's accepts *)
   pending_lock : Mutex.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -318,8 +321,37 @@ let adopt_pending t w =
     fds;
   ignore t
 
+(* Hand an accepted socket to worker [w]: queue it and wake [w]'s select. *)
+let hand_off t (w : worker) fd =
+  Atomic.incr t.active_conns;
+  Mutex.lock w.pending_lock;
+  Queue.add fd w.pending;
+  Mutex.unlock w.pending_lock;
+  try ignore (Unix.write_substring w.wake_w "x" 0 1)
+  with Unix.Unix_error _ -> ()
+
+(* Worker 0's accept step: take every queued connection off the
+   nonblocking listening socket, round-robin over the workers. *)
+let accept_all t next =
+  let rec go () =
+    match Unix.accept t.listen_fd with
+    | fd, _ ->
+        hand_off t t.workers.(!next mod Array.length t.workers) fd;
+        incr next;
+        go ()
+    | exception Unix.Unix_error (EINTR, _, _) -> go ()
+    | exception Unix.Unix_error _ ->
+        (* EAGAIN: the queue is empty. Anything else (an aborted
+           connection, out of fds) must not take the worker down: leave
+           it to the next round. *)
+        ()
+  in
+  go ()
+
 let worker_loop t (w : worker) =
   let tid = w.w_index in
+  let accepts = w.w_index = 0 in
+  let next = ref 0 in
   let scratch = Bytes.create 65_536 in
   let wake_scratch = Bytes.create 64 in
   let stop_deadline = ref 0.0 in
@@ -345,12 +377,14 @@ let worker_loop t (w : worker) =
     in
     let writable = List.filter (fun c -> conn_pending_out c > 0) w.conns in
     let rset = w.wake_r :: List.map (fun c -> c.fd) readable in
+    let rset = if accepts && not stopping then t.listen_fd :: rset else rset in
     let wset = List.map (fun c -> c.fd) writable in
     let rs, ws, _ =
       try Unix.select rset wset [] 0.05
       with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
     in
     if List.mem w.wake_r rs then drain_wake w wake_scratch;
+    if accepts && List.mem t.listen_fd rs then accept_all t next;
     let dead = ref [] in
     List.iter
       (fun c ->
@@ -391,35 +425,6 @@ let worker_loop t (w : worker) =
   t.backend.thread_done ~tid
 
 (* ------------------------------------------------------------------ *)
-(* Acceptor                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let acceptor_loop t =
-  let next = ref 0 in
-  while not (Atomic.get t.stopping) do
-    match Unix.select [ t.listen_fd ] [] [] 0.05 with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-        match Unix.accept t.listen_fd with
-        | fd, _ ->
-            let w = t.workers.(!next mod Array.length t.workers) in
-            incr next;
-            Atomic.incr t.active_conns;
-            Mutex.lock w.pending_lock;
-            Queue.add fd w.pending;
-            Mutex.unlock w.pending_lock;
-            (try ignore (Unix.write_substring w.wake_w "x" 0 1)
-             with Unix.Unix_error _ -> ())
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-            ()
-        | exception Unix.Unix_error (EBADF, _, _) ->
-            (* listen socket closed under us during stop *)
-            ())
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error (EBADF, _, _) -> ()
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -440,7 +445,8 @@ let start ?(config = default_config) (backend : Backend.t) : t =
   (try
      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
      Unix.bind listen_fd (Unix.ADDR_INET (addr, config.port));
-     Unix.listen listen_fd 128
+     Unix.listen listen_fd 128;
+     Unix.set_nonblock listen_fd
    with e ->
      Unix.close listen_fd;
      raise e);
@@ -481,13 +487,18 @@ let start ?(config = default_config) (backend : Backend.t) : t =
       Atomic.get t.active_conns);
   Bw_obs.register_gauge config.obs Bw_obs.G_net_queued_bytes (fun () ->
       Array.fold_left (fun acc w -> acc + Atomic.get w.queued_bytes) 0 workers);
+  (* process-wide: every collection stops all domains, so two snapshots
+     tell how many stop-the-world pauses the window between them had *)
+  Bw_obs.register_gauge config.obs Bw_obs.G_gc_minor_collections (fun () ->
+      (Gc.quick_stat ()).minor_collections);
+  Bw_obs.register_gauge config.obs Bw_obs.G_gc_major_collections (fun () ->
+      (Gc.quick_stat ()).major_collections);
+  (* the epoch advancer is a systhread of this domain: {!stop} must run
+     before this domain returns *)
   backend.start_aux ();
-  let worker_domains =
+  t.domains <-
     Array.to_list
-      (Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) workers)
-  in
-  let acceptor = Domain.spawn (fun () -> acceptor_loop t) in
-  t.domains <- acceptor :: worker_domains;
+      (Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) workers);
   t
 
 let stop (t : t) =
@@ -500,6 +511,17 @@ let stop (t : t) =
       t.workers;
     List.iter Domain.join t.domains;
     t.domains <- [];
+    (* a socket accepted as the drain began may reach a worker that had
+       already exited *)
+    Array.iter
+      (fun w ->
+        Queue.iter
+          (fun fd ->
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            Atomic.decr t.active_conns)
+          w.pending;
+        Queue.clear w.pending)
+      t.workers;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     Array.iter
       (fun w ->

@@ -224,6 +224,53 @@ let test_gc_schemes_under_concurrency () =
       Alcotest.(check int) "drained" 0 (Epoch.pending (T.epoch t)))
     [ Epoch.Centralized; Epoch.Decentralized ]
 
+(* [Domain.join d], failing instead of hanging if [d] has not terminated
+   within [seconds]. *)
+let join_within ~seconds d =
+  let joined = Atomic.make None in
+  let joiner =
+    Thread.create (fun () -> Atomic.set joined (Some (Domain.join d))) ()
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get joined with
+    | Some v ->
+        Thread.join joiner;
+        v
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "domain not joined within %.0f s" seconds;
+        Unix.sleepf 0.01;
+        wait ()
+  in
+  wait ()
+
+(* The lifetime rule of [start_gc_thread]: a domain that starts a tree's
+   advancer and stops it before returning can be joined. The advancer
+   ran on that domain, not on one of its own. *)
+let test_advancer_in_spawned_domain () =
+  List.iter
+    (fun scheme ->
+      let d =
+        Domain.spawn (fun () ->
+            let t = T.create ~config:{ tiny with gc_scheme = scheme } () in
+            T.start_gc_thread t ~interval_s:0.002 ();
+            for k = 0 to 999 do
+              assert (T.insert t ~tid:0 k k)
+            done;
+            T.quiesce t ~tid:0;
+            Unix.sleepf 0.02;
+            T.stop_gc_thread t;
+            ( (Domain.self () :> int),
+              Epoch.background_domain (T.epoch t),
+              T.cardinal t ))
+      in
+      let self, advancer, n = join_within ~seconds:10. d in
+      Alcotest.(check (option int)) "advancer on the spawned domain"
+        (Some self) advancer;
+      Alcotest.(check int) "complete" 1000 n)
+    [ Epoch.Centralized; Epoch.Decentralized ]
+
 (* Two domains appending to one leaf, so their §4.1 slot claims race:
    every acknowledged write is visible afterwards, and with
    pre-allocation every failed delta CaS wasted exactly one slot of the
@@ -299,6 +346,8 @@ let () =
       ( "contention",
         [
           Alcotest.test_case "slab slot race" `Quick test_slab_race;
+          Alcotest.test_case "advancer stopped in its domain joins" `Quick
+            test_advancer_in_spawned_domain;
           Alcotest.test_case "right-edge storm" `Slow
             test_high_contention_right_edge;
         ] );

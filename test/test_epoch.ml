@@ -240,6 +240,24 @@ let test_background_thread () =
   Alcotest.(check bool) "advanced" true ((Epoch.stats e).epochs_advanced > 0);
   Alcotest.(check int) "reclaimed by background" 0 (Epoch.pending e)
 
+(* The advancer is a systhread of the domain that starts it: it records
+   that domain's id, so no domain was spawned for it. *)
+let test_background_on_starter scheme () =
+  let e = Epoch.create ~scheme ~max_threads:1 () in
+  Epoch.start_background e ~interval_s:0.002;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while
+    (Epoch.stats e).epochs_advanced = 0 && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.005
+  done;
+  Epoch.stop_background e;
+  Alcotest.(check bool) "advanced" true ((Epoch.stats e).epochs_advanced > 0);
+  Alcotest.(check (option int))
+    "advancer runs on the starting domain"
+    (Some (Domain.self () :> int))
+    (Epoch.background_domain e)
+
 (* --- concurrent stress: objects are never reclaimed while a reader can
    still see them --- *)
 
@@ -372,7 +390,13 @@ let () =
             (test_padded_layout Epoch.Disabled);
         ] );
       ( "background",
-        [ Alcotest.test_case "advances and reclaims" `Quick test_background_thread ]
+        [
+          Alcotest.test_case "advances and reclaims" `Quick test_background_thread;
+          Alcotest.test_case "centralized: runs on the starter" `Quick
+            (test_background_on_starter Epoch.Centralized);
+          Alcotest.test_case "decentralized: runs on the starter" `Quick
+            (test_background_on_starter Epoch.Decentralized);
+        ]
       );
       ( "stress",
         [

@@ -208,7 +208,8 @@ let all_gauges =
   O.
     [
       G_epoch_pending; G_epoch_watermark_lag; G_mt_free_ids; G_mt_chunks;
-      G_net_active_conns; G_net_queued_bytes;
+      G_net_active_conns; G_net_queued_bytes; G_gc_minor_collections;
+      G_gc_major_collections;
     ]
 
 let all_event_kinds =

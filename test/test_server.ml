@@ -340,6 +340,68 @@ let test_wire_oversized_frame_flagged () =
 (* Loopback: synchronous API                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A 1-worker server is one domain and nothing else: worker 0 accepts
+   (two connections, both handed to itself), serves and stops, and the
+   tree's epoch advancer runs on the starting domain. Domain ids are
+   handed out in increasing order, so probe domains spawned before and
+   after count the domains started in between. A STATS reply carries the
+   process-wide collection counts. *)
+let test_one_worker_one_domain () =
+  let module Bw = Harness.Drivers.Int.Bw in
+  let probe () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  let reg = Bw_obs.create () in
+  let tree = Bw.create ~obs:(Bw_obs.sink reg) () in
+  let backend =
+    Harness.Drivers.Int.K.backend (Harness.Drivers.Int.driver_of_tree tree)
+  in
+  let before = probe () in
+  let srv =
+    Server.start
+      ~config:{ Server.default_config with workers = 1; obs = Bw_obs.To reg }
+      backend
+  in
+  let stats =
+    Fun.protect ~finally:(fun () -> Server.stop srv) (fun () ->
+        let a = Bw_client.connect ~port:(Server.port srv) () in
+        let b = Bw_client.connect ~port:(Server.port srv) () in
+        Fun.protect
+          ~finally:(fun () ->
+            Bw_client.close a;
+            Bw_client.close b)
+          (fun () ->
+            for k = 0 to 99 do
+              Alcotest.(check bool) "insert" true
+                (Bw_client.Int_key.put (if k mod 2 = 0 then a else b)
+                   ~mode:Wire.Insert k (k * 10))
+            done;
+            Alcotest.(check (option int)) "read the other connection's write"
+              (Some 10) (Bw_client.Int_key.get a 1);
+            Alcotest.(check (list (pair int int))) "scan"
+              [ (40, 400); (41, 410) ]
+              (Bw_client.Int_key.scan b 40 ~n:2);
+            Bw_client.stats a))
+  in
+  let after = probe () in
+  Alcotest.(check int) "domains spawned by a 1-worker server" 1
+    (after - before - 1);
+  Alcotest.(check (option int)) "advancer on the starting domain"
+    (Some (Domain.self () :> int))
+    (Epoch.background_domain (Bw.epoch tree));
+  match Bw_obs.Json.parse stats with
+  | Ok v -> (
+      match Bw_obs.Json.member "gauges" v with
+      | Some (Bw_obs.Json.Obj g) ->
+          List.iter
+            (fun gauge ->
+              let name = Bw_obs.gauge_name gauge in
+              match List.assoc_opt name g with
+              | Some (Bw_obs.Json.Int n) ->
+                  Alcotest.(check bool) (name ^ " >= 0") true (n >= 0)
+              | _ -> Alcotest.failf "STATS lacks gauge %s" name)
+            Bw_obs.[ G_gc_minor_collections; G_gc_major_collections ]
+      | _ -> Alcotest.fail "STATS gauges not an object")
+  | Error e -> Alcotest.failf "STATS does not parse: %s" e
+
 let test_sync_ops () =
   with_server (fun srv ->
       let c = Bw_client.connect ~port:(Server.port srv) () in
@@ -1161,6 +1223,8 @@ let () =
       ( "loopback",
         [
           Alcotest.test_case "sync ops" `Quick test_sync_ops;
+          Alcotest.test_case "one worker is the only domain" `Quick
+            test_one_worker_one_domain;
           Alcotest.test_case "forest backend" `Quick test_forest_backend;
           Alcotest.test_case "batch frames == per-op frames" `Quick
             test_batch_over_wire;
